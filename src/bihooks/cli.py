@@ -129,8 +129,9 @@ def main(argv=None) -> int:
                                           cache_dir=args.cache_dir,
                                           use_cache=not args.no_cache)
             if args.format == "json":
-                json.dump(render.matrix_json_obj(matrix, rows=args.rows), out)
-                out.write("\n")
+                # dumps, unlike dump, runs the C encoder: same bytes, faster
+                out.write(json.dumps(render.matrix_json_obj(matrix, rows=args.rows))
+                          + "\n")
             else:
                 out.write(render.matrix_csv(matrix, rows=args.rows))
         elif args.command == "qdim":

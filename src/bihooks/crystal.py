@@ -59,14 +59,6 @@ def cogood_node(bp: Bipartition, i: int, e: int) -> Node | None:
     return None
 
 
-def epsilon(bp: Bipartition, i: int, e: int) -> int:
-    return sum(1 for sign, _ in reduced_signature(bp, i, e) if sign == "-")
-
-
-def phi(bp: Bipartition, i: int, e: int) -> int:
-    return sum(1 for sign, _ in reduced_signature(bp, i, e) if sign == "+")
-
-
 def f_tilde(bp: Bipartition, i: int, e: int) -> Bipartition | None:
     node = cogood_node(bp, i, e)
     return None if node is None else add_node(bp, node)

@@ -2,15 +2,19 @@
 Gaussian-elimination pass producing the canonical basis, i.e. the
 characteristic-0 graded decomposition matrix.
 
-Induction action.  For an addable i-node A of lam,
+Induction action.  Divided powers act in one step: for m >= 1,
 
-    f_i |lam>  =  sum_A  q^(stat(lam+A, A)) |lam+A>,
+    f_i^(m) |lam>  =  sum_S  q^N(S) |lam+S>,
 
-where stat counts addable minus removable i-nodes of the *grown* diagram
-strictly below A (convention ``"below"``) or strictly above it
-(convention ``"above"``).  Divided powers are f_i^m with exact division
-by the quantum factorial [m]!; inexact division means a convention bug
-and is a hard failure.
+where S runs over the m-subsets of the addable i-nodes of lam and N(S)
+sums, over each node A of S, the addable i-nodes of lam outside S minus
+the removable i-nodes of lam lying strictly below A (convention
+``"below"``) or strictly above it (convention ``"above"``).  The case
+m = 1 is the single step f_i.  Every pair of nodes of S has one node on
+the convention side of the other, so N(S) is the sum of the per-node
+counts over all addable nodes, less m(m-1)/2.  The route this replaces,
+f_i applied m times followed by exact division by the quantum factorial
+[m]!, is kept in the test-suite as the oracle for this formula.
 
 The solver runs on the ``"above"`` convention.  Validation picked it:
 with ``"above"`` the first approximations are unitriangular against
@@ -26,10 +30,16 @@ i-signature (smallest such residue first), i.e. the top removable
 i-nodes sitting above all other i-activity.  The run list replayed in
 reverse as divided powers on |empty> gives a vector A(mu) with
 coefficient exactly 1 at |mu| and all other terms strictly later in the
-refined dominance order.  Divided powers commute with the bar involution
-and fix |empty>, so every A(mu) is bar-invariant; corrections by
-bar-closures of offending coefficients therefore keep the eliminated
+refined dominance order.  The solver builds every A(mu) in one
+depth-first pass over the sorted run lists, so a prefix shared by
+several of them is applied once.  Divided powers commute with the bar
+involution and fix |empty>, so every A(mu) is bar-invariant; corrections
+by bar-closures of offending coefficients therefore keep the eliminated
 columns bar-invariant without any combinatorial bar formula.
+
+Inside the solver a vector is kept raw, as a map from bipartitions to
+``{exponent: coefficient}`` dicts, and elimination updates it in place;
+``LaurentPoly`` values are built once a column is finished.
 """
 
 import json
@@ -37,68 +47,79 @@ import os
 import tempfile
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import combinations
+from operator import itemgetter
 
 from .crystal import good_peel, is_regular, signature
-from .laurent import LaurentPoly, ONE, ZERO, quantum_factorial
+from .laurent import LaurentPoly, ZERO
 from .partitions import (
     Bipartition, EMPTY_BP, add_node, addable_nodes, bipartitions, check_e,
-    dominance_key, format_bipartition, parse_bipartition, remove_node,
+    dominance_key, format_bipartition, key_dominates, node_position,
+    parse_bipartition, remove_node, removable_nodes,
 )
-from .tableaux import graded_dimension, node_degree
+from .tableaux import graded_dimension
 
 BELOW = "below"
 ABOVE = "above"
 
 FockVector = dict[Bipartition, LaurentPoly]
+# the solver's working form: exponent -> nonzero coefficient, per label
+RawVector = dict[Bipartition, dict[int, int]]
 
 
 @lru_cache(maxsize=None)
-def _f_targets(bp: Bipartition, i: int, e: int, above: bool):
+def _f_targets(bp: Bipartition, i: int, m: int, e: int, above: bool):
+    """(bp + S, N(S)) for every m-subset S of the addable i-nodes of bp."""
+    adds = addable_nodes(bp, i, e)
+    rems = [node_position(r) for r in removable_nodes(bp, i, e)]
+    pos = [node_position(a) for a in adds]
+
+    def side(p, a):
+        return p < a if above else p > a
+
+    counts = [sum(side(p, a) for p in pos) - sum(side(p, a) for p in rems)
+              for a in pos]
     out = []
-    for node in addable_nodes(bp, i, e):
-        grown = add_node(bp, node)
-        out.append((grown, node_degree(grown, node, e, above)))
+    for subset in combinations(range(len(adds)), m):
+        grown = bp
+        for k in subset:
+            grown = add_node(grown, adds[k])
+        out.append((grown, sum(counts[k] for k in subset) - m * (m - 1) // 2))
     return tuple(out)
 
 
-def apply_f(vec: FockVector, i: int, e: int, convention: str = BELOW) -> FockVector:
-    """One induction step, extended linearly."""
-    check_e(e)
-    above = convention == ABOVE
-    acc: dict[Bipartition, dict[int, int]] = {}
-    for bp, coeff in vec.items():
-        for grown, d in _f_targets(bp, i % e, e, above):
-            slot = acc.setdefault(grown, {})
-            for exp, c in coeff.iter_terms():
+def _apply_divided(vec: RawVector, i: int, m: int, e: int,
+                   above: bool) -> RawVector:
+    acc: RawVector = {}
+    for bp, terms in vec.items():
+        for grown, d in _f_targets(bp, i, m, e, above):
+            slot = acc.get(grown)
+            if slot is None:
+                slot = acc[grown] = {}
+            for exp, c in terms.items():
                 k = exp + d
                 nv = slot.get(k, 0) + c
                 if nv:
                     slot[k] = nv
                 else:
                     del slot[k]
-    return {bp: LaurentPoly._raw(d) for bp, d in acc.items() if d}
+    return {bp: terms for bp, terms in acc.items() if terms}
 
 
 def apply_f_divided(vec: FockVector, i: int, m: int, e: int,
                     convention: str = BELOW) -> FockVector:
-    """The divided power: f_i^m followed by exact division by [m]!."""
+    """The divided power f_i^(m), extended linearly (module docstring)."""
+    check_e(e)
     if m < 1:
         raise ValueError(f"divided power needs m >= 1, got {m}")
-    out = vec
-    for _ in range(m):
-        out = apply_f(out, i, e, convention)
-    if m == 1:
-        return out
-    qfact = quantum_factorial(m)
-    divided: FockVector = {}
-    for bp, coeff in out.items():
-        try:
-            divided[bp] = coeff.exact_div(qfact)
-        except ValueError as exc:
-            raise RuntimeError(
-                f"divided power not exact at {bp} (i={i}, m={m}, e={e}, "
-                f"convention={convention}): {coeff} / {qfact}") from exc
-    return divided
+    raw = {bp: dict(coeff.iter_terms()) for bp, coeff in vec.items()}
+    out = _apply_divided(raw, i % e, m, e, convention == ABOVE)
+    return {bp: LaurentPoly._raw(terms) for bp, terms in out.items()}
+
+
+def apply_f(vec: FockVector, i: int, e: int, convention: str = BELOW) -> FockVector:
+    """One induction step, extended linearly."""
+    return apply_f_divided(vec, i, 1, e, convention)
 
 
 def peel_runs(mu: Bipartition, e: int) -> tuple[tuple[int, int], ...]:
@@ -139,6 +160,40 @@ def peel_runs(mu: Bipartition, e: int) -> tuple[tuple[int, int], ...]:
     return tuple(runs)
 
 
+def _first_approximations(regs, e: int, above: bool):
+    """Yield (mu, A(mu)) as raw vectors for every mu in regs, from one
+    depth-first pass over the sorted reversed peel runs, so that each
+    shared prefix is applied once."""
+    runs = sorted(((tuple(reversed(peel_runs(mu, e))), mu) for mu in regs),
+                  key=itemgetter(0))
+    path: list[tuple[int, int]] = []
+    stack: list[RawVector] = [{EMPTY_BP: {0: 1}}]  # stack[k]: after path[:k]
+    for steps, mu in runs:
+        common = 0
+        while (common < len(path) and common < len(steps)
+               and path[common] == steps[common]):
+            common += 1
+        del path[common:], stack[common + 1:]
+        for i, m in steps[common:]:
+            stack.append(_apply_divided(stack[-1], i, m, e, above))
+            path.append((i, m))
+        yield mu, stack[-1]
+
+
+def _check_first_approximation(mu: Bipartition, vec: RawVector, key_of,
+                               convention: str):
+    if vec.get(mu) != {0: 1}:
+        raise RuntimeError(
+            f"first approximation of {mu} has leading coefficient "
+            f"{LaurentPoly(vec.get(mu))}, convention={convention}")
+    kmu = key_of[mu]
+    for lam in vec:
+        if lam != mu and not key_of[lam] < kmu:
+            raise RuntimeError(
+                f"first approximation of {mu} has support at {lam} "
+                f"not below it in the refined order")
+
+
 def first_approximation(mu: Bipartition, e: int,
                         convention: str = ABOVE) -> FockVector:
     """A(mu): the reversed peel runs applied as divided powers to |empty>.
@@ -147,20 +202,10 @@ def first_approximation(mu: Bipartition, e: int,
     come strictly later in the lexicographic refinement of dominance by
     partial-sum vectors (the labels need not all be dominated by mu; the
     eliminated columns are, which the solver asserts)."""
-    vec: FockVector = {EMPTY_BP: ONE}
-    for i, m in reversed(peel_runs(mu, e)):
-        vec = apply_f_divided(vec, i, m, e, convention)
-    if vec.get(mu) != ONE:
-        raise RuntimeError(
-            f"first approximation of {mu} has leading coefficient "
-            f"{vec.get(mu)}, convention={convention}")
-    kmu = dominance_key(mu)
-    for lam in vec:
-        if lam != mu and not dominance_key(lam) < kmu:
-            raise RuntimeError(
-                f"first approximation of {mu} has support at {lam} "
-                f"not below it in the refined order")
-    return vec
+    [(_, vec)] = _first_approximations([mu], e, convention == ABOVE)
+    _check_first_approximation(
+        mu, vec, {lam: dominance_key(lam) for lam in vec}, convention)
+    return {lam: LaurentPoly._raw(terms) for lam, terms in vec.items()}
 
 
 @dataclass
@@ -246,6 +291,8 @@ def canonical_basis(n: int, e: int, cache_dir: str | None = None,
     asserted, not assumed.
     """
     check_e(e)
+    if n < 0:
+        raise ValueError(f"number of boxes must be >= 0, got {n}")
     if convention not in (ABOVE, BELOW):
         raise ValueError(f"unknown convention {convention!r}")
     key = (n, e, convention)
@@ -277,14 +324,16 @@ def _compute_canonical_basis(n: int, e: int, convention: str) -> DecompositionMa
     key_of = {bp: dominance_key(bp, n) for bp in bipartitions(n)}
     regs.sort(key=lambda bp: key_of[bp], reverse=True)
 
-    approx: dict[Bipartition, FockVector] = {}
-    for mu in regs:
-        approx[mu] = first_approximation(mu, e, convention)
+    approx: dict[Bipartition, RawVector] = {}
+    for mu, vec in _first_approximations(regs, e, convention == ABOVE):
+        _check_first_approximation(mu, vec, key_of, convention)
+        approx[mu] = vec
 
+    raw: dict[Bipartition, RawVector] = {}
     columns: dict[Bipartition, dict[Bipartition, LaurentPoly]] = {}
     for idx in range(len(regs) - 1, -1, -1):
         mu = regs[idx]
-        vec = dict(approx.pop(mu))
+        vec = approx.pop(mu)
         # clear every already-computed column, most dominant first; the
         # first-approximation support bound guarantees nothing is needed
         # beyond those
@@ -292,30 +341,41 @@ def _compute_canonical_basis(n: int, e: int, convention: str) -> DecompositionMa
             c = vec.get(lam)
             if not c:
                 continue
-            correction = c.bar_closure()
+            correction = list(LaurentPoly._raw(c).bar_closure().iter_terms())
             if not correction:
                 continue
-            for bp, gval in columns[lam].items():
-                nv = vec.get(bp, ZERO) - correction * gval
-                if nv:
-                    vec[bp] = nv
-                else:
-                    vec.pop(bp, None)
-        if vec.get(mu) != ONE:
+            # vec -= correction * raw[lam], one exponent at a time
+            for bp, g in raw[lam].items():
+                slot = vec.get(bp)
+                if slot is None:
+                    slot = vec[bp] = {}
+                for ka, va in correction:
+                    for kb, vb in g.items():
+                        k = ka + kb
+                        nv = slot.get(k, 0) - va * vb
+                        if nv:
+                            slot[k] = nv
+                        else:
+                            del slot[k]
+                if not slot:
+                    del vec[bp]
+        if vec.get(mu) != {0: 1}:
             raise RuntimeError(
-                f"column {mu}: diagonal is {vec.get(mu)}, expected 1 "
-                f"(convention {convention})")
+                f"column {mu}: diagonal is {LaurentPoly(vec.get(mu))}, "
+                f"expected 1 (convention {convention})")
         kmu = key_of[mu]
-        for bp, val in vec.items():
+        for bp, terms in vec.items():
             if bp == mu:
                 continue
-            if not all(a >= b for a, b in zip(kmu, key_of[bp])):
+            if not key_dominates(kmu, key_of[bp]):
                 raise RuntimeError(
                     f"column {mu} has support at {bp} not dominated by it")
-            if not val.in_q_window():
+            if min(terms) < 1:
                 raise RuntimeError(
-                    f"column {mu}, row {bp}: entry {val} outside q.Z[q]")
-        columns[mu] = vec
+                    f"column {mu}, row {bp}: entry {LaurentPoly(terms)} "
+                    f"outside q.Z[q]")
+        raw[mu] = vec
+        columns[mu] = {bp: LaurentPoly._raw(terms) for bp, terms in vec.items()}
     return DecompositionMatrix(n=n, e=e, convention=convention, columns=columns)
 
 

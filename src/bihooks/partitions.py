@@ -19,6 +19,7 @@ The canonical text form of a bipartition separates components with
 ``6,1|3`` and ``-|-``.
 """
 
+import operator
 from functools import lru_cache
 
 Partition = tuple[int, ...]
@@ -56,10 +57,6 @@ def check_e(e: int) -> int:
     return e
 
 
-def partition_size(p: Partition) -> int:
-    return sum(p)
-
-
 def size(bp: Bipartition) -> int:
     return sum(bp[0]) + sum(bp[1])
 
@@ -75,12 +72,6 @@ def conjugate(bp: Bipartition) -> Bipartition:
     return (conjugate_partition(bp[1]), conjugate_partition(bp[0]))
 
 
-def contains(bp: Bipartition, node: Node) -> bool:
-    r, c, m = node
-    comp = bp[m - 1]
-    return 1 <= r <= len(comp) and 1 <= c <= comp[r - 1]
-
-
 def residue(node: Node, e: int) -> int:
     r, c, m = node
     return (c - r) % e
@@ -90,10 +81,6 @@ def node_position(node: Node) -> tuple[int, int]:
     """Sort key realising the above/below order (component, then row)."""
     r, c, m = node
     return (m, r)
-
-
-def is_above(a: Node, b: Node) -> bool:
-    return node_position(a) < node_position(b)
 
 
 def hook_length(p: Partition, row: int, col: int) -> int:
@@ -199,8 +186,13 @@ def dominates(lam: Bipartition, mu: Bipartition) -> bool:
     n = size(lam)
     if n != size(mu):
         raise ValueError(f"dominance needs equal sizes, got {n} and {size(mu)}")
-    ka, kb = dominance_key(lam, n), dominance_key(mu, n)
-    return all(x >= y for x, y in zip(ka, kb))
+    return key_dominates(dominance_key(lam, n), dominance_key(mu, n))
+
+
+def key_dominates(ka: tuple[int, ...], kb: tuple[int, ...]) -> bool:
+    """Dominance read off two dominance keys of equal length: ``ka`` is
+    pointwise >= ``kb``."""
+    return all(map(operator.ge, ka, kb))
 
 
 def is_hook(p: Partition) -> bool:

@@ -95,15 +95,21 @@ def verdict_text(v: Verdict) -> str:
 
 
 def _matrix_rows(matrix: DecompositionMatrix, rows: str):
-    if rows == "bihooks":
-        keep = [bp for bp in matrix.rows() if is_bihook(bp)]
-    else:
-        keep = matrix.rows()
-    order = {mu: idx for idx, mu in enumerate(matrix.regulars())}
-    for lam in keep:
-        entries = matrix.row(lam)
-        for mu in sorted(entries, key=order.__getitem__):
-            yield lam, mu, entries[mu]
+    """(row label, column label, entry) triples, rows in decreasing
+    dominance and each row's columns in decreasing dominance, from one
+    transposition of the columns."""
+    by_row: dict = {}
+    for mu in matrix.regulars():
+        mu_text = format_bipartition(mu)
+        for lam, val in matrix.columns[mu].items():
+            if val:
+                by_row.setdefault(lam, []).append((mu_text, val))
+    for lam in matrix.rows():
+        entries = by_row.get(lam)
+        if entries and (rows != "bihooks" or is_bihook(lam)):
+            lam_text = format_bipartition(lam)
+            for mu_text, val in entries:
+                yield lam_text, mu_text, val
 
 
 def matrix_csv(matrix: DecompositionMatrix, rows: str = "all") -> str:
@@ -111,7 +117,7 @@ def matrix_csv(matrix: DecompositionMatrix, rows: str = "all") -> str:
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["row", "column", "entry"])
     for lam, mu, val in _matrix_rows(matrix, rows):
-        writer.writerow([format_bipartition(lam), format_bipartition(mu), str(val)])
+        writer.writerow([lam, mu, str(val)])
     return buf.getvalue()
 
 
@@ -121,7 +127,6 @@ def matrix_json_obj(matrix: DecompositionMatrix, rows: str = "all") -> dict:
         "n": matrix.n,
         "convention": matrix.convention,
         "entries": [
-            [format_bipartition(lam), format_bipartition(mu), val.to_pairs()]
-            for lam, mu, val in _matrix_rows(matrix, rows)
+            [lam, mu, val.to_pairs()] for lam, mu, val in _matrix_rows(matrix, rows)
         ],
     }

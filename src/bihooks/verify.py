@@ -13,8 +13,8 @@ from . import crystal, fock, schur, structure, tableaux
 from .laurent import LaurentPoly, ZERO, c_factor
 from .partitions import (
     EMPTY_BP, add_node, addable_nodes, all_nodes, as_bipartition, bipartitions,
-    conjugate, dominance_key, format_bipartition, hook_length, partitions,
-    removable_nodes, residue, size,
+    conjugate, dominance_key, format_bipartition, hook_length, key_dominates,
+    partitions, removable_nodes, residue, size,
 )
 
 
@@ -71,7 +71,7 @@ def combinatorics_suite(max_n: int = 12, **_) -> SuiteReport:
         for ka in keys:
             mask = 0
             for idx, kb in enumerate(keys):
-                if all(x >= y for x, y in zip(ka, kb)):
+                if key_dominates(ka, kb):
                     mask |= 1 << idx
             below.append(mask)
         for idx, bp in enumerate(bps):
@@ -290,8 +290,7 @@ def _llt_matrix_checks(rep: SuiteReport, matrix, e: int, n: int):
         for lam, val in col.items():
             if lam == mu:
                 continue
-            rep.check(val.in_q_window() and
-                      all(x >= y for x, y in zip(key_of[mu], key_of[lam])),
+            rep.check(val.in_q_window() and key_dominates(key_of[mu], key_of[lam]),
                       f"window/triangularity e={e} n={n} "
                       f"{format_bipartition(lam)},{format_bipartition(mu)}")
     qdim = fock.simple_graded_dims_from(matrix)

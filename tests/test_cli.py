@@ -1,6 +1,9 @@
 import csv
+import hashlib
 import io
 import json
+
+import pytest
 
 from bihooks.cli import main
 from bihooks.fock import canonical_basis
@@ -64,6 +67,47 @@ def test_llt_csv_and_json(tmp_path, capsys):
     # bihook filter drops rows like ((2,1),(1))... the row labels are bihooks
     from bihooks.partitions import is_bihook, parse_bipartition
     assert all(is_bihook(parse_bipartition(lam)) for lam, _, _ in obj["entries"])
+
+
+# sha256 of `llt --no-cache` stdout, recorded before the solver and the
+# matrix emitters were rewritten; any change to these bytes is a regression
+LLT_GOLDEN = [
+    (2, 8, ("--format", "json"),
+     "7cc3bc7fbb9d7d2df160a88c790c81872dc4a44ba4657c74e1c6a8635affac95"),
+    (2, 8, ("--format", "csv"),
+     "8e03ab7326e1cb4c603467082de18e8845dcf16dd7f9a844a4507713ab648951"),
+    (2, 8, ("--format", "csv", "--rows", "bihooks"),
+     "6995ddfb3debe749c279001409a46d8e69420b8220d7284940aef58e96274030"),
+    (3, 9, ("--format", "json"),
+     "ae1f9ff5f8861e188c6169be08bbbcb70af852256bbe2b4468aa73de306d9946"),
+    (3, 9, ("--format", "csv"),
+     "18799f120b6915906f8f632ee6595e140f7fb10cd8279c4ee20c7bbb0e232671"),
+    (3, 9, ("--format", "csv", "--rows", "bihooks"),
+     "5601910da80d17844b0bc9cd791bf380199148678c68870741bf0935f49a851c"),
+    (4, 8, ("--format", "json"),
+     "c556459ef4c322f2e88f9370a72daf875ce6c21e5eb5269032ec4ba992aa7e94"),
+    (4, 8, ("--format", "csv"),
+     "53b27e80269c54f938c38511a2599c69fbc2762b6697d9b98ee29e23e3c9a152"),
+    (4, 8, ("--format", "csv", "--rows", "bihooks"),
+     "88f984e229b6000f1169065e94d0f02129cd3dd4c01719b4c9ec6250da096b27"),
+]
+
+
+@pytest.mark.parametrize("e, n, extra, digest", LLT_GOLDEN)
+def test_llt_output_is_byte_identical(capsys, e, n, extra, digest):
+    code, out = run(capsys, "llt", "--e", str(e), "--n", str(n),
+                    "--no-cache", *extra)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_llt_rejects_negative_size(tmp_path, capsys):
+    code = main(["llt", "--e", "2", "--n", "-3", "--cache-dir", str(tmp_path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "number of boxes must be >= 0" in captured.err
+    assert not list(tmp_path.iterdir())
 
 
 def test_qdim(capsys):

@@ -1,16 +1,39 @@
 import pytest
 
+from bihooks import fock
 from bihooks.fock import (
     ABOVE, BELOW, DecompositionMatrix, apply_f, apply_f_divided,
     canonical_basis, first_approximation, peel_runs, simple_graded_dims,
     simple_graded_dims_from,
 )
-from bihooks.laurent import LaurentPoly, ONE
-from bihooks.partitions import EMPTY_BP, bipartitions, dominance_key
+from bihooks.laurent import LaurentPoly, ONE, ZERO, quantum_factorial
+from bihooks.partitions import (
+    EMPTY_BP, add_node, addable_nodes, bipartitions, dominance_key,
+    key_dominates,
+)
 from bihooks.crystal import is_regular
-from bihooks.tableaux import graded_dimension
+from bihooks.tableaux import graded_dimension, node_degree
 
 Q = LaurentPoly.q_power
+
+
+def _f_oracle(vec, i, e, above):
+    """One induction step, graded by the statistic of the grown diagram."""
+    out = {}
+    for bp, coeff in vec.items():
+        for node in addable_nodes(bp, i, e):
+            grown = add_node(bp, node)
+            d = node_degree(grown, node, e, above)
+            out[grown] = out.get(grown, ZERO) + coeff.shift(d)
+    return {bp: c for bp, c in out.items() if c}
+
+
+def _divided_oracle(vec, i, m, e, above):
+    """f_i applied m times, then exact division by [m]!."""
+    for _ in range(m):
+        vec = _f_oracle(vec, i, e, above)
+    qfact = quantum_factorial(m)
+    return {bp: c.exact_div(qfact) for bp, c in vec.items()}
 
 
 def test_apply_f_below_convention():
@@ -44,6 +67,27 @@ def test_divided_power():
         apply_f_divided({EMPTY_BP: ONE}, 0, 0, 2)
 
 
+def test_divided_power_matches_oracle():
+    for e in (2, 3, 4):
+        for n in range(0, 9):
+            for bp in bipartitions(n):
+                for i in range(e):
+                    for m in (1, 2, 3):
+                        for conv in (ABOVE, BELOW):
+                            want = _divided_oracle({bp: ONE}, i, m, e,
+                                                   conv == ABOVE)
+                            got = apply_f_divided({bp: ONE}, i, m, e, conv)
+                            assert got == want, (bp, i, m, e, conv)
+
+
+def test_divided_power_is_linear():
+    vec = {((2,), (1,)): Q(-1, 3), ((1, 1), (1,)): Q(2) + ONE}
+    for conv in (ABOVE, BELOW):
+        assert (apply_f_divided(vec, 1, 2, 3, conv)
+                == _divided_oracle(vec, 1, 2, 3, conv == ABOVE))
+        assert apply_f(vec, 4, 3, conv) == _f_oracle(vec, 1, 3, conv == ABOVE)
+
+
 def test_peel_runs_examples():
     assert peel_runs(EMPTY_BP, 3) == ()
     assert peel_runs(((1,), ()), 2) == ((0, 1),)
@@ -72,6 +116,37 @@ def test_first_approximation_unitriangular():
                     assert lam == mu or dominance_key(lam, n) < kmu
 
 
+def test_shared_prefix_pass_matches_first_approximation():
+    for e in (2, 3):
+        for n in range(0, 10):
+            regs = [mu for mu in bipartitions(n) if is_regular(mu, e)]
+            shared = dict(fock._first_approximations(regs, e, True))
+            assert set(shared) == set(regs)
+            for mu in regs:
+                got = {lam: LaurentPoly(terms)
+                       for lam, terms in shared[mu].items()}
+                assert got == first_approximation(mu, e), (mu, e)
+
+
+def test_shared_prefix_pass_applies_each_prefix_once(monkeypatch):
+    e, n = 2, 10
+    regs = [mu for mu in bipartitions(n) if is_regular(mu, e)]
+    prefixes = set()
+    for mu in regs:
+        runs = tuple(reversed(peel_runs(mu, e)))
+        prefixes.update(runs[:k] for k in range(1, len(runs) + 1))
+    applied = []
+    inner = fock._apply_divided
+
+    def counting(vec, i, m, e, above):
+        applied.append((i, m))
+        return inner(vec, i, m, e, above)
+
+    monkeypatch.setattr(fock, "_apply_divided", counting)
+    assert len(dict(fock._first_approximations(regs, e, True))) == len(regs)
+    assert len(applied) == len(prefixes)
+
+
 def test_first_approximation_one_box():
     vec = first_approximation(((1,), ()), 2)
     assert vec == {((1,), ()): ONE, ((), (1,)): Q(1)}
@@ -96,7 +171,7 @@ def test_canonical_basis_window_and_triangularity():
             for lam, val in col.items():
                 if lam != mu:
                     assert val.in_q_window()
-                    assert all(a >= b for a, b in zip(kmu, dominance_key(lam, n)))
+                    assert key_dominates(kmu, dominance_key(lam, n))
         assert set(m.columns) == {bp for bp in bipartitions(n)
                                   if is_regular(bp, e)}
 

@@ -45,7 +45,7 @@ Inside the solver a vector is kept raw, as a map from bipartitions to
 import json
 import os
 import tempfile
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations
 from operator import itemgetter
@@ -212,11 +212,17 @@ def first_approximation(mu: Bipartition, e: int,
 class DecompositionMatrix:
     """Columns are canonical-basis vectors indexed by regular bipartitions;
     rows run over all bipartitions of n.  Unitriangular against dominance
-    with off-diagonal entries in q.Z[q]."""
+    with off-diagonal entries in q.Z[q].
+
+    ``row`` is served from an index lam -> {mu: entry}, built from the
+    columns on its first call and kept on the matrix, so the columns must
+    not be mutated after that call."""
     n: int
     e: int
     convention: str
     columns: dict[Bipartition, dict[Bipartition, LaurentPoly]]
+    _row_index: dict | None = field(default=None, init=False, repr=False,
+                                    compare=False)
 
     def regulars(self) -> list[Bipartition]:
         return sorted(self.columns, key=lambda bp: dominance_key(bp, self.n),
@@ -230,39 +236,56 @@ class DecompositionMatrix:
         return self.columns[mu].get(lam, ZERO)
 
     def row(self, lam: Bipartition) -> dict[Bipartition, LaurentPoly]:
-        out = {}
-        for mu, col in self.columns.items():
-            val = col.get(lam)
-            if val:
-                out[mu] = val
-        return out
+        """The nonzero entries of row lam, as a new dict in column order."""
+        index = self._row_index
+        if index is None:
+            index = self._row_index = {}
+            for mu, col in self.columns.items():
+                for bp, val in col.items():
+                    if val:
+                        slot = index.get(bp)
+                        if slot is None:
+                            slot = index[bp] = {}
+                        slot[mu] = val
+        return dict(index.get(lam, ()))
 
     def to_obj(self):
+        labels = set(self.columns).union(*self.columns.values())
+        key_of = {bp: dominance_key(bp, self.n) for bp in labels}
+        text_of = {bp: format_bipartition(bp) for bp in labels}
+
+        def by_key(kv):
+            return key_of[kv[0]]
+
         return {
             "n": self.n,
             "e": self.e,
             "convention": self.convention,
             "columns": {
-                format_bipartition(mu): {
-                    format_bipartition(lam): val.to_pairs()
-                    for lam, val in sorted(
-                        col.items(),
-                        key=lambda kv: dominance_key(kv[0], self.n),
-                        reverse=True)
+                text_of[mu]: {
+                    text_of[lam]: val.to_pairs()
+                    for lam, val in sorted(col.items(), key=by_key, reverse=True)
                 }
-                for mu, col in sorted(
-                    self.columns.items(),
-                    key=lambda kv: dominance_key(kv[0], self.n), reverse=True)
+                for mu, col in sorted(self.columns.items(), key=by_key,
+                                      reverse=True)
             },
         }
 
     @classmethod
     def from_obj(cls, obj) -> "DecompositionMatrix":
+        # each distinct label is parsed once, and equal labels share a tuple
+        labels: dict[str, Bipartition] = {}
+
+        def label(text):
+            bp = labels.get(text)
+            if bp is None:
+                bp = labels[text] = parse_bipartition(text)
+            return bp
+
+        from_pairs = LaurentPoly.from_pairs
         columns = {
-            parse_bipartition(mu): {
-                parse_bipartition(lam): LaurentPoly.from_pairs(pairs)
-                for lam, pairs in col.items()
-            }
+            label(mu): {label(lam): from_pairs(pairs)
+                        for lam, pairs in col.items()}
             for mu, col in obj["columns"].items()
         }
         return cls(n=int(obj["n"]), e=int(obj["e"]),
@@ -301,22 +324,36 @@ def canonical_basis(n: int, e: int, cache_dir: str | None = None,
         path = os.path.join(cache_dir or default_cache_dir(),
                             f"llt_e{e}_n{n}_{convention}.json")
     matrix = _MEMORY.get(key) if use_cache else None
-    if matrix is None and path is not None and os.path.exists(path):
-        with open(path) as fh:
-            loaded = DecompositionMatrix.from_obj(json.load(fh))
-        if (loaded.n, loaded.e, loaded.convention) == key:
-            matrix = loaded
+    rewrite = False
+    if matrix is None and path is not None:
+        matrix = _load_cached(path, key)
+        rewrite = matrix is None
     if matrix is None:
         matrix = _compute_canonical_basis(n, e, convention)
     if use_cache:
         _MEMORY[key] = matrix
-        if path is not None and not os.path.exists(path):
+        if rewrite or not os.path.exists(path):
             os.makedirs(os.path.dirname(path), exist_ok=True)
             fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
             with os.fdopen(fd, "w") as fh:
-                json.dump(matrix.to_obj(), fh)
+                # dumps, unlike dump, runs the C encoder: same bytes, faster
+                fh.write(json.dumps(matrix.to_obj()))
             os.replace(tmp, path)
     return matrix
+
+
+def _load_cached(path: str, key) -> DecompositionMatrix | None:
+    """The matrix stored at path, or None when the file is missing, fails
+    to decode (bad JSON, a missing field, a malformed label or entry) or
+    holds another (n, e, convention) than key."""
+    try:
+        with open(path) as fh:
+            loaded = DecompositionMatrix.from_obj(json.load(fh))
+    except (FileNotFoundError, ValueError, KeyError, TypeError, AttributeError):
+        return None
+    if (loaded.n, loaded.e, loaded.convention) != key:
+        return None
+    return loaded
 
 
 def _compute_canonical_basis(n: int, e: int, convention: str) -> DecompositionMatrix:

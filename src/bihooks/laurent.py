@@ -199,7 +199,14 @@ class LaurentPoly:
 
     @classmethod
     def from_pairs(cls, pairs) -> "LaurentPoly":
-        return cls({int(k): int(v) for k, v in pairs})
+        """The inverse of ``to_pairs``: the sum of c*q^k over the [k, c]
+        pairs, in any order.  Both numbers are coerced with ``int``; when an
+        exponent repeats, its last pair wins, and zero coefficients are
+        dropped."""
+        d = {int(k): int(v) for k, v in pairs}
+        if 0 in d.values():
+            d = {k: v for k, v in d.items() if v}
+        return cls._raw(d)
 
     def __str__(self):
         if not self._c:

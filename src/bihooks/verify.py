@@ -29,10 +29,12 @@ class SuiteReport:
     def ok(self) -> bool:
         return not self.failures
 
-    def check(self, condition: bool, repro: str):
+    def check(self, condition: bool, repro):
+        """Count one case; repro is the failure text, or a function
+        returning it that is called only when the case fails."""
         self.cases += 1
         if not condition:
-            self.failures.append(repro)
+            self.failures.append(repro() if callable(repro) else repro)
 
     def summary(self) -> str:
         status = "ok" if self.ok else f"{len(self.failures)} FAILED"
@@ -283,22 +285,31 @@ def structure_suite(max_kj: int = 14, primes=(0, 2, 3, 5, 7), es=(2, 3), **_) ->
 
 
 def _llt_matrix_checks(rep: SuiteReport, matrix, e: int, n: int):
-    key_of = {bp: dominance_key(bp, n) for bp in matrix.rows()}
+    key_of = {bp: dominance_key(bp, n) for bp in bipartitions(n)}
+    one = LaurentPoly.q_power(0)
     for mu, col in matrix.columns.items():
-        rep.check(col.get(mu) == LaurentPoly.q_power(0),
-                  f"diagonal e={e} n={n} {format_bipartition(mu)}")
+        rep.check(col.get(mu) == one,
+                  lambda: f"diagonal e={e} n={n} {format_bipartition(mu)}")
+        kmu = key_of[mu]
         for lam, val in col.items():
             if lam == mu:
                 continue
-            rep.check(val.in_q_window() and key_dominates(key_of[mu], key_of[lam]),
-                      f"window/triangularity e={e} n={n} "
-                      f"{format_bipartition(lam)},{format_bipartition(mu)}")
+            rep.check(val.in_q_window() and key_dominates(kmu, key_of[lam]),
+                      lambda: f"window/triangularity e={e} n={n} "
+                              f"{format_bipartition(lam)},{format_bipartition(mu)}")
     qdim = fock.simple_graded_dims_from(matrix)
-    for lam in matrix.rows():
-        lhs = tableaux.graded_dimension(lam, e)
-        rhs = sum((val * qdim[mu] for mu, val in matrix.row(lam).items()), ZERO)
-        rep.check(lhs == rhs,
-                  f"dimension balance e={e} n={n} {format_bipartition(lam)}")
+    for lam in sorted(key_of, key=key_of.__getitem__, reverse=True):
+        # sum_mu d(lam,mu) qdim(D_mu), accumulated in one raw dict
+        acc: dict[int, int] = {}
+        for mu, val in matrix.row(lam).items():
+            dim = qdim[mu].iter_terms()
+            for ka, va in val.iter_terms():
+                for kb, vb in dim:
+                    k = ka + kb
+                    acc[k] = acc.get(k, 0) + va * vb
+        rhs = LaurentPoly._raw({k: v for k, v in acc.items() if v})
+        rep.check(tableaux.graded_dimension(lam, e) == rhs,
+                  lambda: f"dimension balance e={e} n={n} {format_bipartition(lam)}")
 
 
 def llt_suite(es=(2, 3), max_kj: int = 5, max_n: int = 12,

@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from bihooks import fock
 from bihooks.cli import main
 from bihooks.fock import canonical_basis
 from bihooks.render import (
@@ -184,3 +185,24 @@ def test_matrix_emitters_agree(tmp_path):
     text = matrix_csv(matrix)
     obj = matrix_json_obj(matrix)
     assert len(text.strip().splitlines()) - 1 == len(obj["entries"])
+
+
+@pytest.mark.parametrize("corrupt", [
+    lambda good: good[:len(good) // 2],                  # JSONDecodeError
+    lambda good: b'{"n": 4, "e": 2, "convention": "above"}',  # KeyError
+    lambda good: good.replace(b'"2|2"', b'"2|x"'),       # bad label
+], ids=["truncated", "missing-columns", "bad-label"])
+def test_llt_recomputes_over_undecodable_cache(tmp_path, capsys, monkeypatch,
+                                               corrupt):
+    monkeypatch.setattr(fock, "_MEMORY", {})
+    _, want = run(capsys, "llt", "--e", "2", "--n", "4", "--no-cache")
+    path = tmp_path / "llt_e2_n4_above.json"
+    canonical_basis(4, 2, cache_dir=str(tmp_path))
+    good = path.read_bytes()
+    path.write_bytes(corrupt(good))
+    fock._MEMORY.clear()
+    code, out = run(capsys, "llt", "--e", "2", "--n", "4",
+                    "--cache-dir", str(tmp_path))
+    assert (code, out) == (0, want)
+    assert path.read_bytes() == good
+    assert [p.name for p in tmp_path.iterdir()] == [path.name]

@@ -1,3 +1,7 @@
+import hashlib
+import json
+import shutil
+
 import pytest
 
 from bihooks import fock
@@ -222,3 +226,78 @@ def test_below_convention_fails_validation():
     # assertions reject it immediately
     with pytest.raises(RuntimeError):
         canonical_basis(1, 2, use_cache=False, convention=BELOW)
+
+
+def _scan_row(matrix, lam):
+    """Row lam read by a plain scan over the columns."""
+    return {mu: col[lam] for mu, col in matrix.columns.items() if col.get(lam)}
+
+
+@pytest.mark.parametrize("e, n", [(2, 8), (3, 9)])
+def test_row_index_matches_column_scan(e, n):
+    computed = canonical_basis(n, e, use_cache=False)
+    loaded = DecompositionMatrix.from_obj(
+        json.loads(json.dumps(computed.to_obj())))
+    for matrix in (computed, loaded):
+        for lam in bipartitions(n):
+            row = matrix.row(lam)
+            want = _scan_row(matrix, lam)
+            assert row == want and list(row) == list(want)
+    # the caller owns the returned dict
+    lam = next(iter(computed.columns))
+    computed.row(lam).clear()
+    assert computed.row(lam) == _scan_row(computed, lam) != {}
+
+
+def test_to_obj_from_obj_round_trip():
+    for e, n in ((2, 8), (3, 9), (2, 0)):
+        m = canonical_basis(n, e, use_cache=False)
+        obj = m.to_obj()
+        back = DecompositionMatrix.from_obj(json.loads(json.dumps(obj)))
+        assert back == m
+        assert back.to_obj() == obj
+        # equal labels decode to one shared tuple
+        shared = {}
+        for mu, col in back.columns.items():
+            for bp in (mu, *col):
+                assert shared.setdefault(bp, bp) is bp
+
+
+def _sha256(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+# sha256 of cache files, recorded before the cache write path was rewritten;
+# the file format is a compatibility surface, so these bytes must not move
+CACHE_SHA256 = {
+    (2, 5): "92e1b249e42c8b24d5c18ba5eb78e19979484d9f8a8736c7bfa0c7cca7f4a575",
+    (2, 6): "88980e53aeea7dd67fc55dbb680cc39a18167e333fe242a85f9fb5229f3174b6",
+    (3, 7): "23698020863a4d4240753c44d55de5f2021f2c0c2bcb2369469fd519f4ba00a1",
+}
+
+
+def test_cache_file_bytes_are_pinned(tmp_path, monkeypatch):
+    monkeypatch.setattr(fock, "_MEMORY", {})
+    for (e, n), digest in CACHE_SHA256.items():
+        canonical_basis(n, e, cache_dir=str(tmp_path))
+        assert _sha256(tmp_path / f"llt_e{e}_n{n}_above.json") == digest
+
+
+def test_mismatched_cache_file_is_rewritten(tmp_path, monkeypatch):
+    monkeypatch.setattr(fock, "_MEMORY", {})
+    canonical_basis(4, 2, cache_dir=str(tmp_path))
+    wrong = tmp_path / "llt_e2_n5_above.json"
+    shutil.copy(tmp_path / "llt_e2_n4_above.json", wrong)
+    fock._MEMORY.clear()
+    m = canonical_basis(5, 2, cache_dir=str(tmp_path))
+    assert m == canonical_basis(5, 2, use_cache=False)
+    assert _sha256(wrong) == CACHE_SHA256[(2, 5)]
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "llt_e2_n4_above.json", "llt_e2_n5_above.json"]
+
+    # the repaired file is served from then on
+    def no_compute(*args):
+        raise AssertionError("recomputed over a valid cache file")
+    monkeypatch.setattr(fock, "_compute_canonical_basis", no_compute)
+    fock._MEMORY.clear()
+    assert canonical_basis(5, 2, cache_dir=str(tmp_path)) == m

@@ -34,6 +34,15 @@ def test_text_and_pairs_round_trip(f):
     assert LaurentPoly.from_pairs(f.to_pairs()) == f
 
 
+def test_from_pairs_contract():
+    # ints coerced, zeros dropped, and a repeated exponent keeps its last pair
+    f = LaurentPoly.from_pairs([[1, 2], ["3", 0], [1, 5], [2, True], ["-1", "4"]])
+    assert f.iter_terms() == {1: 5, 2: 1, -1: 4}.items()
+    assert LaurentPoly.from_pairs([[1, 2], [1, 0]]) == ZERO
+    assert LaurentPoly.from_pairs([[1, 0], [1, 2]]) == LaurentPoly.q_power(1, 2)
+    assert LaurentPoly.from_pairs([]) == ZERO
+
+
 def test_bar_closure():
     f = LaurentPoly({-2: 3, 0: 1, 1: 7})
     g = f.bar_closure()

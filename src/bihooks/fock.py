@@ -299,7 +299,9 @@ def default_cache_dir() -> str:
     return os.path.join(os.path.expanduser("~"), ".cache", "bihooks")
 
 
-_MEMORY: dict[tuple[int, int, str], DecompositionMatrix] = {}
+# keyed by the cache file's resolved path, so that each cache directory
+# is read (and repaired) on its own
+_MEMORY: dict[str, DecompositionMatrix] = {}
 
 
 def canonical_basis(n: int, e: int, cache_dir: str | None = None,
@@ -318,20 +320,19 @@ def canonical_basis(n: int, e: int, cache_dir: str | None = None,
         raise ValueError(f"number of boxes must be >= 0, got {n}")
     if convention not in (ABOVE, BELOW):
         raise ValueError(f"unknown convention {convention!r}")
-    key = (n, e, convention)
     path = None
     if use_cache:
-        path = os.path.join(cache_dir or default_cache_dir(),
-                            f"llt_e{e}_n{n}_{convention}.json")
-    matrix = _MEMORY.get(key) if use_cache else None
+        path = os.path.realpath(os.path.join(cache_dir or default_cache_dir(),
+                                             f"llt_e{e}_n{n}_{convention}.json"))
+    matrix = _MEMORY.get(path) if use_cache else None
     rewrite = False
     if matrix is None and path is not None:
-        matrix = _load_cached(path, key)
+        matrix = _load_cached(path, (n, e, convention))
         rewrite = matrix is None
     if matrix is None:
         matrix = _compute_canonical_basis(n, e, convention)
     if use_cache:
-        _MEMORY[key] = matrix
+        _MEMORY[path] = matrix
         if rewrite or not os.path.exists(path):
             os.makedirs(os.path.dirname(path), exist_ok=True)
             fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")

@@ -10,6 +10,14 @@ The degree counts addable-minus-removable same-residue nodes strictly
 both peel the largest entry first with value 0 on the empty tableau.
 The two statistics are never interchanged: the codegree is the one that
 grades the basis indexed by standard tableaux here.
+
+Every production route reads node degrees from a per-shape peel table,
+``peel_degrees``, built in one pass over the shape's addable and
+removable nodes.  The statistics and the word recursion share one cached
+table per (shape, e, side) across all tableaux and words;
+``graded_dimension``, memoised per shape already, builds it uncached.
+``node_degree`` computes one node's degree from its definition and is the
+reference route the tests check the table against.
 """
 
 from dataclasses import dataclass
@@ -76,6 +84,13 @@ def _check_bound(shape: Bipartition, bound: int):
         raise ValueError(f"size {size(shape)} exceeds bound {bound}")
 
 
+def _rows_from_fill(shape: Bipartition, fill: dict[Node, int]):
+    """The rows of both components of ``shape``, read from node -> entry."""
+    return tuple(tuple(tuple(fill[(r, c, m)] for c in range(1, length + 1))
+                       for r, length in enumerate(shape[m - 1], start=1))
+                 for m in (1, 2))
+
+
 def standard_tableaux(shape: Bipartition, word=None, e: int | None = None,
                       bound: int = SIZE_BOUND) -> list[Tableau]:
     """All standard tableaux of ``shape`` in a deterministic order (entries
@@ -111,11 +126,7 @@ def standard_tableaux(shape: Bipartition, word=None, e: int | None = None,
 
     def place(entry):
         if entry > n:
-            rows1 = tuple(tuple(fill[(r, c, 1)] for c in range(1, shape[0][r - 1] + 1))
-                          for r in range(1, len(shape[0]) + 1))
-            rows2 = tuple(tuple(fill[(r, c, 2)] for c in range(1, shape[1][r - 1] + 1))
-                          for r in range(1, len(shape[1]) + 1))
-            out.append(Tableau(shape, (rows1, rows2)))
+            out.append(Tableau(shape, _rows_from_fill(shape, fill)))
             return
         for node in candidates():
             if word is not None and residue(node, e) != word[entry - 1]:
@@ -152,11 +163,7 @@ def column_initial_tableau(shape: Bipartition) -> Tableau:
             for r in range(1, h + 1):
                 fill[(r, c, m)] = entry
                 entry += 1
-    rows1 = tuple(tuple(fill[(r, c, 1)] for c in range(1, shape[0][r - 1] + 1))
-                  for r in range(1, len(shape[0]) + 1))
-    rows2 = tuple(tuple(fill[(r, c, 2)] for c in range(1, shape[1][r - 1] + 1))
-                  for r in range(1, len(shape[1]) + 1))
-    return Tableau(shape, (rows1, rows2))
+    return Tableau(shape, _rows_from_fill(shape, fill))
 
 
 def residue_sequence(t: Tableau, e: int) -> tuple[int, ...]:
@@ -182,6 +189,30 @@ def node_degree(shape: Bipartition, node: Node, e: int, above: bool) -> int:
     return total
 
 
+def peel_degrees(shape: Bipartition, e: int,
+                 above: bool) -> dict[Node, tuple[Bipartition, int]]:
+    """removable node -> (shape without it, its degree), in top-to-bottom
+    order; the degree is ``node_degree(shape, node, e, above)``, with every
+    node counted from one listing of the shape's addable and removable
+    nodes."""
+    check_e(e)
+    signed = [((c - r) % e, (m, r), 1) for r, c, m in addable_nodes(shape)]
+    removable = removable_nodes(shape)
+    signed += [((c - r) % e, (m, r), -1) for r, c, m in removable]
+    table = {}
+    for node in removable:
+        r, c, m = node
+        i, pos = (c - r) % e, (m, r)
+        table[node] = (remove_node(shape, node),
+                       sum(sign for j, p, sign in signed
+                           if j == i and p != pos and (p < pos) == above))
+    return table
+
+
+# one table per (shape, e, above), shared by every tableau and word bucket
+_peel_table = lru_cache(maxsize=None)(peel_degrees)
+
+
 def _statistic(t: Tableau, e: int, above: bool) -> int:
     check_e(e)
     if not is_standard(t):
@@ -190,9 +221,8 @@ def _statistic(t: Tableau, e: int, above: bool) -> int:
     shape = t.shape
     total = 0
     for r in range(t.n, 0, -1):
-        node = node_of[r]
-        total += node_degree(shape, node, e, above)
-        shape = remove_node(shape, node)
+        shape, d = _peel_table(shape, e, above)[node_of[r]]
+        total += d
     return total
 
 
@@ -212,9 +242,9 @@ def graded_dimension(shape: Bipartition, e: int) -> LaurentPoly:
     if shape == EMPTY_BP:
         return ONE
     total = ZERO
-    for node in removable_nodes(shape):
-        d = node_degree(shape, node, e, above=True)
-        total = total + graded_dimension(remove_node(shape, node), e).shift(d)
+    # uncached: this function is memoised per shape already
+    for sub, d in peel_degrees(shape, e, above=True).values():
+        total = total + graded_dimension(sub, e).shift(d)
     return total
 
 
@@ -244,9 +274,9 @@ def word_graded_dimension(shape: Bipartition, word, e: int) -> LaurentPoly:
             return memo[sub]
         target = word[size(sub) - 1]
         total = ZERO
-        for node in removable_nodes(sub, target, e):
-            d = node_degree(sub, node, e, above=True)
-            total = total + rec(remove_node(sub, node)).shift(d)
+        for (r, c, _), (smaller, d) in _peel_table(sub, e, True).items():
+            if (c - r) % e == target:
+                total = total + rec(smaller).shift(d)
         memo[sub] = total
         return total
 

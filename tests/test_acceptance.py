@@ -27,6 +27,7 @@ from bihooks.tableaux import (
     codegree, column_initial_tableau, gg_word, graded_dimension_by_enumeration,
     residue_sequence, standard_tableaux, v_tableau, word_graded_dimension,
 )
+from bihooks.verify import _compositions
 
 Q = LaurentPoly.q_power
 
@@ -47,21 +48,6 @@ def _cli_labels(capsys, *argv):
 
 def _passed(num, text):
     print(f"ACCEPTANCE {num} PASS: {text}")
-
-
-def _compositions(n):
-    out = []
-    for cuts in range(2 ** (n - 1)):
-        parts, cur = [], 1
-        for bit in range(n - 1):
-            if cuts >> bit & 1:
-                parts.append(cur)
-                cur = 1
-            else:
-                cur += 1
-        parts.append(cur)
-        out.append(tuple(parts))
-    return out
 
 
 def test_criterion_01_semisimple_example(capsys):

@@ -301,3 +301,17 @@ def test_mismatched_cache_file_is_rewritten(tmp_path, monkeypatch):
     monkeypatch.setattr(fock, "_compute_canonical_basis", no_compute)
     fock._MEMORY.clear()
     assert canonical_basis(5, 2, cache_dir=str(tmp_path)) == m
+
+
+def test_memory_is_kept_per_cache_directory(tmp_path, monkeypatch):
+    monkeypatch.setattr(fock, "_MEMORY", {})
+    a, b = tmp_path / "a", tmp_path / "b"
+    first = canonical_basis(4, 2, cache_dir=str(a))
+    fresh = (a / "llt_e2_n4_above.json").read_bytes()
+    # another spelling of the same directory is a memory hit
+    assert canonical_basis(4, 2, cache_dir=str(a / ".." / "a")) is first
+    # another directory is read on its own, and its truncated file repaired
+    b.mkdir()
+    (b / "llt_e2_n4_above.json").write_bytes(fresh[:40])
+    assert canonical_basis(4, 2, cache_dir=str(b)) == first
+    assert (b / "llt_e2_n4_above.json").read_bytes() == fresh

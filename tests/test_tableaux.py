@@ -1,12 +1,12 @@
 import pytest
 
 from bihooks.laurent import LaurentPoly, ONE
-from bihooks.partitions import bipartitions
+from bihooks.partitions import bipartitions, remove_node, removable_nodes
 from bihooks.tableaux import (
     Tableau, codegree, column_initial_tableau, count_standard, degree,
     gg_word, graded_dimension, graded_dimension_by_enumeration, is_standard,
-    residue_sequence, standard_tableaux, tableau_from_obj, tableau_to_obj,
-    v_tableau, word_graded_dimension,
+    node_degree, peel_degrees, residue_sequence, standard_tableaux,
+    tableau_from_obj, tableau_to_obj, v_tableau, word_graded_dimension,
 )
 
 
@@ -79,6 +79,39 @@ def test_codegree_j_for_matching_residue_sequence():
             word = residue_sequence(column_initial_tableau(shape), e)
             for t in standard_tableaux(shape, word=word, e=e):
                 assert codegree(t, e) == j
+
+
+def test_peel_degrees_match_node_degree():
+    for e in (2, 3, 4):
+        for above in (True, False):
+            for n in range(0, 9):
+                for shape in bipartitions(n):
+                    table = peel_degrees(shape, e, above)
+                    assert list(table) == removable_nodes(shape)
+                    for node, entry in table.items():
+                        assert entry == (remove_node(shape, node),
+                                         node_degree(shape, node, e, above))
+    with pytest.raises(ValueError):
+        peel_degrees(((1,), ()), 1, True)
+
+
+def _reference_statistic(t, e, above):
+    """Peel the largest entry first, one node_degree call per node."""
+    node_of = t.node_map()
+    shape, total = t.shape, 0
+    for r in range(t.n, 0, -1):
+        total += node_degree(shape, node_of[r], e, above)
+        shape = remove_node(shape, node_of[r])
+    return total
+
+
+def test_statistics_match_reference_peel():
+    for e in (2, 3):
+        for n in range(0, 7):
+            for shape in bipartitions(n):
+                for t in standard_tableaux(shape):
+                    assert codegree(t, e) == _reference_statistic(t, e, True)
+                    assert degree(t, e) == _reference_statistic(t, e, False)
 
 
 def test_graded_dimension_routes_agree():

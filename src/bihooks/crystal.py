@@ -8,26 +8,32 @@ pairs until the word has shape -...-+...+.  The good i-node is the last
 surviving -, the cogood i-node the first surviving +.
 
 A bipartition is regular when successive good-node removals reach the
-empty bipartition.  The test below removes the good node of the smallest
-residue that has one and backtracks over residues if stuck; crystal
-theory makes the backtracking vacuous, and the exhaustive oracle in the
-test-suite checks that.
+empty bipartition, or equivalently when successive cogood additions
+build it from the empty bipartition (``e_tilde`` and ``f_tilde`` undo
+each other).  Regularity has two routes, and each is the other's oracle
+in the test-suite and the ``crystal`` verify suite:
+
+* for one shape, ``is_regular`` removes the good node of the smallest
+  residue that has one and backtracks over residues if stuck (crystal
+  theory makes the backtracking vacuous);
+* for a whole size, ``regular_bipartitions`` closes the empty
+  bipartition under ``f_tilde`` one box at a time.  The Fock solver
+  takes its regular columns from it.
 """
 
 from functools import lru_cache
 
 from .partitions import (
-    Bipartition, Node, Partition, EMPTY_BP, add_node, addable_nodes, as_partition,
-    check_e, node_position, remove_node, removable_nodes,
+    Bipartition, Node, Partition, EMPTY_BP, add_node, as_partition, check_e,
+    node_position, remove_node, residue_nodes,
 )
 
 Signature = list[tuple[str, Node]]
 
 
 def signature(bp: Bipartition, i: int, e: int) -> Signature:
-    check_e(e)
-    marks = [("+", a) for a in addable_nodes(bp, i, e)]
-    marks += [("-", a) for a in removable_nodes(bp, i, e)]
+    adds, rems = residue_nodes(bp, i, e)
+    marks = [("+", a) for a in adds] + [("-", a) for a in rems]
     marks.sort(key=lambda sa: node_position(sa[1]))
     return marks
 
@@ -88,6 +94,19 @@ def good_peel(bp: Bipartition, e: int) -> tuple[int, ...] | None:
 def is_regular(bp: Bipartition, e: int) -> bool:
     check_e(e)
     return good_peel(bp, e) is not None
+
+
+@lru_cache(maxsize=None)
+def regular_bipartitions(n: int, e: int) -> frozenset[Bipartition]:
+    """Every regular bipartition of n: the cogood additions ``f_tilde`` of
+    every residue applied to the regular bipartitions of n - 1, starting
+    from the empty bipartition."""
+    check_e(e)
+    if n <= 0:
+        return frozenset([EMPTY_BP] if n == 0 else [])
+    return frozenset(up for bp in regular_bipartitions(n - 1, e)
+                     for i in range(e)
+                     if (up := f_tilde(bp, i, e)) is not None)
 
 
 def cogood_build(residues, e: int) -> Bipartition:

@@ -24,6 +24,13 @@ produces the bar-flipped matrix and fails those assertions already at
 one box.  The convention in force is recorded on the matrix and in the
 cache key.
 
+Regular columns.  The columns are the regular bipartitions of n, taken
+from ``crystal.regular_bipartitions``: the closure of the empty
+bipartition under the cogood additions ``f_tilde``, grown one box at a
+time, so no shape of n is tested for regularity on its own.  Rows and
+columns are ordered by ``partitions.dominance_keys(n)``, one key table
+per n that the solver, the matrix orderings and the cache writer share.
+
 First approximation.  A regular mu is peeled to empty by the ladder
 rule: repeatedly remove the maximal *leading* run of minus signs of some
 i-signature (smallest such residue first), i.e. the top removable
@@ -45,17 +52,18 @@ Inside the solver a vector is kept raw, as a map from bipartitions to
 import json
 import os
 import tempfile
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations
 from operator import itemgetter
 
-from .crystal import good_peel, is_regular, signature
-from .laurent import LaurentPoly, ZERO
+from .crystal import regular_bipartitions, signature
+from .laurent import LaurentPoly, ONE, ZERO
 from .partitions import (
-    Bipartition, EMPTY_BP, add_node, addable_nodes, bipartitions, check_e,
-    dominance_key, format_bipartition, key_dominates, node_position,
-    parse_bipartition, remove_node, removable_nodes,
+    Bipartition, EMPTY_BP, add_node, check_e, dominance_key, dominance_keys,
+    format_bipartition, key_dominates, node_position, parse_bipartition,
+    remove_node, residue_nodes, size,
 )
 from .tableaux import graded_dimension
 
@@ -70,15 +78,17 @@ RawVector = dict[Bipartition, dict[int, int]]
 @lru_cache(maxsize=None)
 def _f_targets(bp: Bipartition, i: int, m: int, e: int, above: bool):
     """(bp + S, N(S)) for every m-subset S of the addable i-nodes of bp."""
-    adds = addable_nodes(bp, i, e)
-    rems = [node_position(r) for r in removable_nodes(bp, i, e)]
-    pos = [node_position(a) for a in adds]
-
-    def side(p, a):
-        return p < a if above else p > a
-
-    counts = [sum(side(p, a) for p in pos) - sum(side(p, a) for p in rems)
-              for a in pos]
+    adds, rems = residue_nodes(bp, i, e)
+    rems = [node_position(r) for r in rems]
+    # per addable node: addable minus removable i-nodes on the convention
+    # side; both lists run top to bottom, and no two i-nodes share a row
+    counts = []
+    for k, a in enumerate(adds):
+        rems_above = bisect_left(rems, node_position(a))
+        if above:
+            counts.append(k - rems_above)
+        else:
+            counts.append(len(adds) - 1 - k - (len(rems) - rems_above))
     out = []
     for subset in combinations(range(len(adds)), m):
         grown = bp
@@ -136,7 +146,7 @@ def peel_runs(mu: Bipartition, e: int) -> tuple[tuple[int, int], ...]:
     eight boxes), so it is not used here.
     """
     check_e(e)
-    if good_peel(mu, e) is None:
+    if mu not in regular_bipartitions(size(mu), e):
         raise ValueError(f"{mu} is not regular for e={e}")
     runs = []
     cur = mu
@@ -225,12 +235,12 @@ class DecompositionMatrix:
                                     compare=False)
 
     def regulars(self) -> list[Bipartition]:
-        return sorted(self.columns, key=lambda bp: dominance_key(bp, self.n),
-                      reverse=True)
+        """The column labels in decreasing dominance order."""
+        return [bp for bp in dominance_keys(self.n) if bp in self.columns]
 
     def rows(self) -> list[Bipartition]:
-        return sorted(bipartitions(self.n),
-                      key=lambda bp: dominance_key(bp, self.n), reverse=True)
+        """Every bipartition of n in decreasing dominance order."""
+        return list(dominance_keys(self.n))
 
     def entry(self, lam: Bipartition, mu: Bipartition) -> LaurentPoly:
         return self.columns[mu].get(lam, ZERO)
@@ -251,7 +261,7 @@ class DecompositionMatrix:
 
     def to_obj(self):
         labels = set(self.columns).union(*self.columns.values())
-        key_of = {bp: dominance_key(bp, self.n) for bp in labels}
+        key_of = dominance_keys(self.n)
         text_of = {bp: format_bipartition(bp) for bp in labels}
 
         def by_key(kv):
@@ -273,6 +283,9 @@ class DecompositionMatrix:
 
     @classmethod
     def from_obj(cls, obj) -> "DecompositionMatrix":
+        """The matrix of ``to_obj``; ``ValueError`` when a label does not
+        parse or is not a bipartition of n."""
+        n = int(obj["n"])
         # each distinct label is parsed once, and equal labels share a tuple
         labels: dict[str, Bipartition] = {}
 
@@ -280,6 +293,8 @@ class DecompositionMatrix:
             bp = labels.get(text)
             if bp is None:
                 bp = labels[text] = parse_bipartition(text)
+                if size(bp) != n:
+                    raise ValueError(f"label {text!r} is not of size {n}")
             return bp
 
         from_pairs = LaurentPoly.from_pairs
@@ -288,8 +303,8 @@ class DecompositionMatrix:
                         for lam, pairs in col.items()}
             for mu, col in obj["columns"].items()
         }
-        return cls(n=int(obj["n"]), e=int(obj["e"]),
-                   convention=obj["convention"], columns=columns)
+        return cls(n=n, e=int(obj["e"]), convention=obj["convention"],
+                   columns=columns)
 
 
 def default_cache_dir() -> str:
@@ -345,8 +360,10 @@ def canonical_basis(n: int, e: int, cache_dir: str | None = None,
 
 def _load_cached(path: str, key) -> DecompositionMatrix | None:
     """The matrix stored at path, or None when the file is missing, fails
-    to decode (bad JSON, a missing field, a malformed label or entry) or
-    holds another (n, e, convention) than key."""
+    to decode (bad JSON, a missing field, a malformed label or entry, a
+    label that is not a bipartition of n), holds another (n, e,
+    convention) than key, or has a column whose diagonal entry is not
+    exactly 1 or an off-diagonal entry outside q.Z[q]."""
     try:
         with open(path) as fh:
             loaded = DecompositionMatrix.from_obj(json.load(fh))
@@ -354,13 +371,19 @@ def _load_cached(path: str, key) -> DecompositionMatrix | None:
         return None
     if (loaded.n, loaded.e, loaded.convention) != key:
         return None
+    for mu, col in loaded.columns.items():
+        if col.get(mu) != ONE:
+            return None
+        for lam, val in col.items():
+            if not val.in_q_window() and lam != mu:
+                return None
     return loaded
 
 
 def _compute_canonical_basis(n: int, e: int, convention: str) -> DecompositionMatrix:
-    regs = [bp for bp in bipartitions(n) if is_regular(bp, e)]
-    key_of = {bp: dominance_key(bp, n) for bp in bipartitions(n)}
-    regs.sort(key=lambda bp: key_of[bp], reverse=True)
+    key_of = dominance_keys(n)
+    regular = regular_bipartitions(n, e)
+    regs = [bp for bp in key_of if bp in regular]  # decreasing dominance
 
     approx: dict[Bipartition, RawVector] = {}
     for mu, vec in _first_approximations(regs, e, convention == ABOVE):

@@ -132,7 +132,7 @@ class LaurentPoly:
 
     def in_q_window(self) -> bool:
         """True when the polynomial lies in q.Z[q]."""
-        return all(k >= 1 for k in self._c)
+        return not self._c or min(self._c) >= 1
 
     def has_nonneg_coeffs(self) -> bool:
         return all(v >= 0 for v in self._c.values())

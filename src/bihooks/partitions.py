@@ -21,6 +21,7 @@ The canonical text form of a bipartition separates components with
 
 import operator
 from functools import lru_cache
+from types import MappingProxyType
 
 Partition = tuple[int, ...]
 Bipartition = tuple[Partition, Partition]
@@ -129,6 +130,28 @@ def removable_nodes(bp: Bipartition, i: int | None = None, e: int | None = None)
     return [a for a in nodes if residue(a, e) == i % e]
 
 
+def residue_nodes(bp: Bipartition, i: int,
+                  e: int) -> tuple[list[Node], list[Node]]:
+    """``(addable_nodes(bp, i, e), removable_nodes(bp, i, e))``, both top
+    to bottom, from one walk over the rows."""
+    check_e(e)
+    i %= e
+    adds: list[Node] = []
+    rems: list[Node] = []
+    for m in (1, 2):
+        p = bp[m - 1]
+        above = None  # length of the row above, None on the first row
+        for r, (cur, below) in enumerate(zip(p, p[1:] + (0,)), start=1):
+            if (above is None or above > cur) and (cur + 1 - r) % e == i:
+                adds.append((r, cur + 1, m))
+            if cur > below and (cur - r) % e == i:
+                rems.append((r, cur, m))
+            above = cur
+        if -len(p) % e == i:  # the first node of a new row
+            adds.append((len(p) + 1, 1, m))
+    return adds, rems
+
+
 def add_node(bp: Bipartition, node: Node) -> Bipartition:
     r, c, m = node
     comp = list(bp[m - 1])
@@ -177,6 +200,16 @@ def dominance_key(bp: Bipartition, rows: int | None = None) -> tuple[int, ...]:
         s += c2[r] if r < len(c2) else 0
         out.append(s)
     return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def dominance_keys(n: int) -> MappingProxyType:
+    """Read-only ``{bp: dominance_key(bp, n)}`` over every bipartition of
+    n, in decreasing key order (so decreasing dominance, refined
+    lexicographically); built once per n."""
+    keys = [(dominance_key(bp, n), bp) for bp in bipartitions(n)]
+    keys.sort(reverse=True)
+    return MappingProxyType({bp: key for key, bp in keys})
 
 
 def dominates(lam: Bipartition, mu: Bipartition) -> bool:

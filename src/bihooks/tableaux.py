@@ -166,9 +166,13 @@ def column_initial_tableau(shape: Bipartition) -> Tableau:
     return Tableau(shape, _rows_from_fill(shape, fill))
 
 
-def residue_sequence(t: Tableau, e: int) -> tuple[int, ...]:
+def residue_sequence(t: Tableau, e: int,
+                     node_of: dict[int, Node] | None = None) -> tuple[int, ...]:
+    """Residues of the nodes holding 1..n; ``node_of`` is ``t.node_map()``
+    when the caller has built it already."""
     check_e(e)
-    node_of = t.node_map()
+    if node_of is None:
+        node_of = t.node_map()
     return tuple(residue(node_of[r], e) for r in range(1, t.n + 1))
 
 
@@ -213,11 +217,13 @@ def peel_degrees(shape: Bipartition, e: int,
 _peel_table = lru_cache(maxsize=None)(peel_degrees)
 
 
-def _statistic(t: Tableau, e: int, above: bool) -> int:
+def _statistic(t: Tableau, e: int, above: bool,
+               node_of: dict[int, Node] | None = None) -> int:
     check_e(e)
     if not is_standard(t):
         raise ValueError(f"tableau is not standard: {t}")
-    node_of = t.node_map()
+    if node_of is None:
+        node_of = t.node_map()
     shape = t.shape
     total = 0
     for r in range(t.n, 0, -1):
@@ -230,8 +236,10 @@ def degree(t: Tableau, e: int) -> int:
     return _statistic(t, e, above=False)
 
 
-def codegree(t: Tableau, e: int) -> int:
-    return _statistic(t, e, above=True)
+def codegree(t: Tableau, e: int, node_of: dict[int, Node] | None = None) -> int:
+    """``node_of``, when given, is ``t.node_map()``, so that a caller that
+    also reads ``residue_sequence`` builds the map once."""
+    return _statistic(t, e, above=True, node_of=node_of)
 
 
 @lru_cache(maxsize=None)

@@ -12,9 +12,9 @@ from dataclasses import dataclass, field
 from . import crystal, fock, schur, structure, tableaux
 from .laurent import LaurentPoly, ZERO, c_factor
 from .partitions import (
-    EMPTY_BP, add_node, addable_nodes, all_nodes, as_bipartition, bipartitions,
-    conjugate, dominance_key, format_bipartition, hook_length, key_dominates,
-    partitions, removable_nodes, residue, size,
+    add_node, addable_nodes, all_nodes, as_bipartition, bipartitions,
+    conjugate, dominance_key, dominance_keys, format_bipartition, hook_length,
+    key_dominates, partitions, removable_nodes, residue, size,
 )
 
 
@@ -115,18 +115,9 @@ def crystal_suite(max_n: int = 10, es=(2, 3, 4), **_) -> SuiteReport:
     rep = SuiteReport("crystal")
     t0 = time.time()
     for e in es:
-        reachable = {EMPTY_BP}
-        frontier = [EMPTY_BP]
-        for _ in range(max_n):
-            nxt = []
-            for bp in frontier:
-                for i in range(e):
-                    up = crystal.f_tilde(bp, i, e)
-                    if up is not None and up not in reachable:
-                        reachable.add(up)
-                        nxt.append(up)
-            frontier = nxt
         for n in range(max_n + 1):
+            # the cogood closure, the other route to regularity
+            reachable = crystal.regular_bipartitions(n, e)
             for bp in bipartitions(n):
                 for i in range(e):
                     red = crystal.reduced_signature(bp, i, e)
@@ -146,7 +137,7 @@ def crystal_suite(max_n: int = 10, es=(2, 3, 4), **_) -> SuiteReport:
                                   f"f-tilde growth {bp} i={i} e={e}")
                         rep.check(crystal.e_tilde(up, i, e) == bp,
                                   f"e-tilde after f-tilde {bp} i={i} e={e}")
-                # backtracking regularity test against reachability oracle
+                # backtracking regularity test against the closure
                 rep.check(crystal.is_regular(bp, e) == (bp in reachable),
                           f"regularity oracle {format_bipartition(bp)} e={e}")
             for bp in bipartitions(n):
@@ -285,7 +276,7 @@ def structure_suite(max_kj: int = 14, primes=(0, 2, 3, 5, 7), es=(2, 3), **_) ->
 
 
 def _llt_matrix_checks(rep: SuiteReport, matrix, e: int, n: int):
-    key_of = {bp: dominance_key(bp, n) for bp in bipartitions(n)}
+    key_of = dominance_keys(n)
     one = LaurentPoly.q_power(0)
     for mu, col in matrix.columns.items():
         rep.check(col.get(mu) == one,
@@ -298,7 +289,7 @@ def _llt_matrix_checks(rep: SuiteReport, matrix, e: int, n: int):
                       lambda: f"window/triangularity e={e} n={n} "
                               f"{format_bipartition(lam)},{format_bipartition(mu)}")
     qdim = fock.simple_graded_dims_from(matrix)
-    for lam in sorted(key_of, key=key_of.__getitem__, reverse=True):
+    for lam in key_of:  # decreasing dominance
         # sum_mu d(lam,mu) qdim(D_mu), accumulated in one raw dict
         acc: dict[int, int] = {}
         for mu, val in matrix.row(lam).items():
@@ -417,9 +408,10 @@ def words_suite(es=(2, 3), max_kj: int = 4, max_n: int = 10, **_) -> SuiteReport
             for lam in bipartitions(n):
                 buckets: dict[tuple, LaurentPoly] = {}
                 for t in tableaux.standard_tableaux(lam):
-                    w = tableaux.residue_sequence(t, e)
+                    node_of = t.node_map()
+                    w = tableaux.residue_sequence(t, e, node_of)
                     buckets[w] = buckets.get(w, ZERO) + \
-                        LaurentPoly.q_power(tableaux.codegree(t, e))
+                        LaurentPoly.q_power(tableaux.codegree(t, e, node_of))
                 for w, val in buckets.items():
                     rep.check(val == tableaux.word_graded_dimension(lam, w, e),
                               f"word space e={e} {format_bipartition(lam)} {w}")

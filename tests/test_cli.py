@@ -187,13 +187,9 @@ def test_matrix_emitters_agree(tmp_path):
     assert len(text.strip().splitlines()) - 1 == len(obj["entries"])
 
 
-@pytest.mark.parametrize("corrupt", [
-    lambda good: good[:len(good) // 2],                  # JSONDecodeError
-    lambda good: b'{"n": 4, "e": 2, "convention": "above"}',  # KeyError
-    lambda good: good.replace(b'"2|2"', b'"2|x"'),       # bad label
-], ids=["truncated", "missing-columns", "bad-label"])
-def test_llt_recomputes_over_undecodable_cache(tmp_path, capsys, monkeypatch,
-                                               corrupt):
+def _rerun_over_corrupted_cache(tmp_path, capsys, monkeypatch, corrupt):
+    """Corrupt a good (2,4) cache file, run `llt` over it, and check the
+    output equals `--no-cache` and the file is restored byte for byte."""
     monkeypatch.setattr(fock, "_MEMORY", {})
     _, want = run(capsys, "llt", "--e", "2", "--n", "4", "--no-cache")
     path = tmp_path / "llt_e2_n4_above.json"
@@ -206,3 +202,34 @@ def test_llt_recomputes_over_undecodable_cache(tmp_path, capsys, monkeypatch,
     assert (code, out) == (0, want)
     assert path.read_bytes() == good
     assert [p.name for p in tmp_path.iterdir()] == [path.name]
+
+
+@pytest.mark.parametrize("corrupt", [
+    lambda good: good[:len(good) // 2],                  # JSONDecodeError
+    lambda good: b'{"n": 4, "e": 2, "convention": "above"}',  # KeyError
+    lambda good: good.replace(b'"2|2"', b'"2|x"'),       # bad label
+], ids=["truncated", "missing-columns", "bad-label"])
+def test_llt_recomputes_over_undecodable_cache(tmp_path, capsys, monkeypatch,
+                                               corrupt):
+    _rerun_over_corrupted_cache(tmp_path, capsys, monkeypatch, corrupt)
+
+
+def _replace_once(old, new):
+    def corrupt(good):
+        assert good.count(old) == 1
+        return good.replace(old, new)
+    return corrupt
+
+
+@pytest.mark.parametrize("corrupt", [
+    _replace_once(b'{"4|-": [[0, 1]]', b'{"4|-": [[0, 7]]'),
+    _replace_once(b'{"3|1": [[0, 1]]', b'{"3|1": [[0, 1], [1, 2]]'),
+    _replace_once(b'"1|2,1": [[4, 1]]', b'"1|2,1": [[0, 1]]'),
+    _replace_once(b'"1|3": [[1, 1]]', b'"1|3": [[-2, 1]]'),
+    _replace_once(b'"-|1,1,1,1": [[4, 1]]', b'"-|1,1,1": [[4, 1]]'),
+], ids=["diagonal-7", "diagonal-not-monomial", "entry-at-q0",
+        "entry-at-negative-degree", "label-of-wrong-size"])
+def test_llt_recomputes_over_invalid_cache(tmp_path, capsys, monkeypatch,
+                                           corrupt):
+    # decodable, but breaking an invariant the solver asserts
+    _rerun_over_corrupted_cache(tmp_path, capsys, monkeypatch, corrupt)

@@ -2,7 +2,8 @@ import pytest
 
 from bihooks.crystal import (
     braces, braces_int, cogood_node, e_tilde, f_tilde, good_node, induce,
-    induction_recipe, is_regular, mullineux, reduced_signature, scrt,
+    induction_recipe, is_regular, mullineux, reduced_signature,
+    regular_bipartitions, scrt,
 )
 from bihooks.partitions import EMPTY_BP, as_bipartition, bipartitions, size
 from bihooks.schur import two_column
@@ -70,21 +71,16 @@ def test_regularity_examples():
 
 
 def test_regularity_against_reachability_oracle():
-    for e in (2, 3, 4):
-        reachable = {EMPTY_BP}
-        frontier = [EMPTY_BP]
-        for _ in range(8):
-            nxt = []
-            for bp in frontier:
-                for i in range(e):
-                    up = f_tilde(bp, i, e)
-                    if up is not None and up not in reachable:
-                        reachable.add(up)
-                        nxt.append(up)
-            frontier = nxt
-        for n in range(0, 9):
+    # the backtracking peel against the cogood closure, shape by shape
+    for e in (2, 3, 4, 5):
+        for n in range(0, 11):
+            regular = regular_bipartitions(n, e)
+            assert regular <= set(bipartitions(n))
             for bp in bipartitions(n):
-                assert is_regular(bp, e) == (bp in reachable)
+                assert is_regular(bp, e) == (bp in regular)
+    assert regular_bipartitions(-1, 2) == frozenset()
+    with pytest.raises(ValueError):
+        regular_bipartitions(3, 1)
 
 
 def test_mullineux_examples():

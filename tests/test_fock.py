@@ -97,12 +97,15 @@ def test_peel_runs_examples():
     assert peel_runs(((1,), ()), 2) == ((0, 1),)
     with pytest.raises(ValueError):
         peel_runs(((), (1,)), 2)
-    # total peeled equals the size
+    # total peeled equals the size; a shape that is not regular is refused
     for e in (2, 3):
         for n in range(0, 9):
             for bp in bipartitions(n):
                 if is_regular(bp, e):
                     assert sum(m for _, m in peel_runs(bp, e)) == n
+                else:
+                    with pytest.raises(ValueError):
+                        peel_runs(bp, e)
 
 
 def test_first_approximation_unitriangular():

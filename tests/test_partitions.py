@@ -3,9 +3,9 @@ from hypothesis import given, strategies as st
 
 from bihooks.partitions import (
     EMPTY_BP, add_node, addable_nodes, as_partition, bipartitions, conjugate,
-    conjugate_partition, dominance_key, dominates, format_bipartition,
-    hook_length, is_bihook, parse_bipartition, partitions, removable_nodes,
-    residue, size,
+    conjugate_partition, dominance_key, dominance_keys, dominates,
+    format_bipartition, hook_length, is_bihook, parse_bipartition, partitions,
+    removable_nodes, residue, residue_nodes, size,
 )
 
 
@@ -102,6 +102,33 @@ def test_addable_removable_examples():
     assert addable_nodes(EMPTY_BP, 0, 2) == [(1, 1, 1), (1, 1, 2)]
     assert removable_nodes(((1,), (1,)), 0, 3) == [(1, 1, 1), (1, 1, 2)]
     assert addable_nodes(((4,), (4,)), 0, 4) == [(1, 5, 1), (1, 5, 2)]
+
+
+def test_residue_nodes_match_filtered_lists():
+    for e in (2, 3, 4, 5):
+        for n in range(0, 10):
+            for bp in bipartitions(n):
+                for i in range(e):
+                    assert residue_nodes(bp, i, e) == (
+                        addable_nodes(bp, i, e), removable_nodes(bp, i, e))
+    # residues are read mod e
+    assert residue_nodes(((2, 1), (3,)), -1, 3) == residue_nodes(
+        ((2, 1), (3,)), 2, 3)
+    with pytest.raises(ValueError):
+        residue_nodes(EMPTY_BP, 0, 1)
+
+
+def test_dominance_keys_table():
+    for n in range(0, 9):
+        table = dominance_keys(n)
+        assert dict(table) == {bp: dominance_key(bp, n)
+                               for bp in bipartitions(n)}
+        assert list(table) == sorted(bipartitions(n),
+                                     key=lambda bp: dominance_key(bp, n),
+                                     reverse=True)
+        assert dominance_keys(n) is table
+        with pytest.raises(TypeError):
+            table[EMPTY_BP] = ()
 
 
 @given(bipartition_st(max_size=6))

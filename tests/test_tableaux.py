@@ -112,6 +112,11 @@ def test_statistics_match_reference_peel():
                 for t in standard_tableaux(shape):
                     assert codegree(t, e) == _reference_statistic(t, e, True)
                     assert degree(t, e) == _reference_statistic(t, e, False)
+                    # a node map the caller built serves the same statistic
+                    node_of = t.node_map()
+                    assert codegree(t, e, node_of) == codegree(t, e)
+                    assert residue_sequence(t, e, node_of) == \
+                        residue_sequence(t, e)
 
 
 def test_graded_dimension_routes_agree():

@@ -129,9 +129,8 @@ def main(argv=None) -> int:
                                           cache_dir=args.cache_dir,
                                           use_cache=not args.no_cache)
             if args.format == "json":
-                # dumps, unlike dump, runs the C encoder: same bytes, faster
-                out.write(json.dumps(render.matrix_json_obj(matrix, rows=args.rows))
-                          + "\n")
+                out.write(render.matrix_json(matrix, rows=args.rows))
+                out.write("\n")
             else:
                 out.write(render.matrix_csv(matrix, rows=args.rows))
         elif args.command == "qdim":

@@ -47,6 +47,14 @@ columns bar-invariant without any combinatorial bar formula.
 Inside the solver a vector is kept raw, as a map from bipartitions to
 ``{exponent: coefficient}`` dicts, and elimination updates it in place;
 ``LaurentPoly`` values are built once a column is finished.
+
+Sharing.  A matrix holds one ``LaurentPoly`` per distinct entry value,
+shared by every entry equal to it, and its labels are the tuples held by
+``dominance_keys(n)``; both the solver and ``DecompositionMatrix.from_obj``
+build matrices this way.  The solver's finished raw columns hold the
+shared values' own dicts.  So no code may mutate a ``LaurentPoly`` or a
+finished raw column in place: ``LaurentPoly`` arithmetic always builds
+new dicts, and elimination writes only to the column being eliminated.
 """
 
 import json
@@ -56,7 +64,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations
-from operator import itemgetter
+from operator import countOf
 
 from .crystal import regular_bipartitions, signature
 from .laurent import LaurentPoly, ONE, ZERO
@@ -73,6 +81,15 @@ ABOVE = "above"
 FockVector = dict[Bipartition, LaurentPoly]
 # the solver's working form: exponent -> nonzero coefficient, per label
 RawVector = dict[Bipartition, dict[int, int]]
+
+
+def _value_key(terms: dict[int, int]):
+    """A hashable key for equal term dicts: a monomial's single
+    (exponent, coefficient) pair, else the frozenset of its pairs."""
+    if len(terms) == 1:
+        [key] = terms.items()
+        return key
+    return frozenset(terms.items())
 
 
 @lru_cache(maxsize=None)
@@ -171,20 +188,36 @@ def peel_runs(mu: Bipartition, e: int) -> tuple[tuple[int, int], ...]:
 
 
 def _first_approximations(regs, e: int, above: bool):
-    """Yield (mu, A(mu)) as raw vectors for every mu in regs, from one
-    depth-first pass over the sorted reversed peel runs, so that each
-    shared prefix is applied once."""
-    runs = sorted(((tuple(reversed(peel_runs(mu, e))), mu) for mu in regs),
-                  key=itemgetter(0))
+    """Yield (mu, A(mu)) as raw vectors for every mu in regs (given in
+    decreasing dominance), from one depth-first pass over the trie of
+    reversed peel runs, so that each shared prefix is applied once.
+
+    Sibling branches are visited by the least dominant mu each holds,
+    least dominant first: the solver eliminates in that order, so it can
+    take most approximations soon after they appear instead of holding
+    them all.  Every mu has the same size, so no run list is a prefix of
+    another: the pass never extends a vector it has yielded, and the
+    caller may update it in place."""
+    steps = {mu: tuple(reversed(peel_runs(mu, e))) for mu in regs}
+    last: dict[tuple, int] = {}  # trie node -> largest regs index below it
+    for idx, mu in enumerate(regs):
+        for k in range(1, len(steps[mu]) + 1):
+            last[steps[mu][:k]] = idx
+
+    def branch_order(mu):
+        run = steps[mu]
+        return tuple(-last[run[:k]] for k in range(1, len(run) + 1))
+
     path: list[tuple[int, int]] = []
     stack: list[RawVector] = [{EMPTY_BP: {0: 1}}]  # stack[k]: after path[:k]
-    for steps, mu in runs:
+    for mu in sorted(regs, key=branch_order):
+        run = steps[mu]
         common = 0
-        while (common < len(path) and common < len(steps)
-               and path[common] == steps[common]):
+        while (common < len(path) and common < len(run)
+               and path[common] == run[common]):
             common += 1
         del path[common:], stack[common + 1:]
-        for i, m in steps[common:]:
+        for i, m in run[common:]:
             stack.append(_apply_divided(stack[-1], i, m, e, above))
             path.append((i, m))
         yield mu, stack[-1]
@@ -260,9 +293,14 @@ class DecompositionMatrix:
         return dict(index.get(lam, ()))
 
     def to_obj(self):
+        """The cache-file object; entries equal as objects share one pair
+        list, so each distinct value is encoded once."""
         labels = set(self.columns).union(*self.columns.values())
         key_of = dominance_keys(self.n)
         text_of = {bp: format_bipartition(bp) for bp in labels}
+        distinct = {id(val): val for col in self.columns.values()
+                    for val in col.values()}
+        pairs_of = {k: val.to_pairs() for k, val in distinct.items()}
 
         def by_key(kv):
             return key_of[kv[0]]
@@ -273,7 +311,7 @@ class DecompositionMatrix:
             "convention": self.convention,
             "columns": {
                 text_of[mu]: {
-                    text_of[lam]: val.to_pairs()
+                    text_of[lam]: pairs_of[id(val)]
                     for lam, val in sorted(col.items(), key=by_key, reverse=True)
                 }
                 for mu, col in sorted(self.columns.items(), key=by_key,
@@ -284,23 +322,43 @@ class DecompositionMatrix:
     @classmethod
     def from_obj(cls, obj) -> "DecompositionMatrix":
         """The matrix of ``to_obj``; ``ValueError`` when a label does not
-        parse or is not a bipartition of n."""
+        parse or is not a bipartition of n.  Equal entries share one
+        ``LaurentPoly``, and each label is the tuple ``dominance_keys(n)``
+        holds (module docstring, "Sharing")."""
         n = int(obj["n"])
-        # each distinct label is parsed once, and equal labels share a tuple
+        # each distinct label text is parsed once
         labels: dict[str, Bipartition] = {}
+        table = None
 
         def label(text):
+            nonlocal table
             bp = labels.get(text)
             if bp is None:
-                bp = labels[text] = parse_bipartition(text)
+                bp = parse_bipartition(text)
                 if size(bp) != n:
                     raise ValueError(f"label {text!r} is not of size {n}")
+                if table is None:
+                    table = {bp: bp for bp in dominance_keys(n)}
+                bp = labels[text] = table[bp]
             return bp
 
+        # each distinct pair list is decoded once, and equal values that
+        # arrive as different pair lists still meet in one object
+        by_pairs: dict[tuple, LaurentPoly] = {}
+        by_terms: dict = {}
         from_pairs = LaurentPoly.from_pairs
+
+        def value(pairs):
+            key = tuple(map(tuple, pairs))
+            val = by_pairs.get(key)
+            if val is None:
+                val = from_pairs(pairs)
+                val = by_pairs[key] = by_terms.setdefault(_value_key(val._c),
+                                                          val)
+            return val
+
         columns = {
-            label(mu): {label(lam): from_pairs(pairs)
-                        for lam, pairs in col.items()}
+            label(mu): {label(lam): value(pairs) for lam, pairs in col.items()}
             for mu, col in obj["columns"].items()
         }
         return cls(n=n, e=int(obj["e"]), convention=obj["convention"],
@@ -363,7 +421,8 @@ def _load_cached(path: str, key) -> DecompositionMatrix | None:
     to decode (bad JSON, a missing field, a malformed label or entry, a
     label that is not a bipartition of n), holds another (n, e,
     convention) than key, or has a column whose diagonal entry is not
-    exactly 1 or an off-diagonal entry outside q.Z[q]."""
+    exactly 1 or an off-diagonal entry outside q.N[q] (q.Z[q] with
+    nonnegative coefficients)."""
     try:
         with open(path) as fh:
             loaded = DecompositionMatrix.from_obj(json.load(fh))
@@ -371,12 +430,17 @@ def _load_cached(path: str, key) -> DecompositionMatrix | None:
         return None
     if (loaded.n, loaded.e, loaded.convention) != key:
         return None
+    # from_obj shares one object per distinct value, so the entries equal
+    # to 1 are all the diagonal's object, and each value is checked once
+    values = {}
     for mu, col in loaded.columns.items():
-        if col.get(mu) != ONE:
+        diag = col.get(mu)
+        if diag != ONE or countOf(map(id, col.values()), id(diag)) != 1:
             return None
-        for lam, val in col.items():
-            if not val.in_q_window() and lam != mu:
-                return None
+        values.update(zip(map(id, col.values()), col.values()))
+    for val in values.values():
+        if val != ONE and not (val.in_q_window() and val.has_nonneg_coeffs()):
+            return None
     return loaded
 
 
@@ -385,16 +449,23 @@ def _compute_canonical_basis(n: int, e: int, convention: str) -> DecompositionMa
     regular = regular_bipartitions(n, e)
     regs = [bp for bp in key_of if bp in regular]  # decreasing dominance
 
-    approx: dict[Bipartition, RawVector] = {}
-    for mu, vec in _first_approximations(regs, e, convention == ABOVE):
-        _check_first_approximation(mu, vec, key_of, convention)
-        approx[mu] = vec
-
+    approx = _first_approximations(regs, e, convention == ABOVE)
+    held: dict[Bipartition, RawVector] = {}
     raw: dict[Bipartition, RawVector] = {}
     columns: dict[Bipartition, dict[Bipartition, LaurentPoly]] = {}
+    # the sharing of the module docstring: one LaurentPoly per distinct
+    # value, held for this solve only, and the key table's own labels
+    shared: dict = {}
+    table = {bp: bp for bp in key_of}
     for idx in range(len(regs) - 1, -1, -1):
         mu = regs[idx]
-        vec = approx.pop(mu)
+        # draw approximations until mu's appears; those of more dominant
+        # columns wait in held
+        while mu not in held:
+            nu, vec = next(approx)
+            _check_first_approximation(nu, vec, key_of, convention)
+            held[nu] = vec
+        vec = held.pop(mu)
         # clear every already-computed column, most dominant first; the
         # first-approximation support bound guarantees nothing is needed
         # beyond those
@@ -425,18 +496,32 @@ def _compute_canonical_basis(n: int, e: int, convention: str) -> DecompositionMa
                 f"column {mu}: diagonal is {LaurentPoly(vec.get(mu))}, "
                 f"expected 1 (convention {convention})")
         kmu = key_of[mu]
+        col: dict[Bipartition, LaurentPoly] = {}
+        raw_col: RawVector = {}
         for bp, terms in vec.items():
-            if bp == mu:
-                continue
-            if not key_dominates(kmu, key_of[bp]):
-                raise RuntimeError(
-                    f"column {mu} has support at {bp} not dominated by it")
-            if min(terms) < 1:
-                raise RuntimeError(
-                    f"column {mu}, row {bp}: entry {LaurentPoly(terms)} "
-                    f"outside q.Z[q]")
-        raw[mu] = vec
-        columns[mu] = {bp: LaurentPoly._raw(terms) for bp, terms in vec.items()}
+            if bp != mu:
+                if not key_dominates(kmu, key_of[bp]):
+                    raise RuntimeError(
+                        f"column {mu} has support at {bp} not dominated by it")
+                if min(terms) < 1:
+                    raise RuntimeError(
+                        f"column {mu}, row {bp}: entry {LaurentPoly(terms)} "
+                        f"outside q.Z[q]")
+            value_key = _value_key(terms)
+            val = shared.get(value_key)
+            if val is None:
+                # positivity (Brundan-Kleshchev): in characteristic 0 every
+                # entry lies in N[q]; checked once per distinct value
+                if min(terms.values()) < 0:
+                    raise RuntimeError(
+                        f"column {mu}, row {bp}: entry {LaurentPoly(terms)} "
+                        f"has a negative coefficient")
+                val = shared[value_key] = LaurentPoly._raw(terms)
+            bp = table[bp]
+            col[bp] = val
+            raw_col[bp] = val._c
+        raw[mu] = raw_col
+        columns[mu] = col
     return DecompositionMatrix(n=n, e=e, convention=convention, columns=columns)
 
 

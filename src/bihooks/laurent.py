@@ -27,7 +27,8 @@ class LaurentPoly:
 
     @classmethod
     def _raw(cls, d: dict) -> "LaurentPoly":
-        # trusted constructor: d has no zero values and is not shared
+        # trusted constructor: d has no zero values and is immutable from
+        # here on, so it may be shared
         obj = object.__new__(cls)
         obj._c = d
         return obj

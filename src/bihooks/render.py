@@ -8,6 +8,7 @@ diagram summands print their vertex list and below<above edge list.
 
 import csv
 import io
+import json
 
 from .fock import DecompositionMatrix
 from .partitions import format_bipartition, is_bihook, parse_bipartition
@@ -94,39 +95,84 @@ def verdict_text(v: Verdict) -> str:
     return "\n".join(lines)
 
 
-def _matrix_rows(matrix: DecompositionMatrix, rows: str):
-    """(row label, column label, entry) triples, rows in decreasing
-    dominance and each row's columns in decreasing dominance, from one
-    transposition of the columns."""
+def _matrix_rows(matrix: DecompositionMatrix, rows: str,
+                 label=format_bipartition):
+    """(row label, [(column label, entry), ...]) for each kept nonzero row,
+    rows in decreasing dominance and each row's columns in decreasing
+    dominance, from one transposition of the columns that holds only the
+    column labels; ``label`` encodes each label once."""
+    columns = matrix.columns
+    text_of = {}
     by_row: dict = {}
     for mu in matrix.regulars():
-        mu_text = format_bipartition(mu)
-        for lam, val in matrix.columns[mu].items():
+        text_of[mu] = label(mu)
+        for lam, val in columns[mu].items():
             if val:
-                by_row.setdefault(lam, []).append((mu_text, val))
+                by_row.setdefault(lam, []).append(mu)
     for lam in matrix.rows():
-        entries = by_row.get(lam)
-        if entries and (rows != "bihooks" or is_bihook(lam)):
-            lam_text = format_bipartition(lam)
-            for mu_text, val in entries:
-                yield lam_text, mu_text, val
+        mus = by_row.get(lam)
+        if mus and (rows != "bihooks" or is_bihook(lam)):
+            yield label(lam), [(text_of[mu], columns[mu][lam]) for mu in mus]
 
+
+def _encoded_rows(matrix: DecompositionMatrix, rows: str, label, value):
+    """``_matrix_rows`` with every entry encoded by ``value``, once per
+    entry object (a matrix shares one object per distinct value)."""
+    encoded: dict[int, str] = {}
+    for lam, entries in _matrix_rows(matrix, rows, label):
+        row = []
+        for mu, val in entries:
+            text = encoded.get(id(val))
+            if text is None:
+                text = encoded[id(val)] = value(val)
+            row.append((mu, text))
+        yield lam, row
+
+
+def _csv_field(text: str) -> str:
+    """One field as ``csv.writer`` writes it, quoted where needed."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow([text])
+    return buf.getvalue()[:-1]
+
+
+# The encode-once emitters join each row's text first and then the rows,
+# so the entries' small strings never all exist at once.
 
 def matrix_csv(matrix: DecompositionMatrix, rows: str = "all") -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["row", "column", "entry"])
-    for lam, mu, val in _matrix_rows(matrix, rows):
-        writer.writerow([lam, mu, str(val)])
-    return buf.getvalue()
+    """The matrix as CSV lines ``row,column,entry`` under a header."""
+    lines = ["row,column,entry\n"]
+    lines.extend(
+        "".join([f"{lam},{mu},{val}\n" for mu, val in row])
+        for lam, row in _encoded_rows(
+            matrix, rows, lambda bp: _csv_field(format_bipartition(bp)),
+            lambda val: _csv_field(str(val))))
+    return "".join(lines)
 
 
 def matrix_json_obj(matrix: DecompositionMatrix, rows: str = "all") -> dict:
+    """The JSON object of the matrix, one entry at a time: the plain
+    route that ``matrix_json`` must match."""
     return {
         "e": matrix.e,
         "n": matrix.n,
         "convention": matrix.convention,
         "entries": [
-            [lam, mu, val.to_pairs()] for lam, mu, val in _matrix_rows(matrix, rows)
+            [lam, mu, val.to_pairs()]
+            for lam, entries in _matrix_rows(matrix, rows)
+            for mu, val in entries
         ],
     }
+
+
+def matrix_json(matrix: DecompositionMatrix, rows: str = "all") -> str:
+    """``json.dumps(matrix_json_obj(matrix, rows))``, joined from each
+    label and each distinct entry encoded once."""
+    entries = ", ".join(
+        ", ".join([f"[{lam}, {mu}, {val}]" for mu, val in row])
+        for lam, row in _encoded_rows(
+            matrix, rows, lambda bp: json.dumps(format_bipartition(bp)),
+            lambda val: json.dumps(val.to_pairs())))
+    head = json.dumps({"e": matrix.e, "n": matrix.n,
+                       "convention": matrix.convention})
+    return f'{head[:-1]}, "entries": [{entries}]}}'

@@ -321,21 +321,3 @@ def v_tableau(shape: Bipartition, second_entries) -> Tableau:
     rows2 = (second,) if second else ()
     return Tableau(shape, (rows1, rows2))
 
-
-def tableau_to_obj(t: Tableau):
-    from .partitions import format_bipartition
-    if one_row_components(t.shape):
-        return {"shape": format_bipartition(t.shape),
-                "v": list(t.rows[1][0]) if t.rows[1] else []}
-    return {"shape": format_bipartition(t.shape),
-            "rows": [[list(r) for r in t.rows[0]], [list(r) for r in t.rows[1]]]}
-
-
-def tableau_from_obj(obj) -> Tableau:
-    from .partitions import parse_bipartition
-    shape = parse_bipartition(obj["shape"])
-    if "v" in obj:
-        return v_tableau(shape, obj["v"])
-    rows = obj["rows"]
-    return Tableau(shape, (tuple(tuple(r) for r in rows[0]),
-                           tuple(tuple(r) for r in rows[1])))

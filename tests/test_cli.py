@@ -7,9 +7,11 @@ import pytest
 
 from bihooks import fock
 from bihooks.cli import main
-from bihooks.fock import canonical_basis
+from bihooks.fock import DecompositionMatrix, canonical_basis
+from bihooks.laurent import LaurentPoly
 from bihooks.render import (
-    matrix_csv, matrix_json_obj, verdict_from_obj, verdict_obj, verdict_text,
+    matrix_csv, matrix_json, matrix_json_obj, verdict_from_obj, verdict_obj,
+    verdict_text,
 )
 from bihooks.structure import predict
 
@@ -187,6 +189,29 @@ def test_matrix_emitters_agree(tmp_path):
     assert len(text.strip().splitlines()) - 1 == len(obj["entries"])
 
 
+def _plain_csv(matrix, rows):
+    """The CSV writer the encode-once emitter replaced: one writerow and
+    one str() per entry, read off the plain JSON object."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["row", "column", "entry"])
+    for lam, mu, pairs in matrix_json_obj(matrix, rows)["entries"]:
+        writer.writerow([lam, mu, str(LaurentPoly.from_pairs(pairs))])
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize("e", [2, 3, 4])
+def test_encode_once_emitters_match_plain_route(e):
+    for n in range(11):
+        computed = canonical_basis(n, e, use_cache=False)
+        loaded = DecompositionMatrix.from_obj(computed.to_obj())
+        for matrix in (computed, loaded):
+            for rows in ("all", "bihooks"):
+                assert matrix_json(matrix, rows) == json.dumps(
+                    matrix_json_obj(matrix, rows))
+                assert matrix_csv(matrix, rows) == _plain_csv(matrix, rows)
+
+
 def _rerun_over_corrupted_cache(tmp_path, capsys, monkeypatch, corrupt):
     """Corrupt a good (2,4) cache file, run `llt` over it, and check the
     output equals `--no-cache` and the file is restored byte for byte."""
@@ -227,8 +252,10 @@ def _replace_once(old, new):
     _replace_once(b'"1|2,1": [[4, 1]]', b'"1|2,1": [[0, 1]]'),
     _replace_once(b'"1|3": [[1, 1]]', b'"1|3": [[-2, 1]]'),
     _replace_once(b'"-|1,1,1,1": [[4, 1]]', b'"-|1,1,1": [[4, 1]]'),
+    _replace_once(b'"1,1,1|1": [[1, 1]]', b'"1,1,1|1": [[1, -1]]'),
 ], ids=["diagonal-7", "diagonal-not-monomial", "entry-at-q0",
-        "entry-at-negative-degree", "label-of-wrong-size"])
+        "entry-at-negative-degree", "label-of-wrong-size",
+        "negative-coefficient"])
 def test_llt_recomputes_over_invalid_cache(tmp_path, capsys, monkeypatch,
                                            corrupt):
     # decodable, but breaking an invariant the solver asserts

@@ -13,7 +13,7 @@ from bihooks.fock import (
 from bihooks.laurent import LaurentPoly, ONE, ZERO, quantum_factorial
 from bihooks.partitions import (
     EMPTY_BP, add_node, addable_nodes, bipartitions, dominance_key,
-    key_dominates,
+    dominance_keys, key_dominates,
 )
 from bihooks.crystal import is_regular
 from bihooks.tableaux import graded_dimension, node_degree
@@ -259,11 +259,28 @@ def test_to_obj_from_obj_round_trip():
         back = DecompositionMatrix.from_obj(json.loads(json.dumps(obj)))
         assert back == m
         assert back.to_obj() == obj
-        # equal labels decode to one shared tuple
-        shared = {}
-        for mu, col in back.columns.items():
-            for bp in (mu, *col):
-                assert shared.setdefault(bp, bp) is bp
+        _assert_shared(m)
+        _assert_shared(back)
+    # equal values that arrive as different pair lists meet in one object
+    back = DecompositionMatrix.from_obj({
+        "n": 2, "e": 2, "convention": "above", "columns": {"2|-": {
+            "2|-": [[0, 1]], "1,1|-": [[1, 1]], "1|1": [[1, 1], [2, 0]],
+            "-|2": [["1", 1]]}}})
+    _, *vals = back.columns[((2,), ())].values()
+    assert vals[0] is vals[1] is vals[2]
+    _assert_shared(back)
+
+
+def _assert_shared(matrix):
+    """One LaurentPoly per distinct value, and every label is the tuple
+    held by dominance_keys(n)."""
+    table = {bp: bp for bp in dominance_keys(matrix.n)}
+    values = {}
+    for mu, col in matrix.columns.items():
+        assert table[mu] is mu
+        for lam, val in col.items():
+            assert table[lam] is lam
+            assert values.setdefault(val, val) is val
 
 
 def _sha256(path):

@@ -34,6 +34,20 @@ def test_text_and_pairs_round_trip(f):
     assert LaurentPoly.from_pairs(f.to_pairs()) == f
 
 
+@given(poly_st, poly_st, st.integers(min_value=-3, max_value=3))
+def test_operations_never_mutate_an_operand(f, g, k):
+    # matrices share one LaurentPoly per distinct value, so no operation
+    # may write to an operand's dict, even when both operands are one object
+    before = (dict(f.iter_terms()), dict(g.iter_terms()))
+    dicts = (f._c, g._c)
+    for a, b in ((f, g), (g, f), (f, f)):
+        a + b, a - b, a * b, -a, a.bar(), a.bar_closure()
+        a + k, k + a, a - k, k - a, a * k, k * a
+        LaurentPoly.from_pairs(a.to_pairs())
+    assert (dict(f.iter_terms()), dict(g.iter_terms())) == before
+    assert f._c is dicts[0] and g._c is dicts[1]
+
+
 def test_from_pairs_contract():
     # ints coerced, zeros dropped, and a repeated exponent keeps its last pair
     f = LaurentPoly.from_pairs([[1, 2], ["3", 0], [1, 5], [2, True], ["-1", "4"]])

@@ -6,7 +6,7 @@ from bihooks.tableaux import (
     Tableau, codegree, column_initial_tableau, count_standard, degree,
     gg_word, graded_dimension, graded_dimension_by_enumeration, is_standard,
     node_degree, peel_degrees, residue_sequence, standard_tableaux,
-    tableau_from_obj, tableau_to_obj, v_tableau, word_graded_dimension,
+    word_graded_dimension,
 )
 
 
@@ -171,13 +171,3 @@ def test_size_bound():
     with pytest.raises(ValueError):
         standard_tableaux((((30,), ())), bound=25)
 
-
-def test_tableau_serialisation_round_trip():
-    t = v_tableau(((4,), (2,)), (1, 3))
-    obj = tableau_to_obj(t)
-    assert obj == {"shape": "4|2", "v": [1, 3]}
-    assert tableau_from_obj(obj) == t
-    t2 = column_initial_tableau(((2, 1), (1,)))
-    obj2 = tableau_to_obj(t2)
-    assert "rows" in obj2
-    assert tableau_from_obj(obj2) == t2

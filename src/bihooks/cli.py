@@ -10,7 +10,6 @@ cross-check suite (exit status 0 iff no failures).
 
 import argparse
 import csv
-import io
 import json
 import sys
 
@@ -162,27 +161,21 @@ def main(argv=None) -> int:
             out.write(str(schur.num_summands(args.k, args.j, args.p)) + "\n")
         elif args.command == "factors":
             counts = schur.composition_multiset(args.k, args.j, args.p)
-            items = sorted(counts.items(), reverse=True)
+            items = [(",".join(map(str, mu)) or "-", mult)
+                     for mu, mult in sorted(counts.items(), reverse=True)]
             if args.format == "json":
-                json.dump([{"factor": ",".join(map(str, mu)) or "-",
-                            "multiplicity": mult} for mu, mult in items], out)
+                json.dump([{"factor": mu, "multiplicity": mult}
+                           for mu, mult in items], out)
                 out.write("\n")
             else:
-                buf = io.StringIO()
-                writer = csv.writer(buf, lineterminator="\n")
-                writer.writerow(["factor", "multiplicity"])
-                for mu, mult in items:
-                    writer.writerow([",".join(map(str, mu)) or "-", mult])
-                out.write(buf.getvalue())
+                csv.writer(out, lineterminator="\n").writerows(
+                    [("factor", "multiplicity")] + items)
         elif args.command == "verify":
-            bounds = {
-                "max_n": args.max_n,
-                "max_kj": args.max_kj,
-                "es": tuple(_int_list(args.e)) if args.e else None,
-                "primes": tuple(_int_list(args.primes)) if args.primes else None,
-                "cache_dir": args.cache_dir,
-            }
-            report = verify.run_suite(args.suite, **bounds)
+            report = verify.run_suite(
+                args.suite, max_n=args.max_n, max_kj=args.max_kj,
+                es=tuple(_int_list(args.e)) if args.e else None,
+                primes=tuple(_int_list(args.primes)) if args.primes else None,
+                cache_dir=args.cache_dir)
             out.write(report.summary() + "\n")
             for failure in report.failures:
                 out.write(f"  FAIL: {failure}\n")

@@ -44,9 +44,22 @@ involution and fix |empty>, so every A(mu) is bar-invariant; corrections
 by bar-closures of offending coefficients therefore keep the eliminated
 columns bar-invariant without any combinatorial bar formula.
 
-Inside the solver a vector is kept raw, as a map from bipartitions to
-``{exponent: coefficient}`` dicts, and elimination updates it in place;
-``LaurentPoly`` values are built once a column is finished.
+Interned shapes.  Inside the solver a shape is an int id from one
+table, ``_Shapes``, that lives for one solve and dies with it.  The
+bipartitions of n take ids 0, 1, ... in ``dominance_keys(n)`` order
+before anything else is interned, so "strictly later in the refined
+order" is a larger id; smaller shapes are interned as the first
+approximations reach them.  The same table holds the transitions
+(id, i, m) -> (target id, N(S), target id, N(S), ...) of the formula
+above, kept flat (no tuple per target) and each built on first use from
+one ``residue_nodes`` walk, and a child table (id, node) -> id, so
+``add_node`` runs once per distinct pair.  A vector is kept raw, as a
+map from shape ids to ``{exponent: coefficient}`` dicts, and elimination
+updates it in place; labels go back to the key table's tuples, and
+``LaurentPoly`` values are built, once a column is finished.
+``apply_f_divided`` and ``first_approximation`` take the same route
+through a table of their own.  ``_f_targets`` counts the transition
+lookups and builds of every table, for profiles; it keeps no transition.
 
 Sharing.  A matrix holds one ``LaurentPoly`` per distinct entry value,
 shared by every entry equal to it, and its labels are the tuples held by
@@ -57,30 +70,32 @@ finished raw column in place: ``LaurentPoly`` arithmetic always builds
 new dicts, and elimination writes only to the column being eliminated.
 """
 
+import functools
 import json
 import os
 import tempfile
+import weakref
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from functools import lru_cache
-from itertools import combinations
 from operator import countOf
 
 from .crystal import regular_bipartitions, signature
 from .laurent import LaurentPoly, ONE, ZERO
 from .partitions import (
-    Bipartition, EMPTY_BP, add_node, check_e, dominance_key, dominance_keys,
+    Bipartition, EMPTY_BP, Node, add_node, check_e, dominance_keys,
     format_bipartition, key_dominates, node_position, parse_bipartition,
     remove_node, residue_nodes, size,
 )
+# a module attribute that the benchmark's tracer patches, used or not
+from .partitions import dominance_key  # noqa: F401
 from .tableaux import graded_dimension
 
 BELOW = "below"
 ABOVE = "above"
 
 FockVector = dict[Bipartition, LaurentPoly]
-# the solver's working form: exponent -> nonzero coefficient, per label
-RawVector = dict[Bipartition, dict[int, int]]
+# the solver's working form: exponent -> nonzero coefficient, per shape id
+RawVector = dict[int, dict[int, int]]
 
 
 def _value_key(terms: dict[int, int]):
@@ -92,37 +107,116 @@ def _value_key(terms: dict[int, int]):
     return frozenset(terms.items())
 
 
-@lru_cache(maxsize=None)
-def _f_targets(bp: Bipartition, i: int, m: int, e: int, above: bool):
-    """(bp + S, N(S)) for every m-subset S of the addable i-nodes of bp."""
-    adds, rems = residue_nodes(bp, i, e)
-    rems = [node_position(r) for r in rems]
-    # per addable node: addable minus removable i-nodes on the convention
-    # side; both lists run top to bottom, and no two i-nodes share a row
-    counts = []
-    for k, a in enumerate(adds):
-        rems_above = bisect_left(rems, node_position(a))
-        if above:
-            counts.append(k - rems_above)
-        else:
-            counts.append(len(adds) - 1 - k - (len(rems) - rems_above))
-    out = []
-    for subset in combinations(range(len(adds)), m):
-        grown = bp
-        for k in subset:
-            grown = add_node(grown, adds[k])
-        out.append((grown, sum(counts[k] for k in subset) - m * (m - 1) // 2))
-    return tuple(out)
+class _Shapes:
+    """Interned shapes and their transitions, for one solve or one public
+    call (module docstring, "Interned shapes").
+
+    ``shapes[k]`` is the shape of id k and ``ids`` the inverse map.  The
+    shapes given at construction take ids 0, 1, ... in their order; the
+    others are interned as they first appear.  ``table(i, m)`` maps each
+    id built so far to its transitions under f_i^(m), the flat tuple
+    ``(target_id, N(S), target_id, N(S), ...)`` over the m-subsets S of
+    the addable i-nodes in lexicographic order of S, which ``build``
+    computes."""
+
+    def __init__(self, e: int, above: bool, first=()):
+        self.e = e
+        self.above = above
+        self.shapes: list[Bipartition] = list(first)
+        self.ids: dict[Bipartition, int] = {
+            bp: k for k, bp in enumerate(self.shapes)}
+        self._children: dict[tuple[int, Node], int] = {}
+        self._tables: dict[tuple[int, int], dict[int, tuple]] = {}
+        _f_targets.live.add(self)
+
+    def intern(self, bp: Bipartition) -> int:
+        sid = self.ids.get(bp)
+        if sid is None:
+            sid = self.ids[bp] = len(self.shapes)
+            self.shapes.append(bp)
+        return sid
+
+    def _child(self, sid: int, node: Node) -> int:
+        """The id of shape sid grown by node; one ``add_node`` per pair."""
+        cid = self._children.get((sid, node))
+        if cid is None:
+            cid = self._children[sid, node] = self.intern(
+                add_node(self.shapes[sid], node))
+        return cid
+
+    def table(self, i: int, m: int) -> dict[int, tuple]:
+        return self._tables.setdefault((i, m), {})
+
+    def held(self) -> int:
+        """The number of transitions held, over every (i, m)."""
+        return sum(map(len, self._tables.values()))
+
+    def build(self, sid: int, i: int, m: int) -> tuple:
+        adds, rems = residue_nodes(self.shapes[sid], i, self.e)
+        rems = [node_position(r) for r in rems]
+        # per addable node: addable minus removable i-nodes on the convention
+        # side; both lists run top to bottom, and no two i-nodes share a row
+        counts = []
+        for k, a in enumerate(adds):
+            rems_above = bisect_left(rems, node_position(a))
+            if self.above:
+                counts.append(k - rems_above)
+            else:
+                counts.append(len(adds) - 1 - k - (len(rems) - rems_above))
+        # each m-subset S grows from S less its last node, so every subset
+        # costs one child step; the subsets come in lexicographic order
+        child = self._child
+        level = [(-1, sid, 0)]  # (last node index, grown shape, count sum)
+        for j in range(m):
+            level = [(k, child(grown, adds[k]), d + counts[k])
+                     for last, grown, d in level
+                     for k in range(last + 1, len(adds) - m + j + 1)]
+        shift = m * (m - 1) // 2
+        out = []
+        for _, grown, d in level:
+            out += grown, d - shift
+        return tuple(out)
 
 
-def _apply_divided(vec: RawVector, i: int, m: int, e: int,
-                   above: bool) -> RawVector:
+class _f_targets:
+    """Lookups and builds of the transition tables of ``_Shapes``, in the
+    form of ``functools.lru_cache``'s ``cache_info()``, under the name of
+    the module-level cache those per-solve tables replaced: per-layer
+    profiles keep reading its hits and misses, and a check that caches are
+    empty between operations sees the tables.  No transition is kept here:
+    ``currsize`` counts those held by tables still alive, 0 once every
+    solve has returned, and ``cache_clear`` only resets the counts."""
+
+    lookups = builds = 0
+    live: "weakref.WeakSet[_Shapes]" = weakref.WeakSet()
+
+    @classmethod
+    def cache_info(cls) -> functools._CacheInfo:
+        return functools._CacheInfo(cls.lookups - cls.builds, cls.builds, None,
+                                    sum(shapes.held() for shapes in cls.live))
+
+    @classmethod
+    def cache_clear(cls):
+        cls.lookups = cls.builds = 0
+
+
+def _apply_divided(shapes: _Shapes, vec: RawVector, i: int, m: int) -> RawVector:
+    table = shapes.table(i, m)
+    _f_targets.lookups += len(vec)
     acc: RawVector = {}
-    for bp, terms in vec.items():
-        for grown, d in _f_targets(bp, i, m, e, above):
+    for sid, terms in vec.items():
+        targets = table.get(sid)
+        if targets is None:
+            targets = table[sid] = shapes.build(sid, i, m)
+            _f_targets.builds += 1
+        it = iter(targets)
+        for grown, d in zip(it, it):
             slot = acc.get(grown)
             if slot is None:
-                slot = acc[grown] = {}
+                # a fresh slot: the shifted terms, none of which can cancel
+                acc[grown] = ({exp + d: c for exp, c in terms.items()} if d
+                              else terms.copy())
+                continue
             for exp, c in terms.items():
                 k = exp + d
                 nv = slot.get(k, 0) + c
@@ -130,7 +224,7 @@ def _apply_divided(vec: RawVector, i: int, m: int, e: int,
                     slot[k] = nv
                 else:
                     del slot[k]
-    return {bp: terms for bp, terms in acc.items() if terms}
+    return {sid: terms for sid, terms in acc.items() if terms}
 
 
 def apply_f_divided(vec: FockVector, i: int, m: int, e: int,
@@ -139,9 +233,12 @@ def apply_f_divided(vec: FockVector, i: int, m: int, e: int,
     check_e(e)
     if m < 1:
         raise ValueError(f"divided power needs m >= 1, got {m}")
-    raw = {bp: dict(coeff.iter_terms()) for bp, coeff in vec.items()}
-    out = _apply_divided(raw, i % e, m, e, convention == ABOVE)
-    return {bp: LaurentPoly._raw(terms) for bp, terms in out.items()}
+    shapes = _Shapes(e, convention == ABOVE)
+    raw = {shapes.intern(bp): dict(coeff.iter_terms())
+           for bp, coeff in vec.items()}
+    out = _apply_divided(shapes, raw, i % e, m)
+    return {shapes.shapes[sid]: LaurentPoly._raw(terms)
+            for sid, terms in out.items()}
 
 
 def apply_f(vec: FockVector, i: int, e: int, convention: str = BELOW) -> FockVector:
@@ -187,10 +284,10 @@ def peel_runs(mu: Bipartition, e: int) -> tuple[tuple[int, int], ...]:
     return tuple(runs)
 
 
-def _first_approximations(regs, e: int, above: bool):
-    """Yield (mu, A(mu)) as raw vectors for every mu in regs (given in
-    decreasing dominance), from one depth-first pass over the trie of
-    reversed peel runs, so that each shared prefix is applied once.
+def _first_approximations(shapes: _Shapes, regs: list[int]):
+    """Yield (mu, A(mu)) as raw vectors for every shape id mu in regs
+    (given in decreasing dominance), from one depth-first pass over the
+    trie of reversed peel runs, so that each shared prefix is applied once.
 
     Sibling branches are visited by the least dominant mu each holds,
     least dominant first: the solver eliminates in that order, so it can
@@ -198,7 +295,8 @@ def _first_approximations(regs, e: int, above: bool):
     them all.  Every mu has the same size, so no run list is a prefix of
     another: the pass never extends a vector it has yielded, and the
     caller may update it in place."""
-    steps = {mu: tuple(reversed(peel_runs(mu, e))) for mu in regs}
+    e = shapes.e
+    steps = {mu: tuple(reversed(peel_runs(shapes.shapes[mu], e))) for mu in regs}
     last: dict[tuple, int] = {}  # trie node -> largest regs index below it
     for idx, mu in enumerate(regs):
         for k in range(1, len(steps[mu]) + 1):
@@ -209,7 +307,8 @@ def _first_approximations(regs, e: int, above: bool):
         return tuple(-last[run[:k]] for k in range(1, len(run) + 1))
 
     path: list[tuple[int, int]] = []
-    stack: list[RawVector] = [{EMPTY_BP: {0: 1}}]  # stack[k]: after path[:k]
+    # stack[k]: the vector after path[:k]
+    stack: list[RawVector] = [{shapes.intern(EMPTY_BP): {0: 1}}]
     for mu in sorted(regs, key=branch_order):
         run = steps[mu]
         common = 0
@@ -218,23 +317,24 @@ def _first_approximations(regs, e: int, above: bool):
             common += 1
         del path[common:], stack[common + 1:]
         for i, m in run[common:]:
-            stack.append(_apply_divided(stack[-1], i, m, e, above))
+            stack.append(_apply_divided(shapes, stack[-1], i, m))
             path.append((i, m))
         yield mu, stack[-1]
 
 
-def _check_first_approximation(mu: Bipartition, vec: RawVector, key_of,
+def _check_first_approximation(mu: int, vec: RawVector, labels,
                                convention: str):
+    """Leading coefficient 1 and support strictly later in the refined
+    order, which on the size-n ids is a larger id."""
     if vec.get(mu) != {0: 1}:
         raise RuntimeError(
-            f"first approximation of {mu} has leading coefficient "
+            f"first approximation of {labels[mu]} has leading coefficient "
             f"{LaurentPoly(vec.get(mu))}, convention={convention}")
-    kmu = key_of[mu]
-    for lam in vec:
-        if lam != mu and not key_of[lam] < kmu:
-            raise RuntimeError(
-                f"first approximation of {mu} has support at {lam} "
-                f"not below it in the refined order")
+    lam = min(vec)
+    if lam < mu:
+        raise RuntimeError(
+            f"first approximation of {labels[mu]} has support at "
+            f"{labels[lam]} not below it in the refined order")
 
 
 def first_approximation(mu: Bipartition, e: int,
@@ -245,10 +345,11 @@ def first_approximation(mu: Bipartition, e: int,
     come strictly later in the lexicographic refinement of dominance by
     partial-sum vectors (the labels need not all be dominated by mu; the
     eliminated columns are, which the solver asserts)."""
-    [(_, vec)] = _first_approximations([mu], e, convention == ABOVE)
-    _check_first_approximation(
-        mu, vec, {lam: dominance_key(lam) for lam in vec}, convention)
-    return {lam: LaurentPoly._raw(terms) for lam, terms in vec.items()}
+    shapes = _Shapes(e, convention == ABOVE, dominance_keys(size(mu)))
+    [(sid, vec)] = _first_approximations(shapes, [shapes.intern(mu)])
+    _check_first_approximation(sid, vec, shapes.shapes, convention)
+    return {shapes.shapes[lam]: LaurentPoly._raw(terms)
+            for lam, terms in vec.items()}
 
 
 @dataclass
@@ -419,16 +520,20 @@ def canonical_basis(n: int, e: int, cache_dir: str | None = None,
 def _load_cached(path: str, key) -> DecompositionMatrix | None:
     """The matrix stored at path, or None when the file is missing, fails
     to decode (bad JSON, a missing field, a malformed label or entry, a
-    label that is not a bipartition of n), holds another (n, e,
-    convention) than key, or has a column whose diagonal entry is not
-    exactly 1 or an off-diagonal entry outside q.N[q] (q.Z[q] with
+    non-finite number, a label that is not a bipartition of n), holds
+    another (n, e, convention) than key, has other columns than the
+    regular bipartitions of n, or has a column whose diagonal entry is
+    not exactly 1 or an off-diagonal entry outside q.N[q] (q.Z[q] with
     nonnegative coefficients)."""
     try:
         with open(path) as fh:
             loaded = DecompositionMatrix.from_obj(json.load(fh))
-    except (FileNotFoundError, ValueError, KeyError, TypeError, AttributeError):
+    except (FileNotFoundError, ValueError, KeyError, TypeError, AttributeError,
+            OverflowError):
         return None
-    if (loaded.n, loaded.e, loaded.convention) != key:
+    n, e, _ = key
+    if ((loaded.n, loaded.e, loaded.convention) != key
+            or loaded.columns.keys() != regular_bipartitions(n, e)):
         return None
     # from_obj shares one object per distinct value, so the entries equal
     # to 1 are all the diagonal's object, and each value is checked once
@@ -446,24 +551,28 @@ def _load_cached(path: str, key) -> DecompositionMatrix | None:
 
 def _compute_canonical_basis(n: int, e: int, convention: str) -> DecompositionMatrix:
     key_of = dominance_keys(n)
+    keys = list(key_of.values())
+    # the bipartitions of n take ids 0, 1, ... in decreasing key order, so
+    # labels[:len(keys)] are the key table's own tuples
+    shapes = _Shapes(e, convention == ABOVE, key_of)
+    labels = shapes.shapes
     regular = regular_bipartitions(n, e)
-    regs = [bp for bp in key_of if bp in regular]  # decreasing dominance
+    regs = [sid for sid, bp in enumerate(key_of) if bp in regular]
 
-    approx = _first_approximations(regs, e, convention == ABOVE)
-    held: dict[Bipartition, RawVector] = {}
-    raw: dict[Bipartition, RawVector] = {}
+    approx = _first_approximations(shapes, regs)
+    held: dict[int, RawVector] = {}
+    raw: dict[int, RawVector] = {}
     columns: dict[Bipartition, dict[Bipartition, LaurentPoly]] = {}
     # the sharing of the module docstring: one LaurentPoly per distinct
-    # value, held for this solve only, and the key table's own labels
+    # value, held for this solve only
     shared: dict = {}
-    table = {bp: bp for bp in key_of}
     for idx in range(len(regs) - 1, -1, -1):
         mu = regs[idx]
         # draw approximations until mu's appears; those of more dominant
         # columns wait in held
         while mu not in held:
             nu, vec = next(approx)
-            _check_first_approximation(nu, vec, key_of, convention)
+            _check_first_approximation(nu, vec, labels, convention)
             held[nu] = vec
         vec = held.pop(mu)
         # clear every already-computed column, most dominant first; the
@@ -493,20 +602,21 @@ def _compute_canonical_basis(n: int, e: int, convention: str) -> DecompositionMa
                     del vec[bp]
         if vec.get(mu) != {0: 1}:
             raise RuntimeError(
-                f"column {mu}: diagonal is {LaurentPoly(vec.get(mu))}, "
+                f"column {labels[mu]}: diagonal is {LaurentPoly(vec.get(mu))}, "
                 f"expected 1 (convention {convention})")
-        kmu = key_of[mu]
+        kmu = keys[mu]
         col: dict[Bipartition, LaurentPoly] = {}
         raw_col: RawVector = {}
         for bp, terms in vec.items():
             if bp != mu:
-                if not key_dominates(kmu, key_of[bp]):
+                if not key_dominates(kmu, keys[bp]):
                     raise RuntimeError(
-                        f"column {mu} has support at {bp} not dominated by it")
+                        f"column {labels[mu]} has support at {labels[bp]} "
+                        f"not dominated by it")
                 if min(terms) < 1:
                     raise RuntimeError(
-                        f"column {mu}, row {bp}: entry {LaurentPoly(terms)} "
-                        f"outside q.Z[q]")
+                        f"column {labels[mu]}, row {labels[bp]}: entry "
+                        f"{LaurentPoly(terms)} outside q.Z[q]")
             value_key = _value_key(terms)
             val = shared.get(value_key)
             if val is None:
@@ -514,14 +624,13 @@ def _compute_canonical_basis(n: int, e: int, convention: str) -> DecompositionMa
                 # entry lies in N[q]; checked once per distinct value
                 if min(terms.values()) < 0:
                     raise RuntimeError(
-                        f"column {mu}, row {bp}: entry {LaurentPoly(terms)} "
-                        f"has a negative coefficient")
+                        f"column {labels[mu]}, row {labels[bp]}: entry "
+                        f"{LaurentPoly(terms)} has a negative coefficient")
                 val = shared[value_key] = LaurentPoly._raw(terms)
-            bp = table[bp]
-            col[bp] = val
+            col[labels[bp]] = val
             raw_col[bp] = val._c
         raw[mu] = raw_col
-        columns[mu] = col
+        columns[labels[mu]] = col
     return DecompositionMatrix(n=n, e=e, convention=convention, columns=columns)
 
 

@@ -93,6 +93,15 @@ LLT_GOLDEN = [
      "53b27e80269c54f938c38511a2599c69fbc2762b6697d9b98ee29e23e3c9a152"),
     (4, 8, ("--format", "csv", "--rows", "bihooks"),
      "88f984e229b6000f1169065e94d0f02129cd3dd4c01719b4c9ec6250da096b27"),
+    # recorded before the solver moved to interned shape ids
+    (2, 11, ("--format", "json"),
+     "07f12a5f09c5e986b86314b0b3a5350a0109acedf5b14cdb3c34e4798901cf47"),
+    (3, 11, ("--format", "json"),
+     "64f75d8236ff1272cb97efb406e8a2a00cc1b1b75feeb45dc1245a32d53a180e"),
+    (4, 10, ("--format", "json"),
+     "e962ea7b3afe3ff6e4570546df7a2863dc6746bba46548e5189218df61a24df6"),
+    (5, 9, ("--format", "json"),
+     "35683df3ce626a94c19c7e2760b25b70b60e8b56b32866e5cfde6e632f81f6fa"),
 ]
 
 
@@ -229,21 +238,32 @@ def _rerun_over_corrupted_cache(tmp_path, capsys, monkeypatch, corrupt):
     assert [p.name for p in tmp_path.iterdir()] == [path.name]
 
 
-@pytest.mark.parametrize("corrupt", [
-    lambda good: good[:len(good) // 2],                  # JSONDecodeError
-    lambda good: b'{"n": 4, "e": 2, "convention": "above"}',  # KeyError
-    lambda good: good.replace(b'"2|2"', b'"2|x"'),       # bad label
-], ids=["truncated", "missing-columns", "bad-label"])
-def test_llt_recomputes_over_undecodable_cache(tmp_path, capsys, monkeypatch,
-                                               corrupt):
-    _rerun_over_corrupted_cache(tmp_path, capsys, monkeypatch, corrupt)
-
-
 def _replace_once(old, new):
     def corrupt(good):
         assert good.count(old) == 1
         return good.replace(old, new)
     return corrupt
+
+
+def _edit_columns(edit):
+    def corrupt(good):
+        obj = json.loads(good)
+        edit(obj["columns"])
+        return json.dumps(obj).encode()
+    return corrupt
+
+
+@pytest.mark.parametrize("corrupt", [
+    lambda good: good[:len(good) // 2],                  # JSONDecodeError
+    lambda good: b'{"n": 4, "e": 2, "convention": "above"}',  # KeyError
+    lambda good: good.replace(b'"2|2"', b'"2|x"'),       # bad label
+    _replace_once(b'{"4|-": [[0, 1]]', b'{"4|-": [[Infinity, 1]]'),
+    _replace_once(b'{"3|1": [[0, 1]]', b'{"3|1": [[0, Infinity]]'),
+], ids=["truncated", "missing-columns", "bad-label", "infinite-exponent",
+        "infinite-coefficient"])
+def test_llt_recomputes_over_undecodable_cache(tmp_path, capsys, monkeypatch,
+                                               corrupt):
+    _rerun_over_corrupted_cache(tmp_path, capsys, monkeypatch, corrupt)
 
 
 @pytest.mark.parametrize("corrupt", [
@@ -253,9 +273,14 @@ def _replace_once(old, new):
     _replace_once(b'"1|3": [[1, 1]]', b'"1|3": [[-2, 1]]'),
     _replace_once(b'"-|1,1,1,1": [[4, 1]]', b'"-|1,1,1": [[4, 1]]'),
     _replace_once(b'"1,1,1|1": [[1, 1]]', b'"1,1,1|1": [[1, -1]]'),
+    _edit_columns(dict.clear),
+    _edit_columns(lambda cols: cols.pop("3|1")),
+    # 2|2 is not regular at e = 2; its column passes every entry check
+    _edit_columns(lambda cols: cols.update({"2|2": {"2|2": [[0, 1]]}})),
 ], ids=["diagonal-7", "diagonal-not-monomial", "entry-at-q0",
         "entry-at-negative-degree", "label-of-wrong-size",
-        "negative-coefficient"])
+        "negative-coefficient", "no-columns", "dropped-column",
+        "extra-column"])
 def test_llt_recomputes_over_invalid_cache(tmp_path, capsys, monkeypatch,
                                            corrupt):
     # decodable, but breaking an invariant the solver asserts

@@ -123,35 +123,89 @@ def test_first_approximation_unitriangular():
                     assert lam == mu or dominance_key(lam, n) < kmu
 
 
+def _solver_regs(n, e):
+    """A per-solve shape table seeded as the solver seeds it, and the ids
+    of the regular bipartitions of n in decreasing dominance."""
+    shapes = fock._Shapes(e, True, dominance_keys(n))
+    regs = [sid for sid, mu in enumerate(shapes.shapes) if is_regular(mu, e)]
+    return shapes, regs
+
+
 def test_shared_prefix_pass_matches_first_approximation():
     for e in (2, 3):
         for n in range(0, 10):
-            regs = [mu for mu in bipartitions(n) if is_regular(mu, e)]
-            shared = dict(fock._first_approximations(regs, e, True))
+            shapes, regs = _solver_regs(n, e)
+            shared = dict(fock._first_approximations(shapes, regs))
             assert set(shared) == set(regs)
             for mu in regs:
-                got = {lam: LaurentPoly(terms)
+                got = {shapes.shapes[lam]: LaurentPoly(terms)
                        for lam, terms in shared[mu].items()}
-                assert got == first_approximation(mu, e), (mu, e)
+                assert got == first_approximation(shapes.shapes[mu], e), (mu, e)
 
 
 def test_shared_prefix_pass_applies_each_prefix_once(monkeypatch):
     e, n = 2, 10
-    regs = [mu for mu in bipartitions(n) if is_regular(mu, e)]
+    shapes, regs = _solver_regs(n, e)
     prefixes = set()
     for mu in regs:
-        runs = tuple(reversed(peel_runs(mu, e)))
+        runs = tuple(reversed(peel_runs(shapes.shapes[mu], e)))
         prefixes.update(runs[:k] for k in range(1, len(runs) + 1))
     applied = []
     inner = fock._apply_divided
 
-    def counting(vec, i, m, e, above):
+    def counting(shapes, vec, i, m):
         applied.append((i, m))
-        return inner(vec, i, m, e, above)
+        return inner(shapes, vec, i, m)
 
     monkeypatch.setattr(fock, "_apply_divided", counting)
-    assert len(dict(fock._first_approximations(regs, e, True))) == len(regs)
+    assert len(dict(fock._first_approximations(shapes, regs))) == len(regs)
     assert len(applied) == len(prefixes)
+
+
+@pytest.mark.parametrize("conv", [ABOVE, BELOW])
+def test_transition_table_matches_oracle(conv):
+    # one table per e holds every shape met, across sizes, as a solve's does
+    above = conv == ABOVE
+    for e in (2, 3, 4):
+        shapes = fock._Shapes(e, above)
+        for n in range(0, 9):
+            for bp in bipartitions(n):
+                sid = shapes.intern(bp)
+                for i in range(e):
+                    for m in (1, 2, 3):
+                        applied = fock._apply_divided(shapes, {sid: {0: 1}}, i, m)
+                        targets = shapes.table(i, m)[sid]
+                        assert targets == shapes.build(sid, i, m)
+                        got = {shapes.shapes[tid]: Q(d)
+                               for tid, d in zip(targets[::2], targets[1::2])}
+                        assert 2 * len(got) == len(targets)
+                        want = _divided_oracle({bp: ONE}, i, m, e, above)
+                        assert got == want, (bp, i, m, e, conv)
+                        assert {shapes.shapes[tid]: LaurentPoly(terms)
+                                for tid, terms in applied.items()} == want
+        assert all(shapes.ids[bp] == sid
+                   for sid, bp in enumerate(shapes.shapes))
+
+
+def test_solver_keeps_no_cache_across_solves():
+    # the shape and transition tables live for one solve; the only object
+    # in fock with a cache_info is _f_targets, which counts their lookups
+    # and builds, and sees no table left once the solve returns
+    own = [name for name, val in vars(fock).items()
+           if getattr(val, "__module__", None) == fock.__name__
+           and hasattr(val, "cache_info")]
+    assert own == ["_f_targets"]
+    fock._f_targets.cache_clear()
+    shapes = fock._Shapes(2, True)
+    fock._apply_divided(shapes, {shapes.intern(EMPTY_BP): {0: 1}}, 0, 1)
+    assert fock._f_targets.cache_info() == (0, 1, None, 1)
+    del shapes
+    fock._f_targets.cache_clear()
+    canonical_basis(10, 2, use_cache=False)
+    # the hits and misses an lru_cache on the transitions had at this point
+    assert fock._f_targets.cache_info() == (1036, 1163, None, 0)
+    fock._f_targets.cache_clear()
+    assert fock._f_targets.cache_info() == (0, 0, None, 0)
 
 
 def test_first_approximation_one_box():

@@ -180,7 +180,7 @@ def main(argv=None) -> int:
             for failure in report.failures:
                 out.write(f"  FAIL: {failure}\n")
             return 0 if report.ok else 1
-    except (ValueError, RuntimeError) as exc:
+    except (ValueError, RuntimeError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     return 0

@@ -16,13 +16,13 @@ counts over all addable nodes, less m(m-1)/2.  The route this replaces,
 f_i applied m times followed by exact division by the quantum factorial
 [m]!, is kept in the test-suite as the oracle for this formula.
 
-The solver runs on the ``"above"`` convention.  Validation picked it:
-with ``"above"`` the first approximations are unitriangular against
+The solver runs on the ``"above"`` convention only.  Validation picked
+it: with ``"above"`` the first approximations are unitriangular against
 dominance with diagonal coefficient exactly 1 and the eliminated columns
 land in q.Z[q], both of which are asserted at runtime; ``"below"``
-produces the bar-flipped matrix and fails those assertions already at
-one box.  The convention in force is recorded on the matrix and in the
-cache key.
+produces the bar-flipped matrix, and its first approximation fails those
+assertions already at one box.  The convention is recorded on the matrix
+and in the cache key.
 
 Regular columns.  The columns are the regular bipartitions of n, taken
 from ``crystal.regular_bipartitions``: the closure of the empty
@@ -479,7 +479,6 @@ _MEMORY: dict[str, DecompositionMatrix] = {}
 
 
 def canonical_basis(n: int, e: int, cache_dir: str | None = None,
-                    convention: str = ABOVE,
                     use_cache: bool = True) -> DecompositionMatrix:
     """Compute (or load) the canonical-basis matrix at n boxes.
 
@@ -492,19 +491,17 @@ def canonical_basis(n: int, e: int, cache_dir: str | None = None,
     check_e(e)
     if n < 0:
         raise ValueError(f"number of boxes must be >= 0, got {n}")
-    if convention not in (ABOVE, BELOW):
-        raise ValueError(f"unknown convention {convention!r}")
     path = None
     if use_cache:
         path = os.path.realpath(os.path.join(cache_dir or default_cache_dir(),
-                                             f"llt_e{e}_n{n}_{convention}.json"))
+                                             f"llt_e{e}_n{n}_{ABOVE}.json"))
     matrix = _MEMORY.get(path) if use_cache else None
     rewrite = False
     if matrix is None and path is not None:
-        matrix = _load_cached(path, (n, e, convention))
+        matrix = _load_cached(path, (n, e, ABOVE))
         rewrite = matrix is None
     if matrix is None:
-        matrix = _compute_canonical_basis(n, e, convention)
+        matrix = _compute_canonical_basis(n, e)
     if use_cache:
         _MEMORY[path] = matrix
         if rewrite or not os.path.exists(path):
@@ -549,12 +546,12 @@ def _load_cached(path: str, key) -> DecompositionMatrix | None:
     return loaded
 
 
-def _compute_canonical_basis(n: int, e: int, convention: str) -> DecompositionMatrix:
+def _compute_canonical_basis(n: int, e: int) -> DecompositionMatrix:
     key_of = dominance_keys(n)
     keys = list(key_of.values())
     # the bipartitions of n take ids 0, 1, ... in decreasing key order, so
     # labels[:len(keys)] are the key table's own tuples
-    shapes = _Shapes(e, convention == ABOVE, key_of)
+    shapes = _Shapes(e, True, key_of)
     labels = shapes.shapes
     regular = regular_bipartitions(n, e)
     regs = [sid for sid, bp in enumerate(key_of) if bp in regular]
@@ -572,7 +569,7 @@ def _compute_canonical_basis(n: int, e: int, convention: str) -> DecompositionMa
         # columns wait in held
         while mu not in held:
             nu, vec = next(approx)
-            _check_first_approximation(nu, vec, labels, convention)
+            _check_first_approximation(nu, vec, labels, ABOVE)
             held[nu] = vec
         vec = held.pop(mu)
         # clear every already-computed column, most dominant first; the
@@ -603,7 +600,7 @@ def _compute_canonical_basis(n: int, e: int, convention: str) -> DecompositionMa
         if vec.get(mu) != {0: 1}:
             raise RuntimeError(
                 f"column {labels[mu]}: diagonal is {LaurentPoly(vec.get(mu))}, "
-                f"expected 1 (convention {convention})")
+                f"expected 1 (convention {ABOVE})")
         kmu = keys[mu]
         col: dict[Bipartition, LaurentPoly] = {}
         raw_col: RawVector = {}
@@ -631,7 +628,7 @@ def _compute_canonical_basis(n: int, e: int, convention: str) -> DecompositionMa
             raw_col[bp] = val._c
         raw[mu] = raw_col
         columns[labels[mu]] = col
-    return DecompositionMatrix(n=n, e=e, convention=convention, columns=columns)
+    return DecompositionMatrix(n=n, e=e, convention=ABOVE, columns=columns)
 
 
 def simple_graded_dims_from(matrix: DecompositionMatrix) -> dict[Bipartition, LaurentPoly]:

@@ -5,6 +5,7 @@ Bounds are keyword arguments with defaults sized to finish in minutes on
 one core; the command line exposes them as flags.
 """
 
+import inspect
 import time
 from collections import Counter
 from dataclasses import dataclass, field
@@ -57,9 +58,8 @@ def _compositions(n: int) -> list[tuple[int, ...]]:
     return out
 
 
-def combinatorics_suite(max_n: int = 12, **_) -> SuiteReport:
+def combinatorics_suite(max_n: int = 12) -> SuiteReport:
     rep = SuiteReport("combinatorics")
-    t0 = time.time()
     for n in range(max_n + 1):
         for bp in bipartitions(n):
             rep.check(conjugate(conjugate(bp)) == bp,
@@ -107,13 +107,11 @@ def combinatorics_suite(max_n: int = 12, **_) -> SuiteReport:
                 grown = add_node(bp, node)
                 rep.check(as_bipartition(grown) == grown and size(grown) == n + 1,
                           f"add {node} to {bp}")
-    rep.seconds = time.time() - t0
     return rep
 
 
-def crystal_suite(max_n: int = 10, es=(2, 3, 4), **_) -> SuiteReport:
+def crystal_suite(max_n: int = 10, es=(2, 3, 4)) -> SuiteReport:
     rep = SuiteReport("crystal")
-    t0 = time.time()
     for e in es:
         for n in range(max_n + 1):
             # the cogood closure, the other route to regularity
@@ -172,13 +170,11 @@ def crystal_suite(max_n: int = 10, es=(2, 3, 4), **_) -> SuiteReport:
                     rep.check(got == want,
                               f"negated induction closed form k={k} j={j} "
                               f"a={a} b={b} e={e}")
-    rep.seconds = time.time() - t0
     return rep
 
 
-def schur_suite(max_n: int = 30, primes=(2, 3, 5, 7, 11), **_) -> SuiteReport:
+def schur_suite(max_n: int = 30, primes=(2, 3, 5, 7, 11)) -> SuiteReport:
     rep = SuiteReport("schur")
-    t0 = time.time()
     for p in primes:
         for n in range(2, max_n + 1):
             for j in range(1, min(4, n // 2) + 1):
@@ -226,13 +222,11 @@ def schur_suite(max_n: int = 30, primes=(2, 3, 5, 7, 11), **_) -> SuiteReport:
                 shape = schur.two_column(r, total)
                 rep.check(schur.kostka_two_column(shape, shape) == 1,
                           f"kostka diagonal {shape}")
-    rep.seconds = time.time() - t0
     return rep
 
 
-def structure_suite(max_kj: int = 14, primes=(0, 2, 3, 5, 7), es=(2, 3), **_) -> SuiteReport:
+def structure_suite(max_kj: int = 14, primes=(0, 2, 3, 5, 7), es=(2, 3)) -> SuiteReport:
     rep = SuiteReport("structure")
-    t0 = time.time()
     for e in es:
         for p in primes:
             for total in range(2, max_kj + 1):
@@ -271,7 +265,6 @@ def structure_suite(max_kj: int = 14, primes=(0, 2, 3, 5, 7), es=(2, 3), **_) ->
                 b = structure.structure_j2(k, e, p)
                 rep.check(sorted(map(repr, a.summands)) == sorted(map(repr, b.summands)),
                           f"j=2 overlap e={e} p={p} k={k}")
-    rep.seconds = time.time() - t0
     return rep
 
 
@@ -303,10 +296,22 @@ def _llt_matrix_checks(rep: SuiteReport, matrix, e: int, n: int):
                   lambda: f"dimension balance e={e} n={n} {format_bipartition(lam)}")
 
 
+def _semisimple_labels(k: int, j: int, e: int) -> set:
+    return {lab.bipartition
+            for lab in structure.semisimple_decomposition(k, j, e).labels()}
+
+
+def _concentration(rep: SuiteReport, matrix, lam, labels: set, power: int,
+                   text: str):
+    """One case: the row of lam is q^power at exactly the given labels."""
+    row = matrix.row(lam)
+    want = LaurentPoly.q_power(power)
+    rep.check(set(row) == labels and all(v == want for v in row.values()), text)
+
+
 def llt_suite(es=(2, 3), max_kj: int = 5, max_n: int = 12,
-              cache_dir=None, use_cache=True, **_) -> SuiteReport:
+              cache_dir=None, use_cache=True) -> SuiteReport:
     rep = SuiteReport("llt")
-    t0 = time.time()
     for e in es:
         # window, triangularity and balance across whole levels (every
         # box count, capped lower for e > 3)
@@ -321,28 +326,20 @@ def llt_suite(es=(2, 3), max_kj: int = 5, max_n: int = 12,
                                           use_cache=use_cache)
             if n > sweep:
                 _llt_matrix_checks(rep, matrix, e, n)
-            for j in range(1, total // 2 + 1):
-                k = total - j
-                lam = ((k * e,), (j * e,))
-                row = matrix.row(lam)
-                want = {lab.bipartition
-                        for lab in structure.semisimple_decomposition(k, j, e).labels()}
-                ok = (set(row) == want and
-                      all(v == LaurentPoly.q_power(j) for v in row.values()))
-                rep.check(ok, f"single-degree concentration e={e} k={k} j={j}")
+            families = [(total - j, j) for j in range(1, total // 2 + 1)]
+            for k, j in families:
+                _concentration(rep, matrix, ((k * e,), (j * e,)),
+                               _semisimple_labels(k, j, e), j,
+                               f"single-degree concentration e={e} k={k} j={j}")
             # conjugate family: entries q^(2k+j) at the Mullineux labels,
             # independently fixing the grading shift of the transposed
             # structures
-            for j in range(1, total // 2 + 1):
-                k = total - j
-                lam = ((1,) * (j * e), (1,) * (k * e))
-                row = matrix.row(lam)
-                want = {crystal.mullineux(lab.bipartition, e) for lab in
-                        structure.semisimple_decomposition(k, j, e).labels()}
-                ok = (set(row) == want and
-                      all(v == LaurentPoly.q_power(2 * k + j)
-                          for v in row.values()))
-                rep.check(ok, f"conjugate concentration e={e} k={k} j={j}")
+            for k, j in families:
+                _concentration(rep, matrix, ((1,) * (j * e), (1,) * (k * e)),
+                               {crystal.mullineux(bp, e)
+                                for bp in _semisimple_labels(k, j, e)},
+                               2 * k + j,
+                               f"conjugate concentration e={e} k={k} j={j}")
     # induced families against the label maps: rows of the induced bihook
     # concentrate at q^j on the induced labels, and the induction recipe
     # carries the bihook basis vector to exactly the induced one
@@ -363,33 +360,25 @@ def llt_suite(es=(2, 3), max_kj: int = 5, max_n: int = 12,
                     for i, mult in crystal.induction_recipe(a, b, e):
                         vec = fock.apply_f_divided(vec, i, mult, e, fock.ABOVE)
                     induced = crystal.induce(base, a, b, e)
+                    tag = f"e={e} k={k} j={j} a={a} b={b}"
                     rep.check(vec == {induced: LaurentPoly.q_power(0)},
-                              f"recipe transports the bihook vector "
-                              f"e={e} k={k} j={j} a={a} b={b}")
-                    row = matrix.row(induced)
-                    want = {crystal.induce(lab.bipartition, a, b, e) for lab in
-                            structure.semisimple_decomposition(k, j, e).labels()}
-                    ok = (set(row) == want and
-                          all(v == LaurentPoly.q_power(j) for v in row.values()))
-                    rep.check(ok, f"induced concentration e={e} k={k} j={j} "
-                                  f"a={a} b={b}")
+                              f"recipe transports the bihook vector {tag}")
+                    want = {crystal.induce(bp, a, b, e)
+                            for bp in _semisimple_labels(k, j, e)}
+                    _concentration(rep, matrix, induced, want, j,
+                                   f"induced concentration {tag}")
                     conj = as_bipartition(
                         ((b + 1,) + (1,) * (j * e + a - 1),
                          (b + 1,) + (1,) * (k * e + a - 1)))
-                    row = matrix.row(conj)
-                    want = {crystal.mullineux(bp, e) for bp in want}
-                    ok = (set(row) == want and
-                          all(v == LaurentPoly.q_power(2 * k + j)
-                              for v in row.values()))
-                    rep.check(ok, f"conjugate induced concentration e={e} "
-                                  f"k={k} j={j} a={a} b={b}")
-    rep.seconds = time.time() - t0
+                    _concentration(rep, matrix, conj,
+                                   {crystal.mullineux(bp, e) for bp in want},
+                                   2 * k + j,
+                                   f"conjugate induced concentration {tag}")
     return rep
 
 
-def words_suite(es=(2, 3), max_kj: int = 4, max_n: int = 10, **_) -> SuiteReport:
+def words_suite(es=(2, 3), max_kj: int = 4, max_n: int = 10) -> SuiteReport:
     rep = SuiteReport("words")
-    t0 = time.time()
     for e in es:
         for total in range(2, max_kj + 1):
             for j in range(1, total // 2 + 1):
@@ -418,13 +407,11 @@ def words_suite(es=(2, 3), max_kj: int = 4, max_n: int = 10, **_) -> SuiteReport
                 rep.check(sum(buckets.values(), ZERO)
                           == tableaux.graded_dimension(lam, e),
                           f"word sums e={e} {format_bipartition(lam)}")
-    rep.seconds = time.time() - t0
     return rep
 
 
-def degrees_suite(es=(2, 3, 4, 5), max_kj: int = 6, **_) -> SuiteReport:
+def degrees_suite(es=(2, 3, 4, 5), max_kj: int = 6) -> SuiteReport:
     rep = SuiteReport("degrees")
-    t0 = time.time()
     for e in es:
         for total in range(2, max_kj + 1):
             for j in range(1, total // 2 + 1):
@@ -447,7 +434,6 @@ def degrees_suite(es=(2, 3, 4, 5), max_kj: int = 6, **_) -> SuiteReport:
                 rep.check((cod1, cod2) == want,
                           f"codegree pair e={e} k={k} j={j}: got {(cod1, cod2)}, "
                           f"expected {want}")
-    rep.seconds = time.time() - t0
     return rep
 
 
@@ -463,7 +449,18 @@ SUITES = {
 
 
 def run_suite(name: str, **bounds) -> SuiteReport:
+    """Run one suite; a bound of None takes the suite's default, and a
+    bound the suite does not take is an error."""
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
+    suite = SUITES[name]
     clean = {k: v for k, v in bounds.items() if v is not None}
-    return SUITES[name](**clean)
+    unknown = sorted(clean.keys() - inspect.signature(suite).parameters.keys())
+    if unknown:
+        flags = ", ".join("--e" if k == "es" else "--" + k.replace("_", "-")
+                          for k in unknown)
+        raise ValueError(f"suite {name!r} does not take {flags}")
+    t0 = time.time()
+    rep = suite(**clean)
+    rep.seconds = time.time() - t0
+    return rep

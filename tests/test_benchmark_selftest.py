@@ -1,0 +1,13 @@
+import os
+import subprocess
+import sys
+
+
+def test_benchmark_selftest_passes():
+    # the self-test checks the package names the benchmark reads: the fock
+    # caches it empties and counts, _MEMORY, ABOVE and the tracer's aliases
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    proc = subprocess.run([sys.executable, "benchmarks/selftest.py"], cwd=root,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout[-3000:] + proc.stderr[-3000:]
+    assert "self-tests passed" in proc.stdout

@@ -165,6 +165,38 @@ def test_verify_command(capsys):
     assert "suite words" in out and "ok" in out
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (("--suite", "degrees", "--max-n", "3"), "--max-n"),
+    (("--suite", "combinatorics", "--e", "5"), "--e"),
+    (("--suite", "structure", "--cache-dir", "."), "--cache-dir"),
+])
+def test_verify_rejects_a_flag_the_suite_does_not_take(capsys, argv, flag):
+    code = main(["verify", *argv])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err == f"error: suite {argv[1]!r} does not take {flag}\n"
+
+
+def test_unusable_cache_dir_exits_2(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(fock, "_MEMORY", {})
+    not_a_dir = tmp_path / "file"
+    not_a_dir.write_text("")
+    for argv in (["llt", "--e", "2", "--n", "3"],
+                 ["verify", "--suite", "llt", "--e", "2", "--max-n", "2",
+                  "--max-kj", "2"]):
+        assert main(argv + ["--cache-dir", str(not_a_dir)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and str(not_a_dir) in captured.err
+    # a directory where the cache file belongs
+    in_the_way = tmp_path / "llt_e2_n3_above.json"
+    in_the_way.mkdir()
+    assert main(["llt", "--e", "2", "--n", "3", "--cache-dir", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and str(in_the_way) in captured.err
+
+
 def test_error_paths(capsys):
     code = main(["structure", "--e", "1", "--p", "0", "--k", "1", "--j", "1"])
     assert code == 2

@@ -213,6 +213,13 @@ def test_first_approximation_one_box():
     assert vec == {((1,), ()): ONE, ((), (1,)): Q(1)}
 
 
+def test_below_convention_fails_validation():
+    # the below convention builds the bar-flipped matrix; the first
+    # approximation's assertions reject it already at one box
+    with pytest.raises(RuntimeError, match="leading coefficient q"):
+        first_approximation(((1,), ()), 2, convention=BELOW)
+
+
 def test_canonical_basis_small():
     m = canonical_basis(1, 2, use_cache=False)
     assert set(m.columns) == {((1,), ())}
@@ -276,13 +283,6 @@ def test_cache_round_trip(tmp_path):
     files = list(tmp_path.iterdir())
     assert len(files) == 1
     assert simple_graded_dims(4, 2, cache_dir=str(tmp_path))
-
-
-def test_below_convention_fails_validation():
-    # the below convention builds the bar-flipped matrix; the solver's
-    # assertions reject it immediately
-    with pytest.raises(RuntimeError):
-        canonical_basis(1, 2, use_cache=False, convention=BELOW)
 
 
 def _scan_row(matrix, lam):

@@ -72,15 +72,6 @@ def test_codegree_of_column_initial_tableaux():
                 assert codegree(t, e) == k
 
 
-def test_codegree_j_for_matching_residue_sequence():
-    for e in (2, 3):
-        for (k, j) in [(1, 1), (2, 1), (2, 2), (3, 2)]:
-            shape = ((k * e,), (j * e,))
-            word = residue_sequence(column_initial_tableau(shape), e)
-            for t in standard_tableaux(shape, word=word, e=e):
-                assert codegree(t, e) == j
-
-
 def test_peel_degrees_match_node_degree():
     for e in (2, 3, 4):
         for above in (True, False):
@@ -148,16 +139,6 @@ def test_word_graded_dimension():
             for shape in bipartitions(n):
                 w = residue_sequence(column_initial_tableau(shape), e)
                 assert word_graded_dimension(shape, w, e)
-
-
-def test_word_partition_of_graded_dimension():
-    for e in (2, 3):
-        for n in range(0, 6):
-            for shape in bipartitions(n):
-                words = {residue_sequence(t, e) for t in standard_tableaux(shape)}
-                total = sum((word_graded_dimension(shape, w, e) for w in words),
-                            LaurentPoly({}))
-                assert total == graded_dimension(shape, e)
 
 
 def test_gg_word():

@@ -1,9 +1,54 @@
-from bihooks import verify
+import pytest
+
+from bihooks import crystal, schur, structure, tableaux, verify
 from bihooks.fock import DecompositionMatrix, canonical_basis
 from bihooks.laurent import LaurentPoly
-from bihooks.partitions import parse_bipartition
+from bihooks.partitions import EMPTY_BP, parse_bipartition
 
 Q = LaurentPoly.q_power
+
+# case counts of each suite at the session bounds of conftest.py
+SESSION_CASES = {
+    "combinatorics": 47510, "crystal": 63260, "schur": 3798,
+    "structure": 1904, "llt": 98621, "words": 600, "degrees": 356,
+}
+
+
+@pytest.mark.parametrize("name", sorted(verify.SUITES))
+def test_suite_passes_at_session_bounds(suite_report, name):
+    report = suite_report(name)
+    assert report.ok, "\n".join(report.failures[:10])
+    assert report.cases == SESSION_CASES[name]
+
+
+# a wrong version of each suite's subject, at small bounds: the suite
+# must report it, so a suite cannot pass without checking anything
+BROKEN = [
+    ("combinatorics", verify, "key_dominates", lambda real: lambda a, b: True,
+     {"max_n": 3}),
+    ("crystal", crystal, "mullineux", lambda real: lambda bp, e: EMPTY_BP,
+     {"es": (2,), "max_n": 3}),
+    ("schur", schur, "simultaneous_irreducibility",
+     lambda real: lambda *a: not real(*a), {"max_n": 6, "primes": (2,)}),
+    ("structure", schur, "num_summands", lambda real: lambda *a: real(*a) + 1,
+     {"es": (2,), "max_kj": 4, "primes": (0,)}),
+    ("llt", structure, "semisimple_decomposition",
+     lambda real: lambda k, j, e: real(k + 1, j, e),
+     {"es": (2,), "max_kj": 2, "max_n": 0, "use_cache": False}),
+    ("words", tableaux, "word_graded_dimension",
+     lambda real: lambda *a: real(*a) * Q(1), {"es": (2,), "max_kj": 2, "max_n": 2}),
+    ("degrees", tableaux, "codegree", lambda real: lambda *a: real(*a) + 1,
+     {"es": (2,), "max_kj": 2}),
+]
+
+
+@pytest.mark.parametrize("name, module, attr, mutant, bounds", BROKEN,
+                         ids=[case[0] for case in BROKEN])
+def test_suite_reports_a_broken_subject(monkeypatch, name, module, attr,
+                                        mutant, bounds):
+    monkeypatch.setattr(module, attr, mutant(getattr(module, attr)))
+    report = verify.run_suite(name, **bounds)
+    assert report.failures, f"suite {name} passed with a broken {attr}"
 
 
 def test_check_formats_repro_only_on_failure():

@@ -5,7 +5,7 @@ from bihooks.crystal import (
     induction_recipe, is_regular, mullineux, reduced_signature,
     regular_bipartitions, scrt,
 )
-from bihooks.partitions import EMPTY_BP, bipartitions
+from bihooks.partitions import EMPTY_BP, as_bipartition, bipartitions, size
 from bihooks.schur import two_column
 
 
@@ -22,6 +22,22 @@ def test_signature_examples():
         [(1, 5, 1), (1, 5, 2)]
 
 
+def test_reduced_signature_shape_and_idempotence():
+    for e in (2, 3, 4):
+        for n in range(0, 8):
+            for bp in bipartitions(n):
+                for i in range(e):
+                    red = reduced_signature(bp, i, e)
+                    assert "+-" not in signs(red)
+                    stack = []
+                    for s, node in red:
+                        if s == "-" and stack and stack[-1][0] == "+":
+                            stack.pop()
+                        else:
+                            stack.append((s, node))
+                    assert stack == red
+
+
 def test_good_cogood_examples():
     assert cogood_node(EMPTY_BP, 0, 2) == (1, 1, 1)
     assert good_node(((1,), (1,)), 0, 3) == (1, 1, 2)
@@ -35,6 +51,17 @@ def test_crystal_operator_examples():
     assert e_tilde(((5,), (5,)), 0, 4) == ((5,), (4,))
 
 
+def test_f_tilde_e_tilde_inverse():
+    for e in (2, 3):
+        for n in range(0, 8):
+            for bp in bipartitions(n):
+                for i in range(e):
+                    up = f_tilde(bp, i, e)
+                    if up is not None:
+                        assert size(up) == n + 1
+                        assert e_tilde(up, i, e) == bp
+
+
 def test_regularity_examples():
     assert is_regular(EMPTY_BP, 2)
     assert is_regular(((36,), ()), 3)
@@ -44,11 +71,13 @@ def test_regularity_examples():
 
 
 def test_regularity_against_reachability_oracle():
-    # the crystal suite tests the backtracking peel against the cogood
-    # closure shape by shape; the closure stays inside the shapes of n
+    # the backtracking peel against the cogood closure, shape by shape
     for e in (2, 3, 4, 5):
         for n in range(0, 11):
-            assert regular_bipartitions(n, e) <= set(bipartitions(n))
+            regular = regular_bipartitions(n, e)
+            assert regular <= set(bipartitions(n))
+            for bp in bipartitions(n):
+                assert is_regular(bp, e) == (bp in regular)
     assert regular_bipartitions(-1, 2) == frozenset()
     with pytest.raises(ValueError):
         regular_bipartitions(3, 1)
@@ -59,6 +88,18 @@ def test_mullineux_examples():
     assert mullineux(((15,), ()), 3) == ((8, 7), ())
     with pytest.raises(ValueError):
         mullineux(((), (1,)), 2)
+
+
+def test_mullineux_involution():
+    for e in (2, 3, 4):
+        for n in range(0, 9):
+            for bp in bipartitions(n):
+                if not is_regular(bp, e):
+                    continue
+                img = mullineux(bp, e)
+                assert size(img) == n
+                assert is_regular(img, e)
+                assert mullineux(img, e) == bp
 
 
 def test_braces_examples():
@@ -80,6 +121,15 @@ def test_scrt_examples():
         scrt((3, 1), 2)
 
 
+def test_scrt_regular_of_right_size():
+    for e in (2, 3, 4):
+        for n in range(1, 8):
+            for m in range(n // 2 + 1):
+                lab = scrt(two_column(m, n), e)
+                assert size(lab) == n * e
+                assert is_regular(lab, e)
+
+
 def test_induction_recipe():
     assert induction_recipe(0, 0, 4) == []
     assert induction_recipe(2, 1, 4) == [(0, 2), (1, 2), (3, 2)]
@@ -99,6 +149,24 @@ def test_induce_worked_cases():
     assert induce(((4,), (4,)), 2, 3, 4) == ((6, 1, 1, 1), (6, 1, 1, 1))
     assert induce(((4, 1), (3,)), 2, 3, 4) == ((6, 3, 1, 1), (4, 1, 1, 1))
     assert induce(((3,), (3,)), 0, 0, 3) == ((3,), (3,))
+
+
+def test_induce_closed_forms():
+    for e in (2, 3, 4):
+        pairs = [(a, b) for a in range(e + 1) for b in range(e)
+                 if (a == 0 and b == 0) or (a > 0 and a + b != e)]
+        for a, b in pairs:
+            for k in range(1, 4):
+                for j in range(1, k + 1):
+                    got = induce(((k * e,), (j * e,)), a, b, e)
+                    want = as_bipartition(
+                        ((k * e + a,) + (1,) * b, (j * e + a,) + (1,) * b))
+                    assert got == want
+                    got = induce(((1,) * (j * e), (1,) * (k * e)), a, b, e,
+                                 negate=True)
+                    want = as_bipartition(((b + 1,) + (1,) * (j * e + a - 1),
+                                           (b + 1,) + (1,) * (k * e + a - 1)))
+                    assert got == want
 
 
 def test_mullineux_is_braces_on_column_labels():

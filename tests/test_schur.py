@@ -30,6 +30,16 @@ def test_simultaneous_irreducibility_examples():
     assert simultaneous_irreducibility(8, 2, 0)
 
 
+def test_simultaneous_matches_conjunction():
+    for p in (2, 3, 5, 7, 11):
+        for n in range(2, 31):
+            for j in range(1, min(4, n // 2) + 1):
+                lhs = simultaneous_irreducibility(n, j, p)
+                rhs = all(weyl_is_irreducible(two_column(r, n), p)
+                          for r in range(j + 1))
+                assert lhs == rhs
+
+
 def test_decomp_number_examples():
     assert decomp_number(3, 3, 10, 7) == 1
     assert decomp_number(2, 0, 10, 3) == 1
@@ -37,6 +47,15 @@ def test_decomp_number_examples():
     assert decomp_number(1, 2, 10, 3) == 0
     assert decomp_number(2, 2, 9, 0) == 1
     assert decomp_number(3, 1, 9, 0) == 0
+
+
+def test_decomp_number_unitriangular():
+    for p in (2, 3, 5):
+        for n in range(1, 21):
+            for m in range(n // 2 + 1):
+                assert decomp_number(m, m, n, p) == 1
+                for j in range(m + 1, n // 2 + 1):
+                    assert decomp_number(m, j, n, p) == 0
 
 
 def test_pieri_factors():
@@ -70,6 +89,13 @@ def test_num_summands_examples():
     assert num_summands(7, 3, 3) == 2
 
 
+def test_char2_decomposability_criterion():
+    for j in range(1, 9):
+        ell = j.bit_length()
+        for k in range(j, 41):
+            assert (num_summands(k, j, 2) > 1) == bool((k - j) % (1 << ell))
+
+
 def test_composition_multiset_worked_case():
     counts = composition_multiset(7, 3, 3)
     assert counts == {
@@ -92,6 +118,30 @@ def test_kostka():
     assert kostka_two_column((2, 2), (1, 1, 1, 1)) == 2
     with pytest.raises(ValueError):
         kostka_two_column((3, 1), (2, 2))
+
+
+def test_kostka_column_sums_match_weight_dims():
+    def compositions(n):
+        out = []
+        for cuts in range(2 ** (n - 1)):
+            parts, cur = [], 1
+            for b in range(n - 1):
+                if cuts >> b & 1:
+                    parts.append(cur)
+                    cur = 1
+                else:
+                    cur += 1
+            parts.append(cur)
+            out.append(tuple(parts))
+        return out
+
+    for total in range(2, 7):
+        for j in range(1, total // 2 + 1):
+            k = total - j
+            for mu in compositions(total):
+                lhs = sum(kostka_two_column(two_column(r, total), mu)
+                          for r in range(j + 1))
+                assert lhs == exterior_weight_dim(j, k, mu)
 
 
 def test_exterior_weight_dim():

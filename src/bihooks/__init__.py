@@ -1,7 +1,7 @@
 """Exact combinatorics of graded Specht modules indexed by bihooks.
 
 Submodules: ``partitions`` (bipartitions, diagrams, residues, dominance),
-``tableaux`` (standard tableaux, degree statistics, graded dimensions),
+``tableaux`` (standard tableaux, the codegree, graded dimensions),
 ``crystal`` (signatures, regularity, Mullineux and induction label maps),
 ``laurent``/``padic`` (exact coefficient arithmetic), ``schur``
 (two-column Weyl-module facts), ``fock`` (canonical-basis matrices),

@@ -8,21 +8,14 @@ Induction action.  Divided powers act in one step: for m >= 1,
 
 where S runs over the m-subsets of the addable i-nodes of lam and N(S)
 sums, over each node A of S, the addable i-nodes of lam outside S minus
-the removable i-nodes of lam lying strictly below A (convention
-``"below"``) or strictly above it (convention ``"above"``).  The case
-m = 1 is the single step f_i.  Every pair of nodes of S has one node on
-the convention side of the other, so N(S) is the sum of the per-node
-counts over all addable nodes, less m(m-1)/2.  The route this replaces,
-f_i applied m times followed by exact division by the quantum factorial
-[m]!, is kept in the test-suite as the oracle for this formula.
-
-The solver runs on the ``"above"`` convention only.  Validation picked
-it: with ``"above"`` the first approximations are unitriangular against
-dominance with diagonal coefficient exactly 1 and the eliminated columns
-land in q.Z[q], both of which are asserted at runtime; ``"below"``
-produces the bar-flipped matrix, and its first approximation fails those
-assertions already at one box.  The convention is recorded on the matrix
-and in the cache key.
+the removable i-nodes of lam, both lying strictly above A.  The case
+m = 1 is the single step f_i.  Every pair of nodes of S has one node
+above the other, so N(S) is the sum of the per-node counts over all
+addable nodes, less m(m-1)/2.  The route this replaces, f_i applied m
+times followed by exact division by the quantum factorial [m]!, is kept
+in the test-suite as the oracle for this formula.  Nodes are counted
+above only: counting below gives the bar-flipped matrix, whose first
+approximation already fails the unit-diagonal assertion at one box.
 
 Regular columns.  The columns are the regular bipartitions of n, taken
 from ``crystal.regular_bipartitions``: the closure of the empty
@@ -80,7 +73,7 @@ from dataclasses import dataclass, field
 from operator import countOf
 
 from .crystal import regular_bipartitions, signature
-from .laurent import LaurentPoly, ONE, ZERO
+from .laurent import LaurentPoly, ONE
 from .partitions import (
     Bipartition, EMPTY_BP, Node, add_node, check_e, dominance_keys,
     format_bipartition, key_dominates, node_position, parse_bipartition,
@@ -90,7 +83,7 @@ from .partitions import (
 from .partitions import dominance_key  # noqa: F401
 from .tableaux import graded_dimension
 
-BELOW = "below"
+# the grading side, written on every matrix and cache file
 ABOVE = "above"
 
 FockVector = dict[Bipartition, LaurentPoly]
@@ -119,9 +112,8 @@ class _Shapes:
     the addable i-nodes in lexicographic order of S, which ``build``
     computes."""
 
-    def __init__(self, e: int, above: bool, first=()):
+    def __init__(self, e: int, first=()):
         self.e = e
-        self.above = above
         self.shapes: list[Bipartition] = list(first)
         self.ids: dict[Bipartition, int] = {
             bp: k for k, bp in enumerate(self.shapes)}
@@ -154,15 +146,10 @@ class _Shapes:
     def build(self, sid: int, i: int, m: int) -> tuple:
         adds, rems = residue_nodes(self.shapes[sid], i, self.e)
         rems = [node_position(r) for r in rems]
-        # per addable node: addable minus removable i-nodes on the convention
-        # side; both lists run top to bottom, and no two i-nodes share a row
-        counts = []
-        for k, a in enumerate(adds):
-            rems_above = bisect_left(rems, node_position(a))
-            if self.above:
-                counts.append(k - rems_above)
-            else:
-                counts.append(len(adds) - 1 - k - (len(rems) - rems_above))
+        # per addable node: addable minus removable i-nodes above it; both
+        # lists run top to bottom, and no two i-nodes share a row
+        counts = [k - bisect_left(rems, node_position(a))
+                  for k, a in enumerate(adds)]
         # each m-subset S grows from S less its last node, so every subset
         # costs one child step; the subsets come in lexicographic order
         child = self._child
@@ -227,13 +214,12 @@ def _apply_divided(shapes: _Shapes, vec: RawVector, i: int, m: int) -> RawVector
     return {sid: terms for sid, terms in acc.items() if terms}
 
 
-def apply_f_divided(vec: FockVector, i: int, m: int, e: int,
-                    convention: str = BELOW) -> FockVector:
+def apply_f_divided(vec: FockVector, i: int, m: int, e: int) -> FockVector:
     """The divided power f_i^(m), extended linearly (module docstring)."""
     check_e(e)
     if m < 1:
         raise ValueError(f"divided power needs m >= 1, got {m}")
-    shapes = _Shapes(e, convention == ABOVE)
+    shapes = _Shapes(e)
     raw = {shapes.intern(bp): dict(coeff.iter_terms())
            for bp, coeff in vec.items()}
     out = _apply_divided(shapes, raw, i % e, m)
@@ -241,9 +227,9 @@ def apply_f_divided(vec: FockVector, i: int, m: int, e: int,
             for sid, terms in out.items()}
 
 
-def apply_f(vec: FockVector, i: int, e: int, convention: str = BELOW) -> FockVector:
+def apply_f(vec: FockVector, i: int, e: int) -> FockVector:
     """One induction step, extended linearly."""
-    return apply_f_divided(vec, i, 1, e, convention)
+    return apply_f_divided(vec, i, 1, e)
 
 
 def peel_runs(mu: Bipartition, e: int) -> tuple[tuple[int, int], ...]:
@@ -322,14 +308,13 @@ def _first_approximations(shapes: _Shapes, regs: list[int]):
         yield mu, stack[-1]
 
 
-def _check_first_approximation(mu: int, vec: RawVector, labels,
-                               convention: str):
+def _check_first_approximation(mu: int, vec: RawVector, labels):
     """Leading coefficient 1 and support strictly later in the refined
     order, which on the size-n ids is a larger id."""
     if vec.get(mu) != {0: 1}:
         raise RuntimeError(
             f"first approximation of {labels[mu]} has leading coefficient "
-            f"{LaurentPoly(vec.get(mu))}, convention={convention}")
+            f"{LaurentPoly(vec.get(mu))}")
     lam = min(vec)
     if lam < mu:
         raise RuntimeError(
@@ -337,17 +322,16 @@ def _check_first_approximation(mu: int, vec: RawVector, labels,
             f"{labels[lam]} not below it in the refined order")
 
 
-def first_approximation(mu: Bipartition, e: int,
-                        convention: str = ABOVE) -> FockVector:
+def first_approximation(mu: Bipartition, e: int) -> FockVector:
     """A(mu): the reversed peel runs applied as divided powers to |empty>.
 
     The coefficient of |mu> is exactly 1 and all other support labels
     come strictly later in the lexicographic refinement of dominance by
     partial-sum vectors (the labels need not all be dominated by mu; the
     eliminated columns are, which the solver asserts)."""
-    shapes = _Shapes(e, convention == ABOVE, dominance_keys(size(mu)))
+    shapes = _Shapes(e, dominance_keys(size(mu)))
     [(sid, vec)] = _first_approximations(shapes, [shapes.intern(mu)])
-    _check_first_approximation(sid, vec, shapes.shapes, convention)
+    _check_first_approximation(sid, vec, shapes.shapes)
     return {shapes.shapes[lam]: LaurentPoly._raw(terms)
             for lam, terms in vec.items()}
 
@@ -363,7 +347,6 @@ class DecompositionMatrix:
     not be mutated after that call."""
     n: int
     e: int
-    convention: str
     columns: dict[Bipartition, dict[Bipartition, LaurentPoly]]
     _row_index: dict | None = field(default=None, init=False, repr=False,
                                     compare=False)
@@ -375,9 +358,6 @@ class DecompositionMatrix:
     def rows(self) -> list[Bipartition]:
         """Every bipartition of n in decreasing dominance order."""
         return list(dominance_keys(self.n))
-
-    def entry(self, lam: Bipartition, mu: Bipartition) -> LaurentPoly:
-        return self.columns[mu].get(lam, ZERO)
 
     def row(self, lam: Bipartition) -> dict[Bipartition, LaurentPoly]:
         """The nonzero entries of row lam, as a new dict in column order."""
@@ -409,7 +389,7 @@ class DecompositionMatrix:
         return {
             "n": self.n,
             "e": self.e,
-            "convention": self.convention,
+            "convention": ABOVE,
             "columns": {
                 text_of[mu]: {
                     text_of[lam]: pairs_of[id(val)]
@@ -422,10 +402,12 @@ class DecompositionMatrix:
 
     @classmethod
     def from_obj(cls, obj) -> "DecompositionMatrix":
-        """The matrix of ``to_obj``; ``ValueError`` when a label does not
-        parse or is not a bipartition of n.  Equal entries share one
-        ``LaurentPoly``, and each label is the tuple ``dominance_keys(n)``
-        holds (module docstring, "Sharing")."""
+        """The matrix of ``to_obj``; ``ValueError`` when the convention is
+        not ``ABOVE`` or a label does not parse or is not a bipartition of
+        n.  Equal entries share one ``LaurentPoly``, and each label is the
+        tuple ``dominance_keys(n)`` holds (module docstring, "Sharing")."""
+        if obj["convention"] != ABOVE:
+            raise ValueError(f"convention {obj['convention']!r} is not {ABOVE!r}")
         n = int(obj["n"])
         # each distinct label text is parsed once
         labels: dict[str, Bipartition] = {}
@@ -462,8 +444,7 @@ class DecompositionMatrix:
             label(mu): {label(lam): value(pairs) for lam, pairs in col.items()}
             for mu, col in obj["columns"].items()
         }
-        return cls(n=n, e=int(obj["e"]), convention=obj["convention"],
-                   columns=columns)
+        return cls(n=n, e=int(obj["e"]), columns=columns)
 
 
 def default_cache_dir() -> str:
@@ -498,7 +479,7 @@ def canonical_basis(n: int, e: int, cache_dir: str | None = None,
     matrix = _MEMORY.get(path) if use_cache else None
     rewrite = False
     if matrix is None and path is not None:
-        matrix = _load_cached(path, (n, e, ABOVE))
+        matrix = _load_cached(path, n, e)
         rewrite = matrix is None
     if matrix is None:
         matrix = _compute_canonical_basis(n, e)
@@ -514,22 +495,21 @@ def canonical_basis(n: int, e: int, cache_dir: str | None = None,
     return matrix
 
 
-def _load_cached(path: str, key) -> DecompositionMatrix | None:
+def _load_cached(path: str, n: int, e: int) -> DecompositionMatrix | None:
     """The matrix stored at path, or None when the file is missing, fails
-    to decode (bad JSON, a missing field, a malformed label or entry, a
-    non-finite number, a label that is not a bipartition of n), holds
-    another (n, e, convention) than key, has other columns than the
-    regular bipartitions of n, or has a column whose diagonal entry is
-    not exactly 1 or an off-diagonal entry outside q.N[q] (q.Z[q] with
-    nonnegative coefficients)."""
+    to decode (bad JSON, a missing field, another convention than
+    ``ABOVE``, a malformed label or entry, a non-finite number, a label
+    that is not a bipartition of n), holds another (n, e), has other
+    columns than the regular bipartitions of n, or has a column whose
+    diagonal entry is not exactly 1 or an off-diagonal entry outside
+    q.N[q] (q.Z[q] with nonnegative coefficients)."""
     try:
         with open(path) as fh:
             loaded = DecompositionMatrix.from_obj(json.load(fh))
     except (FileNotFoundError, ValueError, KeyError, TypeError, AttributeError,
             OverflowError):
         return None
-    n, e, _ = key
-    if ((loaded.n, loaded.e, loaded.convention) != key
+    if ((loaded.n, loaded.e) != (n, e)
             or loaded.columns.keys() != regular_bipartitions(n, e)):
         return None
     # from_obj shares one object per distinct value, so the entries equal
@@ -551,7 +531,7 @@ def _compute_canonical_basis(n: int, e: int) -> DecompositionMatrix:
     keys = list(key_of.values())
     # the bipartitions of n take ids 0, 1, ... in decreasing key order, so
     # labels[:len(keys)] are the key table's own tuples
-    shapes = _Shapes(e, True, key_of)
+    shapes = _Shapes(e, key_of)
     labels = shapes.shapes
     regular = regular_bipartitions(n, e)
     regs = [sid for sid, bp in enumerate(key_of) if bp in regular]
@@ -569,7 +549,7 @@ def _compute_canonical_basis(n: int, e: int) -> DecompositionMatrix:
         # columns wait in held
         while mu not in held:
             nu, vec = next(approx)
-            _check_first_approximation(nu, vec, labels, ABOVE)
+            _check_first_approximation(nu, vec, labels)
             held[nu] = vec
         vec = held.pop(mu)
         # clear every already-computed column, most dominant first; the
@@ -598,9 +578,8 @@ def _compute_canonical_basis(n: int, e: int) -> DecompositionMatrix:
                 if not slot:
                     del vec[bp]
         if vec.get(mu) != {0: 1}:
-            raise RuntimeError(
-                f"column {labels[mu]}: diagonal is {LaurentPoly(vec.get(mu))}, "
-                f"expected 1 (convention {ABOVE})")
+            raise RuntimeError(f"column {labels[mu]}: diagonal is "
+                               f"{LaurentPoly(vec.get(mu))}, expected 1")
         kmu = keys[mu]
         col: dict[Bipartition, LaurentPoly] = {}
         raw_col: RawVector = {}
@@ -628,7 +607,7 @@ def _compute_canonical_basis(n: int, e: int) -> DecompositionMatrix:
             raw_col[bp] = val._c
         raw[mu] = raw_col
         columns[labels[mu]] = col
-    return DecompositionMatrix(n=n, e=e, convention=ABOVE, columns=columns)
+    return DecompositionMatrix(n=n, e=e, columns=columns)
 
 
 def simple_graded_dims_from(matrix: DecompositionMatrix) -> dict[Bipartition, LaurentPoly]:
@@ -649,9 +628,3 @@ def simple_graded_dims_from(matrix: DecompositionMatrix) -> dict[Bipartition, La
                 "q-convention fault")
         out[mu] = val
     return out
-
-
-def simple_graded_dims(n: int, e: int, cache_dir: str | None = None,
-                       use_cache: bool = True) -> dict[Bipartition, LaurentPoly]:
-    return simple_graded_dims_from(
-        canonical_basis(n, e, cache_dir=cache_dir, use_cache=use_cache))

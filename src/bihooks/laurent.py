@@ -47,9 +47,6 @@ class LaurentPoly:
         """Unsorted (exponent, coefficient) pairs; cheap inner-loop access."""
         return self._c.items()
 
-    def support(self):
-        return sorted(self._c)
-
     def __bool__(self):
         return bool(self._c)
 

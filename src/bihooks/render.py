@@ -10,7 +10,7 @@ import csv
 import io
 import json
 
-from .fock import DecompositionMatrix
+from .fock import ABOVE, DecompositionMatrix
 from .partitions import format_bipartition, is_bihook, parse_bipartition
 from .structure import (
     Diagram, ModuleStructure, Semisimple, SimpleLabel, Uniserial, Verdict,
@@ -156,7 +156,7 @@ def matrix_json_obj(matrix: DecompositionMatrix, rows: str = "all") -> dict:
     return {
         "e": matrix.e,
         "n": matrix.n,
-        "convention": matrix.convention,
+        "convention": ABOVE,
         "entries": [
             [lam, mu, val.to_pairs()]
             for lam, entries in _matrix_rows(matrix, rows)
@@ -174,5 +174,5 @@ def matrix_json(matrix: DecompositionMatrix, rows: str = "all") -> str:
             matrix, rows, lambda bp: json.dumps(format_bipartition(bp)),
             lambda val: json.dumps(val.to_pairs())))
     head = json.dumps({"e": matrix.e, "n": matrix.n,
-                       "convention": matrix.convention})
+                       "convention": ABOVE})
     return f'{head[:-1]}, "entries": [{entries}]}}'

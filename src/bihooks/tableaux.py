@@ -5,16 +5,14 @@ Standard means entries increase along rows and down columns within each
 component.  The *column-initial* tableau fills 1..n down consecutive
 columns, left to right, component 2 first.
 
-The degree counts addable-minus-removable same-residue nodes strictly
-*below* the node being peeled, the codegree counts strictly *above*;
-both peel the largest entry first with value 0 on the empty tableau.
-The two statistics are never interchanged: the codegree is the one that
-grades the basis indexed by standard tableaux here.
+The grading statistic is the codegree: peel the largest entry first,
+counting addable minus removable same-residue nodes strictly *above*
+the node being peeled, with value 0 on the empty tableau.
 
 Every production route reads node degrees from a per-shape peel table,
 ``peel_degrees``, built in one pass over the shape's addable and
-removable nodes.  The statistics and the word recursion share one cached
-table per (shape, e, side) across all tableaux and words;
+removable nodes.  The codegree and the word recursion share one cached
+table per (shape, e) across all tableaux and words;
 ``graded_dimension``, memoised per shape already, builds it uncached.
 ``node_degree`` computes one node's degree from its definition and is the
 reference route the tests check the table against.
@@ -40,10 +38,6 @@ class Tableau:
     @property
     def n(self) -> int:
         return size(self.shape)
-
-    def entry(self, node: Node) -> int:
-        r, c, m = node
-        return self.rows[m - 1][r - 1][c - 1]
 
     def node_map(self) -> dict[int, Node]:
         """entry -> node."""
@@ -176,29 +170,19 @@ def residue_sequence(t: Tableau, e: int,
     return tuple(residue(node_of[r], e) for r in range(1, t.n + 1))
 
 
-def node_degree(shape: Bipartition, node: Node, e: int, above: bool) -> int:
+def node_degree(shape: Bipartition, node: Node, e: int) -> int:
     """Addable minus removable nodes of the residue of ``node`` strictly
-    above (or below) it in ``shape``; ``node`` itself lies in ``shape``."""
+    above it in ``shape``; ``node`` itself lies in ``shape``."""
     i = residue(node, e)
     pos = node_position(node)
-    total = 0
-    for a in addable_nodes(shape, i, e):
-        p = node_position(a)
-        if p != pos and (p < pos) == above:
-            total += 1
-    for a in removable_nodes(shape, i, e):
-        p = node_position(a)
-        if p != pos and (p < pos) == above:
-            total -= 1
-    return total
+    return (sum(node_position(a) < pos for a in addable_nodes(shape, i, e))
+            - sum(node_position(a) < pos for a in removable_nodes(shape, i, e)))
 
 
-def peel_degrees(shape: Bipartition, e: int,
-                 above: bool) -> dict[Node, tuple[Bipartition, int]]:
+def peel_degrees(shape: Bipartition, e: int) -> dict[Node, tuple[Bipartition, int]]:
     """removable node -> (shape without it, its degree), in top-to-bottom
-    order; the degree is ``node_degree(shape, node, e, above)``, with every
-    node counted from one listing of the shape's addable and removable
-    nodes."""
+    order; the degree is ``node_degree(shape, node, e)``, with every node
+    counted from one listing of the shape's addable and removable nodes."""
     check_e(e)
     signed = [((c - r) % e, (m, r), 1) for r, c, m in addable_nodes(shape)]
     removable = removable_nodes(shape)
@@ -208,17 +192,18 @@ def peel_degrees(shape: Bipartition, e: int,
         r, c, m = node
         i, pos = (c - r) % e, (m, r)
         table[node] = (remove_node(shape, node),
-                       sum(sign for j, p, sign in signed
-                           if j == i and p != pos and (p < pos) == above))
+                       sum(sign for j, p, sign in signed if j == i and p < pos))
     return table
 
 
-# one table per (shape, e, above), shared by every tableau and word bucket
+# one table per (shape, e), shared by every tableau and word bucket
 _peel_table = lru_cache(maxsize=None)(peel_degrees)
 
 
-def _statistic(t: Tableau, e: int, above: bool,
-               node_of: dict[int, Node] | None = None) -> int:
+def codegree(t: Tableau, e: int, node_of: dict[int, Node] | None = None) -> int:
+    """The codegree of t (module docstring), read from the peel tables.
+    ``node_of``, when given, is ``t.node_map()``, so that a caller that
+    also reads ``residue_sequence`` builds the map once."""
     check_e(e)
     if not is_standard(t):
         raise ValueError(f"tableau is not standard: {t}")
@@ -227,19 +212,9 @@ def _statistic(t: Tableau, e: int, above: bool,
     shape = t.shape
     total = 0
     for r in range(t.n, 0, -1):
-        shape, d = _peel_table(shape, e, above)[node_of[r]]
+        shape, d = _peel_table(shape, e)[node_of[r]]
         total += d
     return total
-
-
-def degree(t: Tableau, e: int) -> int:
-    return _statistic(t, e, above=False)
-
-
-def codegree(t: Tableau, e: int, node_of: dict[int, Node] | None = None) -> int:
-    """``node_of``, when given, is ``t.node_map()``, so that a caller that
-    also reads ``residue_sequence`` builds the map once."""
-    return _statistic(t, e, above=True, node_of=node_of)
 
 
 @lru_cache(maxsize=None)
@@ -251,7 +226,7 @@ def graded_dimension(shape: Bipartition, e: int) -> LaurentPoly:
         return ONE
     total = ZERO
     # uncached: this function is memoised per shape already
-    for sub, d in peel_degrees(shape, e, above=True).values():
+    for sub, d in peel_degrees(shape, e).values():
         total = total + graded_dimension(sub, e).shift(d)
     return total
 
@@ -282,7 +257,7 @@ def word_graded_dimension(shape: Bipartition, word, e: int) -> LaurentPoly:
             return memo[sub]
         target = word[size(sub) - 1]
         total = ZERO
-        for (r, c, _), (smaller, d) in _peel_table(sub, e, True).items():
+        for (r, c, _), (smaller, d) in _peel_table(sub, e).items():
             if (c - r) % e == target:
                 total = total + rec(smaller).shift(d)
         memo[sub] = total

@@ -142,7 +142,10 @@ def crystal_suite(max_n: int = 10, es=(2, 3, 4)) -> SuiteReport:
                 if not crystal.is_regular(bp, e):
                     continue
                 img = crystal.mullineux(bp, e)
-                rep.check(size(img) == n and crystal.is_regular(img, e),
+                # the image's residue content is bp's under i -> -i mod e
+                rep.check(size(img) == n and crystal.is_regular(img, e)
+                          and Counter(-residue(x, e) % e for x in all_nodes(img))
+                          == Counter(residue(x, e) for x in all_nodes(bp)),
                           f"mullineux image {format_bipartition(bp)} e={e}")
                 rep.check(crystal.mullineux(img, e) == bp,
                           f"mullineux involution {format_bipartition(bp)} e={e}")
@@ -310,20 +313,18 @@ def _concentration(rep: SuiteReport, matrix, lam, labels: set, power: int,
 
 
 def llt_suite(es=(2, 3), max_kj: int = 5, max_n: int = 12,
-              cache_dir=None, use_cache=True) -> SuiteReport:
+              cache_dir=None) -> SuiteReport:
     rep = SuiteReport("llt")
     for e in es:
         # window, triangularity and balance across whole levels (every
         # box count, capped lower for e > 3)
         sweep = min(max_n, 10) if e >= 4 else max_n
         for n in range(sweep + 1):
-            matrix = fock.canonical_basis(n, e, cache_dir=cache_dir,
-                                          use_cache=use_cache)
+            matrix = fock.canonical_basis(n, e, cache_dir=cache_dir)
             _llt_matrix_checks(rep, matrix, e, n)
         for total in range(2, max_kj + 1):
             n = total * e
-            matrix = fock.canonical_basis(n, e, cache_dir=cache_dir,
-                                          use_cache=use_cache)
+            matrix = fock.canonical_basis(n, e, cache_dir=cache_dir)
             if n > sweep:
                 _llt_matrix_checks(rep, matrix, e, n)
             families = [(total - j, j) for j in range(1, total // 2 + 1)]
@@ -353,12 +354,11 @@ def llt_suite(es=(2, 3), max_kj: int = 5, max_n: int = 12,
                     n = total * e + 2 * (a + b)
                     if n > max_n + 4:
                         continue
-                    matrix = fock.canonical_basis(n, e, cache_dir=cache_dir,
-                                                  use_cache=use_cache)
+                    matrix = fock.canonical_basis(n, e, cache_dir=cache_dir)
                     base = ((k * e,), (j * e,))
                     vec = {base: LaurentPoly.q_power(0)}
                     for i, mult in crystal.induction_recipe(a, b, e):
-                        vec = fock.apply_f_divided(vec, i, mult, e, fock.ABOVE)
+                        vec = fock.apply_f_divided(vec, i, mult, e)
                     induced = crystal.induce(base, a, b, e)
                     tag = f"e={e} k={k} j={j} a={a} b={b}"
                     rep.check(vec == {induced: LaurentPoly.q_power(0)},

@@ -1,3 +1,4 @@
+import importlib
 import os
 import subprocess
 import sys
@@ -11,3 +12,14 @@ def test_benchmark_selftest_passes():
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stdout[-3000:] + proc.stderr[-3000:]
     assert "self-tests passed" in proc.stdout
+
+
+def test_every_traced_span_resolves(monkeypatch):
+    # a renamed traced function would silently read 0 in its per-layer
+    # metrics; the tracer's own lookup must find every span
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    monkeypatch.syspath_prepend(os.path.join(root, "benchmarks"))
+    tracer = importlib.import_module("tracer")
+    for name, module, path in tracer.SPANS:
+        importlib.import_module(module)
+        assert tracer._lookup(module, path) is not None, name

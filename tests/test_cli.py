@@ -309,10 +309,11 @@ def test_llt_recomputes_over_undecodable_cache(tmp_path, capsys, monkeypatch,
     _edit_columns(lambda cols: cols.pop("3|1")),
     # 2|2 is not regular at e = 2; its column passes every entry check
     _edit_columns(lambda cols: cols.update({"2|2": {"2|2": [[0, 1]]}})),
+    _replace_once(b'"convention": "above"', b'"convention": "below"'),
 ], ids=["diagonal-7", "diagonal-not-monomial", "entry-at-q0",
         "entry-at-negative-degree", "label-of-wrong-size",
         "negative-coefficient", "no-columns", "dropped-column",
-        "extra-column"])
+        "extra-column", "below-convention"])
 def test_llt_recomputes_over_invalid_cache(tmp_path, capsys, monkeypatch,
                                            corrupt):
     # decodable, but breaking an invariant the solver asserts

@@ -6,9 +6,8 @@ import pytest
 
 from bihooks import fock
 from bihooks.fock import (
-    ABOVE, BELOW, DecompositionMatrix, apply_f, apply_f_divided,
-    canonical_basis, first_approximation, peel_runs, simple_graded_dims,
-    simple_graded_dims_from,
+    DecompositionMatrix, apply_f, apply_f_divided, canonical_basis,
+    first_approximation, peel_runs, simple_graded_dims_from,
 )
 from bihooks.laurent import LaurentPoly, ONE, ZERO, quantum_factorial
 from bihooks.partitions import (
@@ -21,34 +20,29 @@ from bihooks.tableaux import graded_dimension, node_degree
 Q = LaurentPoly.q_power
 
 
-def _f_oracle(vec, i, e, above):
+def _f_oracle(vec, i, e):
     """One induction step, graded by the statistic of the grown diagram."""
     out = {}
     for bp, coeff in vec.items():
         for node in addable_nodes(bp, i, e):
             grown = add_node(bp, node)
-            d = node_degree(grown, node, e, above)
+            d = node_degree(grown, node, e)
             out[grown] = out.get(grown, ZERO) + coeff.shift(d)
     return {bp: c for bp, c in out.items() if c}
 
 
-def _divided_oracle(vec, i, m, e, above):
+def _divided_oracle(vec, i, m, e):
     """f_i applied m times, then exact division by [m]!."""
     for _ in range(m):
-        vec = _f_oracle(vec, i, e, above)
+        vec = _f_oracle(vec, i, e)
     qfact = quantum_factorial(m)
     return {bp: c.exact_div(qfact) for bp, c in vec.items()}
 
 
-def test_apply_f_below_convention():
-    v = apply_f({EMPTY_BP: ONE}, 0, 2)
-    assert v == {((1,), ()): Q(1), ((), (1,)): ONE}
-    assert apply_f({}, 0, 2) == {}
-
-
 def test_apply_f_above_convention():
-    v = apply_f({EMPTY_BP: ONE}, 0, 2, convention=ABOVE)
+    v = apply_f({EMPTY_BP: ONE}, 0, 2)
     assert v == {((1,), ()): ONE, ((), (1,)): Q(1)}
+    assert apply_f({}, 0, 2) == {}
 
 
 def test_apply_f_mass_counts_addable_nodes():
@@ -57,16 +51,14 @@ def test_apply_f_mass_counts_addable_nodes():
         for n in range(0, 6):
             for bp in bipartitions(n):
                 for i in range(e):
-                    for conv in (ABOVE, BELOW):
-                        out = apply_f({bp: ONE}, i, e, conv)
-                        mass = sum(val.at_one() for val in out.values())
-                        assert mass == len(addable_nodes(bp, i, e))
+                    out = apply_f({bp: ONE}, i, e)
+                    mass = sum(val.at_one() for val in out.values())
+                    assert mass == len(addable_nodes(bp, i, e))
 
 
 def test_divided_power():
-    for conv in (ABOVE, BELOW):
-        v = apply_f_divided({EMPTY_BP: ONE}, 0, 2, 2, convention=conv)
-        assert v == {((1,), (1,)): ONE}
+    v = apply_f_divided({EMPTY_BP: ONE}, 0, 2, 2)
+    assert v == {((1,), (1,)): ONE}
     with pytest.raises(ValueError):
         apply_f_divided({EMPTY_BP: ONE}, 0, 0, 2)
 
@@ -77,19 +69,15 @@ def test_divided_power_matches_oracle():
             for bp in bipartitions(n):
                 for i in range(e):
                     for m in (1, 2, 3):
-                        for conv in (ABOVE, BELOW):
-                            want = _divided_oracle({bp: ONE}, i, m, e,
-                                                   conv == ABOVE)
-                            got = apply_f_divided({bp: ONE}, i, m, e, conv)
-                            assert got == want, (bp, i, m, e, conv)
+                        want = _divided_oracle({bp: ONE}, i, m, e)
+                        got = apply_f_divided({bp: ONE}, i, m, e)
+                        assert got == want, (bp, i, m, e)
 
 
 def test_divided_power_is_linear():
     vec = {((2,), (1,)): Q(-1, 3), ((1, 1), (1,)): Q(2) + ONE}
-    for conv in (ABOVE, BELOW):
-        assert (apply_f_divided(vec, 1, 2, 3, conv)
-                == _divided_oracle(vec, 1, 2, 3, conv == ABOVE))
-        assert apply_f(vec, 4, 3, conv) == _f_oracle(vec, 1, 3, conv == ABOVE)
+    assert apply_f_divided(vec, 1, 2, 3) == _divided_oracle(vec, 1, 2, 3)
+    assert apply_f(vec, 4, 3) == _f_oracle(vec, 1, 3)
 
 
 def test_peel_runs_examples():
@@ -126,7 +114,7 @@ def test_first_approximation_unitriangular():
 def _solver_regs(n, e):
     """A per-solve shape table seeded as the solver seeds it, and the ids
     of the regular bipartitions of n in decreasing dominance."""
-    shapes = fock._Shapes(e, True, dominance_keys(n))
+    shapes = fock._Shapes(e, dominance_keys(n))
     regs = [sid for sid, mu in enumerate(shapes.shapes) if is_regular(mu, e)]
     return shapes, regs
 
@@ -162,12 +150,10 @@ def test_shared_prefix_pass_applies_each_prefix_once(monkeypatch):
     assert len(applied) == len(prefixes)
 
 
-@pytest.mark.parametrize("conv", [ABOVE, BELOW])
-def test_transition_table_matches_oracle(conv):
+def test_transition_table_matches_oracle():
     # one table per e holds every shape met, across sizes, as a solve's does
-    above = conv == ABOVE
     for e in (2, 3, 4):
-        shapes = fock._Shapes(e, above)
+        shapes = fock._Shapes(e)
         for n in range(0, 9):
             for bp in bipartitions(n):
                 sid = shapes.intern(bp)
@@ -179,8 +165,8 @@ def test_transition_table_matches_oracle(conv):
                         got = {shapes.shapes[tid]: Q(d)
                                for tid, d in zip(targets[::2], targets[1::2])}
                         assert 2 * len(got) == len(targets)
-                        want = _divided_oracle({bp: ONE}, i, m, e, above)
-                        assert got == want, (bp, i, m, e, conv)
+                        want = _divided_oracle({bp: ONE}, i, m, e)
+                        assert got == want, (bp, i, m, e)
                         assert {shapes.shapes[tid]: LaurentPoly(terms)
                                 for tid, terms in applied.items()} == want
         assert all(shapes.ids[bp] == sid
@@ -196,7 +182,7 @@ def test_solver_keeps_no_cache_across_solves():
            and hasattr(val, "cache_info")]
     assert own == ["_f_targets"]
     fock._f_targets.cache_clear()
-    shapes = fock._Shapes(2, True)
+    shapes = fock._Shapes(2)
     fock._apply_divided(shapes, {shapes.intern(EMPTY_BP): {0: 1}}, 0, 1)
     assert fock._f_targets.cache_info() == (0, 1, None, 1)
     del shapes
@@ -211,13 +197,6 @@ def test_solver_keeps_no_cache_across_solves():
 def test_first_approximation_one_box():
     vec = first_approximation(((1,), ()), 2)
     assert vec == {((1,), ()): ONE, ((), (1,)): Q(1)}
-
-
-def test_below_convention_fails_validation():
-    # the below convention builds the bar-flipped matrix; the first
-    # approximation's assertions reject it already at one box
-    with pytest.raises(RuntimeError, match="leading coefficient q"):
-        first_approximation(((1,), ()), 2, convention=BELOW)
 
 
 def test_canonical_basis_small():
@@ -278,11 +257,12 @@ def test_cache_round_trip(tmp_path):
     obj = m1.to_obj()
     m3 = DecompositionMatrix.from_obj(obj)
     assert m3.columns == m1.columns
-    assert (m3.n, m3.e, m3.convention) == (m1.n, m1.e, m1.convention)
+    assert (m3.n, m3.e) == (m1.n, m1.e)
     # the cached file is actually used
     files = list(tmp_path.iterdir())
     assert len(files) == 1
-    assert simple_graded_dims(4, 2, cache_dir=str(tmp_path))
+    assert simple_graded_dims_from(
+        canonical_basis(4, 2, cache_dir=str(tmp_path)))
 
 
 def _scan_row(matrix, lam):

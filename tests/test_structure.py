@@ -9,7 +9,6 @@ from bihooks.structure import (
     almost_ss_structure, braces_transpose_label, composition_labels,
     decomposability, predict, semisimple_decomposition,
     semisimplicity_criterion, structure_j1, structure_j2,
-    translate_two_column,
 )
 
 
@@ -95,18 +94,6 @@ def test_almost_ss_exceptional_branch():
     # j = p = 3, k = 8: 9 divides k+1, generic shape applies
     struct = almost_ss_structure(8, 3, 3)
     assert struct.num_summands() == 2 == num_summands(8, 3, 3)
-
-
-def test_almost_ss_matches_j2():
-    for e in (2, 3):
-        for p in (2, 3, 5, 7):
-            for k in range(2, 21):
-                if almost_ss_residue(k, 2, p) is None:
-                    continue
-                a = translate_two_column(almost_ss_structure(k, 2, p), e, 2)
-                b = structure_j2(k, e, p)
-                assert sorted(map(repr, a.summands)) == \
-                    sorted(map(repr, b.summands)), (e, p, k)
 
 
 def test_predict_worked_examples():

@@ -3,8 +3,8 @@ import pytest
 from bihooks.laurent import LaurentPoly, ONE
 from bihooks.partitions import bipartitions, remove_node, removable_nodes
 from bihooks.tableaux import (
-    Tableau, codegree, column_initial_tableau, count_standard, degree,
-    gg_word, graded_dimension, graded_dimension_by_enumeration, is_standard,
+    Tableau, codegree, column_initial_tableau, count_standard, gg_word,
+    graded_dimension, graded_dimension_by_enumeration, is_standard,
     node_degree, peel_degrees, residue_sequence, standard_tableaux,
     word_graded_dimension,
 )
@@ -57,7 +57,7 @@ def test_residue_sequences():
 
 def test_degree_codegree_base_cases():
     empty = column_initial_tableau(((), ()))
-    assert degree(empty, 3) == 0 and codegree(empty, 3) == 0
+    assert codegree(empty, 3) == 0
     bad = Tableau(((2,), ()), (((2, 1),), ()))
     with pytest.raises(ValueError):
         codegree(bad, 2)
@@ -74,24 +74,23 @@ def test_codegree_of_column_initial_tableaux():
 
 def test_peel_degrees_match_node_degree():
     for e in (2, 3, 4):
-        for above in (True, False):
-            for n in range(0, 9):
-                for shape in bipartitions(n):
-                    table = peel_degrees(shape, e, above)
-                    assert list(table) == removable_nodes(shape)
-                    for node, entry in table.items():
-                        assert entry == (remove_node(shape, node),
-                                         node_degree(shape, node, e, above))
+        for n in range(0, 9):
+            for shape in bipartitions(n):
+                table = peel_degrees(shape, e)
+                assert list(table) == removable_nodes(shape)
+                for node, entry in table.items():
+                    assert entry == (remove_node(shape, node),
+                                     node_degree(shape, node, e))
     with pytest.raises(ValueError):
-        peel_degrees(((1,), ()), 1, True)
+        peel_degrees(((1,), ()), 1)
 
 
-def _reference_statistic(t, e, above):
+def _reference_codegree(t, e):
     """Peel the largest entry first, one node_degree call per node."""
     node_of = t.node_map()
     shape, total = t.shape, 0
     for r in range(t.n, 0, -1):
-        total += node_degree(shape, node_of[r], e, above)
+        total += node_degree(shape, node_of[r], e)
         shape = remove_node(shape, node_of[r])
     return total
 
@@ -101,8 +100,7 @@ def test_statistics_match_reference_peel():
         for n in range(0, 7):
             for shape in bipartitions(n):
                 for t in standard_tableaux(shape):
-                    assert codegree(t, e) == _reference_statistic(t, e, True)
-                    assert degree(t, e) == _reference_statistic(t, e, False)
+                    assert codegree(t, e) == _reference_codegree(t, e)
                     # a node map the caller built serves the same statistic
                     node_of = t.node_map()
                     assert codegree(t, e, node_of) == codegree(t, e)

@@ -110,30 +110,20 @@ def _partition_removable(p: Partition) -> list[tuple[int, int]]:
     return out
 
 
-def addable_nodes(bp: Bipartition, i: int | None = None, e: int | None = None) -> list[Node]:
-    """All addable nodes of ``bp`` from top to bottom, optionally filtered
-    to those of residue ``i`` mod ``e``."""
-    nodes = [(r, c, m) for m in (1, 2) for (r, c) in _partition_addable(bp[m - 1])]
-    if i is None:
-        return nodes
-    check_e(e)
-    return [a for a in nodes if residue(a, e) == i % e]
+def addable_nodes(bp: Bipartition) -> list[Node]:
+    """All addable nodes of ``bp`` from top to bottom."""
+    return [(r, c, m) for m in (1, 2) for (r, c) in _partition_addable(bp[m - 1])]
 
 
-def removable_nodes(bp: Bipartition, i: int | None = None, e: int | None = None) -> list[Node]:
-    """All removable nodes of ``bp`` from top to bottom, optionally filtered
-    to those of residue ``i`` mod ``e``."""
-    nodes = [(r, c, m) for m in (1, 2) for (r, c) in _partition_removable(bp[m - 1])]
-    if i is None:
-        return nodes
-    check_e(e)
-    return [a for a in nodes if residue(a, e) == i % e]
+def removable_nodes(bp: Bipartition) -> list[Node]:
+    """All removable nodes of ``bp`` from top to bottom."""
+    return [(r, c, m) for m in (1, 2) for (r, c) in _partition_removable(bp[m - 1])]
 
 
 def residue_nodes(bp: Bipartition, i: int,
                   e: int) -> tuple[list[Node], list[Node]]:
-    """``(addable_nodes(bp, i, e), removable_nodes(bp, i, e))``, both top
-    to bottom, from one walk over the rows."""
+    """The addable and the removable nodes of ``bp`` of residue ``i`` mod
+    ``e``, both top to bottom, from one walk over the rows."""
     check_e(e)
     i %= e
     adds: list[Node] = []

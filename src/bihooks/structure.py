@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 from .crystal import braces, induce, induction_recipe, is_regular, mullineux, scrt
 from .padic import check_prime_or_zero
-from .partitions import Bipartition, check_e, format_bipartition
+from .partitions import Bipartition, check_e, conjugate, format_bipartition
 from .schur import Partition, composition_multiset, two_column
 
 DECOMPOSABLE = "decomposable"
@@ -123,14 +123,19 @@ def _check_kj(k: int, j: int):
         raise ValueError(f"need k >= j >= 1, got k={k}, j={j}")
 
 
-def _triv(k: int, j: int, e: int) -> SimpleLabel:
-    return SimpleLabel(((k * e + j * e,), ()), j)
+def family_shape(k: int, j: int, e: int, a: int = 0, b: int = 0,
+                 transpose: bool = False) -> Bipartition:
+    """The bihook ((ke+a, 1^b), (je+a, 1^b)) of the family at (k, j, a, b),
+    or its conjugate when ``transpose``.  A closed form: the crystal suite
+    checks the induction map against it."""
+    bp = ((k * e + a,) + (1,) * b, (j * e + a,) + (1,) * b)
+    return conjugate(bp) if transpose else bp
 
 
-def _col(k: int, j: int, r: int, e: int) -> SimpleLabel:
-    """The label of the r-th non-trivial factor, r = 1..j: scrt of the
-    two-column shape with r twos."""
-    return SimpleLabel((((k + j - r) * e, (r - 1) * e + 1), (e - 1,)), j)
+def _label(k: int, j: int, r: int, e: int) -> SimpleLabel:
+    """The factor at shift j labelled by scrt of the two-column shape with
+    r twos and k + j boxes: r = 0 is the trivial-type factor."""
+    return SimpleLabel(scrt(two_column(r, k + j), e), j)
 
 
 def semisimple_decomposition(k: int, j: int, e: int) -> ModuleStructure:
@@ -138,8 +143,8 @@ def semisimple_decomposition(k: int, j: int, e: int) -> ModuleStructure:
     filtration shapes."""
     _check_kj(k, j)
     check_e(e)
-    summands = [_simple(_col(k, j, r, e)) for r in range(1, j + 1)]
-    summands.append(_simple(_triv(k, j, e)))
+    summands = [_simple(_label(k, j, r, e)) for r in range(1, j + 1)]
+    summands.append(_simple(_label(k, j, 0, e)))
     return ModuleStructure(tuple(summands))
 
 
@@ -152,7 +157,7 @@ def structure_j1(k: int, e: int, p: int) -> ModuleStructure:
         raise ValueError(f"need k >= 1, got {k}")
     if p == 0 or (k + 1) % p:
         return semisimple_decomposition(k, 1, e)
-    a, b = _triv(k, 1, e), _col(k, 1, 1, e)
+    a, b = _label(k, 1, 0, e), _label(k, 1, 1, e)
     return ModuleStructure((Uniserial((a, b, a)),))
 
 
@@ -162,9 +167,9 @@ def structure_j2(k: int, e: int, p: int) -> ModuleStructure:
     check_prime_or_zero(p)
     if k < 2:
         raise ValueError(f"need k >= 2, got {k}")
-    triv = _triv(k, 2, e)
-    one = _col(k, 2, 1, e)   # ((ke+e, 1), (e-1))
-    two = _col(k, 2, 2, e)   # ((ke, e+1), (e-1))
+    triv = _label(k, 2, 0, e)
+    one = _label(k, 2, 1, e)   # ((ke+e, 1), (e-1))
+    two = _label(k, 2, 2, e)   # ((ke, e+1), (e-1))
     if p == 0 or (p != 2 and all(x % p for x in (k, k + 1, k + 2))) \
             or (p == 2 and k % 4 == 1):
         return semisimple_decomposition(k, 2, e)
@@ -255,15 +260,10 @@ def five_factor_structure(e: int) -> ModuleStructure:
     five-factor self-dual summand whose diagram is the configuration with
     the trivial-type factor on top."""
     check_e(e)
-    n = 10
-
-    def lab(m: int) -> SimpleLabel:
-        return SimpleLabel(scrt(two_column(m, n), e), 3)
-
-    diagram = Diagram(
-        vertices=(lab(0), lab(2), lab(3), lab(2), lab(0)),
-        edges=((0, 1), (2, 1), (3, 2), (3, 4)))
-    return ModuleStructure((_simple(lab(1)), diagram))
+    triv, one, two, three = (_label(7, 3, r, e) for r in range(4))
+    diagram = Diagram(vertices=(triv, two, three, two, triv),
+                      edges=((0, 1), (2, 1), (3, 2), (3, 4)))
+    return ModuleStructure((_simple(one), diagram))
 
 
 def base_structure(k: int, j: int, e: int, p: int) -> ModuleStructure | None:
@@ -339,35 +339,28 @@ def predict(k: int, j: int, e: int, p: int, a: int = 0, b: int = 0,
         raise ValueError(f"need k, j >= 1, got k={k}, j={j}")
 
     notes: list[str] = []
-    if k < j:
-        if a or b or transpose:
-            notes.append(
-                "k < j with induced or conjugate labels has no covered "
-                "statement; verdict only")
-            return Verdict(decomposability(k, j, p), None,
-                           composition_labels(k, j, e, p) if not (a or b) else None,
-                           tuple(notes))
+    base = None
+    if k < j and (a or b or transpose):
+        notes.append(
+            "k < j with induced or conjugate labels has no covered "
+            "statement; verdict only")
+    elif k < j:
         base = base_structure(j, k, e, p)
         notes.append(
             f"dual of the structure for k={j}, j={k} under component "
             f"switching; contragredient total shift {k + j}")
+    else:
+        base = base_structure(k, j, e, p)
         if base is None:
-            return Verdict(decomposability(k, j, p), None,
-                           composition_labels(k, j, e, p), tuple(notes))
-        total = k + j
-        struct = base.dualize().map_labels(
-            lambda lab: SimpleLabel(lab.bipartition, total - lab.shift))
-        struct = _checked(struct, e)
-        status = DECOMPOSABLE if struct.num_summands() > 1 else INDECOMPOSABLE
-        return Verdict(status, struct, None, tuple(notes))
-
-    base = base_structure(k, j, e, p)
+            notes.append("no covered statement gives the full structure here")
     if base is None:
-        notes.append("no covered statement gives the full structure here")
         return Verdict(decomposability(k, j, p), None,
-                       composition_labels(k, j, e, p) if not (a or b) else None,
+                       None if a or b else composition_labels(k, j, e, p),
                        tuple(notes))
     struct = base
+    if k < j:
+        struct = struct.dualize().map_labels(
+            lambda lab: SimpleLabel(lab.bipartition, k + j - lab.shift))
     if a or b:
         struct = struct.map_labels(
             lambda lab: SimpleLabel(induce(lab.bipartition, a, b, e), lab.shift))

@@ -173,10 +173,11 @@ def residue_sequence(t: Tableau, e: int,
 def node_degree(shape: Bipartition, node: Node, e: int) -> int:
     """Addable minus removable nodes of the residue of ``node`` strictly
     above it in ``shape``; ``node`` itself lies in ``shape``."""
-    i = residue(node, e)
-    pos = node_position(node)
-    return (sum(node_position(a) < pos for a in addable_nodes(shape, i, e))
-            - sum(node_position(a) < pos for a in removable_nodes(shape, i, e)))
+    check_e(e)
+    i, pos = residue(node, e), node_position(node)
+    return sum(sign for sign, nodes in ((1, addable_nodes(shape)),
+                                        (-1, removable_nodes(shape)))
+               for a in nodes if residue(a, e) == i and node_position(a) < pos)
 
 
 def peel_degrees(shape: Bipartition, e: int) -> dict[Node, tuple[Bipartition, int]]:

@@ -161,18 +161,14 @@ def crystal_suite(max_n: int = 10, es=(2, 3, 4)) -> SuiteReport:
         for a, b in pairs:
             for k in range(1, 5):
                 for j in range(1, k + 1):
-                    got = crystal.induce(((k * e,), (j * e,)), a, b, e)
-                    want = as_bipartition(((k * e + a,) + (1,) * b,
-                                           (j * e + a,) + (1,) * b))
-                    rep.check(got == want,
-                              f"induction closed form k={k} j={j} a={a} b={b} e={e}")
-                    got = crystal.induce(((1,) * (j * e), (1,) * (k * e)),
-                                         a, b, e, negate=True)
-                    want = as_bipartition(((b + 1,) + (1,) * (j * e + a - 1),
-                                           (b + 1,) + (1,) * (k * e + a - 1)))
-                    rep.check(got == want,
-                              f"negated induction closed form k={k} j={j} "
-                              f"a={a} b={b} e={e}")
+                    # the family's closed form, and under negated induction
+                    # its conjugate's
+                    for neg in (False, True):
+                        got = crystal.induce(structure.family_shape(
+                            k, j, e, transpose=neg), a, b, e, negate=neg)
+                        rep.check(got == structure.family_shape(k, j, e, a, b, neg),
+                                  f"{'negated ' if neg else ''}induction closed "
+                                  f"form k={k} j={j} a={a} b={b} e={e}")
     return rep
 
 
@@ -299,17 +295,17 @@ def _llt_matrix_checks(rep: SuiteReport, matrix, e: int, n: int):
                   lambda: f"dimension balance e={e} n={n} {format_bipartition(lam)}")
 
 
-def _semisimple_labels(k: int, j: int, e: int) -> set:
-    return {lab.bipartition
-            for lab in structure.semisimple_decomposition(k, j, e).labels()}
-
-
-def _concentration(rep: SuiteReport, matrix, lam, labels: set, power: int,
-                   text: str):
-    """One case: the row of lam is q^power at exactly the given labels."""
-    row = matrix.row(lam)
-    want = LaurentPoly.q_power(power)
-    rep.check(set(row) == labels and all(v == want for v in row.values()), text)
+def _predicted_row(rep: SuiteReport, matrix, k: int, j: int, e: int,
+                   text: str, a: int = 0, b: int = 0, transpose: bool = False):
+    """One case: the row of the family's bihook is the sum of q^shift over
+    the labels of the characteristic-0 structure ``predict`` gives it."""
+    want: dict = {}
+    for lab in structure.predict(k, j, e, 0, a=a, b=b,
+                                 transpose=transpose).structure.labels():
+        want[lab.bipartition] = want.get(lab.bipartition, ZERO) + \
+            LaurentPoly.q_power(lab.shift)
+    shape = structure.family_shape(k, j, e, a, b, transpose)
+    rep.check(matrix.row(shape) == want, text)
 
 
 def llt_suite(es=(2, 3), max_kj: int = 5, max_n: int = 12,
@@ -327,23 +323,18 @@ def llt_suite(es=(2, 3), max_kj: int = 5, max_n: int = 12,
             matrix = fock.canonical_basis(n, e, cache_dir=cache_dir)
             if n > sweep:
                 _llt_matrix_checks(rep, matrix, e, n)
-            families = [(total - j, j) for j in range(1, total // 2 + 1)]
-            for k, j in families:
-                _concentration(rep, matrix, ((k * e,), (j * e,)),
-                               _semisimple_labels(k, j, e), j,
-                               f"single-degree concentration e={e} k={k} j={j}")
-            # conjugate family: entries q^(2k+j) at the Mullineux labels,
-            # independently fixing the grading shift of the transposed
-            # structures
-            for k, j in families:
-                _concentration(rep, matrix, ((1,) * (j * e), (1,) * (k * e)),
-                               {crystal.mullineux(bp, e)
-                                for bp in _semisimple_labels(k, j, e)},
-                               2 * k + j,
-                               f"conjugate concentration e={e} k={k} j={j}")
-    # induced families against the label maps: rows of the induced bihook
-    # concentrate at q^j on the induced labels, and the induction recipe
-    # carries the bihook basis vector to exactly the induced one
+            # the bihook rows, then the conjugate family's, whose entries
+            # q^(2k+j) at the Mullineux labels pin the grading shift that
+            # predict gives the transposed structures
+            for transpose, kind in ((False, "single-degree"), (True, "conjugate")):
+                for j in range(1, total // 2 + 1):
+                    k = total - j
+                    _predicted_row(rep, matrix, k, j, e,
+                                   f"{kind} concentration e={e} k={k} j={j}",
+                                   transpose=transpose)
+    # induced families: rows of the induced bihook and its conjugate
+    # against the predicted structures, and the induction recipe carries
+    # the bihook basis vector to exactly the induced one
     for e in es:
         pairs = [(a, b) for a in range(1, e + 1) for b in range(e)
                  if a + b != e and 2 * (a + b) + 2 * e <= max_n + 4]
@@ -355,25 +346,18 @@ def llt_suite(es=(2, 3), max_kj: int = 5, max_n: int = 12,
                     if n > max_n + 4:
                         continue
                     matrix = fock.canonical_basis(n, e, cache_dir=cache_dir)
-                    base = ((k * e,), (j * e,))
-                    vec = {base: LaurentPoly.q_power(0)}
+                    vec = {structure.family_shape(k, j, e): LaurentPoly.q_power(0)}
                     for i, mult in crystal.induction_recipe(a, b, e):
                         vec = fock.apply_f_divided(vec, i, mult, e)
-                    induced = crystal.induce(base, a, b, e)
+                    induced = structure.family_shape(k, j, e, a, b)
                     tag = f"e={e} k={k} j={j} a={a} b={b}"
                     rep.check(vec == {induced: LaurentPoly.q_power(0)},
                               f"recipe transports the bihook vector {tag}")
-                    want = {crystal.induce(bp, a, b, e)
-                            for bp in _semisimple_labels(k, j, e)}
-                    _concentration(rep, matrix, induced, want, j,
-                                   f"induced concentration {tag}")
-                    conj = as_bipartition(
-                        ((b + 1,) + (1,) * (j * e + a - 1),
-                         (b + 1,) + (1,) * (k * e + a - 1)))
-                    _concentration(rep, matrix, conj,
-                                   {crystal.mullineux(bp, e) for bp in want},
-                                   2 * k + j,
-                                   f"conjugate induced concentration {tag}")
+                    _predicted_row(rep, matrix, k, j, e,
+                                   f"induced concentration {tag}", a, b)
+                    _predicted_row(rep, matrix, k, j, e,
+                                   f"conjugate induced concentration {tag}",
+                                   a, b, transpose=True)
     return rep
 
 
@@ -383,7 +367,7 @@ def words_suite(es=(2, 3), max_kj: int = 4, max_n: int = 10) -> SuiteReport:
         for total in range(2, max_kj + 1):
             for j in range(1, total // 2 + 1):
                 k = total - j
-                lam = ((k * e,), (j * e,))
+                lam = structure.family_shape(k, j, e)
                 for mu in _compositions(total):
                     lhs = tableaux.word_graded_dimension(lam, tableaux.gg_word(mu, e), e)
                     rhs = (LaurentPoly.q_power(j) * c_factor(mu, e)
@@ -416,7 +400,7 @@ def degrees_suite(es=(2, 3, 4, 5), max_kj: int = 6) -> SuiteReport:
         for total in range(2, max_kj + 1):
             for j in range(1, total // 2 + 1):
                 k = total - j
-                lam = ((k * e,), (j * e,))
+                lam = structure.family_shape(k, j, e)
                 word = tableaux.residue_sequence(
                     tableaux.column_initial_tableau(lam), e)
                 matching = tableaux.standard_tableaux(lam, word=word, e=e,
@@ -426,7 +410,7 @@ def degrees_suite(es=(2, 3, 4, 5), max_kj: int = 6) -> SuiteReport:
                     rep.check(tableaux.codegree(t, e) == j,
                               f"codegree j on residue-matched tableau e={e} "
                               f"k={k} j={j} {t}")
-                source = as_bipartition(((k * e, j * e - e + 1), (e - 1,)))
+                source = crystal.scrt(schur.two_column(j, total), e)
                 cod1 = tableaux.codegree(tableaux.column_initial_tableau(source), e)
                 entries = list(range(1, e)) + list(range(e + 1, 2 * j * e - e + 2, 2))
                 cod2 = tableaux.codegree(tableaux.v_tableau(lam, entries), e)

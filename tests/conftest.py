@@ -1,4 +1,4 @@
-"""Session fixtures: the cache directory of the canonical-basis matrices
+"""Session fixtures: the cache directories of the canonical-basis matrices
 the tests share, and one run of each `verify` suite per session."""
 
 import pytest
@@ -18,6 +18,14 @@ SESSION_BOUNDS = {
     "words": {"max_kj": 4, "max_n": 5},
     "degrees": {},
 }
+
+
+@pytest.fixture(scope="session", autouse=True)
+def default_cache_dir(tmp_path_factory):
+    """Keep the default cache, ~/.cache/bihooks, out of the session."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("BIHOOKS_CACHE_DIR", str(tmp_path_factory.mktemp("default-cache")))
+        yield
 
 
 @pytest.fixture(scope="session")

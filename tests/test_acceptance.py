@@ -13,7 +13,7 @@ from math import comb
 from bihooks.cli import main
 from bihooks.fock import canonical_basis, simple_graded_dims_from
 from bihooks.laurent import LaurentPoly, ZERO
-from bihooks.structure import semisimple_decomposition
+from bihooks.structure import family_shape, semisimple_decomposition
 from bihooks.tableaux import graded_dimension_by_enumeration
 
 Q = LaurentPoly.q_power
@@ -92,7 +92,7 @@ def test_criterion_04_dimension_balance(llt_cache_dir):
             qdim = simple_graded_dims_from(matrix)
             for j in range(1, total // 2 + 1):
                 k = total - j
-                lam = ((k * e,), (j * e,))
+                lam = family_shape(k, j, e)
                 lhs = graded_dimension_by_enumeration(lam, e, bound=total * e)
                 factors = semisimple_decomposition(k, j, e).labels()
                 rhs = Q(j) * sum((qdim[lab.bipartition] for lab in factors),

@@ -5,7 +5,7 @@ from bihooks.crystal import (
     induction_recipe, is_regular, mullineux, reduced_signature,
     regular_bipartitions, scrt,
 )
-from bihooks.partitions import EMPTY_BP, as_bipartition, bipartitions, size
+from bihooks.partitions import EMPTY_BP, bipartitions, size
 from bihooks.schur import two_column
 
 
@@ -121,15 +121,6 @@ def test_scrt_examples():
         scrt((3, 1), 2)
 
 
-def test_scrt_regular_of_right_size():
-    for e in (2, 3, 4):
-        for n in range(1, 8):
-            for m in range(n // 2 + 1):
-                lab = scrt(two_column(m, n), e)
-                assert size(lab) == n * e
-                assert is_regular(lab, e)
-
-
 def test_induction_recipe():
     assert induction_recipe(0, 0, 4) == []
     assert induction_recipe(2, 1, 4) == [(0, 2), (1, 2), (3, 2)]
@@ -149,24 +140,6 @@ def test_induce_worked_cases():
     assert induce(((4,), (4,)), 2, 3, 4) == ((6, 1, 1, 1), (6, 1, 1, 1))
     assert induce(((4, 1), (3,)), 2, 3, 4) == ((6, 3, 1, 1), (4, 1, 1, 1))
     assert induce(((3,), (3,)), 0, 0, 3) == ((3,), (3,))
-
-
-def test_induce_closed_forms():
-    for e in (2, 3, 4):
-        pairs = [(a, b) for a in range(e + 1) for b in range(e)
-                 if (a == 0 and b == 0) or (a > 0 and a + b != e)]
-        for a, b in pairs:
-            for k in range(1, 4):
-                for j in range(1, k + 1):
-                    got = induce(((k * e,), (j * e,)), a, b, e)
-                    want = as_bipartition(
-                        ((k * e + a,) + (1,) * b, (j * e + a,) + (1,) * b))
-                    assert got == want
-                    got = induce(((1,) * (j * e), (1,) * (k * e)), a, b, e,
-                                 negate=True)
-                    want = as_bipartition(((b + 1,) + (1,) * (j * e + a - 1),
-                                           (b + 1,) + (1,) * (k * e + a - 1)))
-                    assert got == want
 
 
 def test_mullineux_is_braces_on_column_labels():

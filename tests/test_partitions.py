@@ -90,9 +90,9 @@ def test_hook_length_examples():
 
 
 def test_addable_removable_examples():
-    assert addable_nodes(EMPTY_BP, 0, 2) == [(1, 1, 1), (1, 1, 2)]
-    assert removable_nodes(((1,), (1,)), 0, 3) == [(1, 1, 1), (1, 1, 2)]
-    assert addable_nodes(((4,), (4,)), 0, 4) == [(1, 5, 1), (1, 5, 2)]
+    assert addable_nodes(EMPTY_BP) == [(1, 1, 1), (1, 1, 2)]
+    assert removable_nodes(((1,), (1,))) == [(1, 1, 1), (1, 1, 2)]
+    assert removable_nodes(((3, 1), (2,))) == [(1, 3, 1), (2, 1, 1), (1, 2, 2)]
 
 
 def test_residue_nodes_match_filtered_lists():
@@ -100,8 +100,9 @@ def test_residue_nodes_match_filtered_lists():
         for n in range(0, 10):
             for bp in bipartitions(n):
                 for i in range(e):
-                    assert residue_nodes(bp, i, e) == (
-                        addable_nodes(bp, i, e), removable_nodes(bp, i, e))
+                    assert residue_nodes(bp, i, e) == tuple(
+                        [a for a in nodes(bp) if residue(a, e) == i]
+                        for nodes in (addable_nodes, removable_nodes))
     # residues are read mod e
     assert residue_nodes(((2, 1), (3,)), -1, 3) == residue_nodes(
         ((2, 1), (3,)), 2, 3)

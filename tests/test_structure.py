@@ -7,7 +7,7 @@ from bihooks.schur import num_summands, two_column
 from bihooks.structure import (
     Diagram, Semisimple, Uniserial, almost_ss_residue,
     almost_ss_structure, braces_transpose_label, composition_labels,
-    decomposability, predict, semisimple_decomposition,
+    decomposability, family_shape, predict, semisimple_decomposition,
     semisimplicity_criterion, structure_j1, structure_j2,
 )
 
@@ -94,6 +94,14 @@ def test_almost_ss_exceptional_branch():
     # j = p = 3, k = 8: 9 divides k+1, generic shape applies
     struct = almost_ss_structure(8, 3, 3)
     assert struct.num_summands() == 2 == num_summands(8, 3, 3)
+
+
+def test_family_shape_examples():
+    # the README's induce and induce --negate outputs at e = 4, (a, b) = (2, 1)
+    assert family_shape(1, 1, 4, 2, 1) == ((6, 1), (6, 1))
+    assert family_shape(1, 1, 4, 2, 1, transpose=True) == \
+        ((2, 1, 1, 1, 1, 1), (2, 1, 1, 1, 1, 1))
+    assert family_shape(7, 5, 3) == ((21,), (15,))
 
 
 def test_predict_worked_examples():

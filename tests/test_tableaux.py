@@ -2,6 +2,7 @@ import pytest
 
 from bihooks.laurent import LaurentPoly, ONE
 from bihooks.partitions import bipartitions, remove_node, removable_nodes
+from bihooks.structure import family_shape
 from bihooks.tableaux import (
     Tableau, codegree, column_initial_tableau, count_standard, gg_word,
     graded_dimension, graded_dimension_by_enumeration, is_standard,
@@ -30,7 +31,7 @@ def test_binomial_count_for_one_row_shapes():
     for e in (2, 3):
         for k in (1, 2):
             for j in (1, 2):
-                shape = ((k * e,), (j * e,))
+                shape = family_shape(k, j, e)
                 assert count_standard(shape) == comb((k + j) * e, j * e)
 
 
@@ -68,7 +69,7 @@ def test_codegree_of_column_initial_tableaux():
     for e in (2, 3):
         for j in (1, 2):
             for k in (1, 2, 3):
-                t = column_initial_tableau(((j * e,), (k * e,)))
+                t = column_initial_tableau(family_shape(j, k, e))
                 assert codegree(t, e) == k
 
 

@@ -40,6 +40,13 @@ BROKEN = [
     ("llt", structure, "semisimple_decomposition",
      lambda real: lambda k, j, e: real(k + 1, j, e),
      {"es": (2,), "max_kj": 2, "max_n": 0}),
+    # these bounds reach the induced family k = j = 1, (a, b) = (1, 0)
+    pytest.param("llt", structure, "induce", lambda real: lambda bp, *a: bp,
+                 {"es": (2,), "max_kj": 2, "max_n": 2}, id="llt-induce-identity"),
+    pytest.param("crystal", structure, "family_shape",
+                 lambda real: lambda k, j, e, a=0, b=0, transpose=False:
+                 real(k, j, e, a, 0, transpose),
+                 {"es": (2,), "max_n": 1}, id="crystal-family-shape-ignores-b"),
     ("words", tableaux, "word_graded_dimension",
      lambda real: lambda *a: real(*a) * Q(1), {"es": (2,), "max_kj": 2, "max_n": 2}),
     ("degrees", tableaux, "codegree", lambda real: lambda *a: real(*a) + 1,

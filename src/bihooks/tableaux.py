@@ -16,10 +16,18 @@ table per (shape, e) across all tableaux and words;
 ``graded_dimension``, memoised per shape already, builds it uncached.
 ``node_degree`` computes one node's degree from its definition and is the
 reference route the tests check the table against.
+
+The enumeration builds each tableau's rows in place, one list per row
+that entries are appended to and popped from, and copies them out only at
+a finished tableau.  The word recursion keeps ``{exponent: coefficient}``
+dicts per sub-shape for the length of one call and builds a single
+``LaurentPoly`` at the end; nothing is memoised across calls, so a sweep
+over many words holds no memory beyond the shared peel tables.
 """
 
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import lt
 
 from .laurent import LaurentPoly, ONE, ZERO
 from .partitions import (
@@ -55,22 +63,23 @@ class Tableau:
 
 
 def is_standard(t: Tableau) -> bool:
-    seen = set()
-    for m in (1, 2):
-        rows = t.rows[m - 1]
-        shape_rows = t.shape[m - 1]
-        if tuple(len(r) for r in rows) != shape_rows:
+    entries: list[int] = []
+    for rows, shape_rows in zip(t.rows, t.shape):
+        if tuple(map(len, rows)) != shape_rows:
             return False
-        for r, row in enumerate(rows):
-            for c, val in enumerate(row):
-                if val in seen:
-                    return False
-                seen.add(val)
-                if c > 0 and row[c - 1] >= val:
-                    return False
-                if r > 0 and rows[r - 1][c] >= val:
-                    return False
-    return seen == set(range(1, t.n + 1))
+        above = ()
+        for row in rows:
+            # strictly increasing along the row and down each column; the
+            # guards skip the comparison on a one-entry row and a top row
+            if len(row) > 1 and not all(map(lt, row, row[1:])):
+                return False
+            if above and not all(map(lt, above, row)):
+                return False
+            entries += row
+            above = row
+    # the row lengths are the shape's, so there are t.n entries
+    entries.sort()
+    return entries == list(range(1, len(entries) + 1))
 
 
 def _check_bound(shape: Bipartition, bound: int):
@@ -100,37 +109,32 @@ def standard_tableaux(shape: Bipartition, word=None, e: int | None = None,
         word = tuple(x % e for x in word)
         if len(word) != n:
             raise ValueError(f"word length {len(word)} != size {n}")
-    lens = [[0] * len(shape[0]), [0] * len(shape[1])]
-    fill: dict[Node, int] = {}
+    first, second = [[] for _ in shape[0]], [[] for _ in shape[1]]
+    # one slot per row, above to below: (row, row above or None, length,
+    # 0-based row index); the next entry of a row goes to column len(row)
+    slots = []
+    for rows, comp in ((first, shape[0]), (second, shape[1])):
+        above = None
+        for r0, (row, length) in enumerate(zip(rows, comp)):
+            slots.append((row, above, length, r0))
+            above = row
     out: list[Tableau] = []
-
-    def candidates():
-        cands = []
-        for m in (1, 2):
-            comp = shape[m - 1]
-            cur = lens[m - 1]
-            for r in range(1, len(comp) + 1):
-                c = cur[r - 1] + 1
-                if c > comp[r - 1]:
-                    continue
-                if r > 1 and cur[r - 2] < c:
-                    continue
-                cands.append((r, c, m))
-        return cands
 
     def place(entry):
         if entry > n:
-            out.append(Tableau(shape, _rows_from_fill(shape, fill)))
+            out.append(Tableau(shape, (tuple(map(tuple, first)),
+                                       tuple(map(tuple, second)))))
             return
-        for node in candidates():
-            if word is not None and residue(node, e) != word[entry - 1]:
+        want = None if word is None else word[entry - 1]
+        for row, above, length, r0 in slots:
+            c0 = len(row)
+            if c0 == length or (above is not None and len(above) <= c0):
                 continue
-            r, c, m = node
-            lens[m - 1][r - 1] += 1
-            fill[node] = entry
+            if want is not None and (c0 - r0) % e != want:
+                continue
+            row.append(entry)
             place(entry + 1)
-            del fill[node]
-            lens[m - 1][r - 1] -= 1
+            row.pop()
 
     place(1)
     return out
@@ -167,7 +171,8 @@ def residue_sequence(t: Tableau, e: int,
     check_e(e)
     if node_of is None:
         node_of = t.node_map()
-    return tuple(residue(node_of[r], e) for r in range(1, t.n + 1))
+    return tuple([(c - r) % e for r, c, _ in
+                  map(node_of.__getitem__, range(1, len(node_of) + 1))])
 
 
 def node_degree(shape: Bipartition, node: Node, e: int) -> int:
@@ -247,24 +252,27 @@ def word_graded_dimension(shape: Bipartition, word, e: int) -> LaurentPoly:
     sequence, by a peel recursion keyed on sub-shapes."""
     check_e(e)
     word = tuple(x % e for x in word)
-    if len(word) != size(shape):
-        raise ValueError(f"word length {len(word)} != size {size(shape)}")
-    memo: dict[Bipartition, LaurentPoly] = {}
+    n = size(shape)
+    if len(word) != n:
+        raise ValueError(f"word length {len(word)} != size {n}")
+    # sub-shape -> {exponent: coefficient}; every coefficient counts
+    # tableaux, so none is ever 0
+    memo: dict[Bipartition, dict[int, int]] = {EMPTY_BP: {0: 1}}
 
-    def rec(sub: Bipartition) -> LaurentPoly:
-        if sub == EMPTY_BP:
-            return ONE
-        if sub in memo:
-            return memo[sub]
-        target = word[size(sub) - 1]
-        total = ZERO
+    def rec(sub: Bipartition, k: int) -> dict[int, int]:
+        got = memo.get(sub)
+        if got is not None:
+            return got
+        target = word[k - 1]
+        total: dict[int, int] = {}
         for (r, c, _), (smaller, d) in _peel_table(sub, e).items():
             if (c - r) % e == target:
-                total = total + rec(smaller).shift(d)
+                for x, v in rec(smaller, k - 1).items():
+                    total[x + d] = total.get(x + d, 0) + v
         memo[sub] = total
         return total
 
-    return rec(shape)
+    return LaurentPoly._raw(rec(shape, n))
 
 
 def gg_word(nu, e: int) -> tuple[int, ...]:

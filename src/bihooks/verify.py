@@ -444,6 +444,13 @@ def run_suite(name: str, **bounds) -> SuiteReport:
         flags = ", ".join("--e" if k == "es" else "--" + k.replace("_", "-")
                           for k in unknown)
         raise ValueError(f"suite {name!r} does not take {flags}")
+    if clean.get("max_n", 0) < 0:
+        raise ValueError(f"--max-n must be >= 0, got {clean['max_n']}")
+    if clean.get("max_kj", 2) < 2:
+        raise ValueError(f"--max-kj must be >= 2, got {clean['max_kj']}")
+    if name == "words" and clean.get("max_n", 0) > tableaux.SIZE_BOUND:
+        raise ValueError(f"--max-n must be <= {tableaux.SIZE_BOUND} for suite "
+                         f"'words', got {clean['max_n']}")
     t0 = time.time()
     rep = suite(**clean)
     rep.seconds = time.time() - t0

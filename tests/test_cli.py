@@ -177,6 +177,20 @@ def test_verify_rejects_a_flag_the_suite_does_not_take(capsys, argv, flag):
     assert captured.err == f"error: suite {argv[1]!r} does not take {flag}\n"
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("--suite", "llt", "--max-n", "-3", "--max-kj", "1"), "--max-n must be >= 0, got -3"),
+    (("--suite", "degrees", "--max-kj", "0"), "--max-kj must be >= 2, got 0"),
+    (("--suite", "crystal", "--max-n", "-2"), "--max-n must be >= 0, got -2"),
+    (("--suite", "words", "--max-n", "26"),
+     "--max-n must be <= 25 for suite 'words', got 26"),
+])
+def test_verify_rejects_an_out_of_range_bound(capsys, argv, message):
+    code = main(["verify", *argv])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err == f"error: {message}\n"
+
+
 def test_unusable_cache_dir_exits_2(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(fock, "_MEMORY", {})
     not_a_dir = tmp_path / "file"

@@ -1,7 +1,10 @@
+from itertools import product
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bihooks.laurent import LaurentPoly, ONE
-from bihooks.partitions import bipartitions, remove_node, removable_nodes
+from bihooks.partitions import bipartitions, remove_node, removable_nodes, size
 from bihooks.structure import family_shape
 from bihooks.tableaux import (
     Tableau, codegree, column_initial_tableau, count_standard, gg_word,
@@ -24,6 +27,94 @@ def test_enumeration_matches_recursive_count():
             assert len(ts) == count_standard(shape)
             assert all(is_standard(t) for t in ts)
             assert len({t.rows for t in ts}) == len(ts)
+
+
+def _reference_is_standard(t):
+    """The definition: each component's rows have the shape's lengths, the
+    entries are 1..n once each, and each entry is smaller than its right
+    and its lower neighbour in the same component."""
+    cells = {}
+    for m, (rows, comp) in enumerate(zip(t.rows, t.shape)):
+        if [len(row) for row in rows] != list(comp):
+            return False
+        for r, row in enumerate(rows):
+            for c, val in enumerate(row):
+                cells[(m, r, c)] = val
+    values = list(cells.values())
+    if len(set(values)) != len(values) or \
+            set(values) != set(range(1, size(t.shape) + 1)):
+        return False
+    return all(val < cells.get((m, r, c + 1), val + 1)
+               and val < cells.get((m, r + 1, c), val + 1)
+               for (m, r, c), val in cells.items())
+
+
+@st.composite
+def fillings(draw):
+    """A bipartition with at most 6 boxes and rows of entries for it: a
+    standard tableau or a row-reading of a permutation, then perhaps one
+    fault (two entries swapped, an entry repeated or out of range, or the
+    row lengths off the shape)."""
+    shape = draw(st.sampled_from([bp for n in range(7) for bp in bipartitions(n)]))
+    n = size(shape)
+    if draw(st.booleans()):
+        t = draw(st.sampled_from(standard_tableaux(shape)))
+        flat = [val for rows in t.rows for row in rows for val in row]
+    else:
+        flat = draw(st.permutations(range(1, n + 1)))
+    fault = draw(st.sampled_from(["none", "swap", "repeat", "range", "length"]))
+    lengths = [list(comp) for comp in shape]
+    if fault in ("swap", "repeat") and n >= 2:
+        i, j = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2,
+                             unique=True))
+        if fault == "repeat":
+            flat[i] = flat[j]
+        else:
+            flat[i], flat[j] = flat[j], flat[i]
+    elif fault == "range" and n:
+        flat[draw(st.integers(0, n - 1))] = draw(st.sampled_from([-1, 0, n + 1, n + 2]))
+    elif fault == "length":
+        # a row, perhaps a new one, gains an entry that another row loses
+        # or that is new
+        m = draw(st.integers(0, 1))
+        r = draw(st.integers(0, len(lengths[m])))
+        if r == len(lengths[m]):
+            lengths[m].append(0)
+        lengths[m][r] += 1
+        donors = [(k, s) for k in (0, 1) for s in range(len(lengths[k]))
+                  if (k, s) != (m, r)]
+        if donors and draw(st.booleans()):
+            k, s = draw(st.sampled_from(donors))
+            lengths[k][s] -= 1
+        else:
+            flat.append(n + 1)
+    it = iter(flat)
+    rows = tuple(tuple(tuple(next(it) for _ in range(length)) for length in comp)
+                 for comp in lengths)
+    return Tableau(shape, rows)
+
+
+@settings(max_examples=400, deadline=None)
+@given(fillings())
+def test_is_standard_matches_definition(t):
+    assert is_standard(t) == _reference_is_standard(t)
+
+
+def test_word_filter_matches_filtered_enumeration():
+    for e in (2, 3):
+        for n in range(0, 7):
+            for shape in bipartitions(n):
+                full = standard_tableaux(shape)
+                seqs = [residue_sequence(t, e) for t in full]
+                words = list(dict.fromkeys(seqs))
+                for w in words:
+                    want = [t for t, seq in zip(full, seqs) if seq == w]
+                    assert standard_tableaux(shape, word=w, e=e) == want
+                # a word that no tableau has (none exists when n == 0)
+                absent = next((w for w in product(range(e), repeat=n)
+                               if w not in words), None)
+                if absent is not None:
+                    assert standard_tableaux(shape, word=absent, e=e) == []
 
 
 def test_binomial_count_for_one_row_shapes():

@@ -167,14 +167,21 @@ def scrt(mu: Partition, e: int) -> Bipartition:
     return (((n - m) * e, (m - 1) * e + 1), (e - 1,))
 
 
+def induction_pairs(e: int) -> list[tuple[int, int]]:
+    """The nonzero induction parameters (a, b): 0 < a <= e and 0 <= b < e
+    with a + b != e, a ascending, then b."""
+    check_e(e)
+    return [(a, b) for a in range(1, e + 1) for b in range(e) if a + b != e]
+
+
 def induction_recipe(a: int, b: int, e: int) -> list[tuple[int, int]]:
     """Expanded (residue, multiplicity) steps of the induction label map,
-    in application order.  Valid parameters: a = b = 0, or 0 < a <= e and
-    0 <= b < e with a + b != e."""
+    in application order.  Valid parameters: a = b = 0, or a pair of
+    ``induction_pairs(e)``."""
     check_e(e)
     if a == 0 and b == 0:
         return []
-    if not (0 < a <= e and 0 <= b < e and a + b != e):
+    if (a, b) not in induction_pairs(e):
         raise ValueError(f"invalid induction parameters a={a}, b={b} for e={e}")
     if a + b < e:
         steps = [(i, 2) for i in range(a)]

@@ -6,9 +6,6 @@ e.g. ``q^-2 + 2 + q^2``; the JSON form is the sorted list of
 ``[exponent, coefficient]`` pairs.
 """
 
-import re
-from fractions import Fraction
-
 
 class LaurentPoly:
     """Finitely supported map exponent -> nonzero integer coefficient."""
@@ -157,13 +154,6 @@ class LaurentPoly:
     def at_one(self) -> int:
         return sum(self._c.values())
 
-    def evaluate(self, x):
-        """Evaluate at x, using exact fractions for negative exponents."""
-        total = Fraction(0)
-        for k, v in self._c.items():
-            total += v * (Fraction(x) ** k)
-        return int(total) if total.denominator == 1 else total
-
     def exact_div(self, other: "LaurentPoly") -> "LaurentPoly":
         """Exact division in Z[q, q^-1]; raises ValueError when not exact."""
         if not other:
@@ -224,34 +214,6 @@ class LaurentPoly:
         return text
 
     __repr__ = __str__
-
-    @classmethod
-    def parse(cls, text: str) -> "LaurentPoly":
-        text = text.strip()
-        if text in ("0", ""):
-            return ZERO
-        # terms are separated by " + " or " - "; a leading sign binds to
-        # the first term, and exponents may themselves be negative
-        chunks = re.split(r" ([+-]) ", text)
-        signs = [1] + [1 if s == "+" else -1 for s in chunks[1::2]]
-        d = {}
-        for sign, tok in zip(signs, chunks[::2]):
-            tok = tok.strip()
-            if tok.startswith("-"):
-                sign, tok = -sign, tok[1:].strip()
-            if "*" in tok:
-                cs, qs = tok.split("*")
-                coeff = int(cs)
-            elif tok.startswith("q"):
-                coeff, qs = 1, tok
-            else:
-                coeff, qs = int(tok), ""
-            if qs:
-                exp = 1 if qs == "q" else int(qs[2:])
-            else:
-                exp = 0
-            d[exp] = d.get(exp, 0) + sign * coeff
-        return cls(d)
 
 
 ZERO = LaurentPoly._raw({})

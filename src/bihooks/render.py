@@ -1,5 +1,4 @@
-"""Text, JSON and CSV emission for verdicts and decomposition matrices,
-with parsers closing the round trip.
+"""Text, JSON and CSV emission for verdicts and decomposition matrices.
 
 Text forms: a simple label prints as ``D(21,13|2)<5>``, summands join
 with `` (+) ``, uniserial layers join with `` | `` socle leftmost, and
@@ -11,10 +10,11 @@ import io
 import json
 
 from .fock import ABOVE, DecompositionMatrix
-from .partitions import format_bipartition, is_bihook, parse_bipartition
-from .structure import (
-    Diagram, ModuleStructure, Semisimple, SimpleLabel, Uniserial, Verdict,
-)
+from .partitions import format_bipartition, is_bihook
+from .structure import DIAGRAM, SEMISIMPLE, UNISERIAL, SimpleLabel, Summand, Verdict
+
+# the JSON key of each summand kind's labels
+_LABEL_KEY = {SEMISIMPLE: "factors", UNISERIAL: "layers", DIAGRAM: "factors"}
 
 
 def label_text(lab: SimpleLabel) -> str:
@@ -25,30 +25,11 @@ def label_obj(lab: SimpleLabel) -> dict:
     return {"bipartition": format_bipartition(lab.bipartition), "shift": lab.shift}
 
 
-def label_from_obj(obj) -> SimpleLabel:
-    return SimpleLabel(parse_bipartition(obj["bipartition"]), int(obj["shift"]))
-
-
-def summand_obj(s) -> dict:
-    if isinstance(s, Semisimple):
-        return {"type": "semisimple", "factors": [label_obj(x) for x in s.factors]}
-    if isinstance(s, Uniserial):
-        return {"type": "uniserial", "layers": [label_obj(x) for x in s.layers]}
-    return {"type": "diagram",
-            "factors": [label_obj(x) for x in s.vertices],
-            "edges": [list(edge) for edge in s.edges]}
-
-
-def summand_from_obj(obj):
-    kind = obj["type"]
-    if kind == "semisimple":
-        return Semisimple(tuple(label_from_obj(x) for x in obj["factors"]))
-    if kind == "uniserial":
-        return Uniserial(tuple(label_from_obj(x) for x in obj["layers"]))
-    if kind == "diagram":
-        return Diagram(tuple(label_from_obj(x) for x in obj["factors"]),
-                       tuple((int(a), int(b)) for a, b in obj["edges"]))
-    raise ValueError(f"unknown summand type {kind!r}")
+def summand_obj(s: Summand) -> dict:
+    out = {"type": s.kind, _LABEL_KEY[s.kind]: [label_obj(x) for x in s.labels]}
+    if s.kind == DIAGRAM:
+        out["edges"] = [list(edge) for edge in s.edges]
+    return out
 
 
 def verdict_obj(v: Verdict) -> dict:
@@ -60,26 +41,13 @@ def verdict_obj(v: Verdict) -> dict:
     return out
 
 
-def verdict_from_obj(obj) -> Verdict:
-    structure = None
-    if "summands" in obj:
-        structure = ModuleStructure(
-            tuple(summand_from_obj(s) for s in obj["summands"]))
-    composition = None
-    if "composition" in obj:
-        composition = tuple(label_from_obj(x) for x in obj["composition"])
-    return Verdict(obj["verdict"], structure, composition,
-                   tuple(obj.get("notes", ())))
-
-
-def summand_text(s) -> str:
-    if isinstance(s, Semisimple):
-        return " (+) ".join(label_text(x) for x in s.factors)
-    if isinstance(s, Uniserial):
-        return " | ".join(label_text(x) for x in s.layers)
-    verts = ", ".join(f"v{i}={label_text(x)}" for i, x in enumerate(s.vertices))
-    edges = ", ".join(f"v{a}<v{b}" for a, b in s.edges)
-    return f"diagram{{{verts}; edges {edges}}}"
+def summand_text(s: Summand) -> str:
+    if s.kind == DIAGRAM:
+        verts = ", ".join(f"v{i}={label_text(x)}" for i, x in enumerate(s.labels))
+        edges = ", ".join(f"v{a}<v{b}" for a, b in s.edges)
+        return f"diagram{{{verts}; edges {edges}}}"
+    sep = " | " if s.kind == UNISERIAL else " (+) "
+    return sep.join(label_text(x) for x in s.labels)
 
 
 def verdict_text(v: Verdict) -> str:

@@ -17,7 +17,7 @@ Inputs with k < j are answered through the component-switching duality
 (total shift j + k), recorded in the verdict notes.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .crystal import braces, induce, induction_recipe, is_regular, mullineux, scrt
 from .padic import check_prime_or_zero
@@ -35,29 +35,19 @@ class SimpleLabel:
     shift: int
 
 
-@dataclass(frozen=True)
-class Semisimple:
-    factors: tuple
-
-    def labels(self):
-        return list(self.factors)
+SEMISIMPLE = "semisimple"
+UNISERIAL = "uniserial"
+DIAGRAM = "diagram"
 
 
 @dataclass(frozen=True)
-class Uniserial:
-    layers: tuple  # socle first
-
-    def labels(self):
-        return list(self.layers)
-
-
-@dataclass(frozen=True)
-class Diagram:
-    vertices: tuple
-    edges: tuple  # (below, above) vertex index pairs
-
-    def labels(self):
-        return list(self.vertices)
+class Summand:
+    """A summand of a module structure; ``kind`` is its JSON type.  The
+    labels are semisimple factors, uniserial layers socle first, or diagram
+    vertices with ``edges`` as (below, above) vertex index pairs."""
+    kind: str
+    labels: tuple
+    edges: tuple = ()
 
 
 @dataclass(frozen=True)
@@ -65,32 +55,21 @@ class ModuleStructure:
     summands: tuple
 
     def labels(self):
-        out = []
-        for s in self.summands:
-            out.extend(s.labels())
-        return out
+        return [lab for s in self.summands for lab in s.labels]
 
     def num_summands(self) -> int:
         return len(self.summands)
 
     def map_labels(self, fn) -> "ModuleStructure":
-        def conv(s):
-            if isinstance(s, Semisimple):
-                return Semisimple(tuple(fn(x) for x in s.factors))
-            if isinstance(s, Uniserial):
-                return Uniserial(tuple(fn(x) for x in s.layers))
-            return Diagram(tuple(fn(x) for x in s.vertices), s.edges)
-        return ModuleStructure(tuple(conv(s) for s in self.summands))
+        return ModuleStructure(tuple(replace(s, labels=tuple(map(fn, s.labels)))
+                                     for s in self.summands))
 
     def dualize(self) -> "ModuleStructure":
         """Contragredient shape: layers reverse, diagram edges flip."""
-        def conv(s):
-            if isinstance(s, Semisimple):
-                return s
-            if isinstance(s, Uniserial):
-                return Uniserial(tuple(reversed(s.layers)))
-            return Diagram(s.vertices, tuple((b, a) for (a, b) in s.edges))
-        return ModuleStructure(tuple(conv(s) for s in self.summands))
+        return ModuleStructure(tuple(
+            replace(s, labels=s.labels[::-1]) if s.kind == UNISERIAL
+            else replace(s, edges=tuple((b, a) for a, b in s.edges))
+            for s in self.summands))
 
 
 @dataclass(frozen=True)
@@ -101,8 +80,8 @@ class Verdict:
     notes: tuple[str, ...] = field(default_factory=tuple)
 
 
-def _simple(label) -> Semisimple:
-    return Semisimple((label,))
+def _simple(label) -> Summand:
+    return Summand(SEMISIMPLE, (label,))
 
 
 def semisimplicity_criterion(k: int, j: int, p: int) -> bool:
@@ -158,7 +137,7 @@ def structure_j1(k: int, e: int, p: int) -> ModuleStructure:
     if p == 0 or (k + 1) % p:
         return semisimple_decomposition(k, 1, e)
     a, b = _label(k, 1, 0, e), _label(k, 1, 1, e)
-    return ModuleStructure((Uniserial((a, b, a)),))
+    return ModuleStructure((Summand(UNISERIAL, (a, b, a)),))
 
 
 def structure_j2(k: int, e: int, p: int) -> ModuleStructure:
@@ -174,19 +153,17 @@ def structure_j2(k: int, e: int, p: int) -> ModuleStructure:
             or (p == 2 and k % 4 == 1):
         return semisimple_decomposition(k, 2, e)
     if p != 2 and (k + 2) % p == 0:
-        return ModuleStructure((_simple(two), Uniserial((triv, one, triv))))
+        return ModuleStructure((_simple(two), Summand(UNISERIAL, (triv, one, triv))))
     if (p != 2 and (k + 1) % p == 0) or (p == 2 and k % 4 == 3):
-        return ModuleStructure((_simple(one), Uniserial((triv, two, triv))))
+        return ModuleStructure((_simple(one), Summand(UNISERIAL, (triv, two, triv))))
     if p != 2 and k % p == 0:
-        return ModuleStructure((_simple(triv), Uniserial((one, two, one))))
+        return ModuleStructure((_simple(triv), Summand(UNISERIAL, (one, two, one))))
     if p == 2 and k % 4 == 0:
         return ModuleStructure(
-            (_simple(triv), Uniserial((one, triv, two, triv, one))))
+            (_simple(triv), Summand(UNISERIAL, (one, triv, two, triv, one))))
     # p = 2, k = 2 mod 4: indecomposable, structure given as a diagram
-    return ModuleStructure((
-        Diagram(vertices=(triv, one, two, one, triv),
-                edges=((0, 1), (2, 1), (3, 2), (3, 4))),
-    ))
+    return ModuleStructure((Summand(DIAGRAM, (triv, one, two, one, triv),
+                                    ((0, 1), (2, 1), (3, 2), (3, 4))),))
 
 
 def almost_ss_residue(k: int, j: int, p: int) -> int | None:
@@ -223,9 +200,9 @@ def almost_ss_structure(k: int, j: int, p: int) -> ModuleStructure:
     def lab(m: int) -> Partition:
         return two_column(m, n)
 
-    def nseries(r: int) -> Uniserial:
+    def nseries(r: int) -> Summand:
         low, high = i // 2 - r, (i + 1) // 2 + 1 + r
-        return Uniserial((lab(low), lab(high), lab(low)))
+        return Summand(UNISERIAL, (lab(low), lab(high), lab(low)))
 
     summands: list = []
     if j == p and i == j - 1 and (k + 1) % (p * p) != 0:
@@ -261,8 +238,8 @@ def five_factor_structure(e: int) -> ModuleStructure:
     the trivial-type factor on top."""
     check_e(e)
     triv, one, two, three = (_label(7, 3, r, e) for r in range(4))
-    diagram = Diagram(vertices=(triv, two, three, two, triv),
-                      edges=((0, 1), (2, 1), (3, 2), (3, 4)))
+    diagram = Summand(DIAGRAM, (triv, two, three, two, triv),
+                      ((0, 1), (2, 1), (3, 2), (3, 4)))
     return ModuleStructure((_simple(one), diagram))
 
 

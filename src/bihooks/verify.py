@@ -156,9 +156,7 @@ def crystal_suite(max_n: int = 10, es=(2, 3, 4)) -> SuiteReport:
                 rep.check(size(lab) == n * e and crystal.is_regular(lab, e),
                           f"scrt size/regularity m={m} n={n} e={e}")
     for e in [x for x in es if x <= 4]:
-        pairs = [(a, b) for a in range(e + 1) for b in range(e)
-                 if (a == 0 and b == 0) or (a > 0 and a + b != e)]
-        for a, b in pairs:
+        for a, b in [(0, 0)] + crystal.induction_pairs(e):
             for k in range(1, 5):
                 for j in range(1, k + 1):
                     # the family's closed form, and under negated induction
@@ -251,8 +249,8 @@ def structure_suite(max_kj: int = 14, primes=(0, 2, 3, 5, 7), es=(2, 3)) -> Suit
                                   for lab in v.structure.labels()),
                               f"regular labels {tag}")
                     for s in v.structure.summands:
-                        if isinstance(s, structure.Uniserial):
-                            rep.check(list(s.layers) == list(reversed(s.layers)),
+                        if s.kind == structure.UNISERIAL:
+                            rep.check(s.labels == s.labels[::-1],
                                       f"palindromic layers {tag}")
     for e in es:
         for p in (2, 3, 5, 7):
@@ -262,7 +260,7 @@ def structure_suite(max_kj: int = 14, primes=(0, 2, 3, 5, 7), es=(2, 3)) -> Suit
                 a = structure.translate_two_column(
                     structure.almost_ss_structure(k, 2, p), e, 2)
                 b = structure.structure_j2(k, e, p)
-                rep.check(sorted(map(repr, a.summands)) == sorted(map(repr, b.summands)),
+                rep.check(Counter(a.summands) == Counter(b.summands),
                           f"j=2 overlap e={e} p={p} k={k}")
     return rep
 
@@ -336,9 +334,7 @@ def llt_suite(es=(2, 3), max_kj: int = 5, max_n: int = 12,
     # against the predicted structures, and the induction recipe carries
     # the bihook basis vector to exactly the induced one
     for e in es:
-        pairs = [(a, b) for a in range(1, e + 1) for b in range(e)
-                 if a + b != e and 2 * (a + b) + 2 * e <= max_n + 4]
-        for a, b in pairs:
+        for a, b in crystal.induction_pairs(e):
             for total in (2, 3):
                 for j in range(1, total // 2 + 1):
                     k = total - j

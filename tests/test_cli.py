@@ -10,8 +10,7 @@ from bihooks.cli import main
 from bihooks.fock import DecompositionMatrix, canonical_basis
 from bihooks.laurent import LaurentPoly
 from bihooks.render import (
-    matrix_csv, matrix_json, matrix_json_obj, verdict_from_obj, verdict_obj,
-    verdict_text,
+    matrix_csv, matrix_json, matrix_json_obj, verdict_obj, verdict_text,
 )
 from bihooks.structure import predict
 
@@ -31,14 +30,14 @@ def test_structure_text(capsys):
         assert piece in out
 
 
-def test_structure_json_round_trip(capsys):
+def test_structure_json(capsys):
     code, out = run(capsys, "structure", "--e", "2", "--p", "2",
                     "--k", "2", "--j", "2", "--format", "json")
     assert code == 0
     obj = json.loads(out)
     assert obj["verdict"] == "indecomposable"
     assert obj["summands"][0]["type"] == "diagram"
-    assert verdict_from_obj(obj) == predict(2, 2, 2, 2)
+    assert obj == verdict_obj(predict(2, 2, 2, 2))
 
 
 def test_uniserial_text_socle_leftmost(capsys):
@@ -221,20 +220,32 @@ def test_error_paths(capsys):
     assert code == 2
 
 
-def test_verdict_json_round_trip_across_cases():
-    cases = [
-        predict(7, 5, 3, 0),
-        predict(3, 1, 2, 2),
-        predict(2, 2, 2, 2),
-        predict(7, 3, 3, 3),
-        predict(6, 3, 2, 3),
-        predict(1, 2, 3, 0),
-        predict(2, 1, 3, 0, a=1, b=1, transpose=True),
-    ]
-    for verdict in cases:
-        assert verdict_from_obj(json.loads(
-            json.dumps(verdict_obj(verdict)))) == verdict
-        assert verdict_text(verdict)
+# sha256 of every verdict's text and indented JSON over a grid that holds
+# each kind of summand, both diagrams among them at (p, k, j) = (2, 2, 2)
+# and (3, 7, 3); recorded before the summand classes became one record
+VERDICT_GOLDEN = (
+    "7aaf9f9d8ee90f4639ff0c3c6195b1afd99bb40f1ebeeb41f34ee06c59606378")
+
+
+def test_verdict_output_pinned_across_cases():
+    h = hashlib.sha256()
+    count = 0
+    for e in (2, 3):
+        for p in (0, 2, 3, 5, 7):
+            for total in range(2, 11):
+                for j in range(1, total):
+                    for a, b in ((0, 0), (1, 0), (1, 1)):
+                        if a + b == e:
+                            continue
+                        for transpose in (False, True):
+                            v = predict(total - j, j, e, p, a=a, b=b,
+                                        transpose=transpose)
+                            h.update(verdict_text(v).encode() + b"\n")
+                            h.update(json.dumps(verdict_obj(v), indent=1).encode()
+                                     + b"\n")
+                            count += 1
+    assert count == 2250
+    assert h.hexdigest() == VERDICT_GOLDEN
 
 
 def test_matrix_emitters_agree(tmp_path):

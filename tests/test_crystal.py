@@ -2,8 +2,8 @@ import pytest
 
 from bihooks.crystal import (
     braces, braces_int, cogood_node, e_tilde, f_tilde, good_node, induce,
-    induction_recipe, is_regular, mullineux, reduced_signature,
-    regular_bipartitions, scrt,
+    induction_pairs, induction_recipe, is_regular, mullineux,
+    reduced_signature, regular_bipartitions, scrt,
 )
 from bihooks.partitions import EMPTY_BP, bipartitions, size
 from bihooks.schur import two_column
@@ -131,6 +131,18 @@ def test_induction_recipe():
         induction_recipe(0, 1, 4)
     with pytest.raises(ValueError):
         induction_recipe(5, 1, 4)
+
+
+def test_induction_pairs_closed_condition():
+    for e in range(2, 6):
+        want = [(a, b) for a in range(-1, e + 2) for b in range(-1, e + 2)
+                if 0 < a <= e and 0 <= b < e and a + b != e]
+        assert induction_pairs(e) == want
+        for a in range(-1, e + 2):
+            for b in range(-1, e + 2):
+                if (a, b) != (0, 0) and (a, b) not in want:
+                    with pytest.raises(ValueError, match="invalid induction"):
+                        induction_recipe(a, b, e)
 
 
 def test_induce_worked_cases():

@@ -2,13 +2,14 @@ from collections import Counter
 
 import pytest
 
+from bihooks.crystal import induction_pairs
 from bihooks.partitions import format_bipartition
 from bihooks.schur import num_summands, two_column
 from bihooks.structure import (
-    Diagram, Semisimple, Uniserial, almost_ss_residue,
-    almost_ss_structure, braces_transpose_label, composition_labels,
-    decomposability, family_shape, predict, semisimple_decomposition,
-    semisimplicity_criterion, structure_j1, structure_j2,
+    DIAGRAM, SEMISIMPLE, UNISERIAL, almost_ss_residue, almost_ss_structure,
+    braces_transpose_label, composition_labels, decomposability, family_shape,
+    predict, semisimple_decomposition, semisimplicity_criterion, structure_j1,
+    structure_j2,
 )
 
 
@@ -42,36 +43,35 @@ def test_structure_j1():
     assert ss.num_summands() == 2
     uni = structure_j1(3, 2, 2)
     assert uni.num_summands() == 1
-    layers = uni.summands[0].layers
+    layers = uni.summands[0].labels
     assert [format_bipartition(l.bipartition) for l in layers] == \
         ["8|-", "6,1|1", "8|-"]
     assert all(l.shift == 1 for l in layers)
     uni3 = structure_j1(2, 2, 3)
-    assert isinstance(uni3.summands[0], Uniserial)
-    assert len(uni3.summands[0].layers) == 3
+    assert uni3.summands[0].kind == UNISERIAL
+    assert len(uni3.summands[0].labels) == 3
 
 
 def test_structure_j2_cases():
     # (ii) p | k+2, at e = 3
     s = structure_j2(4, 3, 3)
-    kinds = sorted(type(x).__name__ for x in s.summands)
-    assert kinds == ["Semisimple", "Uniserial"]
-    uni = [x for x in s.summands if isinstance(x, Uniserial)][0]
-    assert [format_bipartition(l.bipartition) for l in uni.layers] == \
+    assert sorted(x.kind for x in s.summands) == [SEMISIMPLE, UNISERIAL]
+    uni = [x for x in s.summands if x.kind == UNISERIAL][0]
+    assert [format_bipartition(l.bipartition) for l in uni.labels] == \
         ["18|-", "15,1|2", "18|-"]
     # (v) p=2, k=0 mod 4
     s = structure_j2(4, 2, 2)
-    uni = [x for x in s.summands if isinstance(x, Uniserial)][0]
-    assert [format_bipartition(l.bipartition) for l in uni.layers] == \
+    uni = [x for x in s.summands if x.kind == UNISERIAL][0]
+    assert [format_bipartition(l.bipartition) for l in uni.labels] == \
         ["10,1|1", "12|-", "8,3|1", "12|-", "10,1|1"]
-    simple = [x for x in s.summands if isinstance(x, Semisimple)][0]
-    assert format_bipartition(simple.factors[0].bipartition) == "12|-"
+    simple = [x for x in s.summands if x.kind == SEMISIMPLE][0]
+    assert format_bipartition(simple.labels[0].bipartition) == "12|-"
     # (vi) p=2, k=2 mod 4: one five-vertex diagram
     s = structure_j2(2, 2, 2)
     assert s.num_summands() == 1
     d = s.summands[0]
-    assert isinstance(d, Diagram)
-    assert [format_bipartition(v.bipartition) for v in d.vertices] == \
+    assert d.kind == DIAGRAM
+    assert [format_bipartition(v.bipartition) for v in d.labels] == \
         ["8|-", "6,1|1", "4,3|1", "6,1|1", "8|-"]
     assert d.edges == ((0, 1), (2, 1), (3, 2), (3, 4))
 
@@ -121,11 +121,11 @@ def test_predict_five_factor_example():
     v = predict(7, 3, 2, 3)
     assert v.status == "decomposable"
     assert v.structure.num_summands() == 2
-    diagram = [s for s in v.structure.summands if isinstance(s, Diagram)][0]
-    assert len(diagram.vertices) == 5
+    diagram = [s for s in v.structure.summands if s.kind == DIAGRAM][0]
+    assert len(diagram.labels) == 5
     assert diagram.edges == ((0, 1), (2, 1), (3, 2), (3, 4))
-    simple = [s for s in v.structure.summands if isinstance(s, Semisimple)][0]
-    assert simple.factors[0].bipartition == ((18, 1), (1,))  # scrt(2,1^8) at e=2
+    simple = [s for s in v.structure.summands if s.kind == SEMISIMPLE][0]
+    assert simple.labels[0].bipartition == ((18, 1), (1,))  # scrt(2,1^8) at e=2
 
 
 def test_predict_fallback_unknown_structure():
@@ -152,9 +152,9 @@ def test_predict_swapped_components():
     swapped = predict(2, 3, 2, 5)  # base (3,2) with p=5 | k+2
     assert swapped.structure is not None
     for s in swapped.structure.summands:
-        if isinstance(s, Uniserial):
-            assert list(s.layers) == list(reversed(s.layers))
-            assert all(lab.shift == 3 for lab in s.layers)
+        if s.kind == UNISERIAL:
+            assert s.labels == s.labels[::-1]
+            assert all(lab.shift == 3 for lab in s.labels)
 
 
 def test_predict_transpose():
@@ -164,15 +164,13 @@ def test_predict_transpose():
     # shift is 2k + j and labels are the Mullineux images
     v2 = predict(3, 1, 2, 2, transpose=True)
     uni = v2.structure.summands[0]
-    assert isinstance(uni, Uniserial)
-    assert all(lab.shift == 7 for lab in uni.layers)
+    assert uni.kind == UNISERIAL
+    assert all(lab.shift == 7 for lab in uni.labels)
 
 
 def test_transpose_labels_agree_with_braces_route():
     for e in (2, 3, 4):
-        pairs = [(a, b) for a in range(e + 1) for b in range(e)
-                 if (a == 0 and b == 0) or (a > 0 and a + b != e)]
-        for a, b in pairs[:6]:
+        for a, b in ([(0, 0)] + induction_pairs(e))[:6]:
             base = predict(2, 1, e, 0)
             via_mull = predict(2, 1, e, 0, a=a, b=b, transpose=True)
             for lab in base.structure.labels():

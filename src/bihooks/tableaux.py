@@ -19,12 +19,19 @@ reference route the tests check the table against.
 
 The enumeration builds each tableau's rows in place, one list per row
 that entries are appended to and popped from, and copies them out only at
-a finished tableau.  The word recursion keeps ``{exponent: coefficient}``
-dicts per sub-shape for the length of one call and builds a single
-``LaurentPoly`` at the end; nothing is memoised across calls, so a sweep
-over many words holds no memory beyond the shared peel tables.
+a finished tableau.  ``codegrees`` reads one tableau's codegree at several
+e with one standardness check and one peel order; ``codegree`` is its
+one-e call.  The word recursion, ``word_graded_dimensions``, keeps
+``{exponent: coefficient}`` dicts per sub-shape, one memo level per
+prefix length, and takes its words in sorted order: a word reuses the
+levels of the prefix it shares with the word before it, and the levels
+past that prefix are cleared, so the memo never holds more than one
+word's.  ``word_graded_dimension`` is its one-word call.  Nothing is
+memoised across calls, so a sweep over many shapes holds no memory
+beyond the shared peel tables.
 """
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from operator import lt
@@ -206,21 +213,31 @@ def peel_degrees(shape: Bipartition, e: int) -> dict[Node, tuple[Bipartition, in
 _peel_table = lru_cache(maxsize=None)(peel_degrees)
 
 
-def codegree(t: Tableau, e: int, node_of: dict[int, Node] | None = None) -> int:
-    """The codegree of t (module docstring), read from the peel tables.
-    ``node_of``, when given, is ``t.node_map()``, so that a caller that
-    also reads ``residue_sequence`` builds the map once."""
-    check_e(e)
+def codegrees(t: Tableau, es, node_of: dict[int, Node] | None = None) -> list[int]:
+    """The codegree of t (module docstring) at each e in ``es``, read from
+    the peel tables: one standardness check and one reversed node list
+    serve every e.  ``node_of``, when given, is ``t.node_map()``, so that
+    a caller that also reads ``residue_sequence`` builds the map once."""
+    for e in es:
+        check_e(e)
     if not is_standard(t):
         raise ValueError(f"tableau is not standard: {t}")
     if node_of is None:
         node_of = t.node_map()
-    shape = t.shape
-    total = 0
-    for r in range(t.n, 0, -1):
-        shape, d = _peel_table(shape, e)[node_of[r]]
-        total += d
-    return total
+    peeled = list(map(node_of.__getitem__, range(t.n, 0, -1)))
+    out = []
+    for e in es:
+        shape, total = t.shape, 0
+        for node in peeled:
+            shape, d = _peel_table(shape, e)[node]
+            total += d
+        out.append(total)
+    return out
+
+
+def codegree(t: Tableau, e: int, node_of: dict[int, Node] | None = None) -> int:
+    """The codegree of t at one e; see ``codegrees``."""
+    return codegrees(t, (e,), node_of)[0]
 
 
 @lru_cache(maxsize=None)
@@ -239,28 +256,37 @@ def graded_dimension(shape: Bipartition, e: int) -> LaurentPoly:
 
 def graded_dimension_by_enumeration(shape: Bipartition, e: int,
                                     bound: int = SIZE_BOUND) -> LaurentPoly:
-    """Independent route: enumerate the tableaux and sum q^codegree."""
+    """Independent route: enumerate the tableaux and count them by
+    codegree."""
     _check_bound(shape, bound)
-    total = ZERO
-    for t in standard_tableaux(shape, bound=bound):
-        total = total + LaurentPoly.q_power(codegree(t, e))
-    return total
+    counts = Counter(codegree(t, e) for t in standard_tableaux(shape, bound=bound))
+    return LaurentPoly._raw(dict(counts))
 
 
-def word_graded_dimension(shape: Bipartition, word, e: int) -> LaurentPoly:
-    """Sum of q^codegree over standard tableaux with the given residue
-    sequence, by a peel recursion keyed on sub-shapes."""
+def word_graded_dimensions(shape: Bipartition, words, e: int) -> list[LaurentPoly]:
+    """Sum of q^codegree over standard tableaux with each given residue
+    sequence, in the order given, by a peel recursion keyed on sub-shapes.
+
+    The sub-shapes of size k depend only on a word's first k letters, so
+    the memo keeps one level per prefix length and, taking the words in
+    sorted order, clears only the levels past the prefix a word shares
+    with the one before it.
+    """
     check_e(e)
-    word = tuple(x % e for x in word)
     n = size(shape)
-    if len(word) != n:
-        raise ValueError(f"word length {len(word)} != size {n}")
-    # sub-shape -> {exponent: coefficient}; every coefficient counts
-    # tableaux, so none is ever 0
-    memo: dict[Bipartition, dict[int, int]] = {EMPTY_BP: {0: 1}}
+    words = [tuple(x % e for x in word) for word in words]
+    for word in words:
+        if len(word) != n:
+            raise ValueError(f"word length {len(word)} != size {n}")
+    # memo[k]: sub-shape of size k -> {exponent: coefficient}; every
+    # coefficient counts tableaux, so none is ever 0
+    memo: list[dict[Bipartition, dict[int, int]]] = [{} for _ in range(n + 1)]
+    memo[0][EMPTY_BP] = {0: 1}
 
+    # reads the word the loop below is at
     def rec(sub: Bipartition, k: int) -> dict[int, int]:
-        got = memo.get(sub)
+        level = memo[k]
+        got = level.get(sub)
         if got is not None:
             return got
         target = word[k - 1]
@@ -269,10 +295,26 @@ def word_graded_dimension(shape: Bipartition, word, e: int) -> LaurentPoly:
             if (c - r) % e == target:
                 for x, v in rec(smaller, k - 1).items():
                     total[x + d] = total.get(x + d, 0) + v
-        memo[sub] = total
+        level[sub] = total
         return total
 
-    return LaurentPoly._raw(rec(shape, n))
+    dims = {}
+    prev: tuple[int, ...] = ()
+    for word in sorted(set(words)):
+        shared = 0
+        while shared < len(prev) and word[shared] == prev[shared]:
+            shared += 1
+        for level in memo[shared + 1:]:
+            level.clear()
+        dims[word] = LaurentPoly._raw(rec(shape, n))
+        prev = word
+    return [dims[word] for word in words]
+
+
+def word_graded_dimension(shape: Bipartition, word, e: int) -> LaurentPoly:
+    """Sum of q^codegree over standard tableaux with the given residue
+    sequence; see ``word_graded_dimensions``."""
+    return word_graded_dimensions(shape, (word,), e)[0]
 
 
 def gg_word(nu, e: int) -> tuple[int, ...]:

@@ -371,20 +371,27 @@ def words_suite(es=(2, 3), max_kj: int = 4, max_n: int = 10) -> SuiteReport:
                     rep.check(lhs == rhs, f"word identity e={e} k={k} j={j} mu={mu}")
     # bucket tableaux by residue sequence (enumeration route) and compare
     # every bucket against the peel recursion; the buckets also sum to the
-    # full graded dimension
-    for e in es:
-        for n in range(0, max_n + 1):
-            for lam in bipartitions(n):
-                buckets: dict[tuple, LaurentPoly] = {}
-                for t in tableaux.standard_tableaux(lam):
-                    node_of = t.node_map()
-                    w = tableaux.residue_sequence(t, e, node_of)
-                    buckets[w] = buckets.get(w, ZERO) + \
-                        LaurentPoly.q_power(tableaux.codegree(t, e, node_of))
-                for w, val in buckets.items():
-                    rep.check(val == tableaux.word_graded_dimension(lam, w, e),
+    # full graded dimension.  One enumeration of each shape serves every
+    # e: a bucket is a count of (word, codegree) pairs.
+    for n in range(0, max_n + 1):
+        for lam in bipartitions(n):
+            counts = [Counter() for _ in es]
+            for t in tableaux.standard_tableaux(lam):
+                node_of = t.node_map()
+                for e, count, d in zip(es, counts,
+                                       tableaux.codegrees(t, es, node_of)):
+                    count[tableaux.residue_sequence(t, e, node_of), d] += 1
+            for e, count in zip(es, counts):
+                buckets: dict[tuple, dict[int, int]] = {}
+                sums = Counter()
+                for (w, d), v in count.items():
+                    buckets.setdefault(w, {})[d] = v
+                    sums[d] += v
+                for w, val in zip(buckets, tableaux.word_graded_dimensions(
+                        lam, list(buckets), e)):
+                    rep.check(LaurentPoly._raw(buckets[w]) == val,
                               f"word space e={e} {format_bipartition(lam)} {w}")
-                rep.check(sum(buckets.values(), ZERO)
+                rep.check(LaurentPoly._raw(dict(sums))
                           == tableaux.graded_dimension(lam, e),
                           f"word sums e={e} {format_bipartition(lam)}")
     return rep

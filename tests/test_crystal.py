@@ -22,22 +22,6 @@ def test_signature_examples():
         [(1, 5, 1), (1, 5, 2)]
 
 
-def test_reduced_signature_shape_and_idempotence():
-    for e in (2, 3, 4):
-        for n in range(0, 8):
-            for bp in bipartitions(n):
-                for i in range(e):
-                    red = reduced_signature(bp, i, e)
-                    assert "+-" not in signs(red)
-                    stack = []
-                    for s, node in red:
-                        if s == "-" and stack and stack[-1][0] == "+":
-                            stack.pop()
-                        else:
-                            stack.append((s, node))
-                    assert stack == red
-
-
 def test_good_cogood_examples():
     assert cogood_node(EMPTY_BP, 0, 2) == (1, 1, 1)
     assert good_node(((1,), (1,)), 0, 3) == (1, 1, 2)
@@ -49,17 +33,6 @@ def test_crystal_operator_examples():
     x = f_tilde(f_tilde(((4,), (4,)), 0, 4), 0, 4)
     assert x == ((5,), (5,))
     assert e_tilde(((5,), (5,)), 0, 4) == ((5,), (4,))
-
-
-def test_f_tilde_e_tilde_inverse():
-    for e in (2, 3):
-        for n in range(0, 8):
-            for bp in bipartitions(n):
-                for i in range(e):
-                    up = f_tilde(bp, i, e)
-                    if up is not None:
-                        assert size(up) == n + 1
-                        assert e_tilde(up, i, e) == bp
 
 
 def test_regularity_examples():

@@ -7,10 +7,10 @@ from bihooks.laurent import LaurentPoly, ONE
 from bihooks.partitions import bipartitions, remove_node, removable_nodes, size
 from bihooks.structure import family_shape
 from bihooks.tableaux import (
-    Tableau, codegree, column_initial_tableau, count_standard, gg_word,
-    graded_dimension, graded_dimension_by_enumeration, is_standard,
+    Tableau, codegree, codegrees, column_initial_tableau, count_standard,
+    gg_word, graded_dimension, graded_dimension_by_enumeration, is_standard,
     node_degree, peel_degrees, residue_sequence, standard_tableaux,
-    word_graded_dimension,
+    word_graded_dimension, word_graded_dimensions,
 )
 
 
@@ -153,6 +153,9 @@ def test_degree_codegree_base_cases():
     bad = Tableau(((2,), ()), (((2, 1),), ()))
     with pytest.raises(ValueError):
         codegree(bad, 2)
+    assert codegrees(empty, (2, 3)) == [0, 0]
+    with pytest.raises(ValueError, match="not standard"):
+        codegrees(bad, (2, 3))
 
 
 def test_codegree_of_column_initial_tableaux():
@@ -192,7 +195,11 @@ def test_statistics_match_reference_peel():
         for n in range(0, 7):
             for shape in bipartitions(n):
                 for t in standard_tableaux(shape):
-                    assert codegree(t, e) == _reference_codegree(t, e)
+                    want = _reference_codegree(t, e)
+                    assert codegree(t, e) == want
+                    # several e in one call, in the order given
+                    assert codegrees(t, (e, 5 - e)) == \
+                        [want, _reference_codegree(t, 5 - e)]
                     # a node map the caller built serves the same statistic
                     node_of = t.node_map()
                     assert codegree(t, e, node_of) == codegree(t, e)
@@ -229,6 +236,33 @@ def test_word_graded_dimension():
             for shape in bipartitions(n):
                 w = residue_sequence(column_initial_tableau(shape), e)
                 assert word_graded_dimension(shape, w, e)
+
+
+def test_word_graded_dimensions_match_word_filter():
+    # each word's value is q^codegree summed over the tableaux the word
+    # filter gives; the words come unsorted and repeated, and a word that
+    # no tableau has gives 0
+    for e in (2, 3):
+        for n in range(0, 7):
+            for shape in bipartitions(n):
+                words = sorted({residue_sequence(t, e)
+                                for t in standard_tableaux(shape)}, reverse=True)
+                asked = words + words[:2]
+                absent = next((w for w in product(range(e), repeat=n)
+                               if w not in words), None)
+                if absent is not None:
+                    asked.insert(len(words) // 2, absent)
+                want = [sum((LaurentPoly.q_power(codegree(t, e)) for t in
+                             standard_tableaux(shape, word=w, e=e)), LaurentPoly())
+                        for w in asked]
+                assert word_graded_dimensions(shape, asked, e) == want
+                if absent is not None:
+                    assert not word_graded_dimension(shape, absent, e)
+                # letters are read mod e
+                assert word_graded_dimensions(
+                    shape, [tuple(x + e for x in w) for w in asked], e) == want
+    with pytest.raises(ValueError, match="word length 3 != size 4"):
+        word_graded_dimensions(((2,), (2,)), [(0, 1, 0, 1), (0, 1, 0)], 2)
 
 
 def test_gg_word():

@@ -49,6 +49,16 @@ BROKEN = [
                  {"es": (2,), "max_n": 1}, id="crystal-family-shape-ignores-b"),
     ("words", tableaux, "word_graded_dimension",
      lambda real: lambda *a: real(*a) * Q(1), {"es": (2,), "max_kj": 2, "max_n": 2}),
+    # the word-space half reads every word of a shape in one call, and
+    # the codegrees of a tableau at every e in another
+    pytest.param("words", tableaux, "word_graded_dimensions",
+                 lambda real: lambda *a: [v * Q(1) for v in real(*a)],
+                 {"es": (2,), "max_kj": 2, "max_n": 2}, id="words-dimensions-times-q"),
+    pytest.param("words", tableaux, "codegrees",
+                 lambda real: lambda t, es, *a: [d + (e == 3) for d, e
+                                                 in zip(real(t, es, *a), es)],
+                 {"es": (2, 3), "max_kj": 2, "max_n": 2},
+                 id="words-codegrees-off-at-e3"),
     ("degrees", tableaux, "codegree", lambda real: lambda *a: real(*a) + 1,
      {"es": (2,), "max_kj": 2}),
 ]

@@ -57,7 +57,10 @@ lookups and builds of every table, for profiles; it keeps no transition.
 Sharing.  A matrix holds one ``LaurentPoly`` per distinct entry value,
 shared by every entry equal to it, and its labels are the tuples held by
 ``dominance_keys(n)``; both the solver and ``DecompositionMatrix.from_obj``
-build matrices this way.  The solver's finished raw columns hold the
+build matrices this way.  The cache file (schema ``SCHEMA``) has the same
+shape: it lists each distinct value once, and an entry is an index into
+that list, so a load decodes each value once and looks each label up in
+one text -> tuple table.  The solver's finished raw columns hold the
 shared values' own dicts.  So no code may mutate a ``LaurentPoly`` or a
 finished raw column in place: ``LaurentPoly`` arithmetic always builds
 new dicts, and elimination writes only to the column being eliminated.
@@ -75,9 +78,9 @@ from operator import countOf
 from .crystal import regular_bipartitions, signature
 from .laurent import LaurentPoly, ONE
 from .partitions import (
-    Bipartition, EMPTY_BP, Node, add_node, check_e, dominance_keys,
-    format_bipartition, key_dominates, node_position, parse_bipartition,
-    remove_node, residue_nodes, size,
+    Bipartition, EMPTY_BP, Node, add_node, check_e, dominance_codes,
+    dominance_keys, format_bipartition, node_position, remove_node,
+    residue_nodes, size,
 )
 # a module attribute that the benchmark's tracer patches, used or not
 from .partitions import dominance_key  # noqa: F401
@@ -85,6 +88,9 @@ from .tableaux import graded_dimension
 
 # the grading side, written on every matrix and cache file
 ABOVE = "above"
+# the cache-file layout of ``DecompositionMatrix.to_obj``; a file without
+# it is recomputed and rewritten
+SCHEMA = 2
 
 FockVector = dict[Bipartition, LaurentPoly]
 # the solver's working form: exponent -> nonzero coefficient, per shape id
@@ -374,76 +380,74 @@ class DecompositionMatrix:
         return dict(index.get(lam, ()))
 
     def to_obj(self):
-        """The cache-file object; entries equal as objects share one pair
-        list, so each distinct value is encoded once."""
+        """The cache-file object, schema ``SCHEMA``: each distinct entry
+        value is written once, as its ``to_pairs`` list in ``values``, in
+        the order of first use over the columns and rows in decreasing
+        dominance, and each entry as its index there.  The bytes are
+        therefore a function of the matrix alone."""
         labels = set(self.columns).union(*self.columns.values())
         key_of = dominance_keys(self.n)
         text_of = {bp: format_bipartition(bp) for bp in labels}
-        distinct = {id(val): val for col in self.columns.values()
-                    for val in col.values()}
-        pairs_of = {k: val.to_pairs() for k, val in distinct.items()}
+        values: list[list[list[int]]] = []
+        # id -> index, so each shared object is looked up once; objects
+        # equal in value still share one index
+        by_id: dict[int, int] = {}
+        by_value: dict = {}
+
+        def index(val):
+            k = by_id.get(id(val))
+            if k is None:
+                k = by_id[id(val)] = by_value.setdefault(_value_key(val._c),
+                                                         len(values))
+                if k == len(values):
+                    values.append(val.to_pairs())
+            return k
 
         def by_key(kv):
             return key_of[kv[0]]
 
-        return {
-            "n": self.n,
-            "e": self.e,
-            "convention": ABOVE,
-            "columns": {
-                text_of[mu]: {
-                    text_of[lam]: pairs_of[id(val)]
-                    for lam, val in sorted(col.items(), key=by_key, reverse=True)
-                }
-                for mu, col in sorted(self.columns.items(), key=by_key,
-                                      reverse=True)
-            },
+        columns = {
+            text_of[mu]: {
+                text_of[lam]: index(val)
+                for lam, val in sorted(col.items(), key=by_key, reverse=True)
+            }
+            for mu, col in sorted(self.columns.items(), key=by_key, reverse=True)
         }
+        return {"schema": SCHEMA, "n": self.n, "e": self.e, "convention": ABOVE,
+                "values": values, "columns": columns}
 
     @classmethod
     def from_obj(cls, obj) -> "DecompositionMatrix":
-        """The matrix of ``to_obj``; ``ValueError`` when the convention is
-        not ``ABOVE`` or a label does not parse or is not a bipartition of
-        n.  Equal entries share one ``LaurentPoly``, and each label is the
-        tuple ``dominance_keys(n)`` holds (module docstring, "Sharing")."""
+        """The matrix of ``to_obj``; ``ValueError`` when the schema is not
+        ``SCHEMA``, the convention is not ``ABOVE``, a label is not the
+        text of a bipartition of n, or an entry is not an index into
+        ``values`` (an int, so neither ``true`` nor ``1.0``, in
+        [0, len(values))).  Labels come from one text -> tuple table over
+        ``dominance_keys(n)``, so none is parsed and each is the key
+        table's own tuple; each value is decoded once, and equal values
+        meet in one ``LaurentPoly`` (module docstring, "Sharing")."""
+        if obj["schema"] != SCHEMA:
+            raise ValueError(f"schema {obj['schema']!r} is not {SCHEMA}")
         if obj["convention"] != ABOVE:
             raise ValueError(f"convention {obj['convention']!r} is not {ABOVE!r}")
         n = int(obj["n"])
-        # each distinct label text is parsed once
-        labels: dict[str, Bipartition] = {}
-        table = None
-
-        def label(text):
-            nonlocal table
-            bp = labels.get(text)
-            if bp is None:
-                bp = parse_bipartition(text)
-                if size(bp) != n:
-                    raise ValueError(f"label {text!r} is not of size {n}")
-                if table is None:
-                    table = {bp: bp for bp in dominance_keys(n)}
-                bp = labels[text] = table[bp]
-            return bp
-
-        # each distinct pair list is decoded once, and equal values that
-        # arrive as different pair lists still meet in one object
-        by_pairs: dict[tuple, LaurentPoly] = {}
+        table = {format_bipartition(bp): bp for bp in dominance_keys(n)}
         by_terms: dict = {}
-        from_pairs = LaurentPoly.from_pairs
-
-        def value(pairs):
-            key = tuple(map(tuple, pairs))
-            val = by_pairs.get(key)
-            if val is None:
-                val = from_pairs(pairs)
-                val = by_pairs[key] = by_terms.setdefault(_value_key(val._c),
-                                                          val)
-            return val
-
-        columns = {
-            label(mu): {label(lam): value(pairs) for lam, pairs in col.items()}
-            for mu, col in obj["columns"].items()
-        }
+        values = [by_terms.setdefault(_value_key(val._c), val)
+                  for val in map(LaurentPoly.from_pairs, obj["values"])]
+        # a dict, not the list: a list would also take a negative index
+        value_at = dict(enumerate(values))
+        columns = {}
+        for mu, col in obj["columns"].items():
+            # bool and float keys hash like ints, so their type is checked
+            if not set(map(type, col.values())) <= {int}:
+                raise ValueError(f"column {mu!r} has an entry that is not an int")
+            try:
+                columns[table[mu]] = {table[lam]: value_at[i]
+                                      for lam, i in col.items()}
+            except KeyError as exc:
+                raise ValueError(f"column {mu!r}: {exc.args[0]!r} is not a "
+                                 f"label of size {n} or a value index") from None
         return cls(n=n, e=int(obj["e"]), columns=columns)
 
 
@@ -496,28 +500,38 @@ def canonical_basis(n: int, e: int, cache_dir: str | None = None,
 
 
 def _load_cached(path: str, n: int, e: int) -> DecompositionMatrix | None:
-    """The matrix stored at path, or None when the file is missing, fails
-    to decode (bad JSON, a missing field, another convention than
-    ``ABOVE``, a malformed label or entry, a non-finite number, a label
-    that is not a bipartition of n), holds another (n, e), has other
-    columns than the regular bipartitions of n, or has a column whose
-    diagonal entry is not exactly 1 or an off-diagonal entry outside
-    q.N[q] (q.Z[q] with nonnegative coefficients)."""
+    """The matrix stored at path, or None when the file is missing, holds
+    another (n, e), fails to decode (bad JSON, a missing field, another
+    schema than ``SCHEMA`` or convention than ``ABOVE``, an unknown label,
+    an entry that is not an index into ``values``, a malformed value, a
+    non-finite number), has other columns than the regular bipartitions
+    of n, or has a column whose diagonal entry is not exactly 1, an entry
+    at a row the column does not dominate, or an off-diagonal entry
+    outside q.N[q] (q.Z[q] with nonnegative coefficients)."""
     try:
         with open(path) as fh:
-            loaded = DecompositionMatrix.from_obj(json.load(fh))
+            obj = json.load(fh)
+        # before from_obj, which builds the label table of the stored n
+        if (obj["n"], obj["e"]) != (n, e):
+            return None
+        loaded = DecompositionMatrix.from_obj(obj)
     except (FileNotFoundError, ValueError, KeyError, TypeError, AttributeError,
             OverflowError):
         return None
-    if ((loaded.n, loaded.e) != (n, e)
-            or loaded.columns.keys() != regular_bipartitions(n, e)):
+    if loaded.columns.keys() != regular_bipartitions(n, e):
         return None
+    codes, guard = dominance_codes(n)
     # from_obj shares one object per distinct value, so the entries equal
     # to 1 are all the diagonal's object, and each value is checked once
     values = {}
     for mu, col in loaded.columns.items():
         diag = col.get(mu)
         if diag != ONE or countOf(map(id, col.values()), id(diag)) != 1:
+            return None
+        # triangularity by the packed test of dominance_codes; mu
+        # dominates itself, so its own row passes
+        top = codes[mu] | guard
+        if not all((top - codes[lam]) & guard == guard for lam in col):
             return None
         values.update(zip(map(id, col.values()), col.values()))
     for val in values.values():
@@ -528,9 +542,10 @@ def _load_cached(path: str, n: int, e: int) -> DecompositionMatrix | None:
 
 def _compute_canonical_basis(n: int, e: int) -> DecompositionMatrix:
     key_of = dominance_keys(n)
-    keys = list(key_of.values())
+    code_of, guard = dominance_codes(n)
+    codes = list(code_of.values())
     # the bipartitions of n take ids 0, 1, ... in decreasing key order, so
-    # labels[:len(keys)] are the key table's own tuples
+    # labels[:len(key_of)] are the key table's own tuples
     shapes = _Shapes(e, key_of)
     labels = shapes.shapes
     regular = regular_bipartitions(n, e)
@@ -580,12 +595,13 @@ def _compute_canonical_basis(n: int, e: int) -> DecompositionMatrix:
         if vec.get(mu) != {0: 1}:
             raise RuntimeError(f"column {labels[mu]}: diagonal is "
                                f"{LaurentPoly(vec.get(mu))}, expected 1")
-        kmu = keys[mu]
+        # dominance by the packed test of dominance_codes
+        top = codes[mu] | guard
         col: dict[Bipartition, LaurentPoly] = {}
         raw_col: RawVector = {}
         for bp, terms in vec.items():
             if bp != mu:
-                if not key_dominates(kmu, keys[bp]):
+                if (top - codes[bp]) & guard != guard:
                     raise RuntimeError(
                         f"column {labels[mu]} has support at {labels[bp]} "
                         f"not dominated by it")

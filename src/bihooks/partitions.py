@@ -202,6 +202,33 @@ def dominance_keys(n: int) -> MappingProxyType:
     return MappingProxyType({bp: key for key, bp in keys})
 
 
+@lru_cache(maxsize=None)
+def dominance_codes(n: int) -> tuple[MappingProxyType, int]:
+    """``(codes, guard)``: read-only ``{bp: code}`` over every bipartition
+    of n, in ``dominance_keys(n)`` order, with each dominance key packed
+    into one int; built once per n.
+
+    Coordinate k of a key takes the field of ``w = n.bit_length() + 1``
+    bits starting at bit k*w, and ``guard`` holds the top bit of every
+    field.  Then ``lam`` dominates ``mu`` iff
+    ``((codes[lam] | guard) - codes[mu]) & guard == guard``, which callers
+    write inline, since it runs once per matrix entry.  The test is exact:
+    every coordinate lies in [0, n], so below 2^(w-1), and each field of
+    the difference is 2^(w-1) + a - b with a, b < 2^(w-1), which lies in
+    [1, 2^w).  So no borrow crosses from one field into the next, and a
+    field keeps its guard bit iff a >= b."""
+    w = n.bit_length() + 1
+    fields = 2 * n
+    ones = sum(1 << (k * w) for k in range(fields))
+    # key coordinate k sums the parts up to k, so part r adds itself to
+    # every field from r up: one multiply per part, not one shift per field
+    tails = [ones >> (r * w) << (r * w) for r in range(fields)]
+    codes = {bp: sum(map(operator.mul, bp[0], tails))
+             + sum(map(operator.mul, bp[1], tails[n:]))
+             for bp in dominance_keys(n)}
+    return MappingProxyType(codes), ones << (w - 1)
+
+
 def dominates(lam: Bipartition, mu: Bipartition) -> bool:
     """Dominance on bipartitions of equal size: row partial sums of the
     first component, then first-component size plus partial sums of the
@@ -258,7 +285,7 @@ def bipartitions(n: int) -> tuple[Bipartition, ...]:
 
 
 def format_partition(p: Partition) -> str:
-    return ",".join(str(x) for x in p) if p else "-"
+    return ",".join(map(str, p)) if p else "-"
 
 
 def format_bipartition(bp: Bipartition) -> str:

@@ -295,50 +295,92 @@ def _rerun_over_corrupted_cache(tmp_path, capsys, monkeypatch, corrupt):
     assert [p.name for p in tmp_path.iterdir()] == [path.name]
 
 
-def _replace_once(old, new):
-    def corrupt(good):
-        assert good.count(old) == 1
-        return good.replace(old, new)
-    return corrupt
-
-
-def _edit_columns(edit):
+def _edit(edit):
+    """Corrupt the decoded file object in place with edit(obj)."""
     def corrupt(good):
         obj = json.loads(good)
-        edit(obj["columns"])
+        edit(obj)
         return json.dumps(obj).encode()
     return corrupt
 
 
+def _set_entry(col, row, entry):
+    """Set the existing entry (row, col) to entry: an index as it is, or a
+    pair list appended to values and pointed at."""
+    def edit(obj):
+        column = obj["columns"][col]
+        assert row in column
+        if isinstance(entry, list):
+            obj["values"].append(entry)
+            column[row] = len(obj["values"]) - 1
+        else:
+            column[row] = entry
+    return _edit(edit)
+
+
+def _rename_rows(old, new):
+    def edit(obj):
+        hits = [col for col in obj["columns"].values() if old in col]
+        assert hits
+        for col in hits:
+            col[new] = col.pop(old)
+    return _edit(edit)
+
+
+def _add_entry_below_dominance(obj):
+    # column 3,1|- does not dominate row 4|-, so a unitriangular matrix
+    # has no entry there; q is values[1], a value every check passes
+    column = obj["columns"]["3,1|-"]
+    assert "4|-" not in column and obj["values"][1] == [[1, 1]]
+    column["4|-"] = 1
+
+
+def _parent_format(obj):
+    """The layout written before schema 2: no schema, no values, and each
+    entry as its own pair list."""
+    values = obj.pop("values")
+    del obj["schema"]
+    for col in obj["columns"].values():
+        col.update((row, values[i]) for row, i in col.items())
+
+
 @pytest.mark.parametrize("corrupt", [
     lambda good: good[:len(good) // 2],                  # JSONDecodeError
-    lambda good: b'{"n": 4, "e": 2, "convention": "above"}',  # KeyError
-    lambda good: good.replace(b'"2|2"', b'"2|x"'),       # bad label
-    _replace_once(b'{"4|-": [[0, 1]]', b'{"4|-": [[Infinity, 1]]'),
-    _replace_once(b'{"3|1": [[0, 1]]', b'{"3|1": [[0, Infinity]]'),
+    _edit(lambda obj: obj.pop("columns")),               # KeyError
+    _rename_rows("2|2", "2|x"),                          # bad label
+    _set_entry("4|-", "4|-", [[float("inf"), 1]]),
+    _set_entry("3|1", "3|1", [[0, float("inf")]]),
+    _set_entry("4|-", "3,1|-", 99),
+    _set_entry("4|-", "3,1|-", -1),
+    _set_entry("4|-", "3,1|-", True),
+    _set_entry("4|-", "3,1|-", 1.0),
+    _edit(lambda obj: obj.pop("values")),
+    _edit(_parent_format),
 ], ids=["truncated", "missing-columns", "bad-label", "infinite-exponent",
-        "infinite-coefficient"])
+        "infinite-coefficient", "index-out-of-range", "negative-index",
+        "true-as-index", "float-as-index", "missing-values", "parent-format"])
 def test_llt_recomputes_over_undecodable_cache(tmp_path, capsys, monkeypatch,
                                                corrupt):
     _rerun_over_corrupted_cache(tmp_path, capsys, monkeypatch, corrupt)
 
 
 @pytest.mark.parametrize("corrupt", [
-    _replace_once(b'{"4|-": [[0, 1]]', b'{"4|-": [[0, 7]]'),
-    _replace_once(b'{"3|1": [[0, 1]]', b'{"3|1": [[0, 1], [1, 2]]'),
-    _replace_once(b'"1|2,1": [[4, 1]]', b'"1|2,1": [[0, 1]]'),
-    _replace_once(b'"1|3": [[1, 1]]', b'"1|3": [[-2, 1]]'),
-    _replace_once(b'"-|1,1,1,1": [[4, 1]]', b'"-|1,1,1": [[4, 1]]'),
-    _replace_once(b'"1,1,1|1": [[1, 1]]', b'"1,1,1|1": [[1, -1]]'),
-    _edit_columns(dict.clear),
-    _edit_columns(lambda cols: cols.pop("3|1")),
+    _set_entry("4|-", "4|-", [[0, 7]]),
+    _set_entry("3|1", "3|1", [[0, 1], [1, 2]]),
+    _set_entry("2,1|1", "1|2,1", [[0, 1]]),
+    _set_entry("3|1", "1|3", [[-2, 1]]),
+    _rename_rows("-|1,1,1,1", "-|1,1,1"),
+    _set_entry("3|1", "1,1,1|1", [[1, -1]]),
+    _edit(lambda obj: obj["columns"].clear()),
+    _edit(lambda obj: obj["columns"].pop("3|1")),
     # 2|2 is not regular at e = 2; its column passes every entry check
-    _edit_columns(lambda cols: cols.update({"2|2": {"2|2": [[0, 1]]}})),
-    _replace_once(b'"convention": "above"', b'"convention": "below"'),
+    _edit(lambda obj: obj["columns"].update({"2|2": {"2|2": 0}})),
+    _edit(lambda obj: obj.update(convention="below")),
+    _edit(_add_entry_below_dominance),
 ], ids=["diagonal-7", "diagonal-not-monomial", "entry-at-q0",
         "entry-at-negative-degree", "label-of-wrong-size",
         "negative-coefficient", "no-columns", "dropped-column",
-        "extra-column", "below-convention"])
+        "extra-column", "below-convention", "entry-below-dominance"])
 def test_llt_recomputes_over_invalid_cache(tmp_path, capsys, monkeypatch,
                                            corrupt):
     # decodable, but breaking an invariant the solver asserts

@@ -291,6 +291,12 @@ def test_to_obj_from_obj_round_trip():
     for e, n in ((2, 8), (3, 9), (2, 0)):
         m = canonical_basis(n, e, use_cache=False)
         obj = m.to_obj()
+        assert obj["schema"] == fock.SCHEMA
+        # each distinct value once, in the order of first use
+        first_use = list(dict.fromkeys(
+            i for col in obj["columns"].values() for i in col.values()))
+        assert first_use == list(range(len(obj["values"])))
+        assert len(set(map(str, obj["values"]))) == len(obj["values"])
         back = DecompositionMatrix.from_obj(json.loads(json.dumps(obj)))
         assert back == m
         assert back.to_obj() == obj
@@ -298,9 +304,9 @@ def test_to_obj_from_obj_round_trip():
         _assert_shared(back)
     # equal values that arrive as different pair lists meet in one object
     back = DecompositionMatrix.from_obj({
-        "n": 2, "e": 2, "convention": "above", "columns": {"2|-": {
-            "2|-": [[0, 1]], "1,1|-": [[1, 1]], "1|1": [[1, 1], [2, 0]],
-            "-|2": [["1", 1]]}}})
+        "schema": 2, "n": 2, "e": 2, "convention": "above",
+        "values": [[[0, 1]], [[1, 1]], [[1, 1], [2, 0]], [["1", 1]]],
+        "columns": {"2|-": {"2|-": 0, "1,1|-": 1, "1|1": 2, "-|2": 3}}})
     _, *vals = back.columns[((2,), ())].values()
     assert vals[0] is vals[1] is vals[2]
     _assert_shared(back)
@@ -322,12 +328,13 @@ def _sha256(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-# sha256 of cache files, recorded before the cache write path was rewritten;
-# the file format is a compatibility surface, so these bytes must not move
+# sha256 of cache files, recorded when schema 2 made entries indices into
+# one values list; the file format is a compatibility surface, so these
+# bytes move only with a deliberate schema bump
 CACHE_SHA256 = {
-    (2, 5): "92e1b249e42c8b24d5c18ba5eb78e19979484d9f8a8736c7bfa0c7cca7f4a575",
-    (2, 6): "88980e53aeea7dd67fc55dbb680cc39a18167e333fe242a85f9fb5229f3174b6",
-    (3, 7): "23698020863a4d4240753c44d55de5f2021f2c0c2bcb2369469fd519f4ba00a1",
+    (2, 5): "df3f9077194baedb9e6b64e101a85caea89c6b232953e62636b980eeeef1e26b",
+    (2, 6): "94f7f475513e4652498db71b54a888ae345d0ebf988ef216a483fe0161e9ca2b",
+    (3, 7): "0af47f52ba0e6650bc5fa632b50db303e533d1b26f069ac4fb18c20e3eaf5aab",
 }
 
 

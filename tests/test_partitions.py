@@ -3,9 +3,10 @@ from hypothesis import given, strategies as st
 
 from bihooks.partitions import (
     EMPTY_BP, add_node, addable_nodes, as_partition, bipartitions, conjugate,
-    conjugate_partition, dominance_key, dominance_keys, dominates,
-    format_bipartition, hook_length, is_bihook, parse_bipartition,
-    removable_nodes, residue, residue_nodes, size,
+    conjugate_partition, dominance_codes, dominance_key, dominance_keys,
+    dominates, format_bipartition, hook_length, is_bihook, key_dominates,
+    parse_bipartition, removable_nodes, remove_node, residue, residue_nodes,
+    size,
 )
 
 
@@ -121,6 +122,54 @@ def test_dominance_keys_table():
         assert dominance_keys(n) is table
         with pytest.raises(TypeError):
             table[EMPTY_BP] = ()
+
+
+def _packed_dominates(n, lam, mu):
+    """The packed test of the dominance_codes docstring."""
+    codes, guard = dominance_codes(n)
+    return ((codes[lam] | guard) - codes[mu]) & guard == guard
+
+
+def test_dominance_codes_pack_the_keys():
+    for n in range(0, 17):
+        codes, guard = dominance_codes(n)
+        w = n.bit_length() + 1
+        assert list(codes) == list(dominance_keys(n))
+        assert guard == sum(1 << (k * w + w - 1) for k in range(2 * n))
+        for bp, key in dominance_keys(n).items():
+            assert codes[bp] == sum(x << (k * w) for k, x in enumerate(key))
+        assert dominance_codes(n) is dominance_codes(n)
+
+
+def test_packed_dominance_matches_keys_small():
+    for n in range(0, 9):
+        keys = dominance_keys(n)
+        for lam in keys:
+            for mu in keys:
+                assert _packed_dominates(n, lam, mu) == key_dominates(
+                    keys[lam], keys[mu]), (lam, mu)
+
+
+@st.composite
+def edge_pair_st(draw):
+    """(n, lam, mu) at n = 7 or 15, whose keys fill their fields up to the
+    guard bit, or 8 or 16, which widen them; mu is either any bipartition
+    or lam with one box moved, so most pairs are comparable."""
+    n = draw(st.sampled_from((7, 8, 15, 16)))
+    lam = draw(st.sampled_from(bipartitions(n)))
+    if draw(st.booleans()):
+        return n, lam, draw(st.sampled_from(bipartitions(n)))
+    box = draw(st.sampled_from(removable_nodes(lam)))
+    rest = remove_node(lam, box)
+    return n, lam, add_node(rest, draw(st.sampled_from(addable_nodes(rest))))
+
+
+@given(edge_pair_st())
+def test_packed_dominance_matches_keys_at_field_edges(case):
+    n, lam, mu = case
+    keys = dominance_keys(n)
+    for a, b in ((lam, mu), (mu, lam), (lam, lam)):
+        assert _packed_dominates(n, a, b) == key_dominates(keys[a], keys[b])
 
 
 @given(bipartition_st(max_size=6))

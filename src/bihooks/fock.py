@@ -64,6 +64,7 @@ one text -> tuple table.  The solver's finished raw columns hold the
 shared values' own dicts.  So no code may mutate a ``LaurentPoly`` or a
 finished raw column in place: ``LaurentPoly`` arithmetic always builds
 new dicts, and elimination writes only to the column being eliminated.
+``_fault`` checks each value object once, yet does not rely on sharing.
 """
 
 import functools
@@ -470,32 +471,32 @@ def canonical_basis(n: int, e: int, cache_dir: str | None = None,
     For each regular mu in increasing dominance order, the first
     approximation A(mu) is corrected by bar-invariant multiples of the
     already-computed columns until every other regular coefficient lies
-    in q.Z[q]; unitriangularity of the result over *all* rows is
-    asserted, not assumed.
+    in q.Z[q]; every matrix served, computed or loaded, has passed
+    ``_fault`` over *all* rows.  A file is written exactly when computed.
     """
     check_e(e)
     if n < 0:
         raise ValueError(f"number of boxes must be >= 0, got {n}")
-    path = None
+    path = matrix = None
     if use_cache:
         path = os.path.realpath(os.path.join(cache_dir or default_cache_dir(),
                                              f"llt_e{e}_n{n}_{ABOVE}.json"))
-    matrix = _MEMORY.get(path) if use_cache else None
-    rewrite = False
-    if matrix is None and path is not None:
-        matrix = _load_cached(path, n, e)
-        rewrite = matrix is None
+        matrix = _MEMORY.get(path) or _load_cached(path, n, e)
     if matrix is None:
+        # checked once the solve has returned and its tables are freed
         matrix = _compute_canonical_basis(n, e)
-    if use_cache:
-        _MEMORY[path] = matrix
-        if rewrite or not os.path.exists(path):
+        reason = _fault(matrix)
+        if reason is not None:
+            raise RuntimeError(f"canonical basis e={e} n={n}: {reason}")
+        if path is not None:
             os.makedirs(os.path.dirname(path), exist_ok=True)
             fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
             with os.fdopen(fd, "w") as fh:
                 # dumps, unlike dump, runs the C encoder: same bytes, faster
                 fh.write(json.dumps(matrix.to_obj()))
             os.replace(tmp, path)
+    if path is not None:
+        _MEMORY[path] = matrix
     return matrix
 
 
@@ -503,11 +504,8 @@ def _load_cached(path: str, n: int, e: int) -> DecompositionMatrix | None:
     """The matrix stored at path, or None when the file is missing, holds
     another (n, e), fails to decode (bad JSON, a missing field, another
     schema than ``SCHEMA`` or convention than ``ABOVE``, an unknown label,
-    an entry that is not an index into ``values``, a malformed value, a
-    non-finite number), has other columns than the regular bipartitions
-    of n, or has a column whose diagonal entry is not exactly 1, an entry
-    at a row the column does not dominate, or an off-diagonal entry
-    outside q.N[q] (q.Z[q] with nonnegative coefficients)."""
+    an entry that is not an index into ``values``, a value other than the
+    int pairs ``LaurentPoly.to_pairs`` writes), or fails ``_fault``."""
     try:
         with open(path) as fh:
             obj = json.load(fh)
@@ -515,35 +513,47 @@ def _load_cached(path: str, n: int, e: int) -> DecompositionMatrix | None:
         if (obj["n"], obj["e"]) != (n, e):
             return None
         loaded = DecompositionMatrix.from_obj(obj)
-    except (FileNotFoundError, ValueError, KeyError, TypeError, AttributeError,
-            OverflowError):
+    except (FileNotFoundError, ValueError, KeyError, TypeError, AttributeError):
         return None
-    if loaded.columns.keys() != regular_bipartitions(n, e):
-        return None
+    return None if _fault(loaded) else loaded
+
+
+def _fault(matrix: DecompositionMatrix) -> str | None:
+    """The first invariant that matrix breaks, named, or None: the columns
+    are the regular bipartitions of n, the diagonal is 1, each entry lies
+    at a row its column dominates, and each off-diagonal value, checked
+    once per object, lies in q.N[q] (Brundan-Kleshchev, arXiv 0901.4450).
+    Equal values need not share one object: a column skips only its own
+    diagonal object, by id, and only when ``countOf`` finds it once."""
+    n, columns = matrix.n, matrix.columns
+    regular = regular_bipartitions(n, matrix.e)
+    if columns.keys() != regular:
+        odd = ", ".join(sorted(map(format_bipartition, columns.keys() ^ regular)))
+        return f"columns differ from the regular bipartitions at {odd}"
     codes, guard = dominance_codes(n)
-    # from_obj shares one object per distinct value, so the entries equal
-    # to 1 are all the diagonal's object, and each value is checked once
-    values = {}
-    for mu, col in loaded.columns.items():
-        diag = col.get(mu)
-        if diag != ONE or countOf(map(id, col.values()), id(diag)) != 1:
-            return None
-        # triangularity by the packed test of dominance_codes; mu
-        # dominates itself, so its own row passes
+    passed = set()  # the ids of the off-diagonal values checked
+    for mu, col in columns.items():
+        where = f"column {format_bipartition(mu)}"
+        if col.get(mu) != ONE:
+            return f"{where}: diagonal is {col.get(mu)}, expected 1"
+        # the packed test of partitions.dominance_codes; mu dominates itself
         top = codes[mu] | guard
-        if not all((top - codes[lam]) & guard == guard for lam in col):
-            return None
-        values.update(zip(map(id, col.values()), col.values()))
-    for val in values.values():
-        if val != ONE and not (val.in_q_window() and val.has_nonneg_coeffs()):
-            return None
-    return loaded
+        bad = [lam for lam in col if (top - codes[lam]) & guard != guard]
+        if bad:
+            return f"{where} does not dominate its row {format_bipartition(bad[0])}"
+        by_id = dict(zip(map(id, col.values()), col.values()))
+        if countOf(map(id, col.values()), id(col[mu])) == 1:
+            del by_id[id(col[mu])]
+        for k, v in by_id.items():
+            if k not in passed and not (v.in_q_window() and v.has_nonneg_coeffs()):
+                lam = next(lam for lam, w in col.items() if w is v and lam != mu)
+                return f"{where}, row {format_bipartition(lam)}: {v} outside q.N[q]"
+        passed.update(by_id)
+    return None
 
 
 def _compute_canonical_basis(n: int, e: int) -> DecompositionMatrix:
     key_of = dominance_keys(n)
-    code_of, guard = dominance_codes(n)
-    codes = list(code_of.values())
     # the bipartitions of n take ids 0, 1, ... in decreasing key order, so
     # labels[:len(key_of)] are the key table's own tuples
     shapes = _Shapes(e, key_of)
@@ -592,32 +602,12 @@ def _compute_canonical_basis(n: int, e: int) -> DecompositionMatrix:
                             del slot[k]
                 if not slot:
                     del vec[bp]
-        if vec.get(mu) != {0: 1}:
-            raise RuntimeError(f"column {labels[mu]}: diagonal is "
-                               f"{LaurentPoly(vec.get(mu))}, expected 1")
-        # dominance by the packed test of dominance_codes
-        top = codes[mu] | guard
         col: dict[Bipartition, LaurentPoly] = {}
         raw_col: RawVector = {}
         for bp, terms in vec.items():
-            if bp != mu:
-                if (top - codes[bp]) & guard != guard:
-                    raise RuntimeError(
-                        f"column {labels[mu]} has support at {labels[bp]} "
-                        f"not dominated by it")
-                if min(terms) < 1:
-                    raise RuntimeError(
-                        f"column {labels[mu]}, row {labels[bp]}: entry "
-                        f"{LaurentPoly(terms)} outside q.Z[q]")
             value_key = _value_key(terms)
             val = shared.get(value_key)
             if val is None:
-                # positivity (Brundan-Kleshchev): in characteristic 0 every
-                # entry lies in N[q]; checked once per distinct value
-                if min(terms.values()) < 0:
-                    raise RuntimeError(
-                        f"column {labels[mu]}, row {labels[bp]}: entry "
-                        f"{LaurentPoly(terms)} has a negative coefficient")
                 val = shared[value_key] = LaurentPoly._raw(terms)
             col[labels[bp]] = val
             raw_col[bp] = val._c

@@ -187,13 +187,14 @@ class LaurentPoly:
 
     @classmethod
     def from_pairs(cls, pairs) -> "LaurentPoly":
-        """The inverse of ``to_pairs``: the sum of c*q^k over the [k, c]
-        pairs, in any order.  Both numbers are coerced with ``int``; when an
-        exponent repeats, its last pair wins, and zero coefficients are
-        dropped."""
-        d = {int(k): int(v) for k, v in pairs}
-        if 0 in d.values():
-            d = {k: v for k, v in d.items() if v}
+        """The inverse of ``to_pairs``, the sum of c*q^k over [k, c] pairs in
+        any order: ``ValueError`` unless every k and c is an int (neither a
+        bool nor a float), every c is nonzero and no k repeats."""
+        d = {}
+        for k, c in pairs:
+            if type(k) is not int or type(c) is not int or not c or k in d:
+                raise ValueError(f"pair {[k, c]!r} of {pairs!r} is not one of to_pairs")
+            d[k] = c
         return cls._raw(d)
 
     def __str__(self):

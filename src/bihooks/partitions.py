@@ -211,8 +211,8 @@ def dominance_codes(n: int) -> tuple[MappingProxyType, int]:
     Coordinate k of a key takes the field of ``w = n.bit_length() + 1``
     bits starting at bit k*w, and ``guard`` holds the top bit of every
     field.  Then ``lam`` dominates ``mu`` iff
-    ``((codes[lam] | guard) - codes[mu]) & guard == guard``, which callers
-    write inline, since it runs once per matrix entry.  The test is exact:
+    ``((codes[lam] | guard) - codes[mu]) & guard == guard``, written inline
+    once, in ``fock._fault``, which runs it per matrix entry.  It is exact:
     every coordinate lies in [0, n], so below 2^(w-1), and each field of
     the difference is 2^(w-1) + a - b with a, b < 2^(w-1), which lies in
     [1, 2^w).  So no borrow crosses from one field into the next, and a

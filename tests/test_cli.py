@@ -8,7 +8,7 @@ import pytest
 from bihooks import fock
 from bihooks.cli import main
 from bihooks.fock import DecompositionMatrix, canonical_basis
-from bihooks.laurent import LaurentPoly
+from bihooks.laurent import LaurentPoly, ZERO
 from bihooks.render import (
     matrix_csv, matrix_json, matrix_json_obj, verdict_obj, verdict_text,
 )
@@ -356,12 +356,34 @@ def _parent_format(obj):
     _set_entry("4|-", "3,1|-", 1.0),
     _edit(lambda obj: obj.pop("values")),
     _edit(_parent_format),
+    # values that int() would coerce into one the checks pass; the first
+    # was served as q^2
+    _set_entry("4|-", "3,1|-", [[2.9, 1]]),
+    _set_entry("4|-", "3,1|-", [["1", 1]]),
+    _set_entry("4|-", "3,1|-", [[1, True]]),
+    _set_entry("4|-", "3,1|-", [[1, 1], [2, 0]]),
+    _set_entry("4|-", "3,1|-", [[1, 5], [1, 1]]),
 ], ids=["truncated", "missing-columns", "bad-label", "infinite-exponent",
         "infinite-coefficient", "index-out-of-range", "negative-index",
-        "true-as-index", "float-as-index", "missing-values", "parent-format"])
+        "true-as-index", "float-as-index", "missing-values", "parent-format",
+        "float-exponent", "string-exponent", "bool-coefficient",
+        "zero-coefficient", "repeated-exponent"])
 def test_llt_recomputes_over_undecodable_cache(tmp_path, capsys, monkeypatch,
                                                corrupt):
     _rerun_over_corrupted_cache(tmp_path, capsys, monkeypatch, corrupt)
+
+
+def test_broken_solve_is_refused_and_never_cached(tmp_path, capsys,
+                                                  monkeypatch):
+    # no correction is ever applied, so the first approximations come back
+    # as columns; the check after the solve must refuse them
+    monkeypatch.setattr(fock, "_MEMORY", {})
+    monkeypatch.setattr(LaurentPoly, "bar_closure", lambda self: ZERO)
+    code = main(["llt", "--e", "2", "--n", "6", "--cache-dir", str(tmp_path)])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err.startswith("error: ") and "column 5|1" in captured.err
+    assert list(tmp_path.iterdir()) == [] and fock._MEMORY == {}
 
 
 @pytest.mark.parametrize("corrupt", [

@@ -12,7 +12,7 @@ from bihooks.fock import (
 from bihooks.laurent import LaurentPoly, ONE, ZERO, quantum_factorial
 from bihooks.partitions import (
     EMPTY_BP, add_node, addable_nodes, bipartitions, dominance_key,
-    dominance_keys, key_dominates, residue,
+    dominance_keys, format_bipartition, key_dominates, residue,
 )
 from bihooks.crystal import is_regular
 from bihooks.tableaux import graded_dimension, node_degree
@@ -302,13 +302,14 @@ def test_to_obj_from_obj_round_trip():
         assert back.to_obj() == obj
         _assert_shared(m)
         _assert_shared(back)
-    # equal values that arrive as different pair lists meet in one object
+    # equal values that arrive as different pair lists, which from_pairs
+    # allows only as two orderings of the same pairs, meet in one object
     back = DecompositionMatrix.from_obj({
         "schema": 2, "n": 2, "e": 2, "convention": "above",
-        "values": [[[0, 1]], [[1, 1]], [[1, 1], [2, 0]], [["1", 1]]],
-        "columns": {"2|-": {"2|-": 0, "1,1|-": 1, "1|1": 2, "-|2": 3}}})
+        "values": [[[0, 1]], [[1, 1], [2, 3]], [[2, 3], [1, 1]]],
+        "columns": {"2|-": {"2|-": 0, "1,1|-": 1, "1|1": 2}}})
     _, *vals = back.columns[((2,), ())].values()
-    assert vals[0] is vals[1] is vals[2]
+    assert vals[0] is vals[1]
     _assert_shared(back)
 
 
@@ -377,3 +378,42 @@ def test_memory_is_kept_per_cache_directory(tmp_path, monkeypatch):
     (b / "llt_e2_n4_above.json").write_bytes(fresh[:40])
     assert canonical_basis(4, 2, cache_dir=str(b)) == first
     assert (b / "llt_e2_n4_above.json").read_bytes() == fresh
+
+
+@pytest.mark.parametrize("e, n", [(2, 8), (3, 9)])
+def test_fault_passes_computed_and_loaded_matrices(e, n):
+    computed = canonical_basis(n, e, use_cache=False)
+    obj = json.loads(json.dumps(computed.to_obj()))
+    assert fock._fault(computed) is None
+    assert fock._fault(DecompositionMatrix.from_obj(obj)) is None
+    # nor does a copy that shares no value object, its 1s included
+    unshared = {mu: {lam: LaurentPoly(val.iter_terms()) for lam, val in col.items()}
+                for mu, col in computed.columns.items()}
+    assert fock._fault(DecompositionMatrix(n=n, e=e, columns=unshared)) is None
+
+
+def _set(col, row, val):
+    def edit(columns, label):
+        columns[label[col]][label[row]] = val
+    return edit
+
+
+@pytest.mark.parametrize("edit, named", [
+    (_set("2,1|2", "2,1|2", LaurentPoly({0: 2})), "column 2,1|2: diagonal is 2"),
+    (_set("2,1|2", "3|2", Q(1)), "column 2,1|2 does not dominate its row 3|2"),
+    # equal to the shared 1 but another object: the check must not lean
+    # on one object per distinct value
+    (_set("3,2|-", "1|2,2", LaurentPoly({0: 1})), "column 3,2|-, row 1|2,2: 1"),
+    (_set("3,2|-", "1|2,2", -Q(2)), "column 3,2|-, row 1|2,2: -q^2"),
+    (lambda columns, label: columns.pop(label["2,1|2"]), "at 2,1|2"),
+    # 2|2,1 is not regular at e = 2
+    (lambda columns, label: columns.update({label["2|2,1"]: {label["2|2,1"]: ONE}}),
+     "at 2|2,1"),
+], ids=["diagonal-2", "entry-not-dominated", "separate-one", "negative-entry",
+        "dropped-column", "extra-column"])
+def test_fault_names_each_broken_invariant(edit, named):
+    m = canonical_basis(5, 2, use_cache=False)
+    columns = {mu: dict(col) for mu, col in m.columns.items()}
+    edit(columns, {format_bipartition(bp): bp for bp in dominance_keys(5)})
+    reason = fock._fault(DecompositionMatrix(n=5, e=2, columns=columns))
+    assert reason is not None and named in reason

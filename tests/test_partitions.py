@@ -56,18 +56,6 @@ def test_dominance_reflexive_and_key(bp):
     assert len(key) == 2 * n
 
 
-def test_dominance_partial_order_small():
-    for n in range(6):
-        bps = bipartitions(n)
-        for a in bps:
-            for b in bps:
-                if dominates(a, b) and dominates(b, a):
-                    assert a == b
-                for c in bps:
-                    if dominates(a, b) and dominates(b, c):
-                        assert dominates(a, c)
-
-
 def test_residue_examples():
     assert residue((1, 3, 1), 4) == 2
     assert residue((1, 1, 2), 5) == 0

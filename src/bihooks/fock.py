@@ -57,7 +57,8 @@ lookups and builds of every table, for profiles; it keeps no transition.
 Sharing.  A matrix holds one ``LaurentPoly`` per distinct entry value,
 shared by every entry equal to it, and its labels are the tuples held by
 ``dominance_keys(n)``; both the solver and ``DecompositionMatrix.from_obj``
-build matrices this way.  The cache file (schema ``SCHEMA``) has the same
+build matrices this way, and ``DecompositionMatrix.row``'s index holds
+the same objects.  The cache file (schema ``SCHEMA``) has the same
 shape: it lists each distinct value once, and an entry is an index into
 that list, so a load decodes each value once and looks each label up in
 one text -> tuple table.  The solver's finished raw columns hold the
@@ -347,11 +348,12 @@ def first_approximation(mu: Bipartition, e: int) -> FockVector:
 class DecompositionMatrix:
     """Columns are canonical-basis vectors indexed by regular bipartitions;
     rows run over all bipartitions of n.  Unitriangular against dominance
-    with off-diagonal entries in q.Z[q].
+    with nonzero off-diagonal entries in q.N[q].
 
-    ``row`` is served from an index lam -> {mu: entry}, built from the
-    columns on its first call and kept on the matrix, so the columns must
-    not be mutated after that call."""
+    Every row reader goes through ``rows`` and ``row``.  ``row`` reads an
+    index lam -> (column labels, entries), two parallel lists in
+    decreasing dominance whatever order ``columns`` has, built on its
+    first call and kept, so the columns must not be mutated after it."""
     n: int
     e: int
     columns: dict[Bipartition, dict[Bipartition, LaurentPoly]]
@@ -367,18 +369,18 @@ class DecompositionMatrix:
         return list(dominance_keys(self.n))
 
     def row(self, lam: Bipartition) -> dict[Bipartition, LaurentPoly]:
-        """The nonzero entries of row lam, as a new dict in column order."""
+        """Row lam's entries, as a new dict in decreasing dominance."""
         index = self._row_index
         if index is None:
             index = self._row_index = {}
-            for mu, col in self.columns.items():
-                for bp, val in col.items():
-                    if val:
-                        slot = index.get(bp)
-                        if slot is None:
-                            slot = index[bp] = {}
-                        slot[mu] = val
-        return dict(index.get(lam, ()))
+            for mu in self.regulars():
+                for bp, val in self.columns[mu].items():
+                    slot = index.get(bp)
+                    if slot is None:
+                        slot = index[bp] = ([], [])
+                    slot[0].append(mu)
+                    slot[1].append(val)
+        return dict(zip(*index.get(lam, ((), ()))))
 
     def to_obj(self):
         """The cache-file object, schema ``SCHEMA``: each distinct entry
@@ -522,7 +524,8 @@ def _fault(matrix: DecompositionMatrix) -> str | None:
     """The first invariant that matrix breaks, named, or None: the columns
     are the regular bipartitions of n, the diagonal is 1, each entry lies
     at a row its column dominates, and each off-diagonal value, checked
-    once per object, lies in q.N[q] (Brundan-Kleshchev, arXiv 0901.4450).
+    once per object, is a nonzero element of q.N[q] (Brundan-Kleshchev,
+    arXiv 0901.4450).
     Equal values need not share one object: a column skips only its own
     diagonal object, by id, and only when ``countOf`` finds it once."""
     n, columns = matrix.n, matrix.columns
@@ -545,9 +548,11 @@ def _fault(matrix: DecompositionMatrix) -> str | None:
         if countOf(map(id, col.values()), id(col[mu])) == 1:
             del by_id[id(col[mu])]
         for k, v in by_id.items():
-            if k not in passed and not (v.in_q_window() and v.has_nonneg_coeffs()):
+            if k not in passed and not (v and v.in_q_window()
+                                        and v.has_nonneg_coeffs()):
                 lam = next(lam for lam, w in col.items() if w is v and lam != mu)
-                return f"{where}, row {format_bipartition(lam)}: {v} outside q.N[q]"
+                return (f"{where}, row {format_bipartition(lam)}: "
+                        f"{v} is not a nonzero element of q.N[q]")
         passed.update(by_id)
     return None
 

@@ -176,11 +176,12 @@ def all_nodes(bp: Bipartition) -> list[Node]:
             for c in range(1, length + 1)]
 
 
-def dominance_key(bp: Bipartition, rows: int | None = None) -> tuple[int, ...]:
-    """Partial-sum vector: ``lam`` dominates ``mu`` (same size) iff the key of
-    ``lam`` is pointwise >= the key of ``mu``.  The key determines ``bp``."""
+def dominance_key(bp: Bipartition) -> tuple[int, ...]:
+    """Partial-sum vector, size(bp) sums per component: ``lam`` dominates
+    ``mu`` (same size) iff its key is pointwise >= that of ``mu``.  The
+    key determines ``bp``."""
     c1, c2 = bp
-    n = size(bp) if rows is None else rows
+    n = size(bp)
     out = []
     s = 0
     for r in range(n):
@@ -194,10 +195,10 @@ def dominance_key(bp: Bipartition, rows: int | None = None) -> tuple[int, ...]:
 
 @lru_cache(maxsize=None)
 def dominance_keys(n: int) -> MappingProxyType:
-    """Read-only ``{bp: dominance_key(bp, n)}`` over every bipartition of
+    """Read-only ``{bp: dominance_key(bp)}`` over every bipartition of
     n, in decreasing key order (so decreasing dominance, refined
     lexicographically); built once per n."""
-    keys = [(dominance_key(bp, n), bp) for bp in bipartitions(n)]
+    keys = [(dominance_key(bp), bp) for bp in bipartitions(n)]
     keys.sort(reverse=True)
     return MappingProxyType({bp: key for key, bp in keys})
 
@@ -236,7 +237,7 @@ def dominates(lam: Bipartition, mu: Bipartition) -> bool:
     n = size(lam)
     if n != size(mu):
         raise ValueError(f"dominance needs equal sizes, got {n} and {size(mu)}")
-    return key_dominates(dominance_key(lam, n), dominance_key(mu, n))
+    return key_dominates(dominance_key(lam), dominance_key(mu))
 
 
 def key_dominates(ka: tuple[int, ...], kb: tuple[int, ...]) -> bool:

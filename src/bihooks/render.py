@@ -66,21 +66,16 @@ def verdict_text(v: Verdict) -> str:
 def _matrix_rows(matrix: DecompositionMatrix, rows: str,
                  label=format_bipartition):
     """(row label, [(column label, entry), ...]) for each kept nonzero row,
-    rows in decreasing dominance and each row's columns in decreasing
-    dominance, from one transposition of the columns that holds only the
-    column labels; ``label`` encodes each label once."""
-    columns = matrix.columns
-    text_of = {}
-    by_row: dict = {}
-    for mu in matrix.regulars():
-        text_of[mu] = label(mu)
-        for lam, val in columns[mu].items():
-            if val:
-                by_row.setdefault(lam, []).append(mu)
+    in the order of ``matrix.rows()`` and ``matrix.row``: rows and each
+    row's columns in decreasing dominance.  ``label`` encodes each label
+    once."""
+    text_of = {mu: label(mu) for mu in matrix.regulars()}
     for lam in matrix.rows():
-        mus = by_row.get(lam)
-        if mus and (rows != "bihooks" or is_bihook(lam)):
-            yield label(lam), [(text_of[mu], columns[mu][lam]) for mu in mus]
+        if rows == "bihooks" and not is_bihook(lam):
+            continue
+        entries = matrix.row(lam)
+        if entries:
+            yield label(lam), [(text_of[mu], val) for mu, val in entries.items()]
 
 
 def _encoded_rows(matrix: DecompositionMatrix, rows: str, label, value):

@@ -89,11 +89,6 @@ def is_standard(t: Tableau) -> bool:
     return entries == list(range(1, len(entries) + 1))
 
 
-def _check_bound(shape: Bipartition, bound: int):
-    if size(shape) > bound:
-        raise ValueError(f"size {size(shape)} exceeds bound {bound}")
-
-
 def _rows_from_fill(shape: Bipartition, fill: dict[Node, int]):
     """The rows of both components of ``shape``, read from node -> entry."""
     return tuple(tuple(tuple(fill[(r, c, m)] for c in range(1, length + 1))
@@ -109,8 +104,9 @@ def standard_tableaux(shape: Bipartition, word=None, e: int | None = None,
     When ``word`` is given, only tableaux whose residue sequence equals it
     are produced, pruning as entries are placed.
     """
-    _check_bound(shape, bound)
     n = size(shape)
+    if n > bound:
+        raise ValueError(f"size {n} exceeds bound {bound}")
     if word is not None:
         check_e(e)
         word = tuple(x % e for x in word)
@@ -235,9 +231,9 @@ def codegrees(t: Tableau, es, node_of: dict[int, Node] | None = None) -> list[in
     return out
 
 
-def codegree(t: Tableau, e: int, node_of: dict[int, Node] | None = None) -> int:
+def codegree(t: Tableau, e: int) -> int:
     """The codegree of t at one e; see ``codegrees``."""
-    return codegrees(t, (e,), node_of)[0]
+    return codegrees(t, (e,))[0]
 
 
 @lru_cache(maxsize=None)
@@ -254,12 +250,10 @@ def graded_dimension(shape: Bipartition, e: int) -> LaurentPoly:
     return total
 
 
-def graded_dimension_by_enumeration(shape: Bipartition, e: int,
-                                    bound: int = SIZE_BOUND) -> LaurentPoly:
+def graded_dimension_by_enumeration(shape: Bipartition, e: int) -> LaurentPoly:
     """Independent route: enumerate the tableaux and count them by
     codegree."""
-    _check_bound(shape, bound)
-    counts = Counter(codegree(t, e) for t in standard_tableaux(shape, bound=bound))
+    counts = Counter(codegree(t, e) for t in standard_tableaux(shape))
     return LaurentPoly._raw(dict(counts))
 
 

@@ -68,7 +68,7 @@ def combinatorics_suite(max_n: int = 12) -> SuiteReport:
     dn = min(max_n, 8)
     for n in range(dn + 1):
         bps = bipartitions(n)
-        keys = [dominance_key(bp, n) for bp in bps]
+        keys = [dominance_key(bp) for bp in bps]
         below = []
         for ka in keys:
             mask = 0
@@ -447,6 +447,9 @@ def run_suite(name: str, **bounds) -> SuiteReport:
         flags = ", ".join("--e" if k == "es" else "--" + k.replace("_", "-")
                           for k in unknown)
         raise ValueError(f"suite {name!r} does not take {flags}")
+    for key, flag in (("es", "--e"), ("primes", "--primes")):
+        if key in clean and not clean[key]:
+            raise ValueError(f"{flag} needs at least one value")
     if clean.get("max_n", 0) < 0:
         raise ValueError(f"--max-n must be >= 0, got {clean['max_n']}")
     if clean.get("max_kj", 2) < 2:

@@ -93,7 +93,7 @@ def test_criterion_04_dimension_balance(llt_cache_dir):
             for j in range(1, total // 2 + 1):
                 k = total - j
                 lam = family_shape(k, j, e)
-                lhs = graded_dimension_by_enumeration(lam, e, bound=total * e)
+                lhs = graded_dimension_by_enumeration(lam, e)
                 factors = semisimple_decomposition(k, j, e).labels()
                 rhs = Q(j) * sum((qdim[lab.bipartition] for lab in factors),
                                  ZERO)

@@ -182,6 +182,8 @@ def test_verify_rejects_a_flag_the_suite_does_not_take(capsys, argv, flag):
     (("--suite", "crystal", "--max-n", "-2"), "--max-n must be >= 0, got -2"),
     (("--suite", "words", "--max-n", "26"),
      "--max-n must be <= 25 for suite 'words', got 26"),
+    (("--suite", "llt", "--e", ","), "--e needs at least one value"),
+    (("--suite", "schur", "--primes", ","), "--primes needs at least one value"),
 ])
 def test_verify_rejects_an_out_of_range_bound(capsys, argv, message):
     code = main(["verify", *argv])
@@ -399,10 +401,14 @@ def test_broken_solve_is_refused_and_never_cached(tmp_path, capsys,
     _edit(lambda obj: obj["columns"].update({"2|2": {"2|2": 0}})),
     _edit(lambda obj: obj.update(convention="below")),
     _edit(_add_entry_below_dominance),
+    # [] is the zero polynomial as to_pairs writes it; it was served by
+    # dropping the entry
+    _set_entry("4|-", "3,1|-", []),
 ], ids=["diagonal-7", "diagonal-not-monomial", "entry-at-q0",
         "entry-at-negative-degree", "label-of-wrong-size",
         "negative-coefficient", "no-columns", "dropped-column",
-        "extra-column", "below-convention", "entry-below-dominance"])
+        "extra-column", "below-convention", "entry-below-dominance",
+        "zero-entry"])
 def test_llt_recomputes_over_invalid_cache(tmp_path, capsys, monkeypatch,
                                            corrupt):
     # decodable, but breaking an invariant the solver asserts

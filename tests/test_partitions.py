@@ -51,7 +51,7 @@ def test_dominance_examples():
 def test_dominance_reflexive_and_key(bp):
     assert dominates(bp, bp)
     n = size(bp)
-    key = dominance_key(bp, n)
+    key = dominance_key(bp)
     assert key[n - 1] == sum(bp[0]) if n else True
     assert len(key) == 2 * n
 
@@ -102,10 +102,10 @@ def test_residue_nodes_match_filtered_lists():
 def test_dominance_keys_table():
     for n in range(0, 9):
         table = dominance_keys(n)
-        assert dict(table) == {bp: dominance_key(bp, n)
+        assert dict(table) == {bp: dominance_key(bp)
                                for bp in bipartitions(n)}
         assert list(table) == sorted(bipartitions(n),
-                                     key=lambda bp: dominance_key(bp, n),
+                                     key=dominance_key,
                                      reverse=True)
         assert dominance_keys(n) is table
         with pytest.raises(TypeError):

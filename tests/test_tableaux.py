@@ -200,9 +200,9 @@ def test_statistics_match_reference_peel():
                     # several e in one call, in the order given
                     assert codegrees(t, (e, 5 - e)) == \
                         [want, _reference_codegree(t, 5 - e)]
-                    # a node map the caller built serves the same statistic
+                    # a node map the caller built serves the same statistics
                     node_of = t.node_map()
-                    assert codegree(t, e, node_of) == codegree(t, e)
+                    assert codegrees(t, (e,), node_of) == [want]
                     assert residue_sequence(t, e, node_of) == \
                         residue_sequence(t, e)
 

@@ -31,11 +31,14 @@ i-nodes sitting above all other i-activity.  The run list replayed in
 reverse as divided powers on |empty> gives a vector A(mu) with
 coefficient exactly 1 at |mu| and all other terms strictly later in the
 refined dominance order.  The solver builds every A(mu) in one
-depth-first pass over the sorted run lists, so a prefix shared by
-several of them is applied once.  Divided powers commute with the bar
-involution and fix |empty>, so every A(mu) is bar-invariant; corrections
-by bar-closures of offending coefficients therefore keep the eliminated
-columns bar-invariant without any combinatorial bar formula.
+depth-first pass over a trie of the reversed run lists, so a prefix
+shared by several of them is applied once.  The trie is filled least
+dominant mu first and walked in insertion order, which hands the
+approximations over close to the order the elimination takes them in;
+the pass checks each one before handing it over.  Divided powers commute
+with the bar involution and fix |empty>, so every A(mu) is bar-invariant;
+corrections by bar-closures of offending coefficients therefore keep the
+eliminated columns bar-invariant without any combinatorial bar formula.
 
 Interned shapes.  Inside the solver a shape is an int id from one
 table, ``_Shapes``, that lives for one solve and dies with it.  The
@@ -45,13 +48,12 @@ order" is a larger id; smaller shapes are interned as the first
 approximations reach them.  The same table holds the transitions
 (id, i, m) -> (target id, N(S), target id, N(S), ...) of the formula
 above, kept flat (no tuple per target) and each built on first use from
-one ``residue_nodes`` walk, and a child table (id, node) -> id, so
-``add_node`` runs once per distinct pair.  A vector is kept raw, as a
-map from shape ids to ``{exponent: coefficient}`` dicts, and elimination
-updates it in place; labels go back to the key table's tuples, and
-``LaurentPoly`` values are built, once a column is finished.
-``apply_f_divided`` and ``first_approximation`` take the same route
-through a table of their own.  ``_f_targets`` counts the transition
+one ``residue_nodes`` walk and one ``add_node`` per subset grown.  A
+vector is kept raw, as a map from shape ids to ``{exponent: coefficient}``
+dicts, and elimination updates it in place; labels go back to the key
+table's tuples, and ``LaurentPoly`` values are built, once a column is
+finished.  ``apply_f_divided`` and ``first_approximation`` take the same
+route through a table of their own.  ``_f_targets`` counts the transition
 lookups and builds of every table, for profiles; it keeps no transition.
 
 Sharing.  A matrix holds one ``LaurentPoly`` per distinct entry value,
@@ -80,7 +82,7 @@ from operator import countOf
 from .crystal import regular_bipartitions, signature
 from .laurent import LaurentPoly, ONE
 from .partitions import (
-    Bipartition, EMPTY_BP, Node, add_node, check_e, dominance_codes,
+    Bipartition, EMPTY_BP, add_node, check_e, dominance_codes,
     dominance_keys, format_bipartition, node_position, remove_node,
     residue_nodes, size,
 )
@@ -118,14 +120,13 @@ class _Shapes:
     id built so far to its transitions under f_i^(m), the flat tuple
     ``(target_id, N(S), target_id, N(S), ...)`` over the m-subsets S of
     the addable i-nodes in lexicographic order of S, which ``build``
-    computes."""
+    computes, interning each grown shape as it goes."""
 
     def __init__(self, e: int, first=()):
         self.e = e
         self.shapes: list[Bipartition] = list(first)
         self.ids: dict[Bipartition, int] = {
             bp: k for k, bp in enumerate(self.shapes)}
-        self._children: dict[tuple[int, Node], int] = {}
         self._tables: dict[tuple[int, int], dict[int, tuple]] = {}
         _f_targets.live.add(self)
 
@@ -135,14 +136,6 @@ class _Shapes:
             sid = self.ids[bp] = len(self.shapes)
             self.shapes.append(bp)
         return sid
-
-    def _child(self, sid: int, node: Node) -> int:
-        """The id of shape sid grown by node; one ``add_node`` per pair."""
-        cid = self._children.get((sid, node))
-        if cid is None:
-            cid = self._children[sid, node] = self.intern(
-                add_node(self.shapes[sid], node))
-        return cid
 
     def table(self, i: int, m: int) -> dict[int, tuple]:
         return self._tables.setdefault((i, m), {})
@@ -159,11 +152,11 @@ class _Shapes:
         counts = [k - bisect_left(rems, node_position(a))
                   for k, a in enumerate(adds)]
         # each m-subset S grows from S less its last node, so every subset
-        # costs one child step; the subsets come in lexicographic order
-        child = self._child
+        # costs one add_node; the subsets come in lexicographic order
+        intern, shapes = self.intern, self.shapes
         level = [(-1, sid, 0)]  # (last node index, grown shape, count sum)
         for j in range(m):
-            level = [(k, child(grown, adds[k]), d + counts[k])
+            level = [(k, intern(add_node(shapes[grown], adds[k])), d + counts[k])
                      for last, grown, d in level
                      for k in range(last + 1, len(adds) - m + j + 1)]
         shift = m * (m - 1) // 2
@@ -280,40 +273,37 @@ def peel_runs(mu: Bipartition, e: int) -> tuple[tuple[int, int], ...]:
 
 def _first_approximations(shapes: _Shapes, regs: list[int]):
     """Yield (mu, A(mu)) as raw vectors for every shape id mu in regs
-    (given in decreasing dominance), from one depth-first pass over the
+    (given in decreasing dominance), each checked by
+    ``_check_first_approximation``, from one depth-first pass over the
     trie of reversed peel runs, so that each shared prefix is applied once.
 
-    Sibling branches are visited by the least dominant mu each holds,
-    least dominant first: the solver eliminates in that order, so it can
-    take most approximations soon after they appear instead of holding
-    them all.  Every mu has the same size, so no run list is a prefix of
-    another: the pass never extends a vector it has yielded, and the
-    caller may update it in place."""
-    e = shapes.e
-    steps = {mu: tuple(reversed(peel_runs(shapes.shapes[mu], e))) for mu in regs}
-    last: dict[tuple, int] = {}  # trie node -> largest regs index below it
-    for idx, mu in enumerate(regs):
-        for k in range(1, len(steps[mu]) + 1):
-            last[steps[mu][:k]] = idx
+    The trie is filled least dominant mu first, and each node lists its
+    children in insertion order, so sibling branches are visited by the
+    least dominant mu each holds, least dominant first: the solver
+    eliminates in that order, so it can take most approximations soon
+    after they appear instead of holding them all.  Every mu has the same
+    size, so no run list is a prefix of another: the pass never extends a
+    vector it has yielded, and the caller may update it in place."""
+    trie: dict = {}
+    for mu in reversed(regs):
+        node = trie
+        for run in reversed(peel_runs(shapes.shapes[mu], shapes.e)):
+            node = node.setdefault(run, {})
+        # the leaf: None holds no run, so n = 0 needs no special case
+        node[None] = mu
+    yield from _walk(shapes, trie, {shapes.intern(EMPTY_BP): {0: 1}})
 
-    def branch_order(mu):
-        run = steps[mu]
-        return tuple(-last[run[:k]] for k in range(1, len(run) + 1))
 
-    path: list[tuple[int, int]] = []
-    # stack[k]: the vector after path[:k]
-    stack: list[RawVector] = [{shapes.intern(EMPTY_BP): {0: 1}}]
-    for mu in sorted(regs, key=branch_order):
-        run = steps[mu]
-        common = 0
-        while (common < len(path) and common < len(run)
-               and path[common] == run[common]):
-            common += 1
-        del path[common:], stack[common + 1:]
-        for i, m in run[common:]:
-            stack.append(_apply_divided(shapes, stack[-1], i, m))
-            path.append((i, m))
-        yield mu, stack[-1]
+def _walk(shapes: _Shapes, node: dict, vec: RawVector):
+    """The pass of ``_first_approximations`` below one trie node, whose
+    runs so far give vec.  Module-level, since a nested generator calling
+    itself would form a closure cycle that keeps shapes alive."""
+    for run, child in node.items():
+        if run is None:
+            _check_first_approximation(child, vec, shapes.shapes)
+            yield child, vec
+        else:
+            yield from _walk(shapes, child, _apply_divided(shapes, vec, *run))
 
 
 def _check_first_approximation(mu: int, vec: RawVector, labels):
@@ -338,8 +328,7 @@ def first_approximation(mu: Bipartition, e: int) -> FockVector:
     partial-sum vectors (the labels need not all be dominated by mu; the
     eliminated columns are, which the solver asserts)."""
     shapes = _Shapes(e, dominance_keys(size(mu)))
-    [(sid, vec)] = _first_approximations(shapes, [shapes.intern(mu)])
-    _check_first_approximation(sid, vec, shapes.shapes)
+    [(_, vec)] = _first_approximations(shapes, [shapes.intern(mu)])
     return {shapes.shapes[lam]: LaurentPoly._raw(terms)
             for lam, terms in vec.items()}
 
@@ -504,10 +493,11 @@ def canonical_basis(n: int, e: int, cache_dir: str | None = None,
 
 def _load_cached(path: str, n: int, e: int) -> DecompositionMatrix | None:
     """The matrix stored at path, or None when the file is missing, holds
-    another (n, e), fails to decode (bad JSON, a missing field, another
-    schema than ``SCHEMA`` or convention than ``ABOVE``, an unknown label,
-    an entry that is not an index into ``values``, a value other than the
-    int pairs ``LaurentPoly.to_pairs`` writes), or fails ``_fault``."""
+    another (n, e), fails to decode (bad JSON or JSON nested too deep to
+    decode, a missing field, another schema than ``SCHEMA`` or convention
+    than ``ABOVE``, an unknown label, an entry that is not an index into
+    ``values``, a value other than the int pairs ``LaurentPoly.to_pairs``
+    writes), or fails ``_fault``."""
     try:
         with open(path) as fh:
             obj = json.load(fh)
@@ -515,7 +505,8 @@ def _load_cached(path: str, n: int, e: int) -> DecompositionMatrix | None:
         if (obj["n"], obj["e"]) != (n, e):
             return None
         loaded = DecompositionMatrix.from_obj(obj)
-    except (FileNotFoundError, ValueError, KeyError, TypeError, AttributeError):
+    except (FileNotFoundError, ValueError, KeyError, TypeError, AttributeError,
+            RecursionError):
         return None
     return None if _fault(loaded) else loaded
 
@@ -579,7 +570,6 @@ def _compute_canonical_basis(n: int, e: int) -> DecompositionMatrix:
         # columns wait in held
         while mu not in held:
             nu, vec = next(approx)
-            _check_first_approximation(nu, vec, labels)
             held[nu] = vec
         vec = held.pop(mu)
         # clear every already-computed column, most dominant first; the

@@ -31,8 +31,8 @@ class LaurentPoly:
         return obj
 
     @classmethod
-    def q_power(cls, k: int, coeff: int = 1) -> "LaurentPoly":
-        return cls._raw({int(k): int(coeff)} if coeff else {})
+    def q_power(cls, k: int) -> "LaurentPoly":
+        return cls._raw({int(k): 1})
 
     def coeff(self, k: int) -> int:
         return self._c.get(k, 0)

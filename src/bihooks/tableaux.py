@@ -33,7 +33,7 @@ beyond the shared peel tables.
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from operator import lt
 
 from .laurent import LaurentPoly, ONE, ZERO
@@ -54,14 +54,15 @@ class Tableau:
     def n(self) -> int:
         return size(self.shape)
 
-    def node_map(self) -> dict[int, Node]:
-        """entry -> node."""
-        out = {}
+    @cached_property
+    def nodes(self) -> tuple[Node, ...]:
+        """The nodes holding the entries 1..n, in that order."""
+        out = [None] * self.n
         for m in (1, 2):
             for r, row in enumerate(self.rows[m - 1], start=1):
                 for c, val in enumerate(row, start=1):
-                    out[val] = (r, c, m)
-        return out
+                    out[val - 1] = (r, c, m)
+        return tuple(out)
 
     def __str__(self):
         def comp(rows):
@@ -140,6 +141,10 @@ def standard_tableaux(shape: Bipartition, word=None, e: int | None = None,
             row.pop()
 
     place(1)
+    # place reaches itself through its closure cell; emptying the cell
+    # frees out's tableaux when the caller drops them, not at the next
+    # cycle collection
+    del place
     return out
 
 
@@ -167,15 +172,10 @@ def column_initial_tableau(shape: Bipartition) -> Tableau:
     return Tableau(shape, _rows_from_fill(shape, fill))
 
 
-def residue_sequence(t: Tableau, e: int,
-                     node_of: dict[int, Node] | None = None) -> tuple[int, ...]:
-    """Residues of the nodes holding 1..n; ``node_of`` is ``t.node_map()``
-    when the caller has built it already."""
+def residue_sequence(t: Tableau, e: int) -> tuple[int, ...]:
+    """Residues of the nodes holding 1..n."""
     check_e(e)
-    if node_of is None:
-        node_of = t.node_map()
-    return tuple([(c - r) % e for r, c, _ in
-                  map(node_of.__getitem__, range(1, len(node_of) + 1))])
+    return tuple([(c - r) % e for r, c, _ in t.nodes])
 
 
 def node_degree(shape: Bipartition, node: Node, e: int) -> int:
@@ -209,22 +209,18 @@ def peel_degrees(shape: Bipartition, e: int) -> dict[Node, tuple[Bipartition, in
 _peel_table = lru_cache(maxsize=None)(peel_degrees)
 
 
-def codegrees(t: Tableau, es, node_of: dict[int, Node] | None = None) -> list[int]:
+def codegrees(t: Tableau, es) -> list[int]:
     """The codegree of t (module docstring) at each e in ``es``, read from
-    the peel tables: one standardness check and one reversed node list
-    serve every e.  ``node_of``, when given, is ``t.node_map()``, so that
-    a caller that also reads ``residue_sequence`` builds the map once."""
+    the peel tables: one standardness check and one node list, ``t.nodes``,
+    serve every e."""
     for e in es:
         check_e(e)
     if not is_standard(t):
         raise ValueError(f"tableau is not standard: {t}")
-    if node_of is None:
-        node_of = t.node_map()
-    peeled = list(map(node_of.__getitem__, range(t.n, 0, -1)))
     out = []
     for e in es:
         shape, total = t.shape, 0
-        for node in peeled:
+        for node in reversed(t.nodes):
             shape, d = _peel_table(shape, e)[node]
             total += d
         out.append(total)

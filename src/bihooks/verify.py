@@ -377,10 +377,8 @@ def words_suite(es=(2, 3), max_kj: int = 4, max_n: int = 10) -> SuiteReport:
         for lam in bipartitions(n):
             counts = [Counter() for _ in es]
             for t in tableaux.standard_tableaux(lam):
-                node_of = t.node_map()
-                for e, count, d in zip(es, counts,
-                                       tableaux.codegrees(t, es, node_of)):
-                    count[tableaux.residue_sequence(t, e, node_of), d] += 1
+                for e, count, d in zip(es, counts, tableaux.codegrees(t, es)):
+                    count[tableaux.residue_sequence(t, e), d] += 1
             for e, count in zip(es, counts):
                 buckets: dict[tuple, dict[int, int]] = {}
                 sums = Counter()

@@ -365,11 +365,12 @@ def _parent_format(obj):
     _set_entry("4|-", "3,1|-", [[1, True]]),
     _set_entry("4|-", "3,1|-", [[1, 1], [2, 0]]),
     _set_entry("4|-", "3,1|-", [[1, 5], [1, 1]]),
+    lambda good: b"[" * 5000 + b"]" * 5000,              # RecursionError
 ], ids=["truncated", "missing-columns", "bad-label", "infinite-exponent",
         "infinite-coefficient", "index-out-of-range", "negative-index",
         "true-as-index", "float-as-index", "missing-values", "parent-format",
         "float-exponent", "string-exponent", "bool-coefficient",
-        "zero-coefficient", "repeated-exponent"])
+        "zero-coefficient", "repeated-exponent", "deeply-nested"])
 def test_llt_recomputes_over_undecodable_cache(tmp_path, capsys, monkeypatch,
                                                corrupt):
     _rerun_over_corrupted_cache(tmp_path, capsys, monkeypatch, corrupt)

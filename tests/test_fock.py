@@ -74,7 +74,7 @@ def test_divided_power_matches_oracle():
 
 
 def test_divided_power_is_linear():
-    vec = {((2,), (1,)): Q(-1, 3), ((1, 1), (1,)): Q(2) + ONE}
+    vec = {((2,), (1,)): 3 * Q(-1), ((1, 1), (1,)): Q(2) + ONE}
     assert apply_f_divided(vec, 1, 2, 3) == _divided_oracle(vec, 1, 2, 3)
     assert apply_f(vec, 4, 3) == _f_oracle(vec, 1, 3)
 
@@ -147,6 +147,32 @@ def test_shared_prefix_pass_applies_each_prefix_once(monkeypatch):
     monkeypatch.setattr(fock, "_apply_divided", counting)
     assert len(dict(fock._first_approximations(shapes, regs))) == len(regs)
     assert len(applied) == len(prefixes)
+
+
+def _branch_order(shapes, regs):
+    """regs sorted by the least dominant mu of each branch of the run-list
+    trie, least dominant first, level by level: the order the solver's
+    elimination wants the approximations in."""
+    steps = {mu: tuple(reversed(peel_runs(shapes.shapes[mu], shapes.e)))
+             for mu in regs}
+    last = {}  # run-list prefix -> largest regs index below it
+    for idx, mu in enumerate(regs):
+        for k in range(1, len(steps[mu]) + 1):
+            last[steps[mu][:k]] = idx
+
+    def key(mu):
+        run = steps[mu]
+        return tuple(-last[run[:k]] for k in range(1, len(run) + 1))
+    return sorted(regs, key=key)
+
+
+def test_shared_prefix_pass_yields_in_branch_order():
+    # the yield order bounds the approximations the solver holds
+    for e in (2, 3, 4):
+        for n in range(0, 11):
+            shapes, regs = _solver_regs(n, e)
+            got = [mu for mu, _ in fock._first_approximations(shapes, regs)]
+            assert got == _branch_order(shapes, regs), (e, n)
 
 
 def test_transition_table_matches_oracle():

@@ -182,11 +182,10 @@ def test_peel_degrees_match_node_degree():
 
 def _reference_codegree(t, e):
     """Peel the largest entry first, one node_degree call per node."""
-    node_of = t.node_map()
     shape, total = t.shape, 0
-    for r in range(t.n, 0, -1):
-        total += node_degree(shape, node_of[r], e)
-        shape = remove_node(shape, node_of[r])
+    for node in reversed(t.nodes):
+        total += node_degree(shape, node, e)
+        shape = remove_node(shape, node)
     return total
 
 
@@ -200,11 +199,6 @@ def test_statistics_match_reference_peel():
                     # several e in one call, in the order given
                     assert codegrees(t, (e, 5 - e)) == \
                         [want, _reference_codegree(t, 5 - e)]
-                    # a node map the caller built serves the same statistics
-                    node_of = t.node_map()
-                    assert codegrees(t, (e,), node_of) == [want]
-                    assert residue_sequence(t, e, node_of) == \
-                        residue_sequence(t, e)
 
 
 def test_graded_dimension_routes_agree():

@@ -96,7 +96,7 @@ def test_llt_matrix_checks_report_each_failure_family():
 
     def put(lam, mu, val):
         cols[parse_bipartition(mu)][parse_bipartition(lam)] = val
-    put("2,1|2", "2,1|2", Q(0, 2))       # diagonal 2, not 1
+    put("2,1|2", "2,1|2", 2 * Q(0))      # diagonal 2, not 1
     put("1|2,2", "3,2|-", Q(0))          # entry outside q.Z[q]
     put("3|2", "2,1|2", Q(1))            # entry at a row not dominated
     put("1|4", "4|1", Q(3) + Q(5))       # only the balance at 1|4 breaks

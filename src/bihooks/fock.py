@@ -45,16 +45,28 @@ table, ``_Shapes``, that lives for one solve and dies with it.  The
 bipartitions of n take ids 0, 1, ... in ``dominance_keys(n)`` order
 before anything else is interned, so "strictly later in the refined
 order" is a larger id; smaller shapes are interned as the first
-approximations reach them.  The same table holds the transitions
+approximations reach them.  The table holds each shape as its bead code
+(James's abacus): one int with the beta-sets of both components,
+component 1 in the high bits, so a node above another has its bead at a
+higher bit.  Each component's bead count and field width are multiples
+of e, so a bead position fixes the residue of the node that moving the
+bead adds or removes, and the addable and the removable i-nodes are two
+masks, ``x & ~(x >> 1) & ADD[i]`` and ``x & ~(x << 1) & REM[i]``.  The
+field is sized by a box bound, n in the solver: a shape past it is
+refused by ``encode``, and ``build`` refuses a growth that would move a
+bead off the end of its field.  The same table holds the transitions
 (id, i, m) -> (target id, N(S), target id, N(S), ...) of the formula
-above, kept flat (no tuple per target) and each built on first use from
-one ``residue_nodes`` walk and one ``add_node`` per subset grown.  A
-vector is kept raw, as a map from shape ids to ``{exponent: coefficient}``
-dicts, and elimination updates it in place; labels go back to the key
-table's tuples, and ``LaurentPoly`` values are built, once a column is
-finished.  ``apply_f_divided`` and ``first_approximation`` take the same
-route through a table of their own.  ``_f_targets`` counts the transition
-lookups and builds of every table, for profiles; it keeps no transition.
+above, kept flat (no tuple per target) and each built on first use:
+N(S) from bit counts of the masks above each node, and each subset grown
+by moving its beads up one place.  The ladder peel reads the same masks:
+the leading run of an i-signature is the removable i-beads above the
+highest addable i-bead.  A vector is kept raw, as a map from shape ids
+to ``{exponent: coefficient}`` dicts, and elimination updates it in
+place; labels go back to the key table's tuples, and ``LaurentPoly``
+values are built, once a column is finished.  ``apply_f_divided``,
+``first_approximation`` and ``peel_runs`` take the same route through a
+table of their own.  ``_f_targets`` counts the transition lookups and
+builds of every table, for profiles; it keeps no transition.
 
 Sharing.  A matrix holds one ``LaurentPoly`` per distinct entry value,
 shared by every entry equal to it, and its labels are the tuples held by
@@ -75,16 +87,14 @@ import json
 import os
 import tempfile
 import weakref
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from operator import countOf
 
-from .crystal import regular_bipartitions, signature
+from .crystal import regular_bipartitions
 from .laurent import LaurentPoly, ONE
 from .partitions import (
-    Bipartition, EMPTY_BP, add_node, check_e, dominance_codes,
-    dominance_keys, format_bipartition, node_position, remove_node,
-    residue_nodes, size,
+    Bipartition, check_e, dominance_codes, dominance_keys, format_bipartition,
+    size,
 )
 # a module attribute that the benchmark's tracer patches, used or not
 from .partitions import dominance_key  # noqa: F401
@@ -114,27 +124,86 @@ class _Shapes:
     """Interned shapes and their transitions, for one solve or one public
     call (module docstring, "Interned shapes").
 
-    ``shapes[k]`` is the shape of id k and ``ids`` the inverse map.  The
-    shapes given at construction take ids 0, 1, ... in their order; the
-    others are interned as they first appear.  ``table(i, m)`` maps each
-    id built so far to its transitions under f_i^(m), the flat tuple
-    ``(target_id, N(S), target_id, N(S), ...)`` over the m-subsets S of
-    the addable i-nodes in lexicographic order of S, which ``build``
-    computes, interning each grown shape as it goes."""
+    A shape is held as its bead code.  Each component is a beta-set of
+    ``beads`` beads, row j (from 0) of a part p putting a bead at p +
+    beads - 1 - j, in a field of ``width`` bits, with component 1 in the
+    high field; both counts are multiples of e, so the bead moved by
+    adding the node at the end of row j sits at a position b with
+    (b + 1) % e its residue, and the bead moved by removing one has b % e.
+    Every bipartition of at most ``bound`` boxes has a code, with the
+    bottom bead of each field at bit 0 and its top bit empty.  ``encode``
+    refuses a larger shape, and ``build`` refuses to move a bead off
+    bit 0 or onto the top bit of a field, which only a shape of more
+    than ``bound`` boxes can ask for: past those edges a field would lose
+    its last empty row, or component 2 would read component 1's bottom
+    bead as its own.
 
-    def __init__(self, e: int, first=()):
+    ``codes[k]`` is the code of id k and ``ids`` the inverse map.  The
+    shapes given at construction take ids 0, 1, ... in their order, and
+    ``shapes`` holds them as tuples; the others are interned as they first
+    appear, and ``label`` decodes any id.  ``table(i, m)`` maps each id
+    built so far to its transitions under f_i^(m), the flat tuple
+    ``(target_id, N(S), target_id, N(S), ...)`` over the m-subsets S of
+    the addable i-nodes in lexicographic order of S from the top, which
+    ``build`` computes, interning each target as it goes."""
+
+    def __init__(self, e: int, first=(), bound: int | None = None):
         self.e = e
         self.shapes: list[Bipartition] = list(first)
-        self.ids: dict[Bipartition, int] = {
-            bp: k for k, bp in enumerate(self.shapes)}
+        if bound is None:
+            bound = max(map(size, self.shapes), default=0)
+        self.bound = bound
+        # more beads than rows, and room for a first row of bound boxes
+        # below the top bit
+        self.beads = k = -(-(bound + 1) // e) * e
+        self.width = w = -(-(bound + k + 1) // e) * e
+        every = ((1 << 2 * w) - 1) // ((1 << e) - 1)  # bits 0, e, 2e, ...
+        self._add = [every << (i - 1) % e for i in range(e)]
+        # the bead at bit 0 of a field has no empty place below it
+        self._rem = [every << i for i in range(e)]
+        self._rem[0] ^= 1 | 1 << w
+        # an addable bead here would leave bit 0 or reach the top bit
+        self._edge = 1 | 1 << (w - 2) | 1 << w | 1 << (2 * w - 2)
+        self.empty = ((1 << k) - 1) * (1 | 1 << w)
+        self.codes: list[int] = [self.encode(bp) for bp in self.shapes]
+        self.ids: dict[int, int] = {code: k for k, code in enumerate(self.codes)}
         self._tables: dict[tuple[int, int], dict[int, tuple]] = {}
         _f_targets.live.add(self)
 
-    def intern(self, bp: Bipartition) -> int:
-        sid = self.ids.get(bp)
+    def encode(self, bp: Bipartition) -> int:
+        if size(bp) > self.bound:
+            raise ValueError(f"{format_bipartition(bp)} has more than "
+                             f"{self.bound} boxes")
+        k, code = self.beads, 0
+        for comp in bp:
+            code = (code << self.width) | (1 << (k - len(comp))) - 1
+            for j, part in enumerate(comp):
+                code |= 1 << (part + k - 1 - j)
+        return code
+
+    def decode(self, code: int) -> Bipartition:
+        k, w = self.beads, self.width
+        out = []
+        for field in (code >> w, code & ((1 << w) - 1)):
+            parts = []
+            for j in range(k - 1, -1, -1):
+                top = field.bit_length() - 1
+                if top == j:
+                    break
+                parts.append(top - j)
+                field ^= 1 << top
+            out.append(tuple(parts))
+        return tuple(out)
+
+    def label(self, sid: int) -> Bipartition:
+        return (self.shapes[sid] if sid < len(self.shapes)
+                else self.decode(self.codes[sid]))
+
+    def intern(self, code: int) -> int:
+        sid = self.ids.get(code)
         if sid is None:
-            sid = self.ids[bp] = len(self.shapes)
-            self.shapes.append(bp)
+            sid = self.ids[code] = len(self.codes)
+            self.codes.append(code)
         return sid
 
     def table(self, i: int, m: int) -> dict[int, tuple]:
@@ -145,25 +214,57 @@ class _Shapes:
         return sum(map(len, self._tables.values()))
 
     def build(self, sid: int, i: int, m: int) -> tuple:
-        adds, rems = residue_nodes(self.shapes[sid], i, self.e)
-        rems = [node_position(r) for r in rems]
-        # per addable node: addable minus removable i-nodes above it; both
-        # lists run top to bottom, and no two i-nodes share a row
-        counts = [k - bisect_left(rems, node_position(a))
-                  for k, a in enumerate(adds)]
-        # each m-subset S grows from S less its last node, so every subset
-        # costs one add_node; the subsets come in lexicographic order
-        intern, shapes = self.intern, self.shapes
-        level = [(-1, sid, 0)]  # (last node index, grown shape, count sum)
+        x = self.codes[sid]
+        adds = x & ~(x >> 1) & self._add[i]
+        if adds & self._edge:
+            raise ValueError(f"f_{i} of {self.label(sid)} leaves the "
+                             f"{self.bound}-box code")
+        rems = x & ~(x << 1) & self._rem[i]
+        # per addable node, top to bottom: the bead move that adds it, and
+        # the addable minus removable i-nodes above it; no removable i-bead
+        # shares a position with an addable one
+        moves, counts = [], []
+        while adds:
+            b = adds.bit_length() - 1
+            adds ^= 1 << b
+            counts.append(len(moves) - (rems >> b).bit_count())
+            moves.append(3 << b)
+        # each m-subset S grows from S less its last node, in lexicographic
+        # order; the beads moved are at least e >= 2 apart, so no two moves
+        # touch one bit
+        level = [(-1, x, -(m * (m - 1) // 2))]  # (last index, code, N(S))
         for j in range(m):
-            level = [(k, intern(add_node(shapes[grown], adds[k])), d + counts[k])
-                     for last, grown, d in level
-                     for k in range(last + 1, len(adds) - m + j + 1)]
-        shift = m * (m - 1) // 2
+            level = [(k, code ^ moves[k], d + counts[k])
+                     for last, code, d in level
+                     for k in range(last + 1, len(moves) - m + j + 1)]
+        ids, codes = self.ids, self.codes
         out = []
-        for _, grown, d in level:
-            out += grown, d - shift
+        for _, code, d in level:
+            tid = ids.get(code)
+            if tid is None:
+                tid = ids[code] = len(codes)
+                codes.append(code)
+            out += tid, d
         return tuple(out)
+
+    def peel(self, sid: int) -> tuple[tuple[int, int], ...]:
+        """The ladder peel of ``peel_runs``: per stage, the smallest i with
+        removable i-beads above its highest addable i-bead, all of which
+        move down one place."""
+        x, runs = self.codes[sid], []
+        while x != self.empty:
+            for i in range(self.e):
+                adds = x & ~(x >> 1) & self._add[i]
+                top = adds.bit_length()
+                run = (x & ~(x << 1) & self._rem[i]) >> top << top
+                if run:
+                    x ^= run ^ (run >> 1)
+                    runs.append((i, run.bit_count()))
+                    break
+            else:
+                raise RuntimeError(f"ladder peel of regular {self.label(sid)} "
+                                   f"stuck at {self.decode(x)} (e={self.e})")
+        return tuple(runs)
 
 
 class _f_targets:
@@ -173,7 +274,10 @@ class _f_targets:
     profiles keep reading its hits and misses, and a check that caches are
     empty between operations sees the tables.  No transition is kept here:
     ``currsize`` counts those held by tables still alive, 0 once every
-    solve has returned, and ``cache_clear`` only resets the counts."""
+    solve has returned, and ``cache_clear`` only resets the counts.  A
+    miss is one ``_Shapes.build`` on a bead code; a build that would leave
+    its table's box bound raises, and is neither stored nor counted
+    as a miss."""
 
     lookups = builds = 0
     live: "weakref.WeakSet[_Shapes]" = weakref.WeakSet()
@@ -220,17 +324,23 @@ def apply_f_divided(vec: FockVector, i: int, m: int, e: int) -> FockVector:
     check_e(e)
     if m < 1:
         raise ValueError(f"divided power needs m >= 1, got {m}")
-    shapes = _Shapes(e)
-    raw = {shapes.intern(bp): dict(coeff.iter_terms())
+    shapes = _Shapes(e, bound=max(map(size, vec), default=0) + m)
+    raw = {shapes.intern(shapes.encode(bp)): dict(coeff.iter_terms())
            for bp, coeff in vec.items()}
     out = _apply_divided(shapes, raw, i % e, m)
-    return {shapes.shapes[sid]: LaurentPoly._raw(terms)
+    return {shapes.label(sid): LaurentPoly._raw(terms)
             for sid, terms in out.items()}
 
 
 def apply_f(vec: FockVector, i: int, e: int) -> FockVector:
     """One induction step, extended linearly."""
     return apply_f_divided(vec, i, 1, e)
+
+
+def _check_regular(mu: Bipartition, e: int):
+    check_e(e)
+    if mu not in regular_bipartitions(size(mu), e):
+        raise ValueError(f"{mu} is not regular for e={e}")
 
 
 def peel_runs(mu: Bipartition, e: int) -> tuple[tuple[int, int], ...]:
@@ -244,31 +354,11 @@ def peel_runs(mu: Bipartition, e: int) -> tuple[tuple[int, int], ...]:
     partial shape with no removable i-node above them, which pins the
     leading coefficient of the first approximation to exactly 1.  Peeling
     good-node strings instead loses that property (first seen at e = 2 on
-    eight boxes), so it is not used here.
+    eight boxes), so it is not used here.  The peel runs on bead codes,
+    in ``_Shapes.peel``, as the solver's does.
     """
-    check_e(e)
-    if mu not in regular_bipartitions(size(mu), e):
-        raise ValueError(f"{mu} is not regular for e={e}")
-    runs = []
-    cur = mu
-    while cur != EMPTY_BP:
-        progressed = False
-        for i in range(e):
-            run = []
-            for sign, node in signature(cur, i, e):
-                if sign != "-":
-                    break
-                run.append(node)
-            if run:
-                for node in run:
-                    cur = remove_node(cur, node)
-                runs.append((i, len(run)))
-                progressed = True
-                break
-        if not progressed:
-            raise RuntimeError(
-                f"ladder peel of regular {mu} stuck at {cur} (e={e})")
-    return tuple(runs)
+    _check_regular(mu, e)
+    return _Shapes(e, (mu,)).peel(0)
 
 
 def _first_approximations(shapes: _Shapes, regs: list[int]):
@@ -287,11 +377,11 @@ def _first_approximations(shapes: _Shapes, regs: list[int]):
     trie: dict = {}
     for mu in reversed(regs):
         node = trie
-        for run in reversed(peel_runs(shapes.shapes[mu], shapes.e)):
+        for run in reversed(shapes.peel(mu)):
             node = node.setdefault(run, {})
         # the leaf: None holds no run, so n = 0 needs no special case
         node[None] = mu
-    yield from _walk(shapes, trie, {shapes.intern(EMPTY_BP): {0: 1}})
+    yield from _walk(shapes, trie, {shapes.intern(shapes.empty): {0: 1}})
 
 
 def _walk(shapes: _Shapes, node: dict, vec: RawVector):
@@ -300,24 +390,24 @@ def _walk(shapes: _Shapes, node: dict, vec: RawVector):
     itself would form a closure cycle that keeps shapes alive."""
     for run, child in node.items():
         if run is None:
-            _check_first_approximation(child, vec, shapes.shapes)
+            _check_first_approximation(child, vec, shapes.label)
             yield child, vec
         else:
             yield from _walk(shapes, child, _apply_divided(shapes, vec, *run))
 
 
-def _check_first_approximation(mu: int, vec: RawVector, labels):
+def _check_first_approximation(mu: int, vec: RawVector, label):
     """Leading coefficient 1 and support strictly later in the refined
     order, which on the size-n ids is a larger id."""
     if vec.get(mu) != {0: 1}:
         raise RuntimeError(
-            f"first approximation of {labels[mu]} has leading coefficient "
+            f"first approximation of {label(mu)} has leading coefficient "
             f"{LaurentPoly(vec.get(mu))}")
     lam = min(vec)
     if lam < mu:
         raise RuntimeError(
-            f"first approximation of {labels[mu]} has support at "
-            f"{labels[lam]} not below it in the refined order")
+            f"first approximation of {label(mu)} has support at "
+            f"{label(lam)} not below it in the refined order")
 
 
 def first_approximation(mu: Bipartition, e: int) -> FockVector:
@@ -327,8 +417,9 @@ def first_approximation(mu: Bipartition, e: int) -> FockVector:
     come strictly later in the lexicographic refinement of dominance by
     partial-sum vectors (the labels need not all be dominated by mu; the
     eliminated columns are, which the solver asserts)."""
+    _check_regular(mu, e)
     shapes = _Shapes(e, dominance_keys(size(mu)))
-    [(_, vec)] = _first_approximations(shapes, [shapes.intern(mu)])
+    [(_, vec)] = _first_approximations(shapes, [shapes.ids[shapes.encode(mu)]])
     return {shapes.shapes[lam]: LaurentPoly._raw(terms)
             for lam, terms in vec.items()}
 
@@ -550,8 +641,8 @@ def _fault(matrix: DecompositionMatrix) -> str | None:
 
 def _compute_canonical_basis(n: int, e: int) -> DecompositionMatrix:
     key_of = dominance_keys(n)
-    # the bipartitions of n take ids 0, 1, ... in decreasing key order, so
-    # labels[:len(key_of)] are the key table's own tuples
+    # the bipartitions of n take ids 0, 1, ... in decreasing key order, and
+    # labels are the key table's own tuples
     shapes = _Shapes(e, key_of)
     labels = shapes.shapes
     regular = regular_bipartitions(n, e)
@@ -618,11 +709,17 @@ def simple_graded_dims_from(matrix: DecompositionMatrix) -> dict[Bipartition, La
     e = matrix.e
     out: dict[Bipartition, LaurentPoly] = {}
     for mu in matrix.regulars():
-        val = graded_dimension(mu, e)
+        # qdim(S_mu) - sum_nu d(mu,nu) qdim(D_nu), in one raw dict
+        acc = dict(graded_dimension(mu, e).iter_terms())
         for nu, coeff in matrix.row(mu).items():
             if nu == mu:
                 continue
-            val = val - coeff * out[nu]
+            dim = out[nu].iter_terms()
+            for ka, va in coeff.iter_terms():
+                for kb, vb in dim:
+                    k = ka + kb
+                    acc[k] = acc.get(k, 0) - va * vb
+        val = LaurentPoly._raw({k: v for k, v in acc.items() if v})
         if not val.is_bar_invariant() or not val.has_nonneg_coeffs():
             raise RuntimeError(
                 f"graded dimension of simple {mu} came out as {val}; "

@@ -11,6 +11,7 @@ divisibility: Weyl modules become simple and every Young summand occurs.
 """
 
 from functools import lru_cache
+from itertools import product
 
 from .padic import check_prime_or_zero, leq_p, nu_p, preceq_p
 from .partitions import Partition, as_partition, conjugate_partition
@@ -122,23 +123,15 @@ def composition_multiset(k: int, j: int, p: int) -> dict[Partition, int]:
 @lru_cache(maxsize=None)
 def _horizontal_strips(lam: Partition) -> tuple[tuple[Partition, int], ...]:
     """Partitions mu <= lam with lam/mu a horizontal strip, with strip size."""
-    rows = len(lam)
+    # row r of mu runs from lam[r+1] to lam[r], so it never passes the row
+    # above it: every choice is a partition, taken in the order of the
+    # nested loops over the rows
+    ranges = [range(low, high + 1) for high, low in zip(lam, lam[1:] + (0,))]
+    total = sum(lam)
     out = []
-
-    def rec(r, acc):
-        if r == rows:
-            mu = as_partition(acc)
-            out.append((mu, sum(lam) - sum(mu)))
-            return
-        lo = lam[r + 1] if r + 1 < rows else 0
-        hi = lam[r]
-        upper = acc[-1] if acc else None
-        for v in range(lo, hi + 1):
-            if upper is not None and v > upper:
-                continue
-            rec(r + 1, acc + [v])
-
-    rec(0, [])
+    for parts in product(*ranges):
+        mu = as_partition(parts)
+        out.append((mu, total - sum(mu)))
     return tuple(out)
 
 

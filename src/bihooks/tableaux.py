@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from operator import lt
 
-from .laurent import LaurentPoly, ONE, ZERO
+from .laurent import LaurentPoly, ONE
 from .partitions import (
     Bipartition, Node, check_e, residue, size, node_position,
     addable_nodes, removable_nodes, remove_node, EMPTY_BP,
@@ -239,11 +239,13 @@ def graded_dimension(shape: Bipartition, e: int) -> LaurentPoly:
     check_e(e)
     if shape == EMPTY_BP:
         return ONE
-    total = ZERO
+    # every coefficient counts tableaux, so none cancels
+    total: dict[int, int] = {}
     # uncached: this function is memoised per shape already
     for sub, d in peel_degrees(shape, e).values():
-        total = total + graded_dimension(sub, e).shift(d)
-    return total
+        for k, v in graded_dimension(sub, e).iter_terms():
+            total[k + d] = total.get(k + d, 0) + v
+    return LaurentPoly._raw(total)
 
 
 def graded_dimension_by_enumeration(shape: Bipartition, e: int) -> LaurentPoly:
@@ -273,21 +275,6 @@ def word_graded_dimensions(shape: Bipartition, words, e: int) -> list[LaurentPol
     memo: list[dict[Bipartition, dict[int, int]]] = [{} for _ in range(n + 1)]
     memo[0][EMPTY_BP] = {0: 1}
 
-    # reads the word the loop below is at
-    def rec(sub: Bipartition, k: int) -> dict[int, int]:
-        level = memo[k]
-        got = level.get(sub)
-        if got is not None:
-            return got
-        target = word[k - 1]
-        total: dict[int, int] = {}
-        for (r, c, _), (smaller, d) in _peel_table(sub, e).items():
-            if (c - r) % e == target:
-                for x, v in rec(smaller, k - 1).items():
-                    total[x + d] = total.get(x + d, 0) + v
-        level[sub] = total
-        return total
-
     dims = {}
     prev: tuple[int, ...] = ()
     for word in sorted(set(words)):
@@ -296,9 +283,27 @@ def word_graded_dimensions(shape: Bipartition, words, e: int) -> list[LaurentPol
             shared += 1
         for level in memo[shared + 1:]:
             level.clear()
-        dims[word] = LaurentPoly._raw(rec(shape, n))
+        dims[word] = LaurentPoly._raw(_word_peel(shape, n, word, memo, e))
         prev = word
     return [dims[word] for word in words]
+
+
+def _word_peel(sub: Bipartition, k: int, word, memo, e: int) -> dict[int, int]:
+    """The recursion of ``word_graded_dimensions`` at a sub-shape of size
+    k.  Module-level, since a nested function calling itself would form a
+    closure cycle that holds the memo until the cycle collector runs."""
+    level = memo[k]
+    got = level.get(sub)
+    if got is not None:
+        return got
+    target = word[k - 1]
+    total: dict[int, int] = {}
+    for (r, c, _), (smaller, d) in _peel_table(sub, e).items():
+        if (c - r) % e == target:
+            for x, v in _word_peel(smaller, k - 1, word, memo, e).items():
+                total[x + d] = total.get(x + d, 0) + v
+    level[sub] = total
+    return total
 
 
 def word_graded_dimension(shape: Bipartition, word, e: int) -> LaurentPoly:

@@ -268,6 +268,9 @@ def structure_suite(max_kj: int = 14, primes=(0, 2, 3, 5, 7), es=(2, 3)) -> Suit
 def _llt_matrix_checks(rep: SuiteReport, matrix, e: int, n: int):
     key_of = dominance_keys(n)
     one = LaurentPoly.q_power(0)
+    # id -> in_q_window, once per value object: entries share values, and
+    # the matrix keeps every one alive while this runs
+    window: dict[int, bool] = {}
     for mu, col in matrix.columns.items():
         rep.check(col.get(mu) == one,
                   lambda: f"diagonal e={e} n={n} {format_bipartition(mu)}")
@@ -275,7 +278,10 @@ def _llt_matrix_checks(rep: SuiteReport, matrix, e: int, n: int):
         for lam, val in col.items():
             if lam == mu:
                 continue
-            rep.check(val.in_q_window() and key_dominates(kmu, key_of[lam]),
+            inside = window.get(id(val))
+            if inside is None:
+                inside = window[id(val)] = val.in_q_window()
+            rep.check(inside and key_dominates(kmu, key_of[lam]),
                       lambda: f"window/triangularity e={e} n={n} "
                               f"{format_bipartition(lam)},{format_bipartition(mu)}")
     qdim = fock.simple_graded_dims_from(matrix)
@@ -377,8 +383,10 @@ def words_suite(es=(2, 3), max_kj: int = 4, max_n: int = 10) -> SuiteReport:
         for lam in bipartitions(n):
             counts = [Counter() for _ in es]
             for t in tableaux.standard_tableaux(lam):
+                # the contents c - r of the nodes of 1..n, whatever e
+                contents = [c - r for r, c, _ in t.nodes]
                 for e, count, d in zip(es, counts, tableaux.codegrees(t, es)):
-                    count[tableaux.residue_sequence(t, e), d] += 1
+                    count[tuple([x % e for x in contents]), d] += 1
             for e, count in zip(es, counts):
                 buckets: dict[tuple, dict[int, int]] = {}
                 sums = Counter()

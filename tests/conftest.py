@@ -1,5 +1,8 @@
 """Session fixtures: the cache directories of the canonical-basis matrices
-the tests share, and one run of each `verify` suite per session."""
+the tests share, one run of each `verify` suite per session, and a check
+that a call leaves no reference cycle behind."""
+
+import gc
 
 import pytest
 
@@ -48,3 +51,18 @@ def suite_report(llt_cache_dir):
         return reports[name]
 
     return report
+
+
+@pytest.fixture
+def cyclic_garbage():
+    """cyclic_garbage(call) runs call() with the cycle collector off and
+    returns the number of objects it left reachable only through cycles."""
+    def count(call) -> int:
+        gc.collect()
+        gc.disable()
+        try:
+            call()
+            return gc.collect()
+        finally:
+            gc.enable()
+    return count

@@ -12,9 +12,10 @@ from bihooks.fock import (
 from bihooks.laurent import LaurentPoly, ONE, ZERO, quantum_factorial
 from bihooks.partitions import (
     EMPTY_BP, add_node, addable_nodes, bipartitions, dominance_key,
-    dominance_keys, format_bipartition, key_dominates, residue,
+    dominance_keys, format_bipartition, key_dominates, remove_node, residue,
+    size,
 )
-from bihooks.crystal import is_regular
+from bihooks.crystal import is_regular, regular_bipartitions, signature
 from bihooks.tableaux import graded_dimension, node_degree
 
 Q = LaurentPoly.q_power
@@ -178,24 +179,122 @@ def test_shared_prefix_pass_yields_in_branch_order():
 def test_transition_table_matches_oracle():
     # one table per e holds every shape met, across sizes, as a solve's does
     for e in (2, 3, 4):
-        shapes = fock._Shapes(e)
+        shapes = fock._Shapes(e, bound=11)
         for n in range(0, 9):
             for bp in bipartitions(n):
-                sid = shapes.intern(bp)
+                sid = shapes.intern(shapes.encode(bp))
                 for i in range(e):
                     for m in (1, 2, 3):
                         applied = fock._apply_divided(shapes, {sid: {0: 1}}, i, m)
                         targets = shapes.table(i, m)[sid]
                         assert targets == shapes.build(sid, i, m)
-                        got = {shapes.shapes[tid]: Q(d)
+                        got = {shapes.label(tid): Q(d)
                                for tid, d in zip(targets[::2], targets[1::2])}
                         assert 2 * len(got) == len(targets)
                         want = _divided_oracle({bp: ONE}, i, m, e)
                         assert got == want, (bp, i, m, e)
-                        assert {shapes.shapes[tid]: LaurentPoly(terms)
+                        assert {shapes.label(tid): LaurentPoly(terms)
                                 for tid, terms in applied.items()} == want
-        assert all(shapes.ids[bp] == sid
-                   for sid, bp in enumerate(shapes.shapes))
+        assert all(shapes.ids[code] == sid
+                   for sid, code in enumerate(shapes.codes))
+
+
+def test_bead_codes_round_trip():
+    for e in (2, 3, 4):
+        for bound in (10, 11, 13, 17):
+            shapes = fock._Shapes(e, bound=bound)
+            k, w = shapes.beads, shapes.width
+            assert k % e == w % e == 0 and k > bound and w > bound + k
+            assert shapes.decode(shapes.empty) == EMPTY_BP
+            seen = set()
+            for n in range(0, 11):
+                for bp in bipartitions(n):
+                    code = shapes.encode(bp)
+                    assert shapes.decode(code) == bp
+                    for field in (code >> w, code & ((1 << w) - 1)):
+                        # k beads, the bottom one at bit 0, the top bit empty
+                        assert field.bit_count() == k
+                        assert field & 1 and field < 1 << (w - 1)
+                    seen.add(code)
+            assert len(seen) == sum(map(len, map(bipartitions, range(11))))
+    # the seeded shapes keep their tuples and ids; others decode
+    shapes = fock._Shapes(3, dominance_keys(4))
+    assert shapes.bound == 4
+    assert shapes.label(0) is shapes.shapes[0]
+    grown = shapes.intern(shapes.encode(((1,), ())))
+    assert grown == len(dominance_keys(4)) and shapes.label(grown) == ((1,), ())
+
+
+def test_shape_past_the_bound_raises():
+    shapes = fock._Shapes(2, bound=3)
+    with pytest.raises(ValueError, match="more than 3 boxes"):
+        shapes.encode(((4,), ()))
+    with pytest.raises(ValueError, match="more than 3 boxes"):
+        shapes.encode(((), (2, 1, 1)))
+    # a first row, or a last new row, that would leave its field: the
+    # bead would wrap into component 1, or the field lose its empty row
+    for bp, i in ((((), (3,)), 1), (((3,), ()), 1), (((), (1, 1, 1)), 1),
+                  (((1, 1, 1), ()), 1)):
+        sid = shapes.intern(shapes.encode(bp))
+        with pytest.raises(ValueError, match="leaves the 3-box code"):
+            shapes.build(sid, i, 1)
+    # every transition built is exact, also from the shapes past the bound
+    # that transitions reach, and every one that stays within it is built
+    for e in (2, 3, 4):
+        for bound in range(0, 5):
+            shapes = fock._Shapes(e, bound=bound)
+            for n in range(0, bound + 1):
+                for bp in bipartitions(n):
+                    shapes.intern(shapes.encode(bp))
+            sid = 0
+            while sid < len(shapes.codes):
+                bp = shapes.label(sid)
+                sid += 1
+                if size(bp) > bound + 2:
+                    continue
+                for i in range(e):
+                    for m in (1, 2, 3):
+                        want = _divided_oracle({bp: ONE}, i, m, e)
+                        try:
+                            targets = shapes.build(sid - 1, i, m)
+                        except ValueError:
+                            assert size(bp) + m > bound, (bp, i, m, e)
+                            continue
+                        got = {shapes.label(tid): Q(d)
+                               for tid, d in zip(targets[::2], targets[1::2])}
+                        assert got == want, (bp, i, m, e, bound)
+
+
+def _signature_peel(mu, e):
+    """The ladder peel read off i-signatures: at each stage remove the
+    leading run of minus signs of the smallest i that has one."""
+    runs = []
+    cur = mu
+    while cur != EMPTY_BP:
+        for i in range(e):
+            run = []
+            for sign, node in signature(cur, i, e):
+                if sign != "-":
+                    break
+                run.append(node)
+            if run:
+                for node in run:
+                    cur = remove_node(cur, node)
+                runs.append((i, len(run)))
+                break
+        else:
+            raise AssertionError(f"signature peel of {mu} stuck at {cur}")
+    return tuple(runs)
+
+
+def test_bead_peel_matches_signature_peel():
+    for e in (2, 3, 4):
+        for n in range(0, 11):
+            shapes = fock._Shapes(e, bound=n)
+            for mu in regular_bipartitions(n, e):
+                want = _signature_peel(mu, e)
+                assert shapes.peel(shapes.intern(shapes.encode(mu))) == want
+                assert peel_runs(mu, e) == want
 
 
 def test_solver_keeps_no_cache_across_solves():
@@ -207,8 +306,8 @@ def test_solver_keeps_no_cache_across_solves():
            and hasattr(val, "cache_info")]
     assert own == ["_f_targets"]
     fock._f_targets.cache_clear()
-    shapes = fock._Shapes(2)
-    fock._apply_divided(shapes, {shapes.intern(EMPTY_BP): {0: 1}}, 0, 1)
+    shapes = fock._Shapes(2, bound=1)
+    fock._apply_divided(shapes, {shapes.intern(shapes.empty): {0: 1}}, 0, 1)
     assert fock._f_targets.cache_info() == (0, 1, None, 1)
     del shapes
     fock._f_targets.cache_clear()

@@ -1,10 +1,12 @@
 import pytest
 
+from bihooks.partitions import partitions
 from bihooks.schur import (
     composition_multiset, decomp_number, exterior_weight_dim, henke_summand,
     kostka, kostka_two_column, num_summands, pieri_factors,
     simultaneous_irreducibility, two_column, weyl_is_irreducible,
 )
+from bihooks.schur import _horizontal_strips
 
 
 def test_weyl_irreducibility_examples():
@@ -99,3 +101,20 @@ def test_exterior_weight_dim():
     assert exterior_weight_dim(1, 1, (2,)) == 1
     assert exterior_weight_dim(1, 2, (3,)) == 0
     assert exterior_weight_dim(2, 2, (2, 1, 1)) == 2
+
+
+def test_horizontal_strips_match_definition(cyclic_garbage):
+    # mu <= lam with at most one box of lam/mu in each column
+    for n in range(0, 9):
+        for lam in partitions(n):
+            want = set()
+            for k in range(n + 1):
+                for mu in partitions(k):
+                    padded = mu + (0,) * (len(lam) - len(mu))
+                    if len(padded) == len(lam) and all(
+                            b <= a for a, b in zip(lam, padded)) and all(
+                            a <= b for a, b in zip(lam[1:], padded)):
+                        want.add((mu, n - k))
+            got = _horizontal_strips(lam)
+            assert len(got) == len(want) and set(got) == want, lam
+    assert cyclic_garbage(lambda: _horizontal_strips.__wrapped__((4, 2, 1))) == 0

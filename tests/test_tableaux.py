@@ -270,3 +270,13 @@ def test_size_bound():
     with pytest.raises(ValueError):
         standard_tableaux((((30,), ())), bound=25)
 
+
+
+def test_recursions_leave_no_cycles(cyclic_garbage):
+    # a nested function calling itself is a closure cycle: it would hold
+    # its memo or its results until the cycle collector ran
+    lam = family_shape(2, 1, 2)
+    words = sorted({residue_sequence(t, 2) for t in standard_tableaux(lam)})
+    assert cyclic_garbage(lambda: word_graded_dimensions(lam, words, 2)) == 0
+    assert cyclic_garbage(lambda: word_graded_dimension(lam, words[0], 3)) == 0
+    assert cyclic_garbage(lambda: standard_tableaux(lam)) == 0

@@ -244,7 +244,11 @@ def graded_dimension(shape: Bipartition, e: int) -> LaurentPoly:
     # uncached: this function is memoised per shape already
     for sub, d in peel_degrees(shape, e).values():
         for k, v in graded_dimension(sub, e).iter_terms():
-            total[k + d] = total.get(k + d, 0) + v
+            # the memo holds every value: k + 0 would build a new int for
+            # each exponent below -5, where k shares the one held already
+            if d:
+                k += d
+            total[k] = total.get(k, 0) + v
     return LaurentPoly._raw(total)
 
 

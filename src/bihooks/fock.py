@@ -166,7 +166,7 @@ class _Shapes:
         self._edge = 1 | 1 << (w - 2) | 1 << w | 1 << (2 * w - 2)
         self.empty = ((1 << k) - 1) * (1 | 1 << w)
         self.codes: list[int] = [self.encode(bp) for bp in self.shapes]
-        self.ids: dict[int, int] = {code: k for k, code in enumerate(self.codes)}
+        self.ids: dict[int, int] = {code: sid for sid, code in enumerate(self.codes)}
         self._tables: dict[tuple[int, int], dict[int, tuple]] = {}
         _f_targets.live.add(self)
 
@@ -237,14 +237,10 @@ class _Shapes:
             level = [(k, code ^ moves[k], d + counts[k])
                      for last, code, d in level
                      for k in range(last + 1, len(moves) - m + j + 1)]
-        ids, codes = self.ids, self.codes
+        intern = self.intern
         out = []
         for _, code, d in level:
-            tid = ids.get(code)
-            if tid is None:
-                tid = ids[code] = len(codes)
-                codes.append(code)
-            out += tid, d
+            out += intern(code), d
         return tuple(out)
 
     def peel(self, sid: int) -> tuple[tuple[int, int], ...]:

@@ -134,7 +134,7 @@ def structure_j1(k: int, e: int, p: int) -> ModuleStructure:
     check_prime_or_zero(p)
     if k < 1:
         raise ValueError(f"need k >= 1, got {k}")
-    if p == 0 or (k + 1) % p:
+    if semisimplicity_criterion(k, 1, p):
         return semisimple_decomposition(k, 1, e)
     a, b = _label(k, 1, 0, e), _label(k, 1, 1, e)
     return ModuleStructure((Summand(UNISERIAL, (a, b, a)),))
@@ -149,8 +149,7 @@ def structure_j2(k: int, e: int, p: int) -> ModuleStructure:
     triv = _label(k, 2, 0, e)
     one = _label(k, 2, 1, e)   # ((ke+e, 1), (e-1))
     two = _label(k, 2, 2, e)   # ((ke, e+1), (e-1))
-    if p == 0 or (p != 2 and all(x % p for x in (k, k + 1, k + 2))) \
-            or (p == 2 and k % 4 == 1):
+    if semisimplicity_criterion(k, 2, p):
         return semisimple_decomposition(k, 2, e)
     if p != 2 and (k + 2) % p == 0:
         return ModuleStructure((_simple(two), Summand(UNISERIAL, (triv, one, triv))))
@@ -321,15 +320,14 @@ def predict(k: int, j: int, e: int, p: int, a: int = 0, b: int = 0,
         notes.append(
             "k < j with induced or conjugate labels has no covered "
             "statement; verdict only")
-    elif k < j:
-        base = base_structure(j, k, e, p)
-        notes.append(
-            f"dual of the structure for k={j}, j={k} under component "
-            f"switching; contragredient total shift {k + j}")
     else:
-        base = base_structure(k, j, e, p)
+        base = base_structure(max(k, j), min(k, j), e, p)
         if base is None:
             notes.append("no covered statement gives the full structure here")
+        elif k < j:
+            notes.append(
+                f"dual of the structure for k={j}, j={k} under component "
+                f"switching; contragredient total shift {k + j}")
     if base is None:
         return Verdict(decomposability(k, j, p), None,
                        None if a or b else composition_labels(k, j, e, p),

@@ -1,9 +1,12 @@
 """Standard tableaux of bipartitions and their grading statistics.
 
-A tableau stores its shape and, for each component, the rows of entries.
-Standard means entries increase along rows and down columns within each
-component.  The *column-initial* tableau fills 1..n down consecutive
-columns, left to right, component 2 first.
+A tableau stores its shape and its node path: the nodes holding the
+entries 1..n, in that order.  Standard means each node is addable to
+the shape the nodes before it fill, and the path ends at the tableau's
+shape; then entries increase along rows and down columns within each
+component.  The rows of entries are read off the path for display.  The
+*column-initial* tableau fills 1..n down consecutive columns, left to
+right, component 2 first.
 
 The grading statistic is the codegree: peel the largest entry first,
 counting addable minus removable same-residue nodes strictly *above*
@@ -17,29 +20,30 @@ table per (shape, e) across all tableaux and words;
 ``node_degree`` computes one node's degree from its definition and is the
 reference route the tests check the table against.
 
-The enumeration builds each tableau's rows in place, one list per row
-that entries are appended to and popped from, and copies them out only at
-a finished tableau.  ``codegrees`` reads one tableau's codegree at several
-e with one standardness check and one peel order; ``codegree`` is its
-one-e call.  The word recursion, ``word_graded_dimensions``, keeps
-``{exponent: coefficient}`` dicts per sub-shape, one memo level per
-prefix length, and takes its words in sorted order: a word reuses the
-levels of the prefix it shares with the word before it, and the levels
-past that prefix are cleared, so the memo never holds more than one
-word's.  ``word_graded_dimension`` is its one-word call.  Nothing is
-memoised across calls, so a sweep over many shapes holds no memory
-beyond the shared peel tables.
+The enumeration grows one node path in place: each row keeps a count of
+its filled boxes, an entry's node is pushed onto the path and popped off
+it, and a finished tableau copies the path.  Only enumeration without a
+word is bounded in size (``SIZE_BOUND``): a word prunes the placements
+to the tableaux that carry it.  ``codegrees`` reads one tableau's
+codegree at several e with one standardness check and one peel order;
+``codegree`` is its one-e call.  The word recursion,
+``word_graded_dimensions``, keeps ``{exponent: coefficient}`` dicts per
+sub-shape, one memo level per prefix length, and takes its words in
+sorted order: a word reuses the levels of the prefix it shares with the
+word before it, and the levels past that prefix are cleared, so the memo
+never holds more than one word's.  ``word_graded_dimension`` is its
+one-word call.  Nothing is memoised across calls, so a sweep over many
+shapes holds no memory beyond the shared peel tables.
 """
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
-from operator import lt
+from functools import lru_cache
 
 from .laurent import LaurentPoly, ONE
 from .partitions import (
-    Bipartition, Node, check_e, residue, size, node_position,
-    addable_nodes, removable_nodes, remove_node, EMPTY_BP,
+    Bipartition, Node, check_e, conjugate_partition, residue, size,
+    node_position, addable_nodes, removable_nodes, remove_node, EMPTY_BP,
 )
 
 SIZE_BOUND = 25
@@ -47,100 +51,94 @@ SIZE_BOUND = 25
 
 @dataclass(frozen=True)
 class Tableau:
+    """A tableau of ``shape``: ``nodes[k-1]`` is the node holding entry k."""
     shape: Bipartition
-    rows: tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]
+    nodes: tuple[Node, ...]
 
     @property
-    def n(self) -> int:
-        return size(self.shape)
-
-    @cached_property
-    def nodes(self) -> tuple[Node, ...]:
-        """The nodes holding the entries 1..n, in that order."""
-        out = [None] * self.n
-        for m in (1, 2):
-            for r, row in enumerate(self.rows[m - 1], start=1):
-                for c, val in enumerate(row, start=1):
-                    out[val - 1] = (r, c, m)
-        return tuple(out)
+    def rows(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
+        """Each component's rows of entries, top to bottom and left to
+        right; for a standard tableau, one row per row of its shape."""
+        comps: tuple[dict, dict] = ({}, {})
+        for k, (r, c, m) in enumerate(self.nodes, start=1):
+            comps[m - 1].setdefault(r, []).append((c, k))
+        return tuple(tuple(tuple(k for _, k in sorted(row))
+                           for _, row in sorted(comp.items()))
+                     for comp in comps)
 
     def __str__(self):
         def comp(rows):
             return "[" + "/".join(",".join(str(v) for v in row) for row in rows) + "]"
-        return comp(self.rows[0]) + "|" + comp(self.rows[1])
+        return "|".join(map(comp, self.rows))
 
 
 def is_standard(t: Tableau) -> bool:
-    entries: list[int] = []
-    for rows, shape_rows in zip(t.rows, t.shape):
-        if tuple(map(len, rows)) != shape_rows:
+    """Each node of ``t.nodes`` is addable to the shape the nodes before
+    it fill, and all of them fill ``t.shape``."""
+    grown: dict[int, list[int]] = {1: [], 2: []}
+    for r, c, m in t.nodes:
+        lengths = grown.get(m)
+        if lengths is None or r < 1:
             return False
-        above = ()
-        for row in rows:
-            # strictly increasing along the row and down each column; the
-            # guards skip the comparison on a one-entry row and a top row
-            if len(row) > 1 and not all(map(lt, row, row[1:])):
-                return False
-            if above and not all(map(lt, above, row)):
-                return False
-            entries += row
-            above = row
-    # the row lengths are the shape's, so there are t.n entries
-    entries.sort()
-    return entries == list(range(1, len(entries) + 1))
+        if r == len(lengths) + 1 and c == 1:
+            lengths.append(1)
+        elif r <= len(lengths) and lengths[r - 1] == c - 1 \
+                and (r == 1 or lengths[r - 2] >= c):
+            lengths[r - 1] = c
+        else:
+            return False
+    return (tuple(grown[1]), tuple(grown[2])) == t.shape
 
 
-def _rows_from_fill(shape: Bipartition, fill: dict[Node, int]):
-    """The rows of both components of ``shape``, read from node -> entry."""
-    return tuple(tuple(tuple(fill[(r, c, m)] for c in range(1, length + 1))
-                       for r, length in enumerate(shape[m - 1], start=1))
-                 for m in (1, 2))
-
-
-def standard_tableaux(shape: Bipartition, word=None, e: int | None = None,
-                      bound: int = SIZE_BOUND) -> list[Tableau]:
+def standard_tableaux(shape: Bipartition, word=None,
+                      e: int | None = None) -> list[Tableau]:
     """All standard tableaux of ``shape`` in a deterministic order (entries
     placed 1..n, candidate nodes tried from above to below).
 
     When ``word`` is given, only tableaux whose residue sequence equals it
-    are produced, pruning as entries are placed.
+    are produced, pruning as entries are placed; without one, a shape of
+    more than ``SIZE_BOUND`` boxes is refused.
     """
     n = size(shape)
-    if n > bound:
-        raise ValueError(f"size {n} exceeds bound {bound}")
-    if word is not None:
+    if word is None:
+        if n > SIZE_BOUND:
+            raise ValueError(f"size {n} exceeds bound {SIZE_BOUND}")
+    else:
         check_e(e)
         word = tuple(x % e for x in word)
         if len(word) != n:
             raise ValueError(f"word length {len(word)} != size {n}")
-    first, second = [[] for _ in shape[0]], [[] for _ in shape[1]]
-    # one slot per row, above to below: (row, row above or None, length,
-    # 0-based row index); the next entry of a row goes to column len(row)
+    # one slot per row, above to below: (slot index, slot of the row above
+    # or None, the row's nodes left to right, r); filled[s] counts the
+    # boxes of slot s that hold entries
     slots = []
-    for rows, comp in ((first, shape[0]), (second, shape[1])):
-        above = None
-        for r0, (row, length) in enumerate(zip(rows, comp)):
-            slots.append((row, above, length, r0))
-            above = row
+    for m, comp in ((1, shape[0]), (2, shape[1])):
+        for r, length in enumerate(comp, start=1):
+            above = len(slots) - 1 if r > 1 else None
+            slots.append((len(slots), above,
+                          tuple((r, c, m) for c in range(1, length + 1)), r))
+    filled = [0] * len(slots)
+    path: list[Node] = []
     out: list[Tableau] = []
 
-    def place(entry):
-        if entry > n:
-            out.append(Tableau(shape, (tuple(map(tuple, first)),
-                                       tuple(map(tuple, second)))))
+    def place(k):
+        if k == n:
+            out.append(Tableau(shape, tuple(path)))
             return
-        want = None if word is None else word[entry - 1]
-        for row, above, length, r0 in slots:
-            c0 = len(row)
-            if c0 == length or (above is not None and len(above) <= c0):
+        want = None if word is None else word[k]
+        for s, above, row, r in slots:
+            c0 = filled[s]
+            if c0 == len(row) or (above is not None and filled[above] <= c0):
                 continue
-            if want is not None and (c0 - r0) % e != want:
+            if want is not None and (c0 + 1 - r) % e != want:
                 continue
-            row.append(entry)
-            place(entry + 1)
-            row.pop()
+            filled[s] = c0 + 1
+            path.append(row[c0])
+            place(k + 1)
+            path.pop()
+            filled[s] = c0
 
-    place(1)
+    place(0)
     # place reaches itself through its closure cell; emptying the cell
     # frees out's tableaux when the caller drops them, not at the next
     # cycle collection
@@ -158,18 +156,12 @@ def count_standard(shape: Bipartition) -> int:
 
 
 def column_initial_tableau(shape: Bipartition) -> Tableau:
-    fill = {}
-    entry = 1
-    for m in (2, 1):
-        comp = shape[m - 1]
-        if not comp:
-            continue
-        heights = [sum(1 for part in comp if part >= c) for c in range(1, comp[0] + 1)]
-        for c, h in enumerate(heights, start=1):
-            for r in range(1, h + 1):
-                fill[(r, c, m)] = entry
-                entry += 1
-    return Tableau(shape, _rows_from_fill(shape, fill))
+    """Entries 1..n down consecutive columns, left to right, component 2
+    first."""
+    return Tableau(shape, tuple((r, c, m) for m in (2, 1)
+                                for c, height in enumerate(
+                                    conjugate_partition(shape[m - 1]), start=1)
+                                for r in range(1, height + 1)))
 
 
 def residue_sequence(t: Tableau, e: int) -> tuple[int, ...]:
@@ -328,21 +320,20 @@ def gg_word(nu, e: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def one_row_components(shape: Bipartition) -> bool:
-    return len(shape[0]) <= 1 and len(shape[1]) <= 1
-
-
 def v_tableau(shape: Bipartition, second_entries) -> Tableau:
     """The tableau of a one-row-per-component shape whose second component
-    holds exactly the given entries (in increasing order)."""
-    if not one_row_components(shape):
+    holds exactly the given entries."""
+    if len(shape[0]) > 1 or len(shape[1]) > 1:
         raise ValueError(f"{shape} does not have one-row components")
     n = size(shape)
-    second = tuple(sorted(int(x) for x in second_entries))
-    if len(second) != sum(shape[1]) or any(not 1 <= x <= n for x in second):
-        raise ValueError(f"bad second-component entries {second} for {shape}")
-    first = tuple(x for x in range(1, n + 1) if x not in set(second))
-    rows1 = (first,) if first else ()
-    rows2 = (second,) if second else ()
-    return Tableau(shape, (rows1, rows2))
-
+    second = sorted(int(x) for x in second_entries)
+    if len(set(second)) != len(second) or len(second) != sum(shape[1]) \
+            or any(not 1 <= x <= n for x in second):
+        raise ValueError(f"bad second-component entries {tuple(second)} for {shape}")
+    filled = {1: 0, 2: 0}
+    path = []
+    for k in range(1, n + 1):
+        m = 2 if k in second else 1
+        filled[m] += 1
+        path.append((1, filled[m], m))
+    return Tableau(shape, tuple(path))

@@ -412,8 +412,7 @@ def degrees_suite(es=(2, 3, 4, 5), max_kj: int = 6) -> SuiteReport:
                 lam = structure.family_shape(k, j, e)
                 word = tableaux.residue_sequence(
                     tableaux.column_initial_tableau(lam), e)
-                matching = tableaux.standard_tableaux(lam, word=word, e=e,
-                                                      bound=total * e)
+                matching = tableaux.standard_tableaux(lam, word=word, e=e)
                 rep.check(bool(matching), f"no matching tableaux e={e} k={k} j={j}")
                 for t in matching:
                     rep.check(tableaux.codegree(t, e) == j,

@@ -155,6 +155,12 @@ def test_predict_swapped_components():
         if s.kind == UNISERIAL:
             assert s.labels == s.labels[::-1]
             assert all(lab.shift == 3 for lab in s.labels)
+    # no covered statement gives the base (5, 3) at p = 2, so there is no
+    # structure to dualise and no note may claim one
+    v = predict(3, 5, 2, 2)
+    assert v.structure is None
+    assert not any("dual" in note for note in v.notes)
+    assert v.notes == ("no covered statement gives the full structure here",)
 
 
 def test_predict_transpose():

@@ -1,15 +1,18 @@
+import hashlib
 from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from bihooks.laurent import LaurentPoly, ONE
-from bihooks.partitions import bipartitions, remove_node, removable_nodes, size
+from bihooks.partitions import (
+    all_nodes, bipartitions, remove_node, removable_nodes, size,
+)
 from bihooks.structure import family_shape
 from bihooks.tableaux import (
     Tableau, codegree, codegrees, column_initial_tableau, count_standard,
     gg_word, graded_dimension, graded_dimension_by_enumeration, is_standard,
-    node_degree, peel_degrees, residue_sequence, standard_tableaux,
+    node_degree, peel_degrees, residue_sequence, standard_tableaux, v_tableau,
     word_graded_dimension, word_graded_dimensions,
 )
 
@@ -18,6 +21,24 @@ def test_enumeration_counts():
     assert len(standard_tableaux(((1,), (1,)))) == 2
     assert len(standard_tableaux(((2,), (2,)))) == 6
     assert len(standard_tableaux(((2, 1), ()))) == 2
+
+
+# sha256 of str(t) and t.rows of every standard tableau with n <= 7, in
+# enumeration order, recorded when a tableau stored its rows of entries
+TABLEAU_TEXT_GOLDEN = (
+    "a510c48260570de8d7c5f93693e36c2df7e7772cd87203e02df45593e611794d")
+
+
+def test_tableau_text_pinned():
+    h = hashlib.sha256()
+    count = 0
+    for n in range(8):
+        for shape in bipartitions(n):
+            for t in standard_tableaux(shape):
+                h.update(f"{t}\n{t.rows!r}\n".encode())
+                count += 1
+    assert count == 8313
+    assert h.hexdigest() == TABLEAU_TEXT_GOLDEN
 
 
 def test_enumeration_matches_recursive_count():
@@ -30,68 +51,48 @@ def test_enumeration_matches_recursive_count():
 
 
 def _reference_is_standard(t):
-    """The definition: each component's rows have the shape's lengths, the
-    entries are 1..n once each, and each entry is smaller than its right
-    and its lower neighbour in the same component."""
-    cells = {}
-    for m, (rows, comp) in enumerate(zip(t.rows, t.shape)):
-        if [len(row) for row in rows] != list(comp):
-            return False
-        for r, row in enumerate(rows):
-            for c, val in enumerate(row):
-                cells[(m, r, c)] = val
-    values = list(cells.values())
-    if len(set(values)) != len(values) or \
-            set(values) != set(range(1, size(t.shape) + 1)):
+    """The definition, over cells {node: entry}: the path visits each node
+    of the shape once and no other node, and each entry is smaller than
+    its right and its lower neighbour in the same component."""
+    cells = {node: k for k, node in enumerate(t.nodes, start=1)}
+    if len(cells) != len(t.nodes) or set(cells) != set(all_nodes(t.shape)):
         return False
-    return all(val < cells.get((m, r, c + 1), val + 1)
-               and val < cells.get((m, r + 1, c), val + 1)
-               for (m, r, c), val in cells.items())
+    return all(k < cells.get((r, c + 1, m), k + 1)
+               and k < cells.get((r + 1, c, m), k + 1)
+               for (r, c, m), k in cells.items())
 
 
 @st.composite
 def fillings(draw):
-    """A bipartition with at most 6 boxes and rows of entries for it: a
-    standard tableau or a row-reading of a permutation, then perhaps one
-    fault (two entries swapped, an entry repeated or out of range, or the
-    row lengths off the shape)."""
+    """A bipartition with at most 6 boxes and a node path for it: a
+    standard tableau's or a permutation of the shape's nodes, then perhaps
+    one fault (two entries swapped, a node repeated, a node outside the
+    shape in place of one, or a node dropped or added)."""
     shape = draw(st.sampled_from([bp for n in range(7) for bp in bipartitions(n)]))
     n = size(shape)
     if draw(st.booleans()):
-        t = draw(st.sampled_from(standard_tableaux(shape)))
-        flat = [val for rows in t.rows for row in rows for val in row]
+        path = list(draw(st.sampled_from(standard_tableaux(shape))).nodes)
     else:
-        flat = draw(st.permutations(range(1, n + 1)))
-    fault = draw(st.sampled_from(["none", "swap", "repeat", "range", "length"]))
-    lengths = [list(comp) for comp in shape]
+        path = draw(st.permutations(all_nodes(shape)))
+    inside = set(path)
+    outside = st.sampled_from([(r, c, m) for m in (1, 2) for r in range(1, 5)
+                               for c in range(1, 5) if (r, c, m) not in inside])
+    fault = draw(st.sampled_from(["none", "swap", "repeat", "outside", "drop",
+                                  "add"]))
     if fault in ("swap", "repeat") and n >= 2:
         i, j = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2,
                              unique=True))
         if fault == "repeat":
-            flat[i] = flat[j]
+            path[i] = path[j]
         else:
-            flat[i], flat[j] = flat[j], flat[i]
-    elif fault == "range" and n:
-        flat[draw(st.integers(0, n - 1))] = draw(st.sampled_from([-1, 0, n + 1, n + 2]))
-    elif fault == "length":
-        # a row, perhaps a new one, gains an entry that another row loses
-        # or that is new
-        m = draw(st.integers(0, 1))
-        r = draw(st.integers(0, len(lengths[m])))
-        if r == len(lengths[m]):
-            lengths[m].append(0)
-        lengths[m][r] += 1
-        donors = [(k, s) for k in (0, 1) for s in range(len(lengths[k]))
-                  if (k, s) != (m, r)]
-        if donors and draw(st.booleans()):
-            k, s = draw(st.sampled_from(donors))
-            lengths[k][s] -= 1
-        else:
-            flat.append(n + 1)
-    it = iter(flat)
-    rows = tuple(tuple(tuple(next(it) for _ in range(length)) for length in comp)
-                 for comp in lengths)
-    return Tableau(shape, rows)
+            path[i], path[j] = path[j], path[i]
+    elif fault == "outside" and n:
+        path[draw(st.integers(0, n - 1))] = draw(outside)
+    elif fault == "drop" and n:
+        del path[draw(st.integers(0, n - 1))]
+    elif fault == "add":
+        path.insert(draw(st.integers(0, n)), draw(outside))
+    return Tableau(shape, tuple(path))
 
 
 @settings(max_examples=400, deadline=None)
@@ -150,12 +151,18 @@ def test_residue_sequences():
 def test_degree_codegree_base_cases():
     empty = column_initial_tableau(((), ()))
     assert codegree(empty, 3) == 0
-    bad = Tableau(((2,), ()), (((2, 1),), ()))
+    # 2 left of 1 in the one row
+    bad = Tableau(((2,), ()), ((1, 2, 1), (1, 1, 1)))
     with pytest.raises(ValueError):
         codegree(bad, 2)
     assert codegrees(empty, (2, 3)) == [0, 0]
     with pytest.raises(ValueError, match="not standard"):
         codegrees(bad, (2, 3))
+    # a node outside the shape is reported, not an IndexError
+    for node in ((1, 3, 1), (2, 1, 1), (1, 1, 2)):
+        outside = Tableau(((2,), ()), ((1, 1, 1), node))
+        with pytest.raises(ValueError, match="not standard"):
+            codegrees(outside, (2,))
 
 
 def test_codegree_of_column_initial_tableaux():
@@ -267,9 +274,25 @@ def test_gg_word():
 
 
 def test_size_bound():
-    with pytest.raises(ValueError):
-        standard_tableaux((((30,), ())), bound=25)
+    with pytest.raises(ValueError, match="exceeds bound 25"):
+        standard_tableaux(((30,), ()))
+    # a word prunes the enumeration, so no bound applies: 28 boxes
+    shape = ((16,), (12,))
+    word = residue_sequence(column_initial_tableau(shape), 4)
+    ts = standard_tableaux(shape, word=word, e=4)
+    assert len(ts) == word_graded_dimension(shape, word, 4).at_one() == 35
 
+
+def test_v_tableau():
+    assert str(v_tableau(((3,), (2,)), [2, 4])) == "[1,3,5]|[2,4]"
+    assert str(v_tableau(((3,), (2,)), [4, 2])) == "[1,3,5]|[2,4]"
+    for shape, entries in ((((3,), (2,)), [2, 2]),    # repeated entry
+                           (((3,), (2,)), [0, 4]),    # out of range
+                           (((3,), (2,)), [2, 6]),
+                           (((3,), (2,)), [2]),       # too few
+                           (((2, 1), (2,)), [2, 4])):  # two-row component
+        with pytest.raises(ValueError):
+            v_tableau(shape, entries)
 
 
 def test_recursions_leave_no_cycles(cyclic_garbage):

@@ -3,9 +3,11 @@ label maps used to transport module structures between bihook families.
 
 The i-signature of a bipartition reads the diagram from the top of the
 first component to the bottom of the second, writing + for each addable
-i-node and - for each removable i-node.  Reduction cancels adjacent +-
-pairs until the word has shape -...-+...+.  The good i-node is the last
-surviving -, the cogood i-node the first surviving +.
+i-node and - for each removable i-node.  It is the residue-i part of
+``partitions.signed_nodes``, which walks the rows in that order, so it
+needs no sort.  Reduction cancels adjacent +- pairs until the word has
+shape -...-+...+.  The good i-node is the last surviving -, the cogood
+i-node the first surviving +.
 
 A bipartition is regular when successive good-node removals reach the
 empty bipartition, or equivalently when successive cogood additions
@@ -25,17 +27,16 @@ from functools import lru_cache
 
 from .partitions import (
     Bipartition, Node, Partition, EMPTY_BP, add_node, as_partition, check_e,
-    node_position, remove_node, residue_nodes,
+    remove_node, signed_nodes,
 )
 
 Signature = list[tuple[str, Node]]
 
 
 def signature(bp: Bipartition, i: int, e: int) -> Signature:
-    adds, rems = residue_nodes(bp, i, e)
-    marks = [("+", a) for a in adds] + [("-", a) for a in rems]
-    marks.sort(key=lambda sa: node_position(sa[1]))
-    return marks
+    i %= check_e(e)
+    return [("+" if sign > 0 else "-", node)
+            for sign, node in signed_nodes(bp) if (node[1] - node[0]) % e == i]
 
 
 def reduced_signature(bp: Bipartition, i: int, e: int) -> Signature:

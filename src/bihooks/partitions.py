@@ -11,6 +11,10 @@ Conventions used throughout the package:
 * the node ``(r, c, m)`` is *above* ``(r', c', m')`` when ``m < m'`` or
   (``m == m'`` and ``r < r'``); node lists are always emitted from top
   to bottom in this order;
+* ``signed_nodes`` is the one listing of a shape's addable and removable
+  nodes, from one walk over the rows: ``addable_nodes``,
+  ``removable_nodes``, the crystal's i-signatures and the tableau peel
+  table all read it;
 * residues are taken mod ``e`` with bicharge (0, 0), so the residue of
   ``(r, c, m)`` is ``(c - r) % e``.
 
@@ -78,12 +82,6 @@ def residue(node: Node, e: int) -> int:
     return (c - r) % e
 
 
-def node_position(node: Node) -> tuple[int, int]:
-    """Sort key realising the above/below order (component, then row)."""
-    r, c, m = node
-    return (m, r)
-
-
 def hook_length(p: Partition, row: int, col: int) -> int:
     """Arm + leg + 1 of the node (row, col), which must lie in the diagram."""
     if not (1 <= row <= len(p) and 1 <= col <= p[row - 1]):
@@ -92,54 +90,32 @@ def hook_length(p: Partition, row: int, col: int) -> int:
     return p[row - 1] - col + conj[col - 1] - row + 1
 
 
-def _partition_addable(p: Partition) -> list[tuple[int, int]]:
-    out = []
-    for r in range(1, len(p) + 2):
-        cur = p[r - 1] if r <= len(p) else 0
-        if r == 1 or p[r - 2] > cur:
-            out.append((r, cur + 1))
-    return out
-
-
-def _partition_removable(p: Partition) -> list[tuple[int, int]]:
-    out = []
-    for r in range(1, len(p) + 1):
-        nxt = p[r] if r < len(p) else 0
-        if p[r - 1] > nxt:
-            out.append((r, p[r - 1]))
+def signed_nodes(bp: Bipartition) -> list[tuple[int, Node]]:
+    """Every addable node (sign 1) and removable node (sign -1) of ``bp``,
+    top to bottom, from one walk over the rows; a row's addable node
+    comes before its removable node."""
+    out: list[tuple[int, Node]] = []
+    for m in (1, 2):
+        p = bp[m - 1]
+        above = None  # length of the row above, None on the first row
+        # the empty row below the last holds the first node of a new row
+        for r, (cur, below) in enumerate(zip(p + (0,), p[1:] + (0, 0)), start=1):
+            if above is None or above > cur:
+                out.append((1, (r, cur + 1, m)))
+            if cur > below:
+                out.append((-1, (r, cur, m)))
+            above = cur
     return out
 
 
 def addable_nodes(bp: Bipartition) -> list[Node]:
     """All addable nodes of ``bp`` from top to bottom."""
-    return [(r, c, m) for m in (1, 2) for (r, c) in _partition_addable(bp[m - 1])]
+    return [node for sign, node in signed_nodes(bp) if sign > 0]
 
 
 def removable_nodes(bp: Bipartition) -> list[Node]:
     """All removable nodes of ``bp`` from top to bottom."""
-    return [(r, c, m) for m in (1, 2) for (r, c) in _partition_removable(bp[m - 1])]
-
-
-def residue_nodes(bp: Bipartition, i: int,
-                  e: int) -> tuple[list[Node], list[Node]]:
-    """The addable and the removable nodes of ``bp`` of residue ``i`` mod
-    ``e``, both top to bottom, from one walk over the rows."""
-    check_e(e)
-    i %= e
-    adds: list[Node] = []
-    rems: list[Node] = []
-    for m in (1, 2):
-        p = bp[m - 1]
-        above = None  # length of the row above, None on the first row
-        for r, (cur, below) in enumerate(zip(p, p[1:] + (0,)), start=1):
-            if (above is None or above > cur) and (cur + 1 - r) % e == i:
-                adds.append((r, cur + 1, m))
-            if cur > below and (cur - r) % e == i:
-                rems.append((r, cur, m))
-            above = cur
-        if -len(p) % e == i:  # the first node of a new row
-            adds.append((len(p) + 1, 1, m))
-    return adds, rems
+    return [node for sign, node in signed_nodes(bp) if sign < 0]
 
 
 def add_node(bp: Bipartition, node: Node) -> Bipartition:

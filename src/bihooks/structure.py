@@ -22,7 +22,9 @@ from dataclasses import dataclass, field, replace
 from .crystal import braces, induce, induction_recipe, is_regular, mullineux, scrt
 from .padic import check_prime_or_zero
 from .partitions import Bipartition, check_e, conjugate, format_bipartition
-from .schur import Partition, composition_multiset, two_column
+from .schur import (
+    Partition, composition_multiset, simultaneous_irreducibility, two_column,
+)
 
 DECOMPOSABLE = "decomposable"
 INDECOMPOSABLE = "indecomposable"
@@ -86,15 +88,11 @@ def _simple(label) -> Summand:
 
 def semisimplicity_criterion(k: int, j: int, p: int) -> bool:
     """Semisimplicity of the Specht module of ((ke), (je)), k >= j >= 1:
-    characteristic 0; p odd dividing none of k+j, ..., k-j+2; or p = 2
-    with (j, k) = (1, even) or (2, 1 mod 4)."""
+    the Weyl modules of the two-column shapes with k + j boxes and at most
+    j twos are irreducible at once (characteristic 0; p odd dividing none
+    of k+j, ..., k-j+2; or p = 2 with (j, k) = (1, even) or (2, 1 mod 4))."""
     _check_kj(k, j)
-    check_prime_or_zero(p)
-    if p == 0:
-        return True
-    if p != 2:
-        return all(x % p for x in range(k - j + 2, k + j + 1))
-    return (j == 1 and k % 2 == 0) or (j == 2 and k % 4 == 1)
+    return simultaneous_irreducibility(k + j, j, p)
 
 
 def _check_kj(k: int, j: int):

@@ -13,12 +13,12 @@ counting addable minus removable same-residue nodes strictly *above*
 the node being peeled, with value 0 on the empty tableau.
 
 Every production route reads node degrees from a per-shape peel table,
-``peel_degrees``, built in one pass over the shape's addable and
-removable nodes.  The codegree and the word recursion share one cached
-table per (shape, e) across all tableaux and words;
-``graded_dimension``, memoised per shape already, builds it uncached.
-``node_degree`` computes one node's degree from its definition and is the
-reference route the tests check the table against.
+``peel_degrees``, built in one walk over ``partitions.signed_nodes``
+that keeps a running count per residue.  The codegree and the word
+recursion share one cached table per (shape, e) across all tableaux and
+words; ``graded_dimension``, memoised per shape already, builds it
+uncached.  ``node_degree`` computes one node's degree from its
+definition and is the reference route the tests check the table against.
 
 The enumeration grows one node path in place: each row keeps a count of
 its filled boxes, an entry's node is pushed onto the path and popped off
@@ -43,7 +43,7 @@ from functools import lru_cache
 from .laurent import LaurentPoly, ONE
 from .partitions import (
     Bipartition, Node, check_e, conjugate_partition, residue, size,
-    node_position, addable_nodes, removable_nodes, remove_node, EMPTY_BP,
+    addable_nodes, removable_nodes, remove_node, signed_nodes, EMPTY_BP,
 )
 
 SIZE_BOUND = 25
@@ -174,26 +174,27 @@ def node_degree(shape: Bipartition, node: Node, e: int) -> int:
     """Addable minus removable nodes of the residue of ``node`` strictly
     above it in ``shape``; ``node`` itself lies in ``shape``."""
     check_e(e)
-    i, pos = residue(node, e), node_position(node)
+    r, _, m = node
+    i = residue(node, e)
     return sum(sign for sign, nodes in ((1, addable_nodes(shape)),
                                         (-1, removable_nodes(shape)))
-               for a in nodes if residue(a, e) == i and node_position(a) < pos)
+               for a in nodes if residue(a, e) == i and (a[2], a[0]) < (m, r))
 
 
 def peel_degrees(shape: Bipartition, e: int) -> dict[Node, tuple[Bipartition, int]]:
     """removable node -> (shape without it, its degree), in top-to-bottom
-    order; the degree is ``node_degree(shape, node, e)``, with every node
-    counted from one listing of the shape's addable and removable nodes."""
+    order; the degree is ``node_degree(shape, node, e)``, read from running
+    per-residue counts over one top-to-bottom walk of the signed nodes.  A
+    row's addable node, counted before its removable node, never shares
+    its residue, since e >= 2."""
     check_e(e)
-    signed = [((c - r) % e, (m, r), 1) for r, c, m in addable_nodes(shape)]
-    removable = removable_nodes(shape)
-    signed += [((c - r) % e, (m, r), -1) for r, c, m in removable]
+    counts = [0] * e  # addable minus removable nodes of each residue so far
     table = {}
-    for node in removable:
-        r, c, m = node
-        i, pos = (c - r) % e, (m, r)
-        table[node] = (remove_node(shape, node),
-                       sum(sign for j, p, sign in signed if j == i and p < pos))
+    for sign, node in signed_nodes(shape):
+        i = (node[1] - node[0]) % e
+        if sign < 0:
+            table[node] = (remove_node(shape, node), counts[i])
+        counts[i] += sign
     return table
 
 
@@ -205,6 +206,7 @@ def codegrees(t: Tableau, es) -> list[int]:
     """The codegree of t (module docstring) at each e in ``es``, read from
     the peel tables: one standardness check and one node list, ``t.nodes``,
     serve every e."""
+    es = tuple(es)  # read twice below; an iterator would be spent by the checks
     for e in es:
         check_e(e)
     if not is_standard(t):

@@ -453,8 +453,11 @@ def run_suite(name: str, **bounds) -> SuiteReport:
                           for k in unknown)
         raise ValueError(f"suite {name!r} does not take {flags}")
     for key, flag in (("es", "--e"), ("primes", "--primes")):
-        if key in clean and not clean[key]:
-            raise ValueError(f"{flag} needs at least one value")
+        if key in clean:
+            # the suites loop over these several times
+            clean[key] = tuple(clean[key])
+            if not clean[key]:
+                raise ValueError(f"{flag} needs at least one value")
     if clean.get("max_n", 0) < 0:
         raise ValueError(f"--max-n must be >= 0, got {clean['max_n']}")
     if clean.get("max_kj", 2) < 2:

@@ -3,9 +3,11 @@ import pytest
 from bihooks.crystal import (
     braces, braces_int, cogood_node, e_tilde, f_tilde, good_node, induce,
     induction_pairs, induction_recipe, is_regular, mullineux,
-    reduced_signature, regular_bipartitions, scrt,
+    reduced_signature, regular_bipartitions, scrt, signature,
 )
-from bihooks.partitions import EMPTY_BP, bipartitions
+from bihooks.partitions import (
+    EMPTY_BP, addable_nodes, bipartitions, removable_nodes, residue,
+)
 from bihooks.schur import two_column
 
 
@@ -20,6 +22,24 @@ def test_signature_examples():
     assert signs(reduced_signature(((4,), (4,)), 0, 4)) == "++"
     assert [n for _, n in reduced_signature(((4,), (4,)), 0, 4)] == \
         [(1, 5, 1), (1, 5, 2)]
+
+
+def test_signature_matches_sorted_filtered_lists():
+    # the i-nodes of addable_nodes and removable_nodes, sorted by
+    # (component, row); the sort is stable, so a row's + precedes its -
+    for e in (2, 3, 4, 5):
+        for n in range(0, 9):
+            for bp in bipartitions(n):
+                for i in range(e):
+                    marks = [(s, a) for s, nodes in (("+", addable_nodes(bp)),
+                                                     ("-", removable_nodes(bp)))
+                             for a in nodes if residue(a, e) == i]
+                    marks.sort(key=lambda sa: (sa[1][2], sa[1][0]))
+                    assert signature(bp, i, e) == marks
+    # residues are read mod e
+    assert signature(((2, 1), (3,)), -1, 3) == signature(((2, 1), (3,)), 2, 3)
+    with pytest.raises(ValueError):
+        signature(EMPTY_BP, 0, 1)
 
 
 def test_good_cogood_examples():

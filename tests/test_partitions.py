@@ -5,7 +5,7 @@ from bihooks.partitions import (
     EMPTY_BP, add_node, addable_nodes, as_partition, bipartitions, conjugate,
     conjugate_partition, dominance_codes, dominance_key, dominance_keys,
     dominates, format_bipartition, hook_length, is_bihook, key_dominates,
-    parse_bipartition, removable_nodes, remove_node, residue, residue_nodes,
+    parse_bipartition, removable_nodes, remove_node, residue, signed_nodes,
     size,
 )
 
@@ -84,19 +84,28 @@ def test_addable_removable_examples():
     assert removable_nodes(((3, 1), (2,))) == [(1, 3, 1), (2, 1, 1), (1, 2, 2)]
 
 
-def test_residue_nodes_match_filtered_lists():
-    for e in (2, 3, 4, 5):
-        for n in range(0, 10):
-            for bp in bipartitions(n):
-                for i in range(e):
-                    assert residue_nodes(bp, i, e) == tuple(
-                        [a for a in nodes(bp) if residue(a, e) == i]
-                        for nodes in (addable_nodes, removable_nodes))
-    # residues are read mod e
-    assert residue_nodes(((2, 1), (3,)), -1, 3) == residue_nodes(
-        ((2, 1), (3,)), 2, 3)
-    with pytest.raises(ValueError):
-        residue_nodes(EMPTY_BP, 0, 1)
+def test_signed_nodes_match_definition():
+    # a node is addable when one more box in its row, and removable when
+    # one box fewer, leaves the padded rows weakly decreasing
+    def decreasing(rows):
+        return all(a >= b for a, b in zip(rows, rows[1:]))
+
+    for n in range(0, 10):
+        for bp in bipartitions(n):
+            want = []
+            for m in (1, 2):
+                rows = list(bp[m - 1]) + [0]
+                for r, length in enumerate(rows, start=1):
+                    grown, shrunk = rows.copy(), rows.copy()
+                    grown[r - 1] += 1
+                    shrunk[r - 1] -= 1
+                    if decreasing(grown):
+                        want.append((1, (r, length + 1, m)))
+                    if length and decreasing(shrunk):
+                        want.append((-1, (r, length, m)))
+            assert signed_nodes(bp) == want
+            assert addable_nodes(bp) == [a for s, a in want if s == 1]
+            assert removable_nodes(bp) == [a for s, a in want if s == -1]
 
 
 def test_dominance_keys_table():

@@ -206,6 +206,9 @@ def test_statistics_match_reference_peel():
                     # several e in one call, in the order given
                     assert codegrees(t, (e, 5 - e)) == \
                         [want, _reference_codegree(t, 5 - e)]
+    # es is read once: an iterator gives what the tuple gives
+    t = standard_tableaux(((2,), (1,)))[0]
+    assert codegrees(t, iter((2, 3))) == codegrees(t, (2, 3)) == [1, 0]
 
 
 def test_graded_dimension_routes_agree():

@@ -76,6 +76,16 @@ def test_suite_reports_a_broken_subject(monkeypatch, llt_cache_dir, name,
     assert report.failures, f"suite {name} passed with a broken {attr}"
 
 
+def test_run_suite_reads_one_shot_bounds_once():
+    # the suites loop over es and primes several times
+    assert verify.run_suite("words", es=iter((2,)), max_kj=2, max_n=3).cases == \
+        verify.run_suite("words", es=(2,), max_kj=2, max_n=3).cases == 42
+    for name, key, flag in (("crystal", "es", "--e"),
+                            ("schur", "primes", "--primes")):
+        with pytest.raises(ValueError, match=f"{flag} needs at least one value"):
+            verify.run_suite(name, **{key: iter(())})
+
+
 def test_check_formats_repro_only_on_failure():
     rep = verify.SuiteReport("x")
     calls = []

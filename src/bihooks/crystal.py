@@ -18,12 +18,27 @@ in the test-suite and the ``crystal`` verify suite:
 * for one shape, ``is_regular`` removes the good node of the smallest
   residue that has one and backtracks over residues if stuck (crystal
   theory makes the backtracking vacuous);
-* for a whole size, ``regular_bipartitions`` closes the empty
-  bipartition under ``f_tilde`` one box at a time.  The Fock solver
-  takes its regular columns from it.
+* for a whole size, ``mullineux_pairs`` closes the empty bipartition
+  under the cogood additions one box at a time, and
+  ``regular_bipartitions`` reads its keys.  The Fock solver takes its
+  regular columns and their Mullineux partners from it.
+
+The Mullineux map has two routes too.  ``mullineux`` peels one shape by
+good nodes and rebuilds it with every residue negated; it is the oracle,
+and ``structure.predict`` and the command line read it.  The pair table
+carries the map along the closure instead: m(f~_i b) = f~_{-i} m(b), and
+m(b) is regular of the same size as b, so the partner of every shape of
+n is read off cogood additions that the closure makes anyway, at no cost
+beyond a lookup.
+
+``signature``, ``f_tilde`` and ``e_tilde`` walk the shape for one
+residue.  The closure and ``good_peel``, which try every residue on one
+shape, read all e signatures from one walk, ``signatures``.
 """
 
+from collections.abc import KeysView
 from functools import lru_cache
+from types import MappingProxyType
 
 from .partitions import (
     Bipartition, Node, Partition, EMPTY_BP, add_node, as_partition, check_e,
@@ -39,9 +54,17 @@ def signature(bp: Bipartition, i: int, e: int) -> Signature:
             for sign, node in signed_nodes(bp) if (node[1] - node[0]) % e == i]
 
 
-def reduced_signature(bp: Bipartition, i: int, e: int) -> Signature:
+def signatures(bp: Bipartition, e: int) -> list[Signature]:
+    """Every i-signature of bp, indexed by i, from one walk."""
+    sigs: list[Signature] = [[] for _ in range(check_e(e))]
+    for sign, node in signed_nodes(bp):
+        sigs[(node[1] - node[0]) % e].append(("+" if sign > 0 else "-", node))
+    return sigs
+
+
+def _reduce(sig: Signature) -> Signature:
     stack: Signature = []
-    for sign, node in signature(bp, i, e):
+    for sign, node in sig:
         if sign == "-" and stack and stack[-1][0] == "+":
             stack.pop()
         else:
@@ -49,21 +72,33 @@ def reduced_signature(bp: Bipartition, i: int, e: int) -> Signature:
     return stack
 
 
-def good_node(bp: Bipartition, i: int, e: int) -> Node | None:
-    """Lowest normal i-node: the last - of the reduced signature."""
+def _good(sig: Signature) -> Node | None:
     best = None
-    for sign, node in reduced_signature(bp, i, e):
+    for sign, node in _reduce(sig):
         if sign == "-":
             best = node
     return best
 
 
-def cogood_node(bp: Bipartition, i: int, e: int) -> Node | None:
-    """Highest conormal i-node: the first + of the reduced signature."""
-    for sign, node in reduced_signature(bp, i, e):
+def _cogood(sig: Signature) -> Node | None:
+    for sign, node in _reduce(sig):
         if sign == "+":
             return node
     return None
+
+
+def reduced_signature(bp: Bipartition, i: int, e: int) -> Signature:
+    return _reduce(signature(bp, i, e))
+
+
+def good_node(bp: Bipartition, i: int, e: int) -> Node | None:
+    """Lowest normal i-node: the last - of the reduced signature."""
+    return _good(signature(bp, i, e))
+
+
+def cogood_node(bp: Bipartition, i: int, e: int) -> Node | None:
+    """Highest conormal i-node: the first + of the reduced signature."""
+    return _cogood(signature(bp, i, e))
 
 
 def f_tilde(bp: Bipartition, i: int, e: int) -> Bipartition | None:
@@ -83,10 +118,10 @@ def good_peel(bp: Bipartition, e: int) -> tuple[int, ...] | None:
     backtracking over the remaining residues."""
     if bp == EMPTY_BP:
         return ()
-    for i in range(e):
-        down = e_tilde(bp, i, e)
-        if down is not None:
-            rest = good_peel(down, e)
+    for i, sig in enumerate(signatures(bp, e)):
+        node = _good(sig)
+        if node is not None:
+            rest = good_peel(remove_node(bp, node), e)
             if rest is not None:
                 return (i,) + rest
     return None
@@ -98,16 +133,31 @@ def is_regular(bp: Bipartition, e: int) -> bool:
 
 
 @lru_cache(maxsize=None)
-def regular_bipartitions(n: int, e: int) -> frozenset[Bipartition]:
-    """Every regular bipartition of n: the cogood additions ``f_tilde`` of
-    every residue applied to the regular bipartitions of n - 1, starting
-    from the empty bipartition."""
+def mullineux_pairs(n: int, e: int) -> MappingProxyType:
+    """Read-only ``{mu: mullineux(mu, e)}`` over every regular bipartition
+    of n: the cogood additions of every residue applied to the regular
+    bipartitions of n - 1, starting from the empty bipartition, each
+    paired by m(f~_i b) = f~_{-i} m(b) (module docstring)."""
     check_e(e)
     if n <= 0:
-        return frozenset([EMPTY_BP] if n == 0 else [])
-    return frozenset(up for bp in regular_bipartitions(n - 1, e)
-                     for i in range(e)
-                     if (up := f_tilde(bp, i, e)) is not None)
+        return MappingProxyType({EMPTY_BP: EMPTY_BP} if n == 0 else {})
+    below = mullineux_pairs(n - 1, e)
+    ups = {bp: [None if (node := _cogood(sig)) is None else add_node(bp, node)
+                for sig in signatures(bp, e)]
+           for bp in below}
+    pairs = {}
+    for bp, partner in below.items():
+        across = ups[partner]
+        for i, up in enumerate(ups[bp]):
+            if up is not None:
+                pairs[up] = across[-i]  # residue -i mod e
+    return MappingProxyType(pairs)
+
+
+def regular_bipartitions(n: int, e: int) -> KeysView[Bipartition]:
+    """Every regular bipartition of n, as a read-only set: the keys of
+    ``mullineux_pairs``."""
+    return mullineux_pairs(n, e).keys()
 
 
 def cogood_build(residues, e: int) -> Bipartition:

@@ -17,8 +17,8 @@ in the test-suite as the oracle for this formula.  Nodes are counted
 above only: counting below gives the bar-flipped matrix, whose first
 approximation already fails the unit-diagonal assertion at one box.
 
-Regular columns.  The columns are the regular bipartitions of n, taken
-from ``crystal.regular_bipartitions``: the closure of the empty
+Regular columns.  The columns are the regular bipartitions of n, the
+keys of ``crystal.mullineux_pairs``: the closure of the empty
 bipartition under the cogood additions ``f_tilde``, grown one box at a
 time, so no shape of n is tested for regularity on its own.  Rows and
 columns are ordered by ``partitions.dominance_keys(n)``, one key table
@@ -30,7 +30,7 @@ i-signature (smallest such residue first), i.e. the top removable
 i-nodes sitting above all other i-activity.  The run list replayed in
 reverse as divided powers on |empty> gives a vector A(mu) with
 coefficient exactly 1 at |mu| and all other terms strictly later in the
-refined dominance order.  The solver builds every A(mu) in one
+refined dominance order.  The solver builds every A(mu) it solves in one
 depth-first pass over a trie of the reversed run lists, so a prefix
 shared by several of them is applied once.  The trie is filled least
 dominant mu first and walked in insertion order, which hands the
@@ -39,6 +39,25 @@ the pass checks each one before handing it over.  Divided powers commute
 with the bar involution and fix |empty>, so every A(mu) is bar-invariant;
 corrections by bar-closures of offending coefficients therefore keep the
 eliminated columns bar-invariant without any combinatorial bar formula.
+
+Mullineux pairs.  Conjugation swaps the columns mu and m(mu), where m
+is the Mullineux map: d(lam', m(mu))(q) = q^s d(lam, mu)(q^-1) for every
+row lam, lam' its conjugate, with one shift s per column, the defect of
+its block (the graded Specht duality of Brundan-Kleshchev-Wang, arXiv
+0901.0218).  So the solver builds first approximations and eliminates
+only for the fixed points of m and for the less dominant member of each
+pair, which the loop finishes first.  The other member's column is read
+off it: row lam becomes lam' and exponent k becomes s - k.  The shift
+needs no defect formula.  The diagonal of m(mu) comes from row m(mu)' of
+column mu, whose entry must be exactly q^s; the solver raises, naming
+the pair, if it is not.  The partners are the values of
+``crystal.mullineux_pairs``, which the cogood closure builds at the cost
+of a lookup per shape.  So a derived column reads the crystal, not the
+Fock space: ``_fault`` checks it like every other column, and the
+test-suite holds the solve equal to the plain one, under the identity
+pair table, which makes every column its own partner and so solves it.
+At e = 2, -i = i, so m fixes every regular bipartition: every column is
+solved and nothing is gained.
 
 Interned shapes.  Inside the solver a shape is an int id from one
 table, ``_Shapes``, that lives for one solve and dies with it.  The
@@ -90,11 +109,11 @@ import weakref
 from dataclasses import dataclass, field
 from operator import countOf
 
-from .crystal import regular_bipartitions
+from .crystal import mullineux_pairs, regular_bipartitions
 from .laurent import LaurentPoly, ONE
 from .partitions import (
-    Bipartition, check_e, dominance_codes, dominance_keys, format_bipartition,
-    size,
+    Bipartition, check_e, conjugate, dominance_codes, dominance_keys,
+    format_bipartition, size,
 )
 # a module attribute that the benchmark's tracer patches, used or not
 from .partitions import dominance_key  # noqa: F401
@@ -641,10 +660,20 @@ def _compute_canonical_basis(n: int, e: int) -> DecompositionMatrix:
     # labels are the key table's own tuples
     shapes = _Shapes(e, key_of)
     labels = shapes.shapes
-    regular = regular_bipartitions(n, e)
-    regs = [sid for sid, bp in enumerate(key_of) if bp in regular]
+    pairs = mullineux_pairs(n, e)
+    regs = [sid for sid, bp in enumerate(key_of) if bp in pairs]
+    sid_of = {labels[sid]: sid for sid in regs}
+    partner = {sid: sid_of[pairs[labels[sid]]] for sid in regs}
+    conj_ids: dict[int, int] = {}
 
-    approx = _first_approximations(shapes, regs)
+    def conj(sid: int) -> int:
+        out = conj_ids.get(sid)
+        if out is None:
+            out = conj_ids[sid] = shapes.ids[shapes.encode(conjugate(labels[sid]))]
+        return out
+
+    # the less dominant member of each pair, the larger id, is solved
+    approx = _first_approximations(shapes, [mu for mu in regs if partner[mu] <= mu])
     held: dict[int, RawVector] = {}
     raw: dict[int, RawVector] = {}
     columns: dict[Bipartition, dict[Bipartition, LaurentPoly]] = {}
@@ -653,37 +682,23 @@ def _compute_canonical_basis(n: int, e: int) -> DecompositionMatrix:
     shared: dict = {}
     for idx in range(len(regs) - 1, -1, -1):
         mu = regs[idx]
-        # draw approximations until mu's appears; those of more dominant
-        # columns wait in held
-        while mu not in held:
-            nu, vec = next(approx)
-            held[nu] = vec
-        vec = held.pop(mu)
-        # clear every already-computed column, most dominant first; the
-        # first-approximation support bound guarantees nothing is needed
-        # beyond those
-        for lam in regs[idx + 1:]:
-            c = vec.get(lam)
-            if not c:
-                continue
-            correction = list(LaurentPoly._raw(c).bar_closure().iter_terms())
-            if not correction:
-                continue
-            # vec -= correction * raw[lam], one exponent at a time
-            for bp, g in raw[lam].items():
-                slot = vec.get(bp)
-                if slot is None:
-                    slot = vec[bp] = {}
-                for ka, va in correction:
-                    for kb, vb in g.items():
-                        k = ka + kb
-                        nv = slot.get(k, 0) - va * vb
-                        if nv:
-                            slot[k] = nv
-                        else:
-                            del slot[k]
-                if not slot:
-                    del vec[bp]
+        nu = partner[mu]
+        if nu > mu:
+            # mu = m(nu), read off the finished column nu (module
+            # docstring, "Mullineux pairs")
+            diag = raw[nu].get(conj(mu), {})
+            s = next(iter(diag), None)
+            if diag != {s: 1}:
+                raise RuntimeError(
+                    f"Mullineux pair {format_bipartition(labels[nu])} and "
+                    f"{format_bipartition(labels[mu])}: row "
+                    f"{format_bipartition(labels[conj(mu)])} of column "
+                    f"{format_bipartition(labels[nu])} is {LaurentPoly(diag)}, "
+                    f"not a power of q")
+            vec = {conj(lam): {s - k: c for k, c in terms.items()}
+                   for lam, terms in raw[nu].items()}
+        else:
+            vec = _eliminate(held, approx, mu, regs[idx + 1:], raw)
         col: dict[Bipartition, LaurentPoly] = {}
         raw_col: RawVector = {}
         for bp, terms in vec.items():
@@ -696,6 +711,44 @@ def _compute_canonical_basis(n: int, e: int) -> DecompositionMatrix:
         raw[mu] = raw_col
         columns[labels[mu]] = col
     return DecompositionMatrix(n=n, e=e, columns=columns)
+
+
+def _eliminate(held: dict[int, RawVector], approx, mu: int, done: list[int],
+               raw: dict[int, RawVector]) -> RawVector:
+    """Column mu, from A(mu) less bar-invariant multiples of the finished
+    columns done, given in decreasing dominance.  Approximations are
+    drawn from approx until mu's appears; those of more dominant columns
+    wait in held."""
+    while mu not in held:
+        nu, vec = next(approx)
+        held[nu] = vec
+    vec = held.pop(mu)
+    # clear every already-computed column, most dominant first; the
+    # first-approximation support bound guarantees nothing is needed
+    # beyond those
+    for lam in done:
+        c = vec.get(lam)
+        if not c:
+            continue
+        correction = list(LaurentPoly._raw(c).bar_closure().iter_terms())
+        if not correction:
+            continue
+        # vec -= correction * raw[lam], one exponent at a time
+        for bp, g in raw[lam].items():
+            slot = vec.get(bp)
+            if slot is None:
+                slot = vec[bp] = {}
+            for ka, va in correction:
+                for kb, vb in g.items():
+                    k = ka + kb
+                    nv = slot.get(k, 0) - va * vb
+                    if nv:
+                        slot[k] = nv
+                    else:
+                        del slot[k]
+            if not slot:
+                del vec[bp]
+    return vec
 
 
 def simple_graded_dims_from(matrix: DecompositionMatrix) -> dict[Bipartition, LaurentPoly]:

@@ -67,9 +67,12 @@ def size(bp: Bipartition) -> int:
 
 
 def conjugate_partition(p: Partition) -> Partition:
-    if not p:
-        return ()
-    return tuple(sum(1 for part in p if part >= i) for i in range(1, p[0] + 1))
+    """Column lengths of p, in one pass up its rows: the columns from the
+    part below row r, exclusive, to p[r-1] have length r."""
+    out: list[int] = []
+    for r in range(len(p), 0, -1):
+        out += [r] * (p[r - 1] - len(out))
+    return tuple(out)
 
 
 def conjugate(bp: Bipartition) -> Bipartition:

@@ -2,8 +2,8 @@ import pytest
 
 from bihooks.crystal import (
     braces, braces_int, cogood_node, e_tilde, f_tilde, good_node, induce,
-    induction_pairs, induction_recipe, is_regular, mullineux,
-    reduced_signature, regular_bipartitions, scrt, signature,
+    induction_pairs, induction_recipe, is_regular, mullineux, mullineux_pairs,
+    reduced_signature, regular_bipartitions, scrt, signature, signatures,
 )
 from bihooks.partitions import (
     EMPTY_BP, addable_nodes, bipartitions, removable_nodes, residue,
@@ -36,6 +36,7 @@ def test_signature_matches_sorted_filtered_lists():
                              for a in nodes if residue(a, e) == i]
                     marks.sort(key=lambda sa: (sa[1][2], sa[1][0]))
                     assert signature(bp, i, e) == marks
+                assert signatures(bp, e) == [signature(bp, i, e) for i in range(e)]
     # residues are read mod e
     assert signature(((2, 1), (3,)), -1, 3) == signature(((2, 1), (3,)), 2, 3)
     with pytest.raises(ValueError):
@@ -80,6 +81,16 @@ def test_mullineux_examples():
     assert mullineux(((15,), ()), 3) == ((8, 7), ())
     with pytest.raises(ValueError):
         mullineux(((), (1,)), 2)
+
+
+def test_pair_table_matches_mullineux():
+    for e in (2, 3, 4, 5):
+        for n in range(0, 13):
+            pairs = mullineux_pairs(n, e)
+            assert all(mullineux(mu, e) == nu for mu, nu in pairs.items()), (e, n)
+    assert mullineux_pairs(-1, 3) == {}
+    with pytest.raises(ValueError):
+        mullineux_pairs(3, 1)
 
 
 def test_braces_examples():

@@ -15,7 +15,9 @@ from bihooks.partitions import (
     dominance_keys, format_bipartition, key_dominates, remove_node, residue,
     size,
 )
-from bihooks.crystal import is_regular, regular_bipartitions, signature
+from bihooks.crystal import (
+    is_regular, mullineux, mullineux_pairs, regular_bipartitions, signature,
+)
 from bihooks.tableaux import graded_dimension, node_degree
 
 Q = LaurentPoly.q_power
@@ -316,6 +318,64 @@ def test_solver_keeps_no_cache_across_solves():
     assert fock._f_targets.cache_info() == (1036, 1163, None, 0)
     fock._f_targets.cache_clear()
     assert fock._f_targets.cache_info() == (0, 0, None, 0)
+
+
+def _plain_pairs(n, e):
+    """The identity pair table: every column its own partner, so solved."""
+    return {mu: mu for mu in mullineux_pairs(n, e)}
+
+
+def test_paired_solve_matches_plain_solve(monkeypatch):
+    # the derived columns read the crystal's pairs; the plain route reads
+    # the Fock space alone
+    paired = {(e, n): canonical_basis(n, e, use_cache=False)
+              for e in (2, 3, 4, 5) for n in range(0, 13)}
+    monkeypatch.setattr(fock, "mullineux_pairs", _plain_pairs)
+    for (e, n), matrix in paired.items():
+        assert canonical_basis(n, e, use_cache=False) == matrix, (e, n)
+
+
+def test_solver_solves_one_column_per_pair(monkeypatch):
+    solved = []
+    inner = fock._first_approximations
+
+    def counting(shapes, regs):
+        for mu, vec in inner(shapes, regs):
+            solved.append(shapes.shapes[mu])
+            yield mu, vec
+
+    monkeypatch.setattr(fock, "_first_approximations", counting)
+    for e in (2, 3, 4, 5):
+        for n in range(0, 13):
+            solved.clear()
+            regular = regular_bipartitions(n, e)
+            canonical_basis(n, e, use_cache=False)
+            fixed = sum(mullineux(mu, e) == mu for mu in regular)
+            assert len(solved) == len(set(solved)) == (len(regular) + fixed) // 2
+            # the less dominant member of each pair: the later key
+            order = list(dominance_keys(n))
+            assert all(order.index(mu) >= order.index(mullineux(mu, e))
+                       for mu in solved), (e, n)
+            if (e, n) == (3, 12):
+                assert (len(solved), len(regular), fixed) == (80, 156, 4)
+            if e == 2:
+                assert len(solved) == len(regular)
+
+
+def test_swapped_partners_raise_naming_the_pair(monkeypatch):
+    # BROKEN: 12|- and 11,1|- trade their Mullineux partners
+    def swapped(n, e):
+        pairs = dict(mullineux_pairs(n, e))
+        a, b = ((12,), ()), ((11, 1), ())
+        pairs[a], pairs[b] = pairs[b], pairs[a]
+        pairs[pairs[a]], pairs[pairs[b]] = a, b
+        return pairs
+
+    assert mullineux(((12,), ()), 3) == ((6, 6), ())
+    monkeypatch.setattr(fock, "mullineux_pairs", swapped)
+    with pytest.raises(RuntimeError, match=r"Mullineux pair 6,5,1\|- and 12\|-: "
+                       r"row -\|1(,1){11} of column 6,5,1\|- is 0"):
+        canonical_basis(12, 3, use_cache=False)
 
 
 def test_first_approximation_one_box():

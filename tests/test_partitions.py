@@ -40,6 +40,14 @@ def test_conjugate_involution(bp):
     assert conjugate(conjugate(bp)) == bp
 
 
+@given(partition_st(max_size=20))
+def test_conjugate_partition_counts_parts_per_column(p):
+    # column i holds one box of every part of length at least i
+    want = tuple(sum(1 for part in p if part >= i)
+                 for i in range(1, p[0] + 1)) if p else ()
+    assert conjugate_partition(p) == want
+
+
 def test_dominance_examples():
     assert dominates(((2,), ()), ((1,), (1,)))
     assert not dominates(((1,), (1,)), ((2,), ()))

@@ -21,8 +21,8 @@ Regular columns.  The columns are the regular bipartitions of n, the
 keys of ``crystal.mullineux_pairs``: the closure of the empty
 bipartition under the cogood additions ``f_tilde``, grown one box at a
 time, so no shape of n is tested for regularity on its own.  Rows and
-columns are ordered by ``partitions.dominance_keys(n)``, one key table
-per n that the solver, the matrix orderings and the cache writer share.
+columns are ordered by ``partitions.dominance_keys(n)``, one packed key
+table per n, shared by the solver, the orderings, the cache and ``_fault``.
 
 First approximation.  A regular mu is peeled to empty by the ladder
 rule: repeatedly remove the maximal *leading* run of minus signs of some
@@ -112,8 +112,8 @@ from operator import countOf
 from .crystal import mullineux_pairs, regular_bipartitions
 from .laurent import LaurentPoly, ONE
 from .partitions import (
-    Bipartition, check_e, conjugate, dominance_codes, dominance_keys,
-    format_bipartition, size,
+    Bipartition, check_e, conjugate, dominance_keys, format_bipartition, size,
+    undominated,
 )
 # a module attribute that the benchmark's tracer patches, used or not
 from .partitions import dominance_key  # noqa: F401
@@ -588,10 +588,14 @@ def canonical_basis(n: int, e: int, cache_dir: str | None = None,
         if path is not None:
             os.makedirs(os.path.dirname(path), exist_ok=True)
             fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
-            with os.fdopen(fd, "w") as fh:
-                # dumps, unlike dump, runs the C encoder: same bytes, faster
-                fh.write(json.dumps(matrix.to_obj()))
-            os.replace(tmp, path)
+            try:
+                with os.fdopen(fd, "w") as fh:
+                    # dumps, unlike dump, runs the C encoder: same bytes, faster
+                    fh.write(json.dumps(matrix.to_obj()))
+                os.replace(tmp, path)
+            except BaseException:
+                os.unlink(tmp)
+                raise
     if path is not None:
         _MEMORY[path] = matrix
     return matrix
@@ -630,15 +634,12 @@ def _fault(matrix: DecompositionMatrix) -> str | None:
     if columns.keys() != regular:
         odd = ", ".join(sorted(map(format_bipartition, columns.keys() ^ regular)))
         return f"columns differ from the regular bipartitions at {odd}"
-    codes, guard = dominance_codes(n)
     passed = set()  # the ids of the off-diagonal values checked
     for mu, col in columns.items():
         where = f"column {format_bipartition(mu)}"
         if col.get(mu) != ONE:
             return f"{where}: diagonal is {col.get(mu)}, expected 1"
-        # the packed test of partitions.dominance_codes; mu dominates itself
-        top = codes[mu] | guard
-        bad = [lam for lam in col if (top - codes[lam]) & guard != guard]
+        bad = undominated(mu, col)
         if bad:
             return f"{where} does not dominate its row {format_bipartition(bad[0])}"
         by_id = dict(zip(map(id, col.values()), col.values()))

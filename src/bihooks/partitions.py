@@ -37,6 +37,7 @@ EMPTY_BP: Bipartition = ((), ())
 
 def as_partition(parts) -> Partition:
     """Validate and canonicalise an iterable of parts; strips trailing zeros."""
+    parts = tuple(parts)  # read once, so an error names all of it
     out = []
     prev = None
     for p in parts:
@@ -44,7 +45,7 @@ def as_partition(parts) -> Partition:
         if p < 0:
             raise ValueError(f"negative part {p}")
         if prev is not None and p > prev:
-            raise ValueError(f"parts not weakly decreasing: {tuple(parts)}")
+            raise ValueError(f"parts not weakly decreasing: {parts}")
         prev = p
         if p > 0:
             out.append(p)
@@ -174,39 +175,34 @@ def dominance_key(bp: Bipartition) -> tuple[int, ...]:
 
 @lru_cache(maxsize=None)
 def dominance_keys(n: int) -> MappingProxyType:
-    """Read-only ``{bp: dominance_key(bp)}`` over every bipartition of
-    n, in decreasing key order (so decreasing dominance, refined
-    lexicographically); built once per n."""
-    keys = [(dominance_key(bp), bp) for bp in bipartitions(n)]
-    keys.sort(reverse=True)
-    return MappingProxyType({bp: key for key, bp in keys})
-
-
-@lru_cache(maxsize=None)
-def dominance_codes(n: int) -> tuple[MappingProxyType, int]:
-    """``(codes, guard)``: read-only ``{bp: code}`` over every bipartition
-    of n, in ``dominance_keys(n)`` order, with each dominance key packed
-    into one int; built once per n.
-
-    Coordinate k of a key takes the field of ``w = n.bit_length() + 1``
-    bits starting at bit k*w, and ``guard`` holds the top bit of every
-    field.  Then ``lam`` dominates ``mu`` iff
-    ``((codes[lam] | guard) - codes[mu]) & guard == guard``, written inline
-    once, in ``fock._fault``, which runs it per matrix entry.  It is exact:
-    every coordinate lies in [0, n], so below 2^(w-1), and each field of
-    the difference is 2^(w-1) + a - b with a, b < 2^(w-1), which lies in
-    [1, 2^w).  So no borrow crosses from one field into the next, and a
-    field keeps its guard bit iff a >= b."""
+    """Read-only ``{bp: code}`` over every bipartition of n, ``code`` its
+    ``dominance_key`` with coordinate k in the field of ``w =
+    n.bit_length() + 1`` bits at bit ``(2n-1-k)*w``; built once per n.
+    Codes compare as their keys do lexicographically, so the decreasing
+    code order here refines decreasing dominance; see ``undominated``."""
     w = n.bit_length() + 1
-    fields = 2 * n
-    ones = sum(1 << (k * w) for k in range(fields))
-    # key coordinate k sums the parts up to k, so part r adds itself to
-    # every field from r up: one multiply per part, not one shift per field
-    tails = [ones >> (r * w) << (r * w) for r in range(fields)]
-    codes = {bp: sum(map(operator.mul, bp[0], tails))
-             + sum(map(operator.mul, bp[1], tails[n:]))
-             for bp in dominance_keys(n)}
-    return MappingProxyType(codes), ones << (w - 1)
+    ones = ((1 << 2 * n * w) - 1) // ((1 << w) - 1)  # bit 0 of each field
+    # part r adds to the fields of coordinates r on: bit (2n-1-r)*w and down
+    heads = [ones >> (r * w) for r in range(2 * n)]
+    codes = {bp: sum(map(operator.mul, bp[0], heads))
+             + sum(map(operator.mul, bp[1], heads[n:])) for bp in bipartitions(n)}
+    return MappingProxyType({bp: codes[bp]
+                             for bp in sorted(codes, key=codes.get, reverse=True)})
+
+
+def undominated(mu: Bipartition, lams) -> list[Bipartition]:
+    """The bipartitions of ``lams``, each of size(mu), that mu does not
+    dominate, in order, by one subtraction and mask on their codes.  It is
+    exact: ``guard`` holds each field's top bit, and each coordinate lies
+    in [0, n], below 2^(w-1).  So with coordinates a of mu and b of lam, a
+    field of ``(code(mu) | guard) - code(lam)`` is 2^(w-1) + a - b, in
+    [1, 2^w): no borrow crosses a field, which keeps its guard iff a >= b."""
+    n = size(mu)
+    codes = dominance_keys(n)
+    w = n.bit_length() + 1
+    guard = ((1 << 2 * n * w) - 1) // ((1 << w) - 1) << (w - 1)
+    top = codes[mu] | guard
+    return [lam for lam in lams if (top - codes[lam]) & guard != guard]
 
 
 def dominates(lam: Bipartition, mu: Bipartition) -> bool:

@@ -14,8 +14,8 @@ from . import crystal, fock, schur, structure, tableaux
 from .laurent import LaurentPoly, ZERO, c_factor
 from .partitions import (
     add_node, addable_nodes, all_nodes, as_bipartition, bipartitions,
-    conjugate, dominance_key, dominance_keys, format_bipartition, hook_length,
-    key_dominates, partitions, removable_nodes, residue, size,
+    conjugate, dominance_key, format_bipartition, hook_length, key_dominates,
+    partitions, removable_nodes, residue, size,
 )
 
 
@@ -266,7 +266,8 @@ def structure_suite(max_kj: int = 14, primes=(0, 2, 3, 5, 7), es=(2, 3)) -> Suit
 
 
 def _llt_matrix_checks(rep: SuiteReport, matrix, e: int, n: int):
-    key_of = dominance_keys(n)
+    # tuple keys of its own, not the packed table the solver orders by
+    key_of = {lam: dominance_key(lam) for lam in matrix.rows()}
     one = LaurentPoly.q_power(0)
     # id -> in_q_window, once per value object: entries share values, and
     # the matrix keeps every one alive while this runs
@@ -458,6 +459,8 @@ def run_suite(name: str, **bounds) -> SuiteReport:
             clean[key] = tuple(clean[key])
             if not clean[key]:
                 raise ValueError(f"{flag} needs at least one value")
+            if len(set(clean[key])) < len(clean[key]):
+                raise ValueError(f"{flag} repeats a value")
     if clean.get("max_n", 0) < 0:
         raise ValueError(f"--max-n must be >= 0, got {clean['max_n']}")
     if clean.get("max_kj", 2) < 2:

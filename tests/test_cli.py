@@ -184,6 +184,8 @@ def test_verify_rejects_a_flag_the_suite_does_not_take(capsys, argv, flag):
      "--max-n must be <= 25 for suite 'words', got 26"),
     (("--suite", "llt", "--e", ","), "--e needs at least one value"),
     (("--suite", "schur", "--primes", ","), "--primes needs at least one value"),
+    (("--suite", "degrees", "--e", "2,2"), "--e repeats a value"),
+    (("--suite", "schur", "--primes", "3,2,3"), "--primes repeats a value"),
 ])
 def test_verify_rejects_an_out_of_range_bound(capsys, argv, message):
     code = main(["verify", *argv])
@@ -210,6 +212,22 @@ def test_unusable_cache_dir_exits_2(tmp_path, capsys, monkeypatch):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and str(in_the_way) in captured.err
+
+
+@pytest.mark.parametrize("owner, name", [(fock.os, "replace"),
+                                         (DecompositionMatrix, "to_obj")])
+def test_failed_cache_write_leaves_no_temp_file(tmp_path, capsys, monkeypatch,
+                                                owner, name):
+    monkeypatch.setattr(fock, "_MEMORY", {})
+
+    def refuse(*args):
+        raise OSError("no room")
+
+    monkeypatch.setattr(owner, name, refuse)
+    assert main(["llt", "--e", "2", "--n", "3", "--cache-dir", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: no room\n")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_error_paths(capsys):

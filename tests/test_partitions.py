@@ -3,10 +3,10 @@ from hypothesis import given, strategies as st
 
 from bihooks.partitions import (
     EMPTY_BP, add_node, addable_nodes, as_partition, bipartitions, conjugate,
-    conjugate_partition, dominance_codes, dominance_key, dominance_keys,
-    dominates, format_bipartition, hook_length, is_bihook, key_dominates,
+    conjugate_partition, dominance_key, dominance_keys, dominates,
+    format_bipartition, hook_length, is_bihook, key_dominates,
     parse_bipartition, removable_nodes, remove_node, residue, signed_nodes,
-    size,
+    size, undominated,
 )
 
 
@@ -27,6 +27,14 @@ def test_as_partition_strips_and_validates():
     assert as_partition([3, 2, 0, 0]) == (3, 2)
     with pytest.raises(ValueError):
         as_partition([1, 2])
+
+
+def test_as_partition_names_a_consumed_input():
+    # a generator is read once: the message names all of it, not what
+    # the check left unread
+    with pytest.raises(ValueError, match=r"decreasing: \(1, 2, 0\)$"):
+        as_partition(x for x in (1, 2, 0))
+    assert as_partition(x for x in (3, 2, 0)) == (3, 2)
 
 
 def test_conjugate_examples():
@@ -117,42 +125,36 @@ def test_signed_nodes_match_definition():
 
 
 def test_dominance_keys_table():
-    for n in range(0, 9):
+    # the field width w grows at n = 2, 4, 8 and 16
+    for n in range(0, 18):
         table = dominance_keys(n)
-        assert dict(table) == {bp: dominance_key(bp)
-                               for bp in bipartitions(n)}
-        assert list(table) == sorted(bipartitions(n),
-                                     key=dominance_key,
+        w = n.bit_length() + 1
+        assert list(table) == sorted(bipartitions(n), key=dominance_key,
                                      reverse=True)
+        assert table == {bp: sum(x << ((2 * n - 1 - k) * w)
+                                 for k, x in enumerate(dominance_key(bp)))
+                         for bp in bipartitions(n)}
+        assert list(table.values()) == sorted(table.values(), reverse=True)
         assert dominance_keys(n) is table
         with pytest.raises(TypeError):
-            table[EMPTY_BP] = ()
+            table[EMPTY_BP] = 0
 
 
-def _packed_dominates(n, lam, mu):
-    """The packed test of the dominance_codes docstring."""
-    codes, guard = dominance_codes(n)
-    return ((codes[lam] | guard) - codes[mu]) & guard == guard
-
-
-def test_dominance_codes_pack_the_keys():
-    for n in range(0, 17):
-        codes, guard = dominance_codes(n)
-        w = n.bit_length() + 1
-        assert list(codes) == list(dominance_keys(n))
-        assert guard == sum(1 << (k * w + w - 1) for k in range(2 * n))
-        for bp, key in dominance_keys(n).items():
-            assert codes[bp] == sum(x << (k * w) for k, x in enumerate(key))
-        assert dominance_codes(n) is dominance_codes(n)
+def _packed_dominates(lam, mu):
+    """The packed test of ``undominated``, one pair at a time."""
+    return undominated(lam, [mu]) == []
 
 
 def test_packed_dominance_matches_keys_small():
     for n in range(0, 9):
-        keys = dominance_keys(n)
-        for lam in keys:
-            for mu in keys:
-                assert _packed_dominates(n, lam, mu) == key_dominates(
-                    keys[lam], keys[mu]), (lam, mu)
+        bps = bipartitions(n)
+        for lam in bps:
+            assert undominated(lam, bps) == [
+                mu for mu in bps
+                if not key_dominates(dominance_key(lam), dominance_key(mu))]
+            for mu in bps:
+                assert _packed_dominates(lam, mu) == key_dominates(
+                    dominance_key(lam), dominance_key(mu)), (lam, mu)
 
 
 @st.composite
@@ -172,9 +174,9 @@ def edge_pair_st(draw):
 @given(edge_pair_st())
 def test_packed_dominance_matches_keys_at_field_edges(case):
     n, lam, mu = case
-    keys = dominance_keys(n)
     for a, b in ((lam, mu), (mu, lam), (lam, lam)):
-        assert _packed_dominates(n, a, b) == key_dominates(keys[a], keys[b])
+        assert _packed_dominates(a, b) == key_dominates(dominance_key(a),
+                                                        dominance_key(b))
 
 
 @given(bipartition_st(max_size=6))

@@ -125,19 +125,24 @@ def test_signed_nodes_match_definition():
 
 
 def test_dominance_keys_table():
-    # the field width w grows at n = 2, 4, 8 and 16
     for n in range(0, 18):
         table = dominance_keys(n)
-        w = n.bit_length() + 1
         assert list(table) == sorted(bipartitions(n), key=dominance_key,
                                      reverse=True)
-        assert table == {bp: sum(x << ((2 * n - 1 - k) * w)
-                                 for k, x in enumerate(dominance_key(bp)))
-                         for bp in bipartitions(n)}
-        assert list(table.values()) == sorted(table.values(), reverse=True)
         assert dominance_keys(n) is table
         with pytest.raises(TypeError):
             table[EMPTY_BP] = 0
+
+
+def test_dominance_codes_pack_the_keys():
+    # the field width w grows at n = 2, 4, 8 and 16
+    for n in range(0, 18):
+        codes = dominance_keys(n)
+        w = n.bit_length() + 1
+        assert codes == {bp: sum(x << ((2 * n - 1 - k) * w)
+                                 for k, x in enumerate(dominance_key(bp)))
+                         for bp in bipartitions(n)}
+        assert list(codes.values()) == sorted(codes.values(), reverse=True)
 
 
 def _packed_dominates(lam, mu):

@@ -31,9 +31,10 @@ m(b) is regular of the same size as b, so the partner of every shape of
 n is read off cogood additions that the closure makes anyway, at no cost
 beyond a lookup.
 
-``signature``, ``f_tilde`` and ``e_tilde`` walk the shape for one
-residue.  The closure and ``good_peel``, which try every residue on one
-shape, read all e signatures from one walk, ``signatures``.
+``signatures`` is the one residue filter, reading all e i-signatures
+from one walk; ``signature`` indexes it.  ``cogood_build`` is the one
+loop that grows a shape along a residue list: ``mullineux`` grows the
+empty bipartition, ``induce`` the given shape along its recipe.
 """
 
 from collections.abc import KeysView
@@ -42,16 +43,14 @@ from types import MappingProxyType
 
 from .partitions import (
     Bipartition, Node, Partition, EMPTY_BP, add_node, as_partition, check_e,
-    remove_node, signed_nodes,
+    format_bipartition, remove_node, signed_nodes,
 )
 
 Signature = list[tuple[str, Node]]
 
 
 def signature(bp: Bipartition, i: int, e: int) -> Signature:
-    i %= check_e(e)
-    return [("+" if sign > 0 else "-", node)
-            for sign, node in signed_nodes(bp) if (node[1] - node[0]) % e == i]
+    return signatures(bp, e)[i % e]
 
 
 def signatures(bp: Bipartition, e: int) -> list[Signature]:
@@ -160,13 +159,14 @@ def regular_bipartitions(n: int, e: int) -> KeysView[Bipartition]:
     return mullineux_pairs(n, e).keys()
 
 
-def cogood_build(residues, e: int) -> Bipartition:
-    """Add cogood nodes of the given residues to the empty bipartition."""
-    bp = EMPTY_BP
+def cogood_build(bp: Bipartition, residues, e: int) -> Bipartition:
+    """Add to bp the cogood node of each residue (mod e) in turn; a
+    ValueError names the residue, e and the shape where none exists."""
     for i in residues:
-        nxt = f_tilde(bp, i % e, e)
+        nxt = f_tilde(bp, i, e)
         if nxt is None:
-            raise ValueError(f"no cogood node of residue {i % e} on {bp}")
+            raise ValueError(f"no cogood node of residue {i % e} on "
+                             f"{format_bipartition(bp)} for e={e}")
         bp = nxt
     return bp
 
@@ -177,9 +177,8 @@ def mullineux(bp: Bipartition, e: int) -> Bipartition:
     check_e(e)
     peel = good_peel(bp, e)
     if peel is None:
-        raise ValueError(f"{bp} is not regular for e={e}")
-    addition_order = tuple(reversed(peel))
-    return cogood_build(((-i) % e for i in addition_order), e)
+        raise ValueError(f"{format_bipartition(bp)} is not regular for e={e}")
+    return cogood_build(EMPTY_BP, (-i for i in reversed(peel)), e)
 
 
 def braces_int(x: int, e: int) -> Partition:
@@ -248,15 +247,6 @@ def induction_recipe(a: int, b: int, e: int) -> list[tuple[int, int]]:
 def induce(bp: Bipartition, a: int, b: int, e: int, negate: bool = False) -> Bipartition:
     """Apply the induction label map: cogood additions following the
     expanded recipe, with residues negated mod e when ``negate``."""
-    steps = induction_recipe(a, b, e)
-    cur = bp
-    for i, mult in steps:
-        res = (-i) % e if negate else i
-        for _ in range(mult):
-            nxt = f_tilde(cur, res, e)
-            if nxt is None:
-                raise ValueError(
-                    f"no cogood node of residue {res} while inducing {bp} "
-                    f"with a={a}, b={b}, e={e}, negate={negate}")
-            cur = nxt
-    return cur
+    sign = -1 if negate else 1
+    return cogood_build(bp, [sign * i for i, mult in induction_recipe(a, b, e)
+                             for _ in range(mult)], e)

@@ -355,7 +355,7 @@ def apply_f(vec: FockVector, i: int, e: int) -> FockVector:
 def _check_regular(mu: Bipartition, e: int):
     check_e(e)
     if mu not in regular_bipartitions(size(mu), e):
-        raise ValueError(f"{mu} is not regular for e={e}")
+        raise ValueError(f"{format_bipartition(mu)} is not regular for e={e}")
 
 
 def peel_runs(mu: Bipartition, e: int) -> tuple[tuple[int, int], ...]:
@@ -772,7 +772,7 @@ def simple_graded_dims_from(matrix: DecompositionMatrix) -> dict[Bipartition, La
         val = LaurentPoly._raw({k: v for k, v in acc.items() if v})
         if not val.is_bar_invariant() or not val.has_nonneg_coeffs():
             raise RuntimeError(
-                f"graded dimension of simple {mu} came out as {val}; "
-                "q-convention fault")
+                f"graded dimension of simple {format_bipartition(mu)} came out "
+                f"as {val}; q-convention fault")
         out[mu] = val
     return out

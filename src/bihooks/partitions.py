@@ -31,7 +31,6 @@ Partition = tuple[int, ...]
 Bipartition = tuple[Partition, Partition]
 Node = tuple[int, int, int]
 
-EMPTY: Partition = ()
 EMPTY_BP: Bipartition = ((), ())
 
 
@@ -128,9 +127,9 @@ def add_node(bp: Bipartition, node: Node) -> Bipartition:
     if r == len(comp) + 1:
         comp.append(0)
     if not (1 <= r <= len(comp) and c == comp[r - 1] + 1):
-        raise ValueError(f"{node} not addable to {bp}")
+        raise ValueError(f"{node} not addable to {format_bipartition(bp)}")
     if r > 1 and comp[r - 2] < c:
-        raise ValueError(f"{node} not addable to {bp}")
+        raise ValueError(f"{node} not addable to {format_bipartition(bp)}")
     comp[r - 1] += 1
     new = tuple(comp)
     return (new, bp[1]) if m == 1 else (bp[0], new)
@@ -140,9 +139,9 @@ def remove_node(bp: Bipartition, node: Node) -> Bipartition:
     r, c, m = node
     comp = list(bp[m - 1])
     if not (1 <= r <= len(comp) and c == comp[r - 1]):
-        raise ValueError(f"{node} not removable from {bp}")
+        raise ValueError(f"{node} not removable from {format_bipartition(bp)}")
     if r < len(comp) and comp[r] == comp[r - 1]:
-        raise ValueError(f"{node} not removable from {bp}")
+        raise ValueError(f"{node} not removable from {format_bipartition(bp)}")
     comp[r - 1] -= 1
     if comp[r - 1] == 0:
         comp.pop()

@@ -3,10 +3,11 @@
 Inputs are the family parameters (k, j, e, p, a, b, transpose-flag); the
 output is a verdict: the exact structure (summands that are semisimple,
 uniserial with layers listed socle to head, or a vertex/edge diagram for
-the two cases whose radical filtration is not pinned down), a bare
-decomposability statement, or Unknown.  The engine only ever emits what
-the covered statements give; everything else is Unknown, with the
-composition-factor multiset attached when it is computable.
+the two cases whose radical filtration is not pinned down), or a bare
+decomposability statement.  The engine only ever emits what the covered
+statements give; everywhere else the verdict is the ``decomposability``
+status alone, with the composition-factor multiset attached when it is
+computable.
 
 Structures are first produced for the base shapes ((ke), (je)) with
 k >= j, where every composition factor carries grading shift j.  Label
@@ -28,7 +29,6 @@ from .schur import (
 
 DECOMPOSABLE = "decomposable"
 INDECOMPOSABLE = "indecomposable"
-UNKNOWN = "unknown"
 
 
 @dataclass(frozen=True, order=True)

@@ -58,6 +58,13 @@ def _compositions(n: int) -> list[tuple[int, ...]]:
     return out
 
 
+def _kj_pairs(max_kj: int):
+    """Every (k, j) with k >= j >= 1 and k + j <= max_kj, by k + j, then j."""
+    for total in range(2, max_kj + 1):
+        for j in range(1, total // 2 + 1):
+            yield total - j, j
+
+
 def combinatorics_suite(max_n: int = 12) -> SuiteReport:
     rep = SuiteReport("combinatorics")
     for n in range(max_n + 1):
@@ -207,18 +214,16 @@ def schur_suite(max_n: int = 30, primes=(2, 3, 5, 7, 11)) -> SuiteReport:
                     expected = max(i - j + 1, 0) + (j - (i + 2) // 2 + 1)
                 rep.check(schur.num_summands(k, j, p) == expected,
                           f"summand closed form k={k} j={j} p={p}")
-    for total in range(2, 7):
-        for j in range(1, total // 2 + 1):
-            k = total - j
-            for mu in _compositions(total):
-                lhs = sum(schur.kostka_two_column(schur.two_column(r, total), mu)
-                          for r in range(j + 1))
-                rep.check(lhs == schur.exterior_weight_dim(j, k, mu),
-                          f"kostka column sums k={k} j={j} mu={mu}")
-            for r in range(j + 1):
-                shape = schur.two_column(r, total)
-                rep.check(schur.kostka_two_column(shape, shape) == 1,
-                          f"kostka diagonal {shape}")
+    for k, j in _kj_pairs(6):
+        for mu in _compositions(k + j):
+            lhs = sum(schur.kostka_two_column(schur.two_column(r, k + j), mu)
+                      for r in range(j + 1))
+            rep.check(lhs == schur.exterior_weight_dim(j, k, mu),
+                      f"kostka column sums k={k} j={j} mu={mu}")
+        for r in range(j + 1):
+            shape = schur.two_column(r, k + j)
+            rep.check(schur.kostka_two_column(shape, shape) == 1,
+                      f"kostka diagonal {shape}")
     return rep
 
 
@@ -226,32 +231,30 @@ def structure_suite(max_kj: int = 14, primes=(0, 2, 3, 5, 7), es=(2, 3)) -> Suit
     rep = SuiteReport("structure")
     for e in es:
         for p in primes:
-            for total in range(2, max_kj + 1):
-                for j in range(1, total // 2 + 1):
-                    k = total - j
-                    v = structure.predict(k, j, e, p)
-                    tag = f"e={e} p={p} k={k} j={j}"
-                    if v.structure is None:
-                        many = schur.num_summands(k, j, p) > 1
-                        rep.check(v.status ==
-                                  (structure.DECOMPOSABLE if many
-                                   else structure.INDECOMPOSABLE),
-                                  f"verdict vs summand count {tag}")
-                        continue
-                    rep.check(v.structure.num_summands() == schur.num_summands(k, j, p),
-                              f"summand count {tag}")
-                    rep.check(Counter(v.structure.labels())
-                              == Counter(structure.composition_labels(k, j, e, p)),
-                              f"composition multiset {tag}")
-                    rep.check(all(lab.shift == j for lab in v.structure.labels()),
-                              f"uniform shift {tag}")
-                    rep.check(all(crystal.is_regular(lab.bipartition, e)
-                                  for lab in v.structure.labels()),
-                              f"regular labels {tag}")
-                    for s in v.structure.summands:
-                        if s.kind == structure.UNISERIAL:
-                            rep.check(s.labels == s.labels[::-1],
-                                      f"palindromic layers {tag}")
+            for k, j in _kj_pairs(max_kj):
+                v = structure.predict(k, j, e, p)
+                tag = f"e={e} p={p} k={k} j={j}"
+                if v.structure is None:
+                    many = schur.num_summands(k, j, p) > 1
+                    rep.check(v.status ==
+                              (structure.DECOMPOSABLE if many
+                               else structure.INDECOMPOSABLE),
+                              f"verdict vs summand count {tag}")
+                    continue
+                rep.check(v.structure.num_summands() == schur.num_summands(k, j, p),
+                          f"summand count {tag}")
+                rep.check(Counter(v.structure.labels())
+                          == Counter(structure.composition_labels(k, j, e, p)),
+                          f"composition multiset {tag}")
+                rep.check(all(lab.shift == j for lab in v.structure.labels()),
+                          f"uniform shift {tag}")
+                rep.check(all(crystal.is_regular(lab.bipartition, e)
+                              for lab in v.structure.labels()),
+                          f"regular labels {tag}")
+                for s in v.structure.summands:
+                    if s.kind == structure.UNISERIAL:
+                        rep.check(s.labels == s.labels[::-1],
+                                  f"palindromic layers {tag}")
     for e in es:
         for p in (2, 3, 5, 7):
             for k in range(2, 21):
@@ -285,7 +288,12 @@ def _llt_matrix_checks(rep: SuiteReport, matrix, e: int, n: int):
             rep.check(inside and key_dominates(kmu, key_of[lam]),
                       lambda: f"window/triangularity e={e} n={n} "
                               f"{format_bipartition(lam)},{format_bipartition(mu)}")
-    qdim = fock.simple_graded_dims_from(matrix)
+    try:
+        qdim = fock.simple_graded_dims_from(matrix)
+    except RuntimeError as exc:
+        # a wrong entry the checks above let pass; no balance without qdim
+        rep.check(False, f"simple dimensions e={e} n={n}: {exc}")
+        return
     for lam in key_of:  # decreasing dominance
         # sum_mu d(lam,mu) qdim(D_mu), accumulated in one raw dict
         acc: dict[int, int] = {}
@@ -342,40 +350,36 @@ def llt_suite(es=(2, 3), max_kj: int = 5, max_n: int = 12,
     # the bihook basis vector to exactly the induced one
     for e in es:
         for a, b in crystal.induction_pairs(e):
-            for total in (2, 3):
-                for j in range(1, total // 2 + 1):
-                    k = total - j
-                    n = total * e + 2 * (a + b)
-                    if n > max_n + 4:
-                        continue
-                    matrix = fock.canonical_basis(n, e, cache_dir=cache_dir)
-                    vec = {structure.family_shape(k, j, e): LaurentPoly.q_power(0)}
-                    for i, mult in crystal.induction_recipe(a, b, e):
-                        vec = fock.apply_f_divided(vec, i, mult, e)
-                    induced = structure.family_shape(k, j, e, a, b)
-                    tag = f"e={e} k={k} j={j} a={a} b={b}"
-                    rep.check(vec == {induced: LaurentPoly.q_power(0)},
-                              f"recipe transports the bihook vector {tag}")
-                    _predicted_row(rep, matrix, k, j, e,
-                                   f"induced concentration {tag}", a, b)
-                    _predicted_row(rep, matrix, k, j, e,
-                                   f"conjugate induced concentration {tag}",
-                                   a, b, transpose=True)
+            for k, j in _kj_pairs(3):
+                n = (k + j) * e + 2 * (a + b)
+                if n > max_n + 4:
+                    continue
+                matrix = fock.canonical_basis(n, e, cache_dir=cache_dir)
+                vec = {structure.family_shape(k, j, e): LaurentPoly.q_power(0)}
+                for i, mult in crystal.induction_recipe(a, b, e):
+                    vec = fock.apply_f_divided(vec, i, mult, e)
+                induced = structure.family_shape(k, j, e, a, b)
+                tag = f"e={e} k={k} j={j} a={a} b={b}"
+                rep.check(vec == {induced: LaurentPoly.q_power(0)},
+                          f"recipe transports the bihook vector {tag}")
+                _predicted_row(rep, matrix, k, j, e,
+                               f"induced concentration {tag}", a, b)
+                _predicted_row(rep, matrix, k, j, e,
+                               f"conjugate induced concentration {tag}",
+                               a, b, transpose=True)
     return rep
 
 
 def words_suite(es=(2, 3), max_kj: int = 4, max_n: int = 10) -> SuiteReport:
     rep = SuiteReport("words")
     for e in es:
-        for total in range(2, max_kj + 1):
-            for j in range(1, total // 2 + 1):
-                k = total - j
-                lam = structure.family_shape(k, j, e)
-                for mu in _compositions(total):
-                    lhs = tableaux.word_graded_dimension(lam, tableaux.gg_word(mu, e), e)
-                    rhs = (LaurentPoly.q_power(j) * c_factor(mu, e)
-                           * schur.exterior_weight_dim(j, k, mu))
-                    rep.check(lhs == rhs, f"word identity e={e} k={k} j={j} mu={mu}")
+        for k, j in _kj_pairs(max_kj):
+            lam = structure.family_shape(k, j, e)
+            for mu in _compositions(k + j):
+                lhs = tableaux.word_graded_dimension(lam, tableaux.gg_word(mu, e), e)
+                rhs = (LaurentPoly.q_power(j) * c_factor(mu, e)
+                       * schur.exterior_weight_dim(j, k, mu))
+                rep.check(lhs == rhs, f"word identity e={e} k={k} j={j} mu={mu}")
     # bucket tableaux by residue sequence (enumeration route) and compare
     # every bucket against the peel recursion; the buckets also sum to the
     # full graded dimension.  One enumeration of each shape serves every
@@ -407,26 +411,24 @@ def words_suite(es=(2, 3), max_kj: int = 4, max_n: int = 10) -> SuiteReport:
 def degrees_suite(es=(2, 3, 4, 5), max_kj: int = 6) -> SuiteReport:
     rep = SuiteReport("degrees")
     for e in es:
-        for total in range(2, max_kj + 1):
-            for j in range(1, total // 2 + 1):
-                k = total - j
-                lam = structure.family_shape(k, j, e)
-                word = tableaux.residue_sequence(
-                    tableaux.column_initial_tableau(lam), e)
-                matching = tableaux.standard_tableaux(lam, word=word, e=e)
-                rep.check(bool(matching), f"no matching tableaux e={e} k={k} j={j}")
-                for t in matching:
-                    rep.check(tableaux.codegree(t, e) == j,
-                              f"codegree j on residue-matched tableau e={e} "
-                              f"k={k} j={j} {t}")
-                source = crystal.scrt(schur.two_column(j, total), e)
-                cod1 = tableaux.codegree(tableaux.column_initial_tableau(source), e)
-                entries = list(range(1, e)) + list(range(e + 1, 2 * j * e - e + 2, 2))
-                cod2 = tableaux.codegree(tableaux.v_tableau(lam, entries), e)
-                want = (2 * j, 3 * j) if e == 2 else (1, j + 1)
-                rep.check((cod1, cod2) == want,
-                          f"codegree pair e={e} k={k} j={j}: got {(cod1, cod2)}, "
-                          f"expected {want}")
+        for k, j in _kj_pairs(max_kj):
+            lam = structure.family_shape(k, j, e)
+            word = tableaux.residue_sequence(
+                tableaux.column_initial_tableau(lam), e)
+            matching = tableaux.standard_tableaux(lam, word=word, e=e)
+            rep.check(bool(matching), f"no matching tableaux e={e} k={k} j={j}")
+            for t in matching:
+                rep.check(tableaux.codegree(t, e) == j,
+                          f"codegree j on residue-matched tableau e={e} "
+                          f"k={k} j={j} {t}")
+            source = crystal.scrt(schur.two_column(j, k + j), e)
+            cod1 = tableaux.codegree(tableaux.column_initial_tableau(source), e)
+            entries = list(range(1, e)) + list(range(e + 1, 2 * j * e - e + 2, 2))
+            cod2 = tableaux.codegree(tableaux.v_tableau(lam, entries), e)
+            want = (2 * j, 3 * j) if e == 2 else (1, j + 1)
+            rep.check((cod1, cod2) == want,
+                      f"codegree pair e={e} k={k} j={j}: got {(cod1, cod2)}, "
+                      f"expected {want}")
     return rep
 
 

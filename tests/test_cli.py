@@ -235,9 +235,15 @@ def test_error_paths(capsys):
     assert code == 2
     code = main(["structure", "--e", "3", "--p", "6", "--k", "1", "--j", "1"])
     assert code == 2
-    # shapes with an empty first component need the --shape=-|1 form
-    code = main(["mullineux", "--e", "2", "--shape=-|1"])
-    assert code == 2
+    capsys.readouterr()
+    # shapes with an empty first component need the --shape=-|1 form, and
+    # errors name shapes in that form
+    for argv, message in (
+            (["mullineux", "--e", "2", "--shape=-|1"], "-|1 is not regular for e=2"),
+            (["induce", "--e", "2", "--a", "1", "--b", "0", "--shape=-|1"],
+             "no cogood node of residue 0 on -|1 for e=2")):
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 # sha256 of every verdict's text and indented JSON over a grid that holds
@@ -408,6 +414,27 @@ def test_broken_solve_is_refused_and_never_cached(tmp_path, capsys,
     assert (code, captured.out) == (2, "")
     assert captured.err.startswith("error: ") and "column 5|1" in captured.err
     assert list(tmp_path.iterdir()) == [] and fock._MEMORY == {}
+
+
+def test_verify_reports_a_wrong_served_entry(tmp_path, capsys, monkeypatch):
+    # q + q^2 for q at row 4|1 of column 5|- passes the cache gate, so llt
+    # serves it; verify reports the simple dimension fault as one failed
+    # case instead of exiting 2
+    monkeypatch.setattr(fock, "_MEMORY", {})
+    canonical_basis(5, 2, cache_dir=str(tmp_path))
+    path = tmp_path / "llt_e2_n5_above.json"
+    path.write_bytes(_set_entry("5|-", "4|1", [[1, 1], [2, 1]])(path.read_bytes()))
+    fock._MEMORY.clear()
+    code, out = run(capsys, "llt", "--e", "2", "--n", "5",
+                    "--cache-dir", str(tmp_path))
+    assert code == 0 and "4|1,5|-,q + q^2\n" in out
+    code, out = run(capsys, "verify", "--suite", "llt", "--e", "2",
+                    "--max-n", "5", "--max-kj", "2", "--cache-dir", str(tmp_path))
+    assert code == 1
+    summary, *fails = out.splitlines()
+    assert summary.startswith("suite llt: 177 cases, 1 FAILED")
+    assert fails == ["  FAIL: simple dimensions e=2 n=5: graded dimension of "
+                     "simple 4|1 came out as 2*q^-1 + 2*q - q^2; q-convention fault"]
 
 
 @pytest.mark.parametrize("corrupt", [

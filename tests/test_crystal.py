@@ -6,7 +6,8 @@ from bihooks.crystal import (
     reduced_signature, regular_bipartitions, scrt, signature, signatures,
 )
 from bihooks.partitions import (
-    EMPTY_BP, addable_nodes, bipartitions, removable_nodes, residue,
+    EMPTY_BP, addable_nodes, bipartitions, format_bipartition, removable_nodes,
+    residue,
 )
 from bihooks.schur import two_column
 
@@ -143,6 +144,38 @@ def test_induce_worked_cases():
     assert induce(((4,), (4,)), 2, 3, 4) == ((6, 1, 1, 1), (6, 1, 1, 1))
     assert induce(((4, 1), (3,)), 2, 3, 4) == ((6, 3, 1, 1), (4, 1, 1, 1))
     assert induce(((3,), (3,)), 0, 0, 3) == ((3,), (3,))
+
+
+def test_induce_is_f_tilde_along_the_recipe():
+    # f_tilde step by step over the expanded recipe, residues negated
+    # under negate: induce gives the last shape, or names the shape where
+    # a step finds no cogood node
+    grown = stuck = 0
+    for e in (2, 3, 4):
+        for a, b in [(0, 0)] + induction_pairs(e):
+            for negate in (False, True):
+                residues = [-i if negate else i
+                            for i, mult in induction_recipe(a, b, e)
+                            for _ in range(mult)]
+                for n in range(7):
+                    for bp in bipartitions(n):
+                        cur = bp
+                        for i in residues:
+                            nxt = f_tilde(cur, i, e)
+                            if nxt is None:
+                                break
+                            cur = nxt
+                        else:
+                            assert induce(bp, a, b, e, negate) == cur
+                            grown += 1
+                            continue
+                        with pytest.raises(ValueError) as err:
+                            induce(bp, a, b, e, negate)
+                        assert str(err.value) == (
+                            f"no cogood node of residue {i % e} on "
+                            f"{format_bipartition(cur)} for e={e}")
+                        stuck += 1
+    assert grown and stuck
 
 
 def test_mullineux_is_braces_on_column_labels():

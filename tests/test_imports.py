@@ -1,17 +1,22 @@
-"""Every name a package module imports is used in that module.
+"""Every name a package module imports is used in that module, and every
+name a package module defines is read somewhere.
 
 No linter is a dependency, so this reads each module's syntax tree with
 the standard library.  ``__init__.py`` re-exports by importing, so it is
 exempt, and so is each import in ``KEPT``, marked ``# noqa: F401`` in its
-module; any other import, marked or not, must be read."""
+module; any other import, marked or not, must be read.  A module-level
+name counts as read when a module under ``src``, ``tests`` or
+``benchmarks`` reads, imports or spells it as a string (the benchmark's
+tracer names what it patches), or when ``README.md`` mentions it."""
 
 import ast
 import os
+import re
 
 import pytest
 
-SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                   "src", "bihooks")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SRC = os.path.join(ROOT, "src", "bihooks")
 MODULES = sorted(name for name in os.listdir(SRC)
                  if name.endswith(".py") and name != "__init__.py")
 # module -> names imported and never read: ``fock.dominance_key`` is the
@@ -55,3 +60,60 @@ def test_unlisted_noqa_import_is_reported():
               "from z import d  # noqa: F401\n")
     assert unused_imports(source, {"c"}) == ["d (line 2)"]
     assert unused_imports(source) == ["c (line 1)", "d (line 2)"]
+
+
+def defined_names(source: str) -> dict[str, int]:
+    """The non-dunder names that ``source``'s top-level definitions and
+    assignments bind, with their lines."""
+    out = {}
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            out[node.name] = node.lineno
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for name in (n for t in targets for n in ast.walk(t)):
+                if isinstance(name, ast.Name):
+                    out[name.id] = node.lineno
+    return {k: v for k, v in out.items() if not re.fullmatch("__.*__", k)}
+
+
+def read_names(source: str) -> set[str]:
+    """The names ``source`` loads, takes as attributes, imports or holds
+    as a whole string constant."""
+    out = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.alias):
+            out.add(node.name.rsplit(".", 1)[-1])
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            out.add(node.value)
+    return out
+
+
+def test_no_dead_module_level_names():
+    with open(os.path.join(ROOT, "README.md")) as fh:
+        read = set(re.findall(r"\w+", fh.read()))
+    for top in ("src", "tests", "benchmarks"):
+        for folder, _, files in os.walk(os.path.join(ROOT, top)):
+            for name in files:
+                if name.endswith(".py"):
+                    with open(os.path.join(folder, name)) as fh:
+                        read |= read_names(fh.read())
+    dead = []
+    for module in MODULES + ["__init__.py"]:
+        with open(os.path.join(SRC, module)) as fh:
+            dead += [f"{module}:{line} {name}" for name, line
+                     in defined_names(fh.read()).items() if name not in read]
+    assert dead == []
+
+
+def test_dead_name_check_sees_a_leftover():
+    source = ("A: int = 1\nB, (C, __all__) = 2, (3, ())\n"
+              "def f():\n    return A\nclass K:\n    D = 4\n")
+    assert defined_names(source) == {"A": 1, "B": 2, "C": 2, "f": 3, "K": 5}
+    assert read_names(source) & {"A", "B", "C", "D", "f", "K"} == {"A"}
+    assert {"g", "h", "i", "j"} <= read_names(
+        "from m import g\nimport n.h\nx.i\nt = ('j',)\n")

@@ -124,3 +124,18 @@ def test_llt_matrix_checks_report_each_failure_family():
         "dimension balance e=2 n=5 1|4",
         "dimension balance e=2 n=5 1|2,2",
     ]
+
+
+def test_llt_matrix_checks_report_a_simple_dimension_fault():
+    # q + q^2 at row 4|1 of column 5|- passes the window and triangularity
+    # checks, but no simple dimensions balance it: one failed case, and
+    # the matrix's balance is skipped
+    good = canonical_basis(5, 2, use_cache=False)
+    cols = {mu: dict(col) for mu, col in good.columns.items()}
+    cols[parse_bipartition("5|-")][parse_bipartition("4|1")] = Q(1) + Q(2)
+    rep = verify.SuiteReport("llt")
+    verify._llt_matrix_checks(rep, DecompositionMatrix(n=5, e=2, columns=cols), 2, 5)
+    assert rep.cases == 112 - len(good.rows()) + 1
+    assert rep.failures == [
+        "simple dimensions e=2 n=5: graded dimension of simple 4|1 came out "
+        "as 2*q^-1 + 2*q - q^2; q-convention fault"]

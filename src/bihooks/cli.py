@@ -173,8 +173,8 @@ def main(argv=None) -> int:
         elif args.command == "verify":
             report = verify.run_suite(
                 args.suite, max_n=args.max_n, max_kj=args.max_kj,
-                es=tuple(_int_list(args.e)) if args.e else None,
-                primes=tuple(_int_list(args.primes)) if args.primes else None,
+                es=tuple(_int_list(args.e)) if args.e is not None else None,
+                primes=tuple(_int_list(args.primes)) if args.primes is not None else None,
                 cache_dir=args.cache_dir)
             out.write(report.summary() + "\n")
             for failure in report.failures:

@@ -107,7 +107,6 @@ import os
 import tempfile
 import weakref
 from dataclasses import dataclass, field
-from operator import countOf
 
 from .crystal import mullineux_pairs, regular_bipartitions
 from .laurent import LaurentPoly, ONE
@@ -627,8 +626,9 @@ def _fault(matrix: DecompositionMatrix) -> str | None:
     at a row its column dominates, and each off-diagonal value, checked
     once per object, is a nonzero element of q.N[q] (Brundan-Kleshchev,
     arXiv 0901.4450).
-    Equal values need not share one object: a column skips only its own
-    diagonal object, by id, and only when ``countOf`` finds it once."""
+    Equal values need not share one object: a column skips its diagonal
+    by label, so a diagonal object shared with another slot is checked
+    there."""
     n, columns = matrix.n, matrix.columns
     regular = regular_bipartitions(n, matrix.e)
     if columns.keys() != regular:
@@ -642,16 +642,13 @@ def _fault(matrix: DecompositionMatrix) -> str | None:
         bad = undominated(mu, col)
         if bad:
             return f"{where} does not dominate its row {format_bipartition(bad[0])}"
-        by_id = dict(zip(map(id, col.values()), col.values()))
-        if countOf(map(id, col.values()), id(col[mu])) == 1:
-            del by_id[id(col[mu])]
-        for k, v in by_id.items():
-            if k not in passed and not (v and v.in_q_window()
-                                        and v.has_nonneg_coeffs()):
-                lam = next(lam for lam, w in col.items() if w is v and lam != mu)
+        for lam, v in col.items():
+            if id(v) in passed or lam == mu:
+                continue
+            if not (v and v.in_q_window() and v.has_nonneg_coeffs()):
                 return (f"{where}, row {format_bipartition(lam)}: "
                         f"{v} is not a nonzero element of q.N[q]")
-        passed.update(by_id)
+            passed.add(id(v))
     return None
 
 

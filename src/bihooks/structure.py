@@ -9,13 +9,14 @@ statements give; everywhere else the verdict is the ``decomposability``
 status alone, with the composition-factor multiset attached when it is
 computable.
 
-Structures are first produced for the base shapes ((ke), (je)) with
-k >= j, where every composition factor carries grading shift j.  Label
-maps transport them across the families: the induction map for
-((ke+a, 1^b), (je+a, 1^b)), and the Mullineux map together with
-contragredient duality (total shift 2k + j) for the conjugate family.
-Inputs with k < j are answered through the component-switching duality
-(total shift j + k), recorded in the verdict notes.
+Base structures are stated for the tensor product of two exterior
+powers over the classical Schur algebra, k >= j, over two-column labels
+and without e.  ``predict`` translates them once, through scrt at the
+uniform grading shift j, into simple labels of ((ke), (je)); for k < j
+it translates the dual of the base for (j, k), by component-switching
+duality (total shift j + k).  Label maps then transport the structures:
+the induction map for ((ke+a, 1^b), (je+a, 1^b)), and the Mullineux map
+with contragredient duality (shift 2k + j) for the conjugate family.
 """
 
 from dataclasses import dataclass, field, replace
@@ -109,46 +110,24 @@ def family_shape(k: int, j: int, e: int, a: int = 0, b: int = 0,
     return conjugate(bp) if transpose else bp
 
 
-def _label(k: int, j: int, r: int, e: int) -> SimpleLabel:
-    """The factor at shift j labelled by scrt of the two-column shape with
-    r twos and k + j boxes: r = 0 is the trivial-type factor."""
-    return SimpleLabel(scrt(two_column(r, k + j), e), j)
-
-
-def semisimple_decomposition(k: int, j: int, e: int) -> ModuleStructure:
-    """The j+1 simple summands, all with shift j: scrt images of the
-    filtration shapes."""
+def semisimple_decomposition(k: int, j: int) -> ModuleStructure:
+    """The j+1 simple summands: the filtration shapes, the one with r twos
+    for r = 1, ..., j and then the trivial-type one."""
     _check_kj(k, j)
-    check_e(e)
-    summands = [_simple(_label(k, j, r, e)) for r in range(1, j + 1)]
-    summands.append(_simple(_label(k, j, 0, e)))
+    summands = [_simple(two_column(r, k + j)) for r in range(1, j + 1)]
+    summands.append(_simple(two_column(0, k + j)))
     return ModuleStructure(tuple(summands))
 
 
-def structure_j1(k: int, e: int, p: int) -> ModuleStructure:
-    """j = 1: two simple summands, or one uniserial triv | nontriv | triv
-    when p divides k+1."""
-    check_e(e)
-    check_prime_or_zero(p)
-    if k < 1:
-        raise ValueError(f"need k >= 1, got {k}")
-    if semisimplicity_criterion(k, 1, p):
-        return semisimple_decomposition(k, 1, e)
-    a, b = _label(k, 1, 0, e), _label(k, 1, 1, e)
-    return ModuleStructure((Summand(UNISERIAL, (a, b, a)),))
-
-
-def structure_j2(k: int, e: int, p: int) -> ModuleStructure:
+def structure_j2(k: int, p: int) -> ModuleStructure:
     """j = 2: the six-way case split on p and k."""
-    check_e(e)
     check_prime_or_zero(p)
     if k < 2:
         raise ValueError(f"need k >= 2, got {k}")
-    triv = _label(k, 2, 0, e)
-    one = _label(k, 2, 1, e)   # ((ke+e, 1), (e-1))
-    two = _label(k, 2, 2, e)   # ((ke, e+1), (e-1))
+    # scrt at e: ((ke+2e), -), ((ke+e, 1), (e-1)) and ((ke, e+1), (e-1))
+    triv, one, two = (two_column(r, k + 2) for r in range(3))
     if semisimplicity_criterion(k, 2, p):
-        return semisimple_decomposition(k, 2, e)
+        return semisimple_decomposition(k, 2)
     if p != 2 and (k + 2) % p == 0:
         return ModuleStructure((_simple(two), Summand(UNISERIAL, (triv, one, triv))))
     if (p != 2 and (k + 1) % p == 0) or (p == 2 and k % 4 == 3):
@@ -178,7 +157,8 @@ def almost_ss_residue(k: int, j: int, p: int) -> int | None:
 def almost_ss_structure(k: int, j: int, p: int) -> ModuleStructure:
     """Structure of the tensor of two exterior powers over the classical
     Schur algebra when p divides exactly one of k+j, ..., k-j+2, over
-    two-column partition labels.
+    two-column partition labels.  At j = 1 the hypothesis is p | k+1, and
+    the structure is the one uniserial summand triv | nontriv | triv.
 
     The exceptional branch is j = p with p dividing k+1 but p^2 not
     dividing k+1 (then the largest filtration shape is already simple);
@@ -186,8 +166,7 @@ def almost_ss_structure(k: int, j: int, p: int) -> ModuleStructure:
     a = 1 mod p, but the digit rule forces the branch exactly when
     p^2 does not divide k+1, and the summand counts only match that way.
     """
-    if not k >= j > 1:
-        raise ValueError(f"need k >= j > 1, got k={k}, j={j}")
+    _check_kj(k, j)
     i = almost_ss_residue(k, j, p)
     if i is None:
         raise ValueError(
@@ -229,31 +208,28 @@ def translate_two_column(struct: ModuleStructure, e: int, shift: int) -> ModuleS
     return struct.map_labels(lambda mu: SimpleLabel(scrt(mu, e), shift))
 
 
-def five_factor_structure(e: int) -> ModuleStructure:
+def five_factor_structure() -> ModuleStructure:
     """The worked ten-box case p=3, k=7, j=3: one simple summand plus one
     five-factor self-dual summand whose diagram is the configuration with
     the trivial-type factor on top."""
-    check_e(e)
-    triv, one, two, three = (_label(7, 3, r, e) for r in range(4))
+    triv, one, two, three = (two_column(r, 10) for r in range(4))
     diagram = Summand(DIAGRAM, (triv, two, three, two, triv),
                       ((0, 1), (2, 1), (3, 2), (3, 4)))
     return ModuleStructure((_simple(one), diagram))
 
 
-def base_structure(k: int, j: int, e: int, p: int) -> ModuleStructure | None:
-    """Structure of the Specht module of ((ke), (je)), k >= j, when a
-    covered statement applies; None otherwise."""
+def base_structure(k: int, j: int, p: int) -> ModuleStructure | None:
+    """Structure of the tensor of two exterior powers, k >= j, over
+    two-column labels, when a covered statement applies; None otherwise."""
     _check_kj(k, j)
     if semisimplicity_criterion(k, j, p):
-        return semisimple_decomposition(k, j, e)
-    if j == 1:
-        return structure_j1(k, e, p)
+        return semisimple_decomposition(k, j)
     if j == 2:
-        return structure_j2(k, e, p)
+        return structure_j2(k, p)
     if almost_ss_residue(k, j, p) is not None:
-        return translate_two_column(almost_ss_structure(k, j, p), e, j)
+        return almost_ss_structure(k, j, p)
     if (p, k, j) == (3, 7, 3):
-        return five_factor_structure(e)
+        return five_factor_structure()
     return None
 
 
@@ -299,12 +275,14 @@ def predict(k: int, j: int, e: int, p: int, a: int = 0, b: int = 0,
             transpose: bool = False) -> Verdict:
     """Dispatch over the covered statements; never guesses.
 
-    Base structures exist for: semisimple parameters, j in {1, 2}, p
-    dividing exactly one of k+j, ..., k-j+2, and the worked ten-box case
-    (p, k, j) = (3, 7, 3).  Labels are pushed through the induction map
-    for (a, b) and through Mullineux plus duality for the conjugate
-    family.  Remaining cases get a decomposability verdict and, for
-    a = b = 0, the composition multiset.
+    Base structures exist for: semisimple parameters, j = 2, p dividing
+    exactly one of k+j, ..., k-j+2 (at j = 1: p | k+1), and the worked
+    ten-box case (p, k, j) = (3, 7, 3).  They are over two-column labels,
+    and this is the one place that translates them, through scrt at shift
+    j (the dual base when k < j).  Labels are then pushed through the
+    induction map for (a, b) and through Mullineux plus duality for the
+    conjugate family.  Remaining cases get a decomposability verdict and,
+    for a = b = 0, the composition multiset.
     """
     check_e(e)
     check_prime_or_zero(p)
@@ -319,7 +297,7 @@ def predict(k: int, j: int, e: int, p: int, a: int = 0, b: int = 0,
             "k < j with induced or conjugate labels has no covered "
             "statement; verdict only")
     else:
-        base = base_structure(max(k, j), min(k, j), e, p)
+        base = base_structure(max(k, j), min(k, j), p)
         if base is None:
             notes.append("no covered statement gives the full structure here")
         elif k < j:
@@ -330,10 +308,7 @@ def predict(k: int, j: int, e: int, p: int, a: int = 0, b: int = 0,
         return Verdict(decomposability(k, j, p), None,
                        None if a or b else composition_labels(k, j, e, p),
                        tuple(notes))
-    struct = base
-    if k < j:
-        struct = struct.dualize().map_labels(
-            lambda lab: SimpleLabel(lab.bipartition, k + j - lab.shift))
+    struct = translate_two_column(base.dualize() if k < j else base, e, j)
     if a or b:
         struct = struct.map_labels(
             lambda lab: SimpleLabel(induce(lab.bipartition, a, b, e), lab.shift))

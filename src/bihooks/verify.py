@@ -260,9 +260,9 @@ def structure_suite(max_kj: int = 14, primes=(0, 2, 3, 5, 7), es=(2, 3)) -> Suit
             for k in range(2, 21):
                 if structure.almost_ss_residue(k, 2, p) is None:
                     continue
-                a = structure.translate_two_column(
-                    structure.almost_ss_structure(k, 2, p), e, 2)
-                b = structure.structure_j2(k, e, p)
+                a, b = (structure.translate_two_column(base, e, 2) for base in
+                        (structure.almost_ss_structure(k, 2, p),
+                         structure.structure_j2(k, p)))
                 rep.check(Counter(a.summands) == Counter(b.summands),
                           f"j=2 overlap e={e} p={p} k={k}")
     return rep

@@ -13,7 +13,9 @@ from math import comb
 from bihooks.cli import main
 from bihooks.fock import canonical_basis, simple_graded_dims_from
 from bihooks.laurent import LaurentPoly, ZERO
-from bihooks.structure import family_shape, semisimple_decomposition
+from bihooks.structure import (
+    family_shape, semisimple_decomposition, translate_two_column,
+)
 from bihooks.tableaux import graded_dimension_by_enumeration
 
 Q = LaurentPoly.q_power
@@ -76,7 +78,8 @@ def test_criterion_03_llt_concentration(suite_report):
     for e in (2, 3):
         for total in range(2, 6):
             for j in range(1, total // 2 + 1):
-                labels = semisimple_decomposition(total - j, j, e).labels()
+                labels = translate_two_column(
+                    semisimple_decomposition(total - j, j), e, j).labels()
                 assert len({lab.bipartition for lab in labels}) == j + 1
                 cases += 1
     assert report.seconds < 600
@@ -94,7 +97,8 @@ def test_criterion_04_dimension_balance(llt_cache_dir):
                 k = total - j
                 lam = family_shape(k, j, e)
                 lhs = graded_dimension_by_enumeration(lam, e)
-                factors = semisimple_decomposition(k, j, e).labels()
+                factors = translate_two_column(
+                    semisimple_decomposition(k, j), e, j).labels()
                 rhs = Q(j) * sum((qdim[lab.bipartition] for lab in factors),
                                  ZERO)
                 assert lhs == rhs

@@ -155,6 +155,11 @@ def test_schur_commands(capsys):
                     "--format", "json")
     data = json.loads(out)
     assert {"factor": "1,1,1,1,1,1,1,1,1,1", "multiplicity": 2} in data
+    code, out = run(capsys, "factors", "--k", "7", "--j", "3", "--p", "3")
+    assert code == 0
+    assert out.splitlines() == [
+        "factor,multiplicity", '"2,2,2,1,1,1,1",1', '"2,2,1,1,1,1,1,1",2',
+        '"2,1,1,1,1,1,1,1,1",1', '"1,1,1,1,1,1,1,1,1,1",2']
 
 
 def test_verify_command(capsys):
@@ -186,6 +191,8 @@ def test_verify_rejects_a_flag_the_suite_does_not_take(capsys, argv, flag):
     (("--suite", "schur", "--primes", ","), "--primes needs at least one value"),
     (("--suite", "degrees", "--e", "2,2"), "--e repeats a value"),
     (("--suite", "schur", "--primes", "3,2,3"), "--primes repeats a value"),
+    (("--suite", "degrees", "--e", ""), "--e needs at least one value"),
+    (("--suite", "schur", "--primes", ""), "--primes needs at least one value"),
 ])
 def test_verify_rejects_an_out_of_range_bound(capsys, argv, message):
     code = main(["verify", *argv])
@@ -241,7 +248,9 @@ def test_error_paths(capsys):
     for argv, message in (
             (["mullineux", "--e", "2", "--shape=-|1"], "-|1 is not regular for e=2"),
             (["induce", "--e", "2", "--a", "1", "--b", "0", "--shape=-|1"],
-             "no cogood node of residue 0 on -|1 for e=2")):
+             "no cogood node of residue 0 on -|1 for e=2"),
+            (["qdim", "--shape", "3", "--e", "2"],
+             "expected two components separated by '|' in '3'")):
         assert main(argv) == 2
         assert capsys.readouterr() == ("", f"error: {message}\n")
 
@@ -385,6 +394,7 @@ def _parent_format(obj):
     _set_entry("4|-", "3,1|-", 1.0),
     _edit(lambda obj: obj.pop("values")),
     _edit(_parent_format),
+    _edit(lambda obj: obj.update(schema=3)),
     # values that int() would coerce into one the checks pass; the first
     # was served as q^2
     _set_entry("4|-", "3,1|-", [[2.9, 1]]),
@@ -396,6 +406,7 @@ def _parent_format(obj):
 ], ids=["truncated", "missing-columns", "bad-label", "infinite-exponent",
         "infinite-coefficient", "index-out-of-range", "negative-index",
         "true-as-index", "float-as-index", "missing-values", "parent-format",
+        "other-schema",
         "float-exponent", "string-exponent", "bool-coefficient",
         "zero-coefficient", "repeated-exponent", "deeply-nested"])
 def test_llt_recomputes_over_undecodable_cache(tmp_path, capsys, monkeypatch,

@@ -1,5 +1,6 @@
-"""Every name a package module imports is used in that module, and every
-name a package module defines is read somewhere.
+"""Every name a package module imports is used in that module, every
+name a package module defines is read somewhere, and every parameter of
+a package function or lambda but ``self`` and ``cls`` is read by its body.
 
 No linter is a dependency, so this reads each module's syntax tree with
 the standard library.  ``__init__.py`` re-exports by importing, so it is
@@ -117,3 +118,39 @@ def test_dead_name_check_sees_a_leftover():
     assert read_names(source) & {"A", "B", "C", "D", "f", "K"} == {"A"}
     assert {"g", "h", "i", "j"} <= read_names(
         "from m import g\nimport n.h\nx.i\nt = ('j',)\n")
+
+
+def unused_parameters(source: str) -> list[str]:
+    """The parameters of each function and lambda in ``source``, but
+    ``self`` and ``cls``, that its body never reads (a nested function's
+    read counts), with their lines."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        args = node.args
+        params = [a for a in args.posonlyargs + args.args + [args.vararg]
+                  + args.kwonlyargs + [args.kwarg] if a is not None]
+        body = node.body if isinstance(node.body, list) else [node.body]
+        read = {n.id for stmt in body for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store)}
+        name = getattr(node, "name", "lambda")
+        out += [(node.lineno, f"{name}:{node.lineno} {a.arg}") for a in params
+                if a.arg not in read | {"self", "cls"}]
+    return [text for _, text in sorted(out, key=lambda item: item[0])]
+
+
+@pytest.mark.parametrize("module", MODULES + ["__init__.py"])
+def test_no_unused_parameters(module):
+    with open(os.path.join(SRC, module)) as fh:
+        assert unused_parameters(fh.read()) == []
+
+
+def test_unused_parameter_check_sees_a_leftover():
+    source = ("class K:\n    def m(self, a, *rest, b=0, **kw):\n"
+              "        def inner():\n            return a + kw\n"
+              "        return inner\n"
+              "f = lambda x, e: x\n"
+              "def g(cls, y):\n    return 1\n")
+    assert unused_parameters(source) == [
+        "m:2 rest", "m:2 b", "lambda:6 e", "g:7 y"]

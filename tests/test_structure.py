@@ -6,10 +6,11 @@ from bihooks.crystal import induction_pairs
 from bihooks.partitions import format_bipartition
 from bihooks.schur import num_summands, two_column
 from bihooks.structure import (
-    DIAGRAM, SEMISIMPLE, UNISERIAL, almost_ss_residue, almost_ss_structure,
-    braces_transpose_label, composition_labels, decomposability, family_shape,
-    predict, semisimple_decomposition, semisimplicity_criterion, structure_j1,
-    structure_j2,
+    DIAGRAM, SEMISIMPLE, UNISERIAL, ModuleStructure, Summand, almost_ss_residue,
+    almost_ss_structure, base_structure, braces_transpose_label,
+    composition_labels, decomposability, family_shape, predict,
+    semisimple_decomposition, semisimplicity_criterion, structure_j2,
+    translate_two_column,
 )
 
 
@@ -29,45 +30,61 @@ def test_semisimplicity_criterion():
 
 
 def test_semisimple_decomposition_example():
-    struct = semisimple_decomposition(7, 5, 3)
+    struct = translate_two_column(semisimple_decomposition(7, 5), 3, 5)
     assert labelset(struct) == {
         ("33,1|2", 5), ("30,4|2", 5), ("27,7|2", 5),
         ("24,10|2", 5), ("21,13|2", 5), ("36|-", 5)}
     assert struct.num_summands() == 6
-    small = semisimple_decomposition(1, 1, 4)
+    small = translate_two_column(semisimple_decomposition(1, 1), 4, 1)
     assert labelset(small) == {("4,1|3", 1), ("8|-", 1)}
 
 
 def test_structure_j1():
-    ss = structure_j1(2, 3, 0)
+    ss = translate_two_column(base_structure(2, 1, 0), 3, 1)
     assert ss.num_summands() == 2
-    uni = structure_j1(3, 2, 2)
+    uni = translate_two_column(almost_ss_structure(3, 1, 2), 2, 1)
     assert uni.num_summands() == 1
     layers = uni.summands[0].labels
     assert [format_bipartition(l.bipartition) for l in layers] == \
         ["8|-", "6,1|1", "8|-"]
     assert all(l.shift == 1 for l in layers)
-    uni3 = structure_j1(2, 2, 3)
+    uni3 = translate_two_column(base_structure(2, 1, 3), 2, 1)
     assert uni3.summands[0].kind == UNISERIAL
     assert len(uni3.summands[0].labels) == 3
 
 
+def structure_j1(k, p):
+    """The j = 1 statement in closed form: two simple summands, or one
+    uniserial triv | nontriv | triv when p divides k+1."""
+    if semisimplicity_criterion(k, 1, p):
+        return semisimple_decomposition(k, 1)
+    triv, nontriv = two_column(0, k + 1), two_column(1, k + 1)
+    return ModuleStructure((Summand(UNISERIAL, (triv, nontriv, triv)),))
+
+
+def test_j1_is_the_almost_semisimple_case_p_divides_k_plus_1():
+    for p in (0, 2, 3, 5, 7, 11):
+        for k in range(1, 41):
+            assert semisimplicity_criterion(k, 1, p) == (p == 0 or (k + 1) % p != 0)
+            assert base_structure(k, 1, p) == structure_j1(k, p)
+
+
 def test_structure_j2_cases():
     # (ii) p | k+2, at e = 3
-    s = structure_j2(4, 3, 3)
+    s = translate_two_column(structure_j2(4, 3), 3, 2)
     assert sorted(x.kind for x in s.summands) == [SEMISIMPLE, UNISERIAL]
     uni = [x for x in s.summands if x.kind == UNISERIAL][0]
     assert [format_bipartition(l.bipartition) for l in uni.labels] == \
         ["18|-", "15,1|2", "18|-"]
     # (v) p=2, k=0 mod 4
-    s = structure_j2(4, 2, 2)
+    s = translate_two_column(structure_j2(4, 2), 2, 2)
     uni = [x for x in s.summands if x.kind == UNISERIAL][0]
     assert [format_bipartition(l.bipartition) for l in uni.labels] == \
         ["10,1|1", "12|-", "8,3|1", "12|-", "10,1|1"]
     simple = [x for x in s.summands if x.kind == SEMISIMPLE][0]
     assert format_bipartition(simple.labels[0].bipartition) == "12|-"
     # (vi) p=2, k=2 mod 4: one five-vertex diagram
-    s = structure_j2(2, 2, 2)
+    s = translate_two_column(structure_j2(2, 2), 2, 2)
     assert s.num_summands() == 1
     d = s.summands[0]
     assert d.kind == DIAGRAM

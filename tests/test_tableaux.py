@@ -75,7 +75,8 @@ def fillings(draw):
     else:
         path = draw(st.permutations(all_nodes(shape)))
     inside = set(path)
-    outside = st.sampled_from([(r, c, m) for m in (1, 2) for r in range(1, 5)
+    # row 0 and component 3 are outside every shape
+    outside = st.sampled_from([(r, c, m) for m in (1, 2, 3) for r in range(5)
                                for c in range(1, 5) if (r, c, m) not in inside])
     fault = draw(st.sampled_from(["none", "swap", "repeat", "outside", "drop",
                                   "add"]))

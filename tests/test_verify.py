@@ -38,7 +38,7 @@ BROKEN = [
     ("structure", schur, "num_summands", lambda real: lambda *a: real(*a) + 1,
      {"es": (2,), "max_kj": 4, "primes": (0,)}),
     ("llt", structure, "semisimple_decomposition",
-     lambda real: lambda k, j, e: real(k + 1, j, e),
+     lambda real: lambda k, j: real(k + 1, j),
      {"es": (2,), "max_kj": 2, "max_n": 0}),
     # these bounds reach the induced family k = j = 1, (a, b) = (1, 0)
     pytest.param("llt", structure, "induce", lambda real: lambda bp, *a: bp,

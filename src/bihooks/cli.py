@@ -15,12 +15,17 @@ import sys
 
 from . import crystal, fock, render, schur, structure, verify
 from .padic import check_prime_or_zero
-from .partitions import format_bipartition, parse_bipartition
+from .partitions import format_bipartition, format_partition, parse_bipartition
 from .tableaux import graded_dimension, word_graded_dimension
 
 
 def _int_list(text: str) -> list[int]:
-    return [int(tok) for tok in text.split(",") if tok.strip() != ""]
+    if not text.replace(",", "").strip():
+        return []
+    try:
+        return [int(tok) for tok in text.split(",")]
+    except ValueError:
+        raise ValueError(f"expected comma-separated integers, got {text!r}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -161,7 +166,7 @@ def main(argv=None) -> int:
             out.write(str(schur.num_summands(args.k, args.j, args.p)) + "\n")
         elif args.command == "factors":
             counts = schur.composition_multiset(args.k, args.j, args.p)
-            items = [(",".join(map(str, mu)) or "-", mult)
+            items = [(format_partition(mu), mult)
                      for mu, mult in sorted(counts.items(), reverse=True)]
             if args.format == "json":
                 json.dump([{"factor": mu, "multiplicity": mult}

@@ -16,8 +16,8 @@ each other).  Regularity has two routes, and each is the other's oracle
 in the test-suite and the ``crystal`` verify suite:
 
 * for one shape, ``is_regular`` removes the good node of the smallest
-  residue that has one and backtracks over residues if stuck (crystal
-  theory makes the backtracking vacuous);
+  residue that has one until it reaches empty or gets stuck (the first
+  good node decides, see ``good_peel``);
 * for a whole size, ``mullineux_pairs`` closes the empty bipartition
   under the cogood additions one box at a time, and
   ``regular_bipartitions`` reads its keys.  The Fock solver takes its
@@ -112,17 +112,16 @@ def e_tilde(bp: Bipartition, i: int, e: int) -> Bipartition | None:
 
 @lru_cache(maxsize=None)
 def good_peel(bp: Bipartition, e: int) -> tuple[int, ...] | None:
-    """Residues of a good-node removal sequence from bp down to empty, or
-    None when no sequence exists.  Smallest residue first, with
-    backtracking over the remaining residues."""
+    """Residues of the good-node removals from bp down to empty, smallest
+    residue first, or None if they get stuck.  Crystal components are
+    closed under good-node removal and the regular shapes are the one of
+    empty, so the first good node found decides."""
     if bp == EMPTY_BP:
         return ()
     for i, sig in enumerate(signatures(bp, e)):
-        node = _good(sig)
-        if node is not None:
+        if (node := _good(sig)) is not None:
             rest = good_peel(remove_node(bp, node), e)
-            if rest is not None:
-                return (i,) + rest
+            return None if rest is None else (i,) + rest
     return None
 
 

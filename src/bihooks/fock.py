@@ -109,7 +109,7 @@ import weakref
 from dataclasses import dataclass, field
 
 from .crystal import mullineux_pairs, regular_bipartitions
-from .laurent import LaurentPoly, ONE
+from .laurent import LaurentPoly, ONE, dot
 from .partitions import (
     Bipartition, check_e, conjugate, dominance_keys, format_bipartition, size,
     undominated,
@@ -753,20 +753,10 @@ def simple_graded_dims_from(matrix: DecompositionMatrix) -> dict[Bipartition, La
     """Solve the unitriangular system qdim(S_lam) = sum_mu d(lam,mu) qdim(D_mu)
     over the regular rows.  Solutions must be bar-invariant with
     nonnegative coefficients; anything else is a convention fault."""
-    e = matrix.e
     out: dict[Bipartition, LaurentPoly] = {}
     for mu in matrix.regulars():
-        # qdim(S_mu) - sum_nu d(mu,nu) qdim(D_nu), in one raw dict
-        acc = dict(graded_dimension(mu, e).iter_terms())
-        for nu, coeff in matrix.row(mu).items():
-            if nu == mu:
-                continue
-            dim = out[nu].iter_terms()
-            for ka, va in coeff.iter_terms():
-                for kb, vb in dim:
-                    k = ka + kb
-                    acc[k] = acc.get(k, 0) - va * vb
-        val = LaurentPoly._raw({k: v for k, v in acc.items() if v})
+        val = graded_dimension(mu, matrix.e) - dot(
+            (d, out[nu]) for nu, d in matrix.row(mu).items() if nu != mu)
         if not val.is_bar_invariant() or not val.has_nonneg_coeffs():
             raise RuntimeError(
                 f"graded dimension of simple {format_bipartition(mu)} came out "

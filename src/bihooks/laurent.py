@@ -1,9 +1,9 @@
 """Integer Laurent polynomials in q, with the bar involution q <-> q^-1.
 
 Coefficients are arbitrary-precision Python ints, so elimination over
-these rings can never overflow.  Text form sorts exponents upwards,
-e.g. ``q^-2 + 2 + q^2``; the JSON form is the sorted list of
-``[exponent, coefficient]`` pairs.
+these rings can never overflow.  ``dot`` is the one sum of products.
+Text form sorts exponents upwards, e.g. ``q^-2 + 2 + q^2``; the JSON
+form is the sorted list of ``[exponent, coefficient]`` pairs.
 """
 
 
@@ -87,16 +87,7 @@ class LaurentPoly:
             if not other:
                 return ZERO
             return LaurentPoly._raw({k: v * other for k, v in self._c.items()})
-        d = {}
-        for ka, va in self._c.items():
-            for kb, vb in other._c.items():
-                k = ka + kb
-                nv = d.get(k, 0) + va * vb
-                if nv:
-                    d[k] = nv
-                else:
-                    d.pop(k, None)
-        return LaurentPoly._raw(d)
+        return dot(((self, other),))
 
     __rmul__ = __mul__
 
@@ -219,6 +210,21 @@ class LaurentPoly:
 
 ZERO = LaurentPoly._raw({})
 ONE = LaurentPoly._raw({0: 1})
+
+
+def dot(pairs) -> LaurentPoly:
+    """The sum of a*b over (a, b) pairs, in one dict with the zeros dropped
+    at the end.  The loops of ``fock._apply_divided``/``_eliminate`` (a
+    mutable slot updated in place) and ``tableaux.graded_dimension``/
+    ``_word_peel`` (shifted dicts added, not products) stay inline."""
+    acc: dict[int, int] = {}
+    for a, b in pairs:
+        terms = b._c.items()
+        for ka, va in a._c.items():
+            for kb, vb in terms:
+                k = ka + kb
+                acc[k] = acc.get(k, 0) + va * vb
+    return LaurentPoly._raw({k: v for k, v in acc.items() if v})
 
 
 def quantum_integer(n: int) -> LaurentPoly:

@@ -271,7 +271,10 @@ def parse_partition(text: str) -> Partition:
     text = text.strip()
     if text in ("-", ""):
         return ()
-    parts = [int(tok) for tok in text.split(",")]
+    try:
+        parts = [int(tok) for tok in text.split(",")]
+    except ValueError:
+        raise ValueError(f"parts must be integers in {text!r}") from None
     if any(p <= 0 for p in parts):
         raise ValueError(f"parts must be positive in {text!r}")
     for a, b in zip(parts, parts[1:]):

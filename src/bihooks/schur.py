@@ -11,7 +11,7 @@ divisibility: Weyl modules become simple and every Young summand occurs.
 """
 
 from functools import lru_cache
-from itertools import product
+from itertools import combinations, product
 
 from .padic import check_prime_or_zero, leq_p, nu_p, preceq_p
 from .partitions import Partition, as_partition, conjugate_partition
@@ -162,7 +162,6 @@ def kostka_two_column(lam: Partition, mu) -> int:
 def exterior_weight_dim(j: int, k: int, mu) -> int:
     """Dimension of the mu weight space of Lambda^j (x) Lambda^k, by brute
     force over pairs of subsets whose indicator vectors sum to mu."""
-    from itertools import combinations
     mu = tuple(int(x) for x in mu)
     if sum(mu) != j + k:
         raise ValueError(f"weight {mu} has size {sum(mu)} != {j + k}")

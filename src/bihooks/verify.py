@@ -11,7 +11,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from . import crystal, fock, schur, structure, tableaux
-from .laurent import LaurentPoly, ZERO, c_factor
+from .laurent import LaurentPoly, ZERO, c_factor, dot
 from .partitions import (
     add_node, addable_nodes, all_nodes, as_bipartition, bipartitions,
     conjugate, dominance_key, format_bipartition, hook_length, key_dominates,
@@ -142,7 +142,7 @@ def crystal_suite(max_n: int = 10, es=(2, 3, 4)) -> SuiteReport:
                                   f"f-tilde growth {bp} i={i} e={e}")
                         rep.check(crystal.e_tilde(up, i, e) == bp,
                                   f"e-tilde after f-tilde {bp} i={i} e={e}")
-                # backtracking regularity test against the closure
+                # the one-shape good-node peel against the closure
                 rep.check(crystal.is_regular(bp, e) == (bp in reachable),
                           f"regularity oracle {format_bipartition(bp)} e={e}")
             for bp in bipartitions(n):
@@ -295,15 +295,7 @@ def _llt_matrix_checks(rep: SuiteReport, matrix, e: int, n: int):
         rep.check(False, f"simple dimensions e={e} n={n}: {exc}")
         return
     for lam in key_of:  # decreasing dominance
-        # sum_mu d(lam,mu) qdim(D_mu), accumulated in one raw dict
-        acc: dict[int, int] = {}
-        for mu, val in matrix.row(lam).items():
-            dim = qdim[mu].iter_terms()
-            for ka, va in val.iter_terms():
-                for kb, vb in dim:
-                    k = ka + kb
-                    acc[k] = acc.get(k, 0) + va * vb
-        rhs = LaurentPoly._raw({k: v for k, v in acc.items() if v})
+        rhs = dot((val, qdim[mu]) for mu, val in matrix.row(lam).items())
         rep.check(tableaux.graded_dimension(lam, e) == rhs,
                   lambda: f"dimension balance e={e} n={n} {format_bipartition(lam)}")
 

@@ -250,7 +250,17 @@ def test_error_paths(capsys):
             (["induce", "--e", "2", "--a", "1", "--b", "0", "--shape=-|1"],
              "no cogood node of residue 0 on -|1 for e=2"),
             (["qdim", "--shape", "3", "--e", "2"],
-             "expected two components separated by '|' in '3'")):
+             "expected two components separated by '|' in '3'"),
+            # a token that is not an integer is refused, an empty one too
+            (["qdim", "--shape", "3,,1|-", "--e", "2"],
+             "parts must be integers in '3,,1'"),
+            (["qdim", "--shape", "2|2", "--e", "2", "--word", "x"],
+             "expected comma-separated integers, got 'x'"),
+            (["qdim", "--shape", "2|2", "--e", "2", "--word", "0,,0,1,1"],
+             "expected comma-separated integers, got '0,,0,1,1'"),
+            (["verify", "--suite", "words", "--e", "2,,3", "--max-kj", "2",
+              "--max-n", "2"],
+             "expected comma-separated integers, got '2,,3'")):
         assert main(argv) == 2
         assert capsys.readouterr() == ("", f"error: {message}\n")
 

@@ -1,9 +1,10 @@
 import pytest
 
 from bihooks.crystal import (
-    braces, braces_int, cogood_node, e_tilde, f_tilde, good_node, induce,
-    induction_pairs, induction_recipe, is_regular, mullineux, mullineux_pairs,
-    reduced_signature, regular_bipartitions, scrt, signature, signatures,
+    braces, braces_int, cogood_node, e_tilde, f_tilde, good_node, good_peel,
+    induce, induction_pairs, induction_recipe, is_regular, mullineux,
+    mullineux_pairs, reduced_signature, regular_bipartitions, scrt, signature,
+    signatures,
 )
 from bihooks.partitions import (
     EMPTY_BP, addable_nodes, bipartitions, format_bipartition, removable_nodes,
@@ -66,8 +67,8 @@ def test_regularity_examples():
 
 
 def test_regularity_against_reachability_oracle():
-    # the crystal suite's "regularity oracle" compares the backtracking
-    # peel with the cogood closure shape by shape at the session bounds;
+    # the crystal suite's "regularity oracle" compares the good-node peel
+    # with the cogood closure shape by shape at the session bounds;
     # here, the closure holds only bipartitions of n
     for e in (2, 3, 4, 5):
         for n in range(0, 11):
@@ -75,6 +76,34 @@ def test_regularity_against_reachability_oracle():
     assert regular_bipartitions(-1, 2) == frozenset()
     with pytest.raises(ValueError):
         regular_bipartitions(3, 1)
+
+
+def _backtracking_peel(bp, e, memo):
+    # good-node removals, smallest residue first, trying the next residue
+    # whenever a removal leads to a shape that gets stuck
+    if bp == EMPTY_BP:
+        return ()
+    if bp not in memo:
+        peel = None
+        for i in range(e):
+            down = e_tilde(bp, i, e)
+            if down is not None:
+                rest = _backtracking_peel(down, e, memo)
+                if rest is not None:
+                    peel = (i,) + rest
+                    break
+        memo[bp] = peel
+    return memo[bp]
+
+
+def test_good_peel_needs_no_backtracking():
+    # crystal components are closed under good-node removal, so the first
+    # good node decides and backtracking over residues finds nothing more
+    for e in (2, 3, 4, 5):
+        memo = {}
+        for n in range(0, 11):
+            for bp in bipartitions(n):
+                assert good_peel(bp, e) == _backtracking_peel(bp, e, memo), (bp, e)
 
 
 def test_mullineux_examples():

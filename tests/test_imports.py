@@ -1,6 +1,7 @@
 """Every name a package module imports is used in that module, every
-name a package module defines is read somewhere, and every parameter of
-a package function or lambda but ``self`` and ``cls`` is read by its body.
+name a package module defines is read somewhere, every parameter of a
+package function or lambda but ``self`` and ``cls`` is read by its body,
+and every import of a package module sits outside function bodies.
 
 No linter is a dependency, so this reads each module's syntax tree with
 the standard library.  ``__init__.py`` re-exports by importing, so it is
@@ -154,3 +155,27 @@ def test_unused_parameter_check_sees_a_leftover():
               "def g(cls, y):\n    return 1\n")
     assert unused_parameters(source) == [
         "m:2 rest", "m:2 b", "lambda:6 e", "g:7 y"]
+
+
+def imports_inside_functions(source: str) -> list[int]:
+    """The lines of the imports in ``source`` that sit in a function body,
+    at any depth."""
+    tree = ast.parse(source)
+    return sorted({inner.lineno for node in ast.walk(tree)
+                   if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                   for inner in ast.walk(node)
+                   if isinstance(inner, (ast.Import, ast.ImportFrom))})
+
+
+@pytest.mark.parametrize("module", MODULES + ["__init__.py"])
+def test_no_imports_inside_functions(module):
+    with open(os.path.join(SRC, module)) as fh:
+        assert imports_inside_functions(fh.read()) == []
+
+
+def test_function_import_check_sees_a_leftover():
+    source = ("import os\nclass K:\n    from m import a\n"
+              "    def f(self):\n        import b\n"
+              "        def g():\n            from c import d\n"
+              "        return g\n")
+    assert imports_inside_functions(source) == [5, 7]

@@ -1,8 +1,10 @@
+from collections import Counter
+
 import pytest
 from hypothesis import given, strategies as st
 
 from bihooks.laurent import (
-    LaurentPoly, ONE, ZERO, c_factor, quantum_factorial, quantum_integer,
+    LaurentPoly, ONE, ZERO, c_factor, dot, quantum_factorial, quantum_integer,
 )
 from bihooks.padic import digits, is_prime, leq_p, nu_p, preceq_p
 
@@ -43,8 +45,24 @@ def test_operations_never_mutate_an_operand(f, g, k):
         a + b, a - b, a * b, -a, a.bar(), a.bar_closure()
         a + k, k + a, a - k, k - a, a * k, k * a
         LaurentPoly.from_pairs(a.to_pairs())
+        dot([(a, b), (b, a), (a, a)])
     assert (dict(f.iter_terms()), dict(g.iter_terms())) == before
     assert f._c is dicts[0] and g._c is dicts[1]
+
+
+@given(st.lists(st.tuples(poly_st, poly_st), max_size=4))
+def test_dot_is_the_sum_of_products(pairs):
+    want = Counter()
+    for a, b in pairs:
+        for ka, va in a.items():
+            for kb, vb in b.items():
+                want[ka + kb] += va * vb
+    got = dot(pairs)
+    assert dict(got.iter_terms()) == {k: v for k, v in want.items() if v}
+    assert 0 not in dict(got.iter_terms()).values()
+    assert dot(()) == ZERO and dot(iter(pairs)) == got
+    for a, b in pairs:
+        assert a * b == dot([(a, b)])
 
 
 def test_from_pairs_contract():

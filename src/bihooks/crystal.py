@@ -45,6 +45,7 @@ from .partitions import (
     Bipartition, Node, Partition, EMPTY_BP, add_node, as_partition, check_e,
     format_bipartition, remove_node, signed_nodes,
 )
+from .schur import two_column_params
 
 Signature = list[tuple[str, Node]]
 
@@ -61,7 +62,7 @@ def signatures(bp: Bipartition, e: int) -> list[Signature]:
     return sigs
 
 
-def _reduce(sig: Signature) -> Signature:
+def reduce_signature(sig: Signature) -> Signature:
     stack: Signature = []
     for sign, node in sig:
         if sign == "-" and stack and stack[-1][0] == "+":
@@ -73,21 +74,21 @@ def _reduce(sig: Signature) -> Signature:
 
 def _good(sig: Signature) -> Node | None:
     best = None
-    for sign, node in _reduce(sig):
+    for sign, node in reduce_signature(sig):
         if sign == "-":
             best = node
     return best
 
 
 def _cogood(sig: Signature) -> Node | None:
-    for sign, node in _reduce(sig):
+    for sign, node in reduce_signature(sig):
         if sign == "+":
             return node
     return None
 
 
 def reduced_signature(bp: Bipartition, i: int, e: int) -> Signature:
-    return _reduce(signature(bp, i, e))
+    return reduce_signature(signature(bp, i, e))
 
 
 def good_node(bp: Bipartition, i: int, e: int) -> Node | None:
@@ -205,12 +206,9 @@ def scrt(mu: Partition, e: int) -> Bipartition:
     the matching graded simple module: (1^n) goes to ((ne), -) and
     (2^m, 1^(n-2m)) to (((n-m)e, (m-1)e+1), (e-1))."""
     check_e(e)
-    if any(part > 2 for part in mu):
-        raise ValueError(f"{mu} is not a two-column partition")
-    n = sum(mu)
+    m, n = two_column_params(mu)
     if n == 0:
         return EMPTY_BP
-    m = sum(1 for part in mu if part == 2)
     if m == 0:
         return ((n * e,), ())
     return (((n - m) * e, (m - 1) * e + 1), (e - 1,))

@@ -55,6 +55,9 @@ class LaurentPoly:
         return self._c == other._c
 
     def __hash__(self):
+        # a constant equals its int, so it hashes as one
+        if self._c.keys() <= {0}:
+            return hash(self._c.get(0, 0))
         return hash(frozenset(self._c.items()))
 
     def __add__(self, other):

@@ -11,12 +11,13 @@ computable.
 
 Base structures are stated for the tensor product of two exterior
 powers over the classical Schur algebra, k >= j, over two-column labels
-and without e.  ``predict`` translates them once, through scrt at the
-uniform grading shift j, into simple labels of ((ke), (je)); for k < j
-it translates the dual of the base for (j, k), by component-switching
-duality (total shift j + k).  Label maps then transport the structures:
-the induction map for ((ke+a, 1^b), (je+a, 1^b)), and the Mullineux map
-with contragredient duality (shift 2k + j) for the conjugate family.
+and without e; for k < j the family takes the dual of the base for
+(j, k), by component-switching duality (total shift j + k).
+``family_label`` is the one map from a two-column label to a family's
+graded simple label: scrt at the uniform shift j into ((ke), (je)), the
+induction map for ((ke+a, 1^b), (je+a, 1^b)), and for the conjugate
+family the Mullineux map with contragredient duality (shift 2k + j).
+Structures and composition factors both read it.
 """
 
 from dataclasses import dataclass, field, replace
@@ -108,6 +109,20 @@ def family_shape(k: int, j: int, e: int, a: int = 0, b: int = 0,
     checks the induction map against it."""
     bp = ((k * e + a,) + (1,) * b, (j * e + a,) + (1,) * b)
     return conjugate(bp) if transpose else bp
+
+
+def family_label(mu: Partition, k: int, j: int, e: int, a: int = 0, b: int = 0,
+                 transpose: bool = False) -> SimpleLabel:
+    """The graded simple label of the family at (k, j, a, b), or of its
+    conjugate, that the two-column label mu stands for: scrt at shift j,
+    then the induction map, then for the conjugate Mullineux at shift
+    2k + j (the structure itself is dualised by the caller)."""
+    bp = induce(scrt(mu, e), a, b, e)
+    if transpose:
+        bp = mullineux(bp, e)
+    if not is_regular(bp, e):
+        raise RuntimeError(f"emitted non-regular label {format_bipartition(bp)}")
+    return SimpleLabel(bp, 2 * k + j if transpose else j)
 
 
 def semisimple_decomposition(k: int, j: int) -> ModuleStructure:
@@ -202,12 +217,6 @@ def almost_ss_structure(k: int, j: int, p: int) -> ModuleStructure:
     return ModuleStructure(tuple(summands))
 
 
-def translate_two_column(struct: ModuleStructure, e: int, shift: int) -> ModuleStructure:
-    """Move a structure over two-column partition labels to graded simple
-    labels via scrt, with a uniform grading shift."""
-    return struct.map_labels(lambda mu: SimpleLabel(scrt(mu, e), shift))
-
-
 def five_factor_structure() -> ModuleStructure:
     """The worked ten-box case p=3, k=7, j=3: one simple summand plus one
     five-factor self-dual summand whose diagram is the configuration with
@@ -253,22 +262,15 @@ def decomposability(k: int, j: int, p: int) -> str:
     return DECOMPOSABLE if (hi - lo) % (1 << ell) else INDECOMPOSABLE
 
 
-def composition_labels(k: int, j: int, e: int, p: int) -> tuple[SimpleLabel, ...]:
+def composition_labels(k: int, j: int, e: int, p: int,
+                       transpose: bool = False) -> tuple[SimpleLabel, ...]:
     """The composition-factor multiset as shifted simple labels (order by
-    label), for the base shape with k >= j normalised by duality."""
-    lo, hi = min(k, j), max(k, j)
+    label), for the base shape with k >= j normalised by duality, or for
+    the conjugate family when ``transpose``."""
     out = []
-    for mu, mult in composition_multiset(hi, lo, p).items():
-        out.extend([SimpleLabel(scrt(mu, e), j)] * mult)
+    for mu, mult in composition_multiset(max(k, j), min(k, j), p).items():
+        out.extend([family_label(mu, k, j, e, transpose=transpose)] * mult)
     return tuple(sorted(out))
-
-
-def _checked(struct: ModuleStructure, e: int) -> ModuleStructure:
-    for lab in struct.labels():
-        if not is_regular(lab.bipartition, e):
-            raise RuntimeError(
-                f"emitted non-regular label {format_bipartition(lab.bipartition)}")
-    return struct
 
 
 def predict(k: int, j: int, e: int, p: int, a: int = 0, b: int = 0,
@@ -277,12 +279,12 @@ def predict(k: int, j: int, e: int, p: int, a: int = 0, b: int = 0,
 
     Base structures exist for: semisimple parameters, j = 2, p dividing
     exactly one of k+j, ..., k-j+2 (at j = 1: p | k+1), and the worked
-    ten-box case (p, k, j) = (3, 7, 3).  They are over two-column labels,
-    and this is the one place that translates them, through scrt at shift
-    j (the dual base when k < j).  Labels are then pushed through the
-    induction map for (a, b) and through Mullineux plus duality for the
-    conjugate family.  Remaining cases get a decomposability verdict and,
-    for a = b = 0, the composition multiset.
+    ten-box case (p, k, j) = (3, 7, 3).  They are over two-column labels
+    (the dual base when k < j), and ``family_label`` maps them once to
+    the family's labels: scrt at shift j, the induction map for (a, b),
+    and Mullineux for the conjugate family, whose structure is then
+    dualised.  Remaining cases get a decomposability verdict and, for
+    a = b = 0, the composition multiset, through the same map.
     """
     check_e(e)
     check_prime_or_zero(p)
@@ -306,22 +308,18 @@ def predict(k: int, j: int, e: int, p: int, a: int = 0, b: int = 0,
                 f"switching; contragredient total shift {k + j}")
     if base is None:
         return Verdict(decomposability(k, j, p), None,
-                       None if a or b else composition_labels(k, j, e, p),
+                       None if a or b else composition_labels(k, j, e, p, transpose),
                        tuple(notes))
-    struct = translate_two_column(base.dualize() if k < j else base, e, j)
+    struct = (base.dualize() if k < j else base).map_labels(
+        lambda mu: family_label(mu, k, j, e, a, b, transpose))
     if a or b:
-        struct = struct.map_labels(
-            lambda lab: SimpleLabel(induce(lab.bipartition, a, b, e), lab.shift))
         notes.append(f"labels pushed through the induction map at (a, b) = ({a}, {b})")
     if transpose:
-        shift = 2 * k + j
-        struct = struct.map_labels(
-            lambda lab: SimpleLabel(mullineux(lab.bipartition, e), shift)).dualize()
+        struct = struct.dualize()
         notes.append(
-            f"conjugate family: Mullineux labels, contragredient shift {shift}; "
+            f"conjugate family: Mullineux labels, contragredient shift {2 * k + j}; "
             "the induced statements print the unconjugated shift, the duality "
             "computation is used here")
-    struct = _checked(struct, e)
     status = DECOMPOSABLE if struct.num_summands() > 1 else INDECOMPOSABLE
     return Verdict(status, struct, None, tuple(notes))
 

@@ -124,18 +124,13 @@ def crystal_suite(max_n: int = 10, es=(2, 3, 4)) -> SuiteReport:
             # the cogood closure, the other route to regularity
             reachable = crystal.regular_bipartitions(n, e)
             for bp in bipartitions(n):
-                for i in range(e):
-                    red = crystal.reduced_signature(bp, i, e)
+                for i, sig in enumerate(crystal.signatures(bp, e)):
+                    red = crystal.reduce_signature(sig)
                     signs = "".join(s for s, _ in red)
                     rep.check("+-" not in signs,
                               f"reduced signature shape {bp} i={i} e={e}")
-                    stack = []
-                    for s, node in red:
-                        if s == "-" and stack and stack[-1][0] == "+":
-                            stack.pop()
-                        else:
-                            stack.append((s, node))
-                    rep.check(stack == red, f"reduction idempotence {bp} i={i} e={e}")
+                    rep.check(crystal.reduce_signature(red) == red,
+                              f"reduction idempotence {bp} i={i} e={e}")
                     up = crystal.f_tilde(bp, i, e)
                     if up is not None:
                         rep.check(size(up) == n + 1 and as_bipartition(up) == up,
@@ -260,9 +255,8 @@ def structure_suite(max_kj: int = 14, primes=(0, 2, 3, 5, 7), es=(2, 3)) -> Suit
             for k in range(2, 21):
                 if structure.almost_ss_residue(k, 2, p) is None:
                     continue
-                a, b = (structure.translate_two_column(base, e, 2) for base in
-                        (structure.almost_ss_structure(k, 2, p),
-                         structure.structure_j2(k, p)))
+                a, b = (structure.almost_ss_structure(k, 2, p),
+                        structure.structure_j2(k, p))
                 rep.check(Counter(a.summands) == Counter(b.summands),
                           f"j=2 overlap e={e} p={p} k={k}")
     return rep

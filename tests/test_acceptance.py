@@ -14,7 +14,7 @@ from bihooks.cli import main
 from bihooks.fock import canonical_basis, simple_graded_dims_from
 from bihooks.laurent import LaurentPoly, ZERO
 from bihooks.structure import (
-    family_shape, semisimple_decomposition, translate_two_column,
+    family_label, family_shape, semisimple_decomposition,
 )
 from bihooks.tableaux import graded_dimension_by_enumeration
 
@@ -78,8 +78,9 @@ def test_criterion_03_llt_concentration(suite_report):
     for e in (2, 3):
         for total in range(2, 6):
             for j in range(1, total // 2 + 1):
-                labels = translate_two_column(
-                    semisimple_decomposition(total - j, j), e, j).labels()
+                k = total - j
+                labels = semisimple_decomposition(k, j).map_labels(
+                    lambda mu: family_label(mu, k, j, e)).labels()
                 assert len({lab.bipartition for lab in labels}) == j + 1
                 cases += 1
     assert report.seconds < 600
@@ -97,8 +98,8 @@ def test_criterion_04_dimension_balance(llt_cache_dir):
                 k = total - j
                 lam = family_shape(k, j, e)
                 lhs = graded_dimension_by_enumeration(lam, e)
-                factors = translate_two_column(
-                    semisimple_decomposition(k, j), e, j).labels()
+                factors = semisimple_decomposition(k, j).map_labels(
+                    lambda mu: family_label(mu, k, j, e)).labels()
                 rhs = Q(j) * sum((qdim[lab.bipartition] for lab in factors),
                                  ZERO)
                 assert lhs == rhs

@@ -269,10 +269,13 @@ def test_error_paths(capsys):
 # each kind of summand, both diagrams among them at (p, k, j) = (2, 2, 2)
 # and (3, 7, 3); recorded before the summand classes became one record,
 # then re-recorded when the 22 verdicts with k < j and no base structure
-# lost a note claiming a dual structure for the k >= j note: the earlier
-# grid's output with exactly those notes replaced gives this digest
+# lost a note claiming a dual structure for the k >= j note; re-recorded
+# again when the composition factors of a conjugate family without a
+# structure became the Mullineux images at shift 2k + j, as the llt rows
+# give them: against the earlier grid exactly the 236 transposed verdicts
+# with no structure changed, each only in its composition factors
 VERDICT_GOLDEN = (
-    "245d2c0255633b90ef2f5485ac8865c06ee663ca41d08b4bc17157731b46a44d")
+    "cadfa75ed5a6640d2f9f9cee38b4d993996b31610207cfe6daf8be946056b39f")
 
 
 def test_verdict_output_pinned_across_cases():

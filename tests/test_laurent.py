@@ -65,6 +65,18 @@ def test_dot_is_the_sum_of_products(pairs):
         assert a * b == dot([(a, b)])
 
 
+@given(st.one_of(poly_st, st.integers(min_value=-9, max_value=9)),
+       st.one_of(poly_st, st.integers(min_value=-9, max_value=9)))
+def test_equal_values_hash_equal(a, b):
+    if a == b:
+        assert hash(a) == hash(b)
+
+
+def test_constants_hash_as_ints():
+    assert len({ONE, 1}) == 1 and len({ZERO, 0}) == 1
+    assert Counter([ONE, 1, LaurentPoly({0: 3}), 3]) == Counter({1: 2, 3: 2})
+
+
 def test_from_pairs_contract():
     # exactly what to_pairs writes, in any order, and nothing else
     f = LaurentPoly.from_pairs([[1, 5], [-1, 4], [2, 1]])

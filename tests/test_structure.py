@@ -3,15 +3,20 @@ from collections import Counter
 import pytest
 
 from bihooks.crystal import induction_pairs
+from bihooks.fock import canonical_basis
+from bihooks.laurent import LaurentPoly, ZERO
 from bihooks.partitions import format_bipartition
 from bihooks.schur import num_summands, two_column
 from bihooks.structure import (
     DIAGRAM, SEMISIMPLE, UNISERIAL, ModuleStructure, Summand, almost_ss_residue,
     almost_ss_structure, base_structure, braces_transpose_label,
-    composition_labels, decomposability, family_shape, predict,
+    composition_labels, decomposability, family_label, family_shape, predict,
     semisimple_decomposition, semisimplicity_criterion, structure_j2,
-    translate_two_column,
 )
+
+
+def _labelled(struct, k, j, e):
+    return struct.map_labels(lambda mu: family_label(mu, k, j, e))
 
 
 def labelset(struct):
@@ -30,25 +35,25 @@ def test_semisimplicity_criterion():
 
 
 def test_semisimple_decomposition_example():
-    struct = translate_two_column(semisimple_decomposition(7, 5), 3, 5)
+    struct = _labelled(semisimple_decomposition(7, 5), 7, 5, 3)
     assert labelset(struct) == {
         ("33,1|2", 5), ("30,4|2", 5), ("27,7|2", 5),
         ("24,10|2", 5), ("21,13|2", 5), ("36|-", 5)}
     assert struct.num_summands() == 6
-    small = translate_two_column(semisimple_decomposition(1, 1), 4, 1)
+    small = _labelled(semisimple_decomposition(1, 1), 1, 1, 4)
     assert labelset(small) == {("4,1|3", 1), ("8|-", 1)}
 
 
 def test_structure_j1():
-    ss = translate_two_column(base_structure(2, 1, 0), 3, 1)
+    ss = _labelled(base_structure(2, 1, 0), 2, 1, 3)
     assert ss.num_summands() == 2
-    uni = translate_two_column(almost_ss_structure(3, 1, 2), 2, 1)
+    uni = _labelled(almost_ss_structure(3, 1, 2), 3, 1, 2)
     assert uni.num_summands() == 1
     layers = uni.summands[0].labels
     assert [format_bipartition(l.bipartition) for l in layers] == \
         ["8|-", "6,1|1", "8|-"]
     assert all(l.shift == 1 for l in layers)
-    uni3 = translate_two_column(base_structure(2, 1, 3), 2, 1)
+    uni3 = _labelled(base_structure(2, 1, 3), 2, 1, 2)
     assert uni3.summands[0].kind == UNISERIAL
     assert len(uni3.summands[0].labels) == 3
 
@@ -71,20 +76,20 @@ def test_j1_is_the_almost_semisimple_case_p_divides_k_plus_1():
 
 def test_structure_j2_cases():
     # (ii) p | k+2, at e = 3
-    s = translate_two_column(structure_j2(4, 3), 3, 2)
+    s = _labelled(structure_j2(4, 3), 4, 2, 3)
     assert sorted(x.kind for x in s.summands) == [SEMISIMPLE, UNISERIAL]
     uni = [x for x in s.summands if x.kind == UNISERIAL][0]
     assert [format_bipartition(l.bipartition) for l in uni.labels] == \
         ["18|-", "15,1|2", "18|-"]
     # (v) p=2, k=0 mod 4
-    s = translate_two_column(structure_j2(4, 2), 2, 2)
+    s = _labelled(structure_j2(4, 2), 4, 2, 2)
     uni = [x for x in s.summands if x.kind == UNISERIAL][0]
     assert [format_bipartition(l.bipartition) for l in uni.labels] == \
         ["10,1|1", "12|-", "8,3|1", "12|-", "10,1|1"]
     simple = [x for x in s.summands if x.kind == SEMISIMPLE][0]
     assert format_bipartition(simple.labels[0].bipartition) == "12|-"
     # (vi) p=2, k=2 mod 4: one five-vertex diagram
-    s = translate_two_column(structure_j2(2, 2), 2, 2)
+    s = _labelled(structure_j2(2, 2), 2, 2, 2)
     assert s.num_summands() == 1
     d = s.summands[0]
     assert d.kind == DIAGRAM
@@ -189,6 +194,38 @@ def test_predict_transpose():
     uni = v2.structure.summands[0]
     assert uni.kind == UNISERIAL
     assert all(lab.shift == 7 for lab in uni.labels)
+
+
+@pytest.mark.parametrize("e,max_kj", [(2, 6), (3, 4), (4, 3)])
+def test_conjugate_composition_is_the_llt_row(e, max_kj, llt_cache_dir):
+    # k < j has no conjugate structure: the verdict's composition factors,
+    # at the Mullineux labels and shift 2k + j, must still give the row
+    for total in range(3, max_kj + 1):
+        matrix = canonical_basis(total * e, e, cache_dir=llt_cache_dir)
+        for k in range(1, (total + 1) // 2):
+            j = total - k
+            want: dict = {}
+            for lab in predict(k, j, e, 0, transpose=True).composition:
+                want[lab.bipartition] = want.get(lab.bipartition, ZERO) + \
+                    LaurentPoly.q_power(lab.shift)
+            assert matrix.row(family_shape(k, j, e, transpose=True)) == want, \
+                (e, k, j)
+
+
+def test_conjugate_composition_matches_the_structure():
+    covered = 0
+    for e in (2, 3):
+        for p in (2, 3, 5, 7):
+            for total in range(2, 11):
+                for j in range(1, total // 2 + 1):
+                    k = total - j
+                    v = predict(k, j, e, p, transpose=True)
+                    if v.structure is None:
+                        continue
+                    assert Counter(composition_labels(k, j, e, p, transpose=True)) \
+                        == Counter(v.structure.labels()), (e, p, k, j)
+                    covered += 1
+    assert covered
 
 
 def test_transpose_labels_agree_with_braces_route():

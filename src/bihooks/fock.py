@@ -138,6 +138,15 @@ def _value_key(terms: dict[int, int]):
     return frozenset(terms.items())
 
 
+def _share(shared: dict, terms: dict[int, int]) -> LaurentPoly:
+    """The value in ``shared`` equal to ``terms``, made on first sight."""
+    key = _value_key(terms)
+    val = shared.get(key)
+    if val is None:
+        val = shared[key] = LaurentPoly._raw(terms)
+    return val
+
+
 class _Shapes:
     """Interned shapes and their transitions, for one solve or one public
     call (module docstring, "Interned shapes").
@@ -676,8 +685,11 @@ def _compute_canonical_basis(n: int, e: int) -> DecompositionMatrix:
     raw: dict[int, RawVector] = {}
     columns: dict[Bipartition, dict[Bipartition, LaurentPoly]] = {}
     # the sharing of the module docstring: one LaurentPoly per distinct
-    # value, held for this solve only
+    # value, held for this solve only; mirrored maps (id of a shared
+    # value's terms, shift s) to the shared value of its mirror, and the
+    # ids stay unique because shared keeps those terms alive
     shared: dict = {}
+    mirrored: dict[tuple[int, int], LaurentPoly] = {}
     for idx in range(len(regs) - 1, -1, -1):
         mu = regs[idx]
         nu = partner[mu]
@@ -693,21 +705,20 @@ def _compute_canonical_basis(n: int, e: int) -> DecompositionMatrix:
                     f"{format_bipartition(labels[conj(mu)])} of column "
                     f"{format_bipartition(labels[nu])} is {LaurentPoly(diag)}, "
                     f"not a power of q")
-            vec = {conj(lam): {s - k: c for k, c in terms.items()}
-                   for lam, terms in raw[nu].items()}
+            # each value is a value object of column nu mirrored at s, so
+            # each (value object, s) pair is flipped and shared once
+            vals = {}
+            for lam, terms in raw[nu].items():
+                val = mirrored.get((id(terms), s))
+                if val is None:
+                    val = mirrored[id(terms), s] = _share(
+                        shared, {s - k: c for k, c in terms.items()})
+                vals[conj(lam)] = val
         else:
-            vec = _eliminate(held, approx, mu, regs[idx + 1:], raw)
-        col: dict[Bipartition, LaurentPoly] = {}
-        raw_col: RawVector = {}
-        for bp, terms in vec.items():
-            value_key = _value_key(terms)
-            val = shared.get(value_key)
-            if val is None:
-                val = shared[value_key] = LaurentPoly._raw(terms)
-            col[labels[bp]] = val
-            raw_col[bp] = val._c
-        raw[mu] = raw_col
-        columns[labels[mu]] = col
+            vals = {bp: _share(shared, terms) for bp, terms in
+                    _eliminate(held, approx, mu, regs[idx + 1:], raw).items()}
+        raw[mu] = {bp: val._c for bp, val in vals.items()}
+        columns[labels[mu]] = {labels[bp]: val for bp, val in vals.items()}
     return DecompositionMatrix(n=n, e=e, columns=columns)
 
 

@@ -12,19 +12,29 @@ The grading statistic is the codegree: peel the largest entry first,
 counting addable minus removable same-residue nodes strictly *above*
 the node being peeled, with value 0 on the empty tableau.
 
-Every production route reads node degrees from a per-shape peel table,
-``peel_degrees``, built in one walk over ``partitions.signed_nodes``
+The codegree and the recursions read node degrees from a per-shape peel
+table, ``peel_degrees``, built in one walk over ``partitions.signed_nodes``
 that keeps a running count per residue.  The codegree and the word
-recursion share one cached table per (shape, e) across all tableaux and
-words; ``graded_dimension``, memoised per shape already, builds it
-uncached.  ``node_degree`` computes one node's degree from its
-definition and is the reference route the tests check the table against.
+recursion share one cached table per (shape, e), ``_peel_table``, across
+all tableaux and words; ``graded_dimension``, memoised per shape
+already, builds it uncached.  ``node_degree`` computes one node's degree
+from its definition.  The tests check the table against it, and the
+placement walk ``word_codegree_counts`` reads it through a memo of its
+own on (shape, node, e), ``_node_degree``, beside ``_peel_table``.  So
+the ``words`` suite of ``verify``, which counts its word buckets with
+the walk and checks them against the word recursion, compares two
+routes that share only ``signed_nodes``.
 
 The enumeration grows one node path in place: each row keeps a count of
 its filled boxes, an entry's node is pushed onto the path and popped off
 it, and a finished tableau copies the path.  Only enumeration without a
 word is bounded in size (``SIZE_BOUND``): a word prunes the placements
-to the tableaux that carry it.  ``codegrees`` reads one tableau's
+to the tableaux that carry it.  ``word_codegree_counts`` places entries
+in the same order, from the same row slots (``_row_slots``), but builds
+no tableau: it counts (residue sequence, codegree) pairs over partial
+fillings, level by level, merging the fillings that agree in filled
+boxes, word so far and codegree so far; it has the size bound of
+enumeration without a word.  ``codegrees`` reads one tableau's
 codegree at several e with one standardness check and one peel order;
 ``codegree`` is its one-e call.  The word recursion,
 ``word_graded_dimensions``, keeps ``{exponent: coefficient}`` dicts per
@@ -32,8 +42,8 @@ sub-shape, one memo level per prefix length, and takes its words in
 sorted order: a word reuses the levels of the prefix it shares with the
 word before it, and the levels past that prefix are cleared, so the memo
 never holds more than one word's.  ``word_graded_dimension`` is its
-one-word call.  Nothing is memoised across calls, so a sweep over many
-shapes holds no memory beyond the shared peel tables.
+one-word call.  Nothing else is memoised across calls, so a sweep over
+many shapes holds no memory beyond the shared peel tables and degrees.
 """
 
 from collections import Counter
@@ -90,6 +100,21 @@ def is_standard(t: Tableau) -> bool:
     return (tuple(grown[1]), tuple(grown[2])) == t.shape
 
 
+def _row_slots(shape: Bipartition) -> list[tuple]:
+    """The placement order of the enumeration: one slot per row, above to
+    below, as (slot index, slot of the row above or None, the row's nodes
+    left to right, r).  With filled[s] counting the boxes of slot s that
+    hold entries, slot s takes its next box, row[filled[s]], when the row
+    is not full and the row above holds more filled boxes."""
+    slots = []
+    for m, comp in ((1, shape[0]), (2, shape[1])):
+        for r, length in enumerate(comp, start=1):
+            above = len(slots) - 1 if r > 1 else None
+            slots.append((len(slots), above,
+                          tuple((r, c, m) for c in range(1, length + 1)), r))
+    return slots
+
+
 def standard_tableaux(shape: Bipartition, word=None,
                       e: int | None = None) -> list[Tableau]:
     """All standard tableaux of ``shape`` in a deterministic order (entries
@@ -108,15 +133,7 @@ def standard_tableaux(shape: Bipartition, word=None,
         word = tuple(x % e for x in word)
         if len(word) != n:
             raise ValueError(f"word length {len(word)} != size {n}")
-    # one slot per row, above to below: (slot index, slot of the row above
-    # or None, the row's nodes left to right, r); filled[s] counts the
-    # boxes of slot s that hold entries
-    slots = []
-    for m, comp in ((1, shape[0]), (2, shape[1])):
-        for r, length in enumerate(comp, start=1):
-            above = len(slots) - 1 if r > 1 else None
-            slots.append((len(slots), above,
-                          tuple((r, c, m) for c in range(1, length + 1)), r))
+    slots = _row_slots(shape)
     filled = [0] * len(slots)
     path: list[Node] = []
     out: list[Tableau] = []
@@ -200,6 +217,8 @@ def peel_degrees(shape: Bipartition, e: int) -> dict[Node, tuple[Bipartition, in
 
 # one table per (shape, e), shared by every tableau and word bucket
 _peel_table = lru_cache(maxsize=None)(peel_degrees)
+# one degree per (shape, node, e), shared by every shape's placement walk
+_node_degree = lru_cache(maxsize=None)(node_degree)
 
 
 def codegrees(t: Tableau, es) -> list[int]:
@@ -224,6 +243,59 @@ def codegrees(t: Tableau, es) -> list[int]:
 def codegree(t: Tableau, e: int) -> int:
     """The codegree of t at one e; see ``codegrees``."""
     return codegrees(t, (e,))[0]
+
+
+def word_codegree_counts(shape: Bipartition, es) -> list[dict[tuple, int]]:
+    """For each e in ``es``, ``{(residue sequence, codegree): number of
+    standard tableaux}`` over the standard tableaux of ``shape``, counted
+    without building one; a shape of more than ``SIZE_BOUND`` boxes is
+    refused, as by ``standard_tableaux`` without a word.
+
+    The walk places entries 1..n level by level over partial fillings, in
+    the placement order of ``standard_tableaux``.  Placing a node adds its
+    ``node_degree`` in the shape filled once it is placed; summed over the
+    placements, these are the degrees of peeling the largest entry first,
+    so the sum is the codegree.  The placements left, and their degrees,
+    depend only on the boxes filled, so fillings that agree in filled
+    boxes, word so far and codegree so far are merged into one count.
+    """
+    es = tuple(es)  # read at every placement; an iterator would be spent
+    for e in es:
+        check_e(e)
+    n = size(shape)
+    if n > SIZE_BOUND:
+        raise ValueError(f"size {n} exceeds bound {SIZE_BOUND}")
+    slots = _row_slots(shape)
+    rows1 = len(shape[0])
+    # filled boxes per slot -> one {(word so far, codegree so far): count}
+    # per e
+    level = {(0,) * len(slots): [{((), 0): 1} for _ in es]}
+    for _ in range(n):
+        grown_level: dict[tuple, tuple[Bipartition, list[dict]]] = {}
+        for filled, counts in level.items():
+            for s, above, row, r in slots:
+                c0 = filled[s]
+                if c0 == len(row) or (above is not None and filled[above] <= c0):
+                    continue
+                grown = filled[:s] + (c0 + 1,) + filled[s + 1:]
+                got = grown_level.get(grown)
+                if got is None:
+                    # rows fill top to bottom, so the nonzero counts are
+                    # each component's row lengths
+                    sub = (tuple([c for c in grown[:rows1] if c]),
+                           tuple([c for c in grown[rows1:] if c]))
+                    got = grown_level[grown] = (sub, [{} for _ in es])
+                sub, targets = got
+                node, content = row[c0], c0 + 1 - r
+                for e, count, target in zip(es, counts, targets):
+                    letter = (content % e,)
+                    d = _node_degree(sub, node, e)
+                    for (word, x), v in count.items():
+                        key = (word + letter, x + d)
+                        target[key] = target.get(key, 0) + v
+        level = {filled: targets for filled, (_, targets) in grown_level.items()}
+    (counts,) = level.values()
+    return counts
 
 
 @lru_cache(maxsize=None)

@@ -366,26 +366,24 @@ def words_suite(es=(2, 3), max_kj: int = 4, max_n: int = 10) -> SuiteReport:
                 rhs = (LaurentPoly.q_power(j) * c_factor(mu, e)
                        * schur.exterior_weight_dim(j, k, mu))
                 rep.check(lhs == rhs, f"word identity e={e} k={k} j={j} mu={mu}")
-    # bucket tableaux by residue sequence (enumeration route) and compare
-    # every bucket against the peel recursion; the buckets also sum to the
-    # full graded dimension.  One enumeration of each shape serves every
-    # e: a bucket is a count of (word, codegree) pairs.
+    # bucket the standard tableaux by residue sequence and compare every
+    # bucket, in sorted word order, against the peel recursion; the
+    # buckets also sum to the full graded dimension.  The buckets come
+    # from tableaux.word_codegree_counts, a walk over partial fillings
+    # that counts (word, codegree) pairs at every e at once and reads node
+    # degrees from its own memo, not from the peel tables the recursion
+    # reads.
     for n in range(0, max_n + 1):
         for lam in bipartitions(n):
-            counts = [Counter() for _ in es]
-            for t in tableaux.standard_tableaux(lam):
-                # the contents c - r of the nodes of 1..n, whatever e
-                contents = [c - r for r, c, _ in t.nodes]
-                for e, count, d in zip(es, counts, tableaux.codegrees(t, es)):
-                    count[tuple([x % e for x in contents]), d] += 1
-            for e, count in zip(es, counts):
+            for e, count in zip(es, tableaux.word_codegree_counts(lam, es)):
                 buckets: dict[tuple, dict[int, int]] = {}
                 sums = Counter()
                 for (w, d), v in count.items():
                     buckets.setdefault(w, {})[d] = v
                     sums[d] += v
-                for w, val in zip(buckets, tableaux.word_graded_dimensions(
-                        lam, list(buckets), e)):
+                words = sorted(buckets)
+                for w, val in zip(words, tableaux.word_graded_dimensions(
+                        lam, words, e)):
                     rep.check(LaurentPoly._raw(buckets[w]) == val,
                               f"word space e={e} {format_bipartition(lam)} {w}")
                 rep.check(LaurentPoly._raw(dict(sums))

@@ -56,7 +56,7 @@ GOLDEN = {
 # examples too slow for the test run (one-core wall time of a fresh process)
 LEFT_OUT = {
     "verify --suite llt --e 2,3 --max-kj 5": "about 10 s",
-    "verify --suite words --max-kj 4": "about 35 s",
+    "verify --suite words --max-kj 4": "about 8 s",
 }
 
 

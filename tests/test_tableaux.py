@@ -1,4 +1,5 @@
 import hashlib
+from collections import Counter
 from itertools import product
 
 import pytest
@@ -13,7 +14,7 @@ from bihooks.tableaux import (
     Tableau, codegree, codegrees, column_initial_tableau, count_standard,
     gg_word, graded_dimension, graded_dimension_by_enumeration, is_standard,
     node_degree, peel_degrees, residue_sequence, standard_tableaux, v_tableau,
-    word_graded_dimension, word_graded_dimensions,
+    word_codegree_counts, word_graded_dimension, word_graded_dimensions,
 )
 
 
@@ -210,6 +211,27 @@ def test_statistics_match_reference_peel():
     # es is read once: an iterator gives what the tuple gives
     t = standard_tableaux(((2,), (1,)))[0]
     assert codegrees(t, iter((2, 3))) == codegrees(t, (2, 3)) == [1, 0]
+
+
+def test_word_codegree_counts_match_enumeration(cyclic_garbage):
+    # the walk over partial fillings counts what the tableaux give, at
+    # every e of one call, in the order given
+    es = (2, 3, 4)
+    for n in range(0, 8):
+        for lam in bipartitions(n):
+            ts = standard_tableaux(lam)
+            want = [Counter((residue_sequence(t, e), codegree(t, e)) for t in ts)
+                    for e in es]
+            assert word_codegree_counts(lam, es) == want
+    # es is read once: an iterator gives what the tuple gives
+    lam = family_shape(2, 1, 3)
+    assert word_codegree_counts(lam, iter((3, 2))) == \
+        word_codegree_counts(lam, (3, 2))
+    assert cyclic_garbage(lambda: word_codegree_counts(lam, es)) == 0
+    with pytest.raises(ValueError, match="exceeds bound 25"):
+        word_codegree_counts(((26,), ()), (2,))
+    with pytest.raises(ValueError):
+        word_codegree_counts(lam, (2, 1))
 
 
 def test_graded_dimension_routes_agree():

@@ -50,13 +50,14 @@ BROKEN = [
     ("words", tableaux, "word_graded_dimension",
      lambda real: lambda *a: real(*a) * Q(1), {"es": (2,), "max_kj": 2, "max_n": 2}),
     # the word-space half reads every word of a shape in one call, and
-    # the codegrees of a tableau at every e in another
+    # the (word, codegree) counts of a shape at every e in another
     pytest.param("words", tableaux, "word_graded_dimensions",
                  lambda real: lambda *a: [v * Q(1) for v in real(*a)],
                  {"es": (2,), "max_kj": 2, "max_n": 2}, id="words-dimensions-times-q"),
-    pytest.param("words", tableaux, "codegrees",
-                 lambda real: lambda t, es, *a: [d + (e == 3) for d, e
-                                                 in zip(real(t, es, *a), es)],
+    pytest.param("words", tableaux, "word_codegree_counts",
+                 lambda real: lambda lam, es: [
+                     {(w, d + (e == 3)): v for (w, d), v in count.items()}
+                     for e, count in zip(es, real(lam, es))],
                  {"es": (2, 3), "max_kj": 2, "max_n": 2},
                  id="words-codegrees-off-at-e3"),
     ("degrees", tableaux, "codegree", lambda real: lambda *a: real(*a) + 1,

@@ -7,7 +7,9 @@ i-node and - for each removable i-node.  It is the residue-i part of
 ``partitions.signed_nodes``, which walks the rows in that order, so it
 needs no sort.  Reduction cancels adjacent +- pairs until the word has
 shape -...-+...+.  The good i-node is the last surviving -, the cogood
-i-node the first surviving +.
+i-node the first surviving +; ``good_node`` and ``cogood_node`` read
+them off a signature, not a shape, so a caller that holds all e
+signatures of a shape finds every residue's node from one walk.
 
 A bipartition is regular when successive good-node removals reach the
 empty bipartition, or equivalently when successive cogood additions
@@ -72,7 +74,8 @@ def reduce_signature(sig: Signature) -> Signature:
     return stack
 
 
-def _good(sig: Signature) -> Node | None:
+def good_node(sig: Signature) -> Node | None:
+    """Lowest normal i-node: the last - of the reduced signature."""
     best = None
     for sign, node in reduce_signature(sig):
         if sign == "-":
@@ -80,34 +83,21 @@ def _good(sig: Signature) -> Node | None:
     return best
 
 
-def _cogood(sig: Signature) -> Node | None:
+def cogood_node(sig: Signature) -> Node | None:
+    """Highest conormal i-node: the first + of the reduced signature."""
     for sign, node in reduce_signature(sig):
         if sign == "+":
             return node
     return None
 
 
-def reduced_signature(bp: Bipartition, i: int, e: int) -> Signature:
-    return reduce_signature(signature(bp, i, e))
-
-
-def good_node(bp: Bipartition, i: int, e: int) -> Node | None:
-    """Lowest normal i-node: the last - of the reduced signature."""
-    return _good(signature(bp, i, e))
-
-
-def cogood_node(bp: Bipartition, i: int, e: int) -> Node | None:
-    """Highest conormal i-node: the first + of the reduced signature."""
-    return _cogood(signature(bp, i, e))
-
-
 def f_tilde(bp: Bipartition, i: int, e: int) -> Bipartition | None:
-    node = cogood_node(bp, i, e)
+    node = cogood_node(signature(bp, i, e))
     return None if node is None else add_node(bp, node)
 
 
 def e_tilde(bp: Bipartition, i: int, e: int) -> Bipartition | None:
-    node = good_node(bp, i, e)
+    node = good_node(signature(bp, i, e))
     return None if node is None else remove_node(bp, node)
 
 
@@ -120,7 +110,7 @@ def good_peel(bp: Bipartition, e: int) -> tuple[int, ...] | None:
     if bp == EMPTY_BP:
         return ()
     for i, sig in enumerate(signatures(bp, e)):
-        if (node := _good(sig)) is not None:
+        if (node := good_node(sig)) is not None:
             rest = good_peel(remove_node(bp, node), e)
             return None if rest is None else (i,) + rest
     return None
@@ -141,7 +131,7 @@ def mullineux_pairs(n: int, e: int) -> MappingProxyType:
     if n <= 0:
         return MappingProxyType({EMPTY_BP: EMPTY_BP} if n == 0 else {})
     below = mullineux_pairs(n - 1, e)
-    ups = {bp: [None if (node := _cogood(sig)) is None else add_node(bp, node)
+    ups = {bp: [None if (node := cogood_node(sig)) is None else add_node(bp, node)
                 for sig in signatures(bp, e)]
            for bp in below}
     pairs = {}

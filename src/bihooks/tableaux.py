@@ -34,9 +34,7 @@ in the same order, from the same row slots (``_row_slots``), but builds
 no tableau: it counts (residue sequence, codegree) pairs over partial
 fillings, level by level, merging the fillings that agree in filled
 boxes, word so far and codegree so far; it has the size bound of
-enumeration without a word.  ``codegrees`` reads one tableau's
-codegree at several e with one standardness check and one peel order;
-``codegree`` is its one-e call.  The word recursion,
+enumeration without a word.  The word recursion,
 ``word_graded_dimensions``, keeps ``{exponent: coefficient}`` dicts per
 sub-shape, one memo level per prefix length, and takes its words in
 sorted order: a word reuses the levels of the prefix it shares with the
@@ -217,32 +215,27 @@ def peel_degrees(shape: Bipartition, e: int) -> dict[Node, tuple[Bipartition, in
 
 # one table per (shape, e), shared by every tableau and word bucket
 _peel_table = lru_cache(maxsize=None)(peel_degrees)
-# one degree per (shape, node, e), shared by every shape's placement walk
-_node_degree = lru_cache(maxsize=None)(node_degree)
 
 
-def codegrees(t: Tableau, es) -> list[int]:
-    """The codegree of t (module docstring) at each e in ``es``, read from
-    the peel tables: one standardness check and one node list, ``t.nodes``,
-    serve every e."""
-    es = tuple(es)  # read twice below; an iterator would be spent by the checks
-    for e in es:
-        check_e(e)
-    if not is_standard(t):
-        raise ValueError(f"tableau is not standard: {t}")
-    out = []
-    for e in es:
-        shape, total = t.shape, 0
-        for node in reversed(t.nodes):
-            shape, d = _peel_table(shape, e)[node]
-            total += d
-        out.append(total)
-    return out
+@lru_cache(maxsize=None)
+def _node_degree(shape: Bipartition, node: Node, e: int) -> int:
+    """``node_degree``, once per (shape, node, e) across every shape's
+    placement walk; a miss calls it by its module name, so a patch of
+    ``node_degree`` reaches the walk once the memo is cleared."""
+    return node_degree(shape, node, e)
 
 
 def codegree(t: Tableau, e: int) -> int:
-    """The codegree of t at one e; see ``codegrees``."""
-    return codegrees(t, (e,))[0]
+    """The codegree of t (module docstring) at e, read from the peel
+    tables after one standardness check."""
+    check_e(e)
+    if not is_standard(t):
+        raise ValueError(f"tableau is not standard: {t}")
+    shape, total = t.shape, 0
+    for node in reversed(t.nodes):
+        shape, d = _peel_table(shape, e)[node]
+        total += d
+    return total
 
 
 def word_codegree_counts(shape: Bipartition, es) -> list[dict[tuple, int]]:

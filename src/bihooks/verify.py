@@ -117,6 +117,15 @@ def combinatorics_suite(max_n: int = 12) -> SuiteReport:
     return rep
 
 
+def _or_none(fn, *args, **kwargs):
+    """fn(*args, **kwargs), or None where it raises ValueError: a broken
+    crystal step is a failed case, not a crash of the suite."""
+    try:
+        return fn(*args, **kwargs)
+    except ValueError:
+        return None
+
+
 def crystal_suite(max_n: int = 10, es=(2, 3, 4)) -> SuiteReport:
     rep = SuiteReport("crystal")
     for e in es:
@@ -131,8 +140,9 @@ def crystal_suite(max_n: int = 10, es=(2, 3, 4)) -> SuiteReport:
                               f"reduced signature shape {bp} i={i} e={e}")
                     rep.check(crystal.reduce_signature(red) == red,
                               f"reduction idempotence {bp} i={i} e={e}")
-                    up = crystal.f_tilde(bp, i, e)
-                    if up is not None:
+                    node = crystal.cogood_node(sig)
+                    if node is not None:
+                        up = add_node(bp, node)
                         rep.check(size(up) == n + 1 and as_bipartition(up) == up,
                                   f"f-tilde growth {bp} i={i} e={e}")
                         rep.check(crystal.e_tilde(up, i, e) == bp,
@@ -143,13 +153,14 @@ def crystal_suite(max_n: int = 10, es=(2, 3, 4)) -> SuiteReport:
             for bp in bipartitions(n):
                 if not crystal.is_regular(bp, e):
                     continue
-                img = crystal.mullineux(bp, e)
+                img = _or_none(crystal.mullineux, bp, e)
                 # the image's residue content is bp's under i -> -i mod e
-                rep.check(size(img) == n and crystal.is_regular(img, e)
+                rep.check(img is not None and size(img) == n
+                          and crystal.is_regular(img, e)
                           and Counter(-residue(x, e) % e for x in all_nodes(img))
                           == Counter(residue(x, e) for x in all_nodes(bp)),
                           f"mullineux image {format_bipartition(bp)} e={e}")
-                rep.check(crystal.mullineux(img, e) == bp,
+                rep.check(img is not None and _or_none(crystal.mullineux, img, e) == bp,
                           f"mullineux involution {format_bipartition(bp)} e={e}")
     for e in es:
         for n in range(1, 9):
@@ -164,7 +175,7 @@ def crystal_suite(max_n: int = 10, es=(2, 3, 4)) -> SuiteReport:
                     # the family's closed form, and under negated induction
                     # its conjugate's
                     for neg in (False, True):
-                        got = crystal.induce(structure.family_shape(
+                        got = _or_none(crystal.induce, structure.family_shape(
                             k, j, e, transpose=neg), a, b, e, negate=neg)
                         rep.check(got == structure.family_shape(k, j, e, a, b, neg),
                                   f"{'negated ' if neg else ''}induction closed "
@@ -251,7 +262,7 @@ def structure_suite(max_kj: int = 14, primes=(0, 2, 3, 5, 7), es=(2, 3)) -> Suit
                         rep.check(s.labels == s.labels[::-1],
                                   f"palindromic layers {tag}")
     for e in es:
-        for p in (2, 3, 5, 7):
+        for p in primes:
             for k in range(2, 21):
                 if structure.almost_ss_residue(k, 2, p) is None:
                     continue

@@ -3,7 +3,7 @@ import pytest
 from bihooks.crystal import (
     braces, braces_int, cogood_node, e_tilde, f_tilde, good_node, good_peel,
     induce, induction_pairs, induction_recipe, is_regular, mullineux,
-    mullineux_pairs, reduced_signature, regular_bipartitions, scrt, signature,
+    mullineux_pairs, reduce_signature, regular_bipartitions, scrt, signature,
     signatures,
 )
 from bihooks.partitions import (
@@ -18,12 +18,12 @@ def signs(sig):
 
 
 def test_signature_examples():
-    assert signs(reduced_signature(EMPTY_BP, 0, 3)) == "++"
+    assert signs(reduce_signature(signature(EMPTY_BP, 0, 3))) == "++"
     for e in (2, 3, 4):
-        assert signs(reduced_signature(((1,), (1,)), 0, e)) == "--"
-    assert signs(reduced_signature(((4,), (4,)), 0, 4)) == "++"
-    assert [n for _, n in reduced_signature(((4,), (4,)), 0, 4)] == \
-        [(1, 5, 1), (1, 5, 2)]
+        assert signs(reduce_signature(signature(((1,), (1,)), 0, e))) == "--"
+    red = reduce_signature(signature(((4,), (4,)), 0, 4))
+    assert signs(red) == "++"
+    assert [n for _, n in red] == [(1, 5, 1), (1, 5, 2)]
 
 
 def test_signature_matches_sorted_filtered_lists():
@@ -46,9 +46,13 @@ def test_signature_matches_sorted_filtered_lists():
 
 
 def test_good_cogood_examples():
-    assert cogood_node(EMPTY_BP, 0, 2) == (1, 1, 1)
-    assert good_node(((1,), (1,)), 0, 3) == (1, 1, 2)
-    assert good_node(EMPTY_BP, 0, 3) is None
+    assert cogood_node(signature(EMPTY_BP, 0, 2)) == (1, 1, 1)
+    assert good_node(signature(((1,), (1,)), 0, 3)) == (1, 1, 2)
+    assert good_node(signature(EMPTY_BP, 0, 3)) is None
+    # -+- reduces to -: the first - is good, and no + is left
+    a, b, c = (1, 2, 1), (2, 1, 1), (1, 2, 2)
+    assert good_node([("-", a), ("+", b), ("-", c)]) == a
+    assert cogood_node([("-", a), ("+", b), ("-", c)]) is None
 
 
 def test_crystal_operator_examples():

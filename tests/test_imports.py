@@ -9,7 +9,9 @@ exempt, and so is each import in ``KEPT``, marked ``# noqa: F401`` in its
 module; any other import, marked or not, must be read.  A module-level
 name counts as read when a module under ``src``, ``tests`` or
 ``benchmarks`` reads, imports or spells it as a string (the benchmark's
-tracer names what it patches), or when ``README.md`` mentions it."""
+tracer names what it patches), or when ``README.md`` mentions it.  A
+module-level name that only ``tests`` reads is a reference route kept
+for the tests, and must be listed in ``REFERENCE`` with the reason."""
 
 import ast
 import os
@@ -24,6 +26,13 @@ MODULES = sorted(name for name in os.listdir(SRC)
 # module -> names imported and never read: ``fock.dominance_key`` is the
 # attribute the benchmark's tracer patches
 KEPT = {"fock.py": {"dominance_key"}}
+# package names only the tests read -> why the package keeps them
+REFERENCE = {
+    "braces_transpose_label": "the second route to a conjugate family's "
+                              "labels, checked against family_label",
+    "graded_dimension_by_enumeration": "the enumeration route to graded "
+                                       "dimensions, checked against the peel",
+}
 
 
 def unused_imports(source: str, kept=frozenset()) -> list[str]:
@@ -95,21 +104,58 @@ def read_names(source: str) -> set[str]:
     return out
 
 
-def test_no_dead_module_level_names():
-    with open(os.path.join(ROOT, "README.md")) as fh:
-        read = set(re.findall(r"\w+", fh.read()))
-    for top in ("src", "tests", "benchmarks"):
+def names_read_under(*tops: str) -> set[str]:
+    """``read_names`` over every module under the given top folders."""
+    read = set()
+    for top in tops:
         for folder, _, files in os.walk(os.path.join(ROOT, top)):
             for name in files:
                 if name.endswith(".py"):
                     with open(os.path.join(folder, name)) as fh:
                         read |= read_names(fh.read())
-    dead = []
+    return read
+
+
+def package_names() -> list[tuple[str, int, str]]:
+    """(module, line, name) for each module-level name of the package."""
+    out = []
     for module in MODULES + ["__init__.py"]:
         with open(os.path.join(SRC, module)) as fh:
-            dead += [f"{module}:{line} {name}" for name, line
-                     in defined_names(fh.read()).items() if name not in read]
-    assert dead == []
+            out += [(module, line, name)
+                    for name, line in defined_names(fh.read()).items()]
+    return out
+
+
+def readme_words() -> set[str]:
+    with open(os.path.join(ROOT, "README.md")) as fh:
+        return set(re.findall(r"\w+", fh.read()))
+
+
+def test_no_dead_module_level_names():
+    read = readme_words() | names_read_under("src", "tests", "benchmarks")
+    assert [f"{module}:{line} {name}" for module, line, name in package_names()
+            if name not in read] == []
+
+
+def undeclared_test_only(names, outside: set[str], tests: set[str],
+                         declared) -> list[str]:
+    """The names that ``tests`` reads and ``outside`` does not, but that
+    ``declared`` lacks, then the declared names that are not such."""
+    test_only = {name for name in names if name in tests and name not in outside}
+    return sorted(test_only - set(declared)) + sorted(set(declared) - test_only)
+
+
+def test_test_only_names_are_declared():
+    outside = readme_words() | names_read_under("src", "benchmarks")
+    assert undeclared_test_only([name for _, _, name in package_names()],
+                                outside, names_read_under("tests"),
+                                REFERENCE) == []
+
+
+def test_test_only_check_sees_a_leftover():
+    names, outside, tests = ["a", "b", "c", "d"], {"a"}, {"a", "b", "c"}
+    assert undeclared_test_only(names, outside, tests, {"b": ""}) == ["c"]
+    assert undeclared_test_only(names, outside, tests, {"b", "c", "d"}) == ["d"]
 
 
 def test_dead_name_check_sees_a_leftover():

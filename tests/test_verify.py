@@ -33,10 +33,26 @@ BROKEN = [
     pytest.param("crystal", crystal, "mullineux",
                  lambda real: lambda bp, e: bp if size(bp) % 3 == 0 else real(bp, e),
                  {"es": (2, 3), "max_n": 5}, id="crystal-identity-on-thirds"),
+    # the steps the suite reads off a signature: the first surviving -
+    # for the good node, the last surviving + for the cogood node
+    pytest.param("crystal", crystal, "good_node",
+                 lambda real: lambda sig: next(
+                     (n for s, n in crystal.reduce_signature(sig) if s == "-"), None),
+                 {"es": (2,), "max_n": 2}, id="crystal-good-node-first-minus"),
+    pytest.param("crystal", crystal, "cogood_node",
+                 lambda real: lambda sig: next(
+                     (n for s, n in reversed(crystal.reduce_signature(sig))
+                      if s == "+"), None),
+                 {"es": (2,), "max_n": 2}, id="crystal-cogood-node-last-plus"),
     ("schur", schur, "simultaneous_irreducibility",
      lambda real: lambda *a: not real(*a), {"max_n": 6, "primes": (2,)}),
     ("structure", schur, "num_summands", lambda real: lambda *a: real(*a) + 1,
      {"es": (2,), "max_kj": 4, "primes": (0,)}),
+    # the j = 2 overlap runs at the primes asked for, and only at those
+    pytest.param("structure", structure, "structure_j2",
+                 lambda real: lambda k, p: real(k, 0 if p == 11 else p),
+                 {"es": (2,), "max_kj": 2, "primes": (11,)},
+                 id="structure-j2-wrong-at-p11"),
     ("llt", structure, "semisimple_decomposition",
      lambda real: lambda k, j: real(k + 1, j),
      {"es": (2,), "max_kj": 2, "max_n": 0}),
@@ -59,7 +75,7 @@ BROKEN = [
                      {(w, d + (e == 3)): v for (w, d), v in count.items()}
                      for e, count in zip(es, real(lam, es))],
                  {"es": (2, 3), "max_kj": 2, "max_n": 2},
-                 id="words-codegrees-off-at-e3"),
+                 id="words-codegree-counts-off-at-e3"),
     ("degrees", tableaux, "codegree", lambda real: lambda *a: real(*a) + 1,
      {"es": (2,), "max_kj": 2}),
 ]
@@ -70,10 +86,20 @@ BROKEN = [
                          ids=[case[0] for case in BROKEN])
 def test_suite_reports_a_broken_subject(monkeypatch, llt_cache_dir, name,
                                         module, attr, mutant, bounds):
+    # a crystal mutant must neither hide behind the crystal memos nor
+    # leave its results in them for the rest of the session
+    memos = (crystal.good_peel, crystal.mullineux_pairs) if module is crystal else ()
+    for memo in memos:
+        memo.cache_clear()
     monkeypatch.setattr(module, attr, mutant(getattr(module, attr)))
     if name == "llt":
         bounds = {**bounds, "cache_dir": llt_cache_dir}
-    report = verify.run_suite(name, **bounds)
+    try:
+        report = verify.run_suite(name, **bounds)
+    finally:
+        monkeypatch.undo()
+        for memo in memos:
+            memo.cache_clear()
     assert report.failures, f"suite {name} passed with a broken {attr}"
 
 

@@ -239,10 +239,12 @@ def quantum_integer(n: int) -> LaurentPoly:
 
 def quantum_factorial(n: int) -> LaurentPoly:
     """[n]! = [1][2]...[n], with [0]! = 1."""
+    if n < 0:
+        raise ValueError("quantum factorial of a negative number")
     out = ONE
     for m in range(2, n + 1):
         out = out * quantum_integer(m)
-    return out if n >= 0 else ZERO
+    return out
 
 
 def c_factor(nu, e: int) -> LaurentPoly:

@@ -1,8 +1,12 @@
 """Cross-check suites: each suite sweeps one family of identities over a
 bounded grid and reports the failures with reproducing inputs.
 
-Bounds are keyword arguments with defaults sized to finish in minutes on
-one core; the command line exposes them as flags.
+Bounds are keyword arguments with defaults sized to finish in seconds on
+one core: the slowest, words and llt over an empty cache, take 5 to 10 s.
+The command line exposes them as flags.
+
+A failure text is built only when its case fails: ``SuiteReport.check``
+takes a function that returns it, never the text itself.
 """
 
 import inspect
@@ -31,11 +35,11 @@ class SuiteReport:
         return not self.failures
 
     def check(self, condition: bool, repro):
-        """Count one case; repro is the failure text, or a function
-        returning it that is called only when the case fails."""
+        """Count one case; repro is a function returning the failure
+        text, called only when the case fails."""
         self.cases += 1
         if not condition:
-            self.failures.append(repro() if callable(repro) else repro)
+            self.failures.append(repro())
 
     def summary(self) -> str:
         status = "ok" if self.ok else f"{len(self.failures)} FAILED"
@@ -70,7 +74,7 @@ def combinatorics_suite(max_n: int = 12) -> SuiteReport:
     for n in range(max_n + 1):
         for bp in bipartitions(n):
             rep.check(conjugate(conjugate(bp)) == bp,
-                      f"conjugate involution at {format_bipartition(bp)}")
+                      lambda: f"conjugate involution at {format_bipartition(bp)}")
     # dominance is a partial order (bitset transitivity)
     dn = min(max_n, 8)
     for n in range(dn + 1):
@@ -84,36 +88,36 @@ def combinatorics_suite(max_n: int = 12) -> SuiteReport:
                     mask |= 1 << idx
             below.append(mask)
         for idx, bp in enumerate(bps):
-            rep.check(below[idx] >> idx & 1, f"dominance reflexive at {bp}")
+            rep.check(below[idx] >> idx & 1, lambda: f"dominance reflexive at {bp}")
         for ia in range(len(bps)):
             for ib in range(len(bps)):
                 if ia != ib and below[ia] >> ib & 1:
                     rep.check(not below[ib] >> ia & 1,
-                              f"dominance antisymmetry at {bps[ia]}, {bps[ib]}")
+                              lambda: f"dominance antisymmetry at {bps[ia]}, {bps[ib]}")
                     rep.check(below[ia] | below[ib] == below[ia],
-                              f"dominance transitivity at {bps[ia]}, {bps[ib]}")
+                              lambda: f"dominance transitivity at {bps[ia]}, {bps[ib]}")
     for n in range(1, min(max_n, 10) + 1):
         for lam in partitions(n):
             hooks = [hook_length(lam, r + 1, c + 1)
                      for r, length in enumerate(lam) for c in range(length)]
             rep.check(len(hooks) == n and all(h >= 1 for h in hooks),
-                      f"hook lengths of {lam}")
+                      lambda: f"hook lengths of {lam}")
     for e in (2, 3, 4, 5):
         for r in range(1, 6):
             for c in range(1, 6):
                 for m in (1, 2):
                     rep.check(residue((r, c, m), e) == (c - r) % e,
-                              f"residue({r},{c},{m}) mod {e}")
+                              lambda: f"residue({r},{c},{m}) mod {e}")
     for n in range(min(max_n, 8) + 1):
         for bp in bipartitions(n):
             nodes = set(all_nodes(bp))
             adds, rems = addable_nodes(bp), removable_nodes(bp)
-            rep.check(not (set(adds) & nodes), f"addables meet {bp}")
-            rep.check(set(rems) <= nodes, f"removables outside {bp}")
+            rep.check(not (set(adds) & nodes), lambda: f"addables meet {bp}")
+            rep.check(set(rems) <= nodes, lambda: f"removables outside {bp}")
             for node in adds:
                 grown = add_node(bp, node)
                 rep.check(as_bipartition(grown) == grown and size(grown) == n + 1,
-                          f"add {node} to {bp}")
+                          lambda: f"add {node} to {bp}")
     return rep
 
 
@@ -137,19 +141,19 @@ def crystal_suite(max_n: int = 10, es=(2, 3, 4)) -> SuiteReport:
                     red = crystal.reduce_signature(sig)
                     signs = "".join(s for s, _ in red)
                     rep.check("+-" not in signs,
-                              f"reduced signature shape {bp} i={i} e={e}")
+                              lambda: f"reduced signature shape {bp} i={i} e={e}")
                     rep.check(crystal.reduce_signature(red) == red,
-                              f"reduction idempotence {bp} i={i} e={e}")
+                              lambda: f"reduction idempotence {bp} i={i} e={e}")
                     node = crystal.cogood_node(sig)
                     if node is not None:
                         up = add_node(bp, node)
                         rep.check(size(up) == n + 1 and as_bipartition(up) == up,
-                                  f"f-tilde growth {bp} i={i} e={e}")
+                                  lambda: f"f-tilde growth {bp} i={i} e={e}")
                         rep.check(crystal.e_tilde(up, i, e) == bp,
-                                  f"e-tilde after f-tilde {bp} i={i} e={e}")
+                                  lambda: f"e-tilde after f-tilde {bp} i={i} e={e}")
                 # the one-shape good-node peel against the closure
                 rep.check(crystal.is_regular(bp, e) == (bp in reachable),
-                          f"regularity oracle {format_bipartition(bp)} e={e}")
+                          lambda: f"regularity oracle {format_bipartition(bp)} e={e}")
             for bp in bipartitions(n):
                 if not crystal.is_regular(bp, e):
                     continue
@@ -159,15 +163,17 @@ def crystal_suite(max_n: int = 10, es=(2, 3, 4)) -> SuiteReport:
                           and crystal.is_regular(img, e)
                           and Counter(-residue(x, e) % e for x in all_nodes(img))
                           == Counter(residue(x, e) for x in all_nodes(bp)),
-                          f"mullineux image {format_bipartition(bp)} e={e}")
+                          lambda: f"mullineux image {format_bipartition(bp)} "
+                                  f"e={e}")
                 rep.check(img is not None and _or_none(crystal.mullineux, img, e) == bp,
-                          f"mullineux involution {format_bipartition(bp)} e={e}")
+                          lambda: f"mullineux involution {format_bipartition(bp)} "
+                                  f"e={e}")
     for e in es:
         for n in range(1, 9):
             for m in range(n // 2 + 1):
                 lab = crystal.scrt(schur.two_column(m, n), e)
                 rep.check(size(lab) == n * e and crystal.is_regular(lab, e),
-                          f"scrt size/regularity m={m} n={n} e={e}")
+                          lambda: f"scrt size/regularity m={m} n={n} e={e}")
     for e in [x for x in es if x <= 4]:
         for a, b in [(0, 0)] + crystal.induction_pairs(e):
             for k in range(1, 5):
@@ -178,8 +184,8 @@ def crystal_suite(max_n: int = 10, es=(2, 3, 4)) -> SuiteReport:
                         got = _or_none(crystal.induce, structure.family_shape(
                             k, j, e, transpose=neg), a, b, e, negate=neg)
                         rep.check(got == structure.family_shape(k, j, e, a, b, neg),
-                                  f"{'negated ' if neg else ''}induction closed "
-                                  f"form k={k} j={j} a={a} b={b} e={e}")
+                                  lambda: f"{'negated ' if neg else ''}induction "
+                                          f"closed form k={k} j={j} a={a} b={b} e={e}")
     return rep
 
 
@@ -191,22 +197,24 @@ def schur_suite(max_n: int = 30, primes=(2, 3, 5, 7, 11)) -> SuiteReport:
                 lhs = schur.simultaneous_irreducibility(n, j, p)
                 rhs = all(schur.weyl_is_irreducible(schur.two_column(r, n), p)
                           for r in range(j + 1))
-                rep.check(lhs == rhs, f"simultaneous irreducibility n={n} j={j} p={p}")
+                rep.check(lhs == rhs, lambda: f"simultaneous irreducibility "
+                                              f"n={n} j={j} p={p}")
     for p in primes:
         for n in range(1, min(max_n, 20) + 1):
             for m in range(n // 2 + 1):
                 rep.check(schur.decomp_number(m, m, n, p) == 1,
-                          f"decomp diagonal m={m} n={n} p={p}")
+                          lambda: f"decomp diagonal m={m} n={n} p={p}")
                 for jj in range(n // 2 + 1):
                     if jj > m:
                         rep.check(schur.decomp_number(m, jj, n, p) == 0,
-                                  f"decomp unitriangular m={m} jj={jj} n={n} p={p}")
+                                  lambda: f"decomp unitriangular m={m} jj={jj} "
+                                          f"n={n} p={p}")
     for j in range(1, 9):
         ell = j.bit_length()
         for k in range(j, 41):
             many = schur.num_summands(k, j, 2) > 1
             rep.check(many == bool((k - j) % (1 << ell)),
-                      f"p=2 summand criterion k={k} j={j}")
+                      lambda: f"p=2 summand criterion k={k} j={j}")
     for p in primes:
         for n in range(4, max_n + 1):
             for j in range(2, n // 2 + 1):
@@ -219,17 +227,17 @@ def schur_suite(max_n: int = 30, primes=(2, 3, 5, 7, 11)) -> SuiteReport:
                 else:
                     expected = max(i - j + 1, 0) + (j - (i + 2) // 2 + 1)
                 rep.check(schur.num_summands(k, j, p) == expected,
-                          f"summand closed form k={k} j={j} p={p}")
+                          lambda: f"summand closed form k={k} j={j} p={p}")
     for k, j in _kj_pairs(6):
         for mu in _compositions(k + j):
             lhs = sum(schur.kostka_two_column(schur.two_column(r, k + j), mu)
                       for r in range(j + 1))
             rep.check(lhs == schur.exterior_weight_dim(j, k, mu),
-                      f"kostka column sums k={k} j={j} mu={mu}")
+                      lambda: f"kostka column sums k={k} j={j} mu={mu}")
         for r in range(j + 1):
             shape = schur.two_column(r, k + j)
             rep.check(schur.kostka_two_column(shape, shape) == 1,
-                      f"kostka diagonal {shape}")
+                      lambda: f"kostka diagonal {shape}")
     return rep
 
 
@@ -245,22 +253,22 @@ def structure_suite(max_kj: int = 14, primes=(0, 2, 3, 5, 7), es=(2, 3)) -> Suit
                     rep.check(v.status ==
                               (structure.DECOMPOSABLE if many
                                else structure.INDECOMPOSABLE),
-                              f"verdict vs summand count {tag}")
+                              lambda: f"verdict vs summand count {tag}")
                     continue
                 rep.check(v.structure.num_summands() == schur.num_summands(k, j, p),
-                          f"summand count {tag}")
+                          lambda: f"summand count {tag}")
                 rep.check(Counter(v.structure.labels())
                           == Counter(structure.composition_labels(k, j, e, p)),
-                          f"composition multiset {tag}")
+                          lambda: f"composition multiset {tag}")
                 rep.check(all(lab.shift == j for lab in v.structure.labels()),
-                          f"uniform shift {tag}")
+                          lambda: f"uniform shift {tag}")
                 rep.check(all(crystal.is_regular(lab.bipartition, e)
                               for lab in v.structure.labels()),
-                          f"regular labels {tag}")
+                          lambda: f"regular labels {tag}")
                 for s in v.structure.summands:
                     if s.kind == structure.UNISERIAL:
                         rep.check(s.labels == s.labels[::-1],
-                                  f"palindromic layers {tag}")
+                                  lambda: f"palindromic layers {tag}")
     for e in es:
         for p in primes:
             for k in range(2, 21):
@@ -269,7 +277,7 @@ def structure_suite(max_kj: int = 14, primes=(0, 2, 3, 5, 7), es=(2, 3)) -> Suit
                 a, b = (structure.almost_ss_structure(k, 2, p),
                         structure.structure_j2(k, p))
                 rep.check(Counter(a.summands) == Counter(b.summands),
-                          f"j=2 overlap e={e} p={p} k={k}")
+                          lambda: f"j=2 overlap e={e} p={p} k={k}")
     return rep
 
 
@@ -297,7 +305,7 @@ def _llt_matrix_checks(rep: SuiteReport, matrix, e: int, n: int):
         qdim = fock.simple_graded_dims_from(matrix)
     except RuntimeError as exc:
         # a wrong entry the checks above let pass; no balance without qdim
-        rep.check(False, f"simple dimensions e={e} n={n}: {exc}")
+        rep.check(False, lambda: f"simple dimensions e={e} n={n}: {exc}")
         return
     for lam in key_of:  # decreasing dominance
         rhs = dot((val, qdim[mu]) for mu, val in matrix.row(lam).items())
@@ -315,7 +323,7 @@ def _predicted_row(rep: SuiteReport, matrix, k: int, j: int, e: int,
         want[lab.bipartition] = want.get(lab.bipartition, ZERO) + \
             LaurentPoly.q_power(lab.shift)
     shape = structure.family_shape(k, j, e, a, b, transpose)
-    rep.check(matrix.row(shape) == want, text)
+    rep.check(matrix.row(shape) == want, lambda: text)
 
 
 def llt_suite(es=(2, 3), max_kj: int = 5, max_n: int = 12,
@@ -358,7 +366,7 @@ def llt_suite(es=(2, 3), max_kj: int = 5, max_n: int = 12,
                 induced = structure.family_shape(k, j, e, a, b)
                 tag = f"e={e} k={k} j={j} a={a} b={b}"
                 rep.check(vec == {induced: LaurentPoly.q_power(0)},
-                          f"recipe transports the bihook vector {tag}")
+                          lambda: f"recipe transports the bihook vector {tag}")
                 _predicted_row(rep, matrix, k, j, e,
                                f"induced concentration {tag}", a, b)
                 _predicted_row(rep, matrix, k, j, e,
@@ -376,7 +384,8 @@ def words_suite(es=(2, 3), max_kj: int = 4, max_n: int = 10) -> SuiteReport:
                 lhs = tableaux.word_graded_dimension(lam, tableaux.gg_word(mu, e), e)
                 rhs = (LaurentPoly.q_power(j) * c_factor(mu, e)
                        * schur.exterior_weight_dim(j, k, mu))
-                rep.check(lhs == rhs, f"word identity e={e} k={k} j={j} mu={mu}")
+                rep.check(lhs == rhs,
+                          lambda: f"word identity e={e} k={k} j={j} mu={mu}")
     # bucket the standard tableaux by residue sequence and compare every
     # bucket, in sorted word order, against the peel recursion; the
     # buckets also sum to the full graded dimension.  The buckets come
@@ -396,10 +405,10 @@ def words_suite(es=(2, 3), max_kj: int = 4, max_n: int = 10) -> SuiteReport:
                 for w, val in zip(words, tableaux.word_graded_dimensions(
                         lam, words, e)):
                     rep.check(LaurentPoly._raw(buckets[w]) == val,
-                              f"word space e={e} {format_bipartition(lam)} {w}")
+                              lambda: f"word space e={e} {format_bipartition(lam)} {w}")
                 rep.check(LaurentPoly._raw(dict(sums))
                           == tableaux.graded_dimension(lam, e),
-                          f"word sums e={e} {format_bipartition(lam)}")
+                          lambda: f"word sums e={e} {format_bipartition(lam)}")
     return rep
 
 
@@ -411,19 +420,19 @@ def degrees_suite(es=(2, 3, 4, 5), max_kj: int = 6) -> SuiteReport:
             word = tableaux.residue_sequence(
                 tableaux.column_initial_tableau(lam), e)
             matching = tableaux.standard_tableaux(lam, word=word, e=e)
-            rep.check(bool(matching), f"no matching tableaux e={e} k={k} j={j}")
+            rep.check(bool(matching), lambda: f"no matching tableaux e={e} k={k} j={j}")
             for t in matching:
                 rep.check(tableaux.codegree(t, e) == j,
-                          f"codegree j on residue-matched tableau e={e} "
-                          f"k={k} j={j} {t}")
+                          lambda: f"codegree j on residue-matched tableau e={e} "
+                                  f"k={k} j={j} {t}")
             source = crystal.scrt(schur.two_column(j, k + j), e)
             cod1 = tableaux.codegree(tableaux.column_initial_tableau(source), e)
             entries = list(range(1, e)) + list(range(e + 1, 2 * j * e - e + 2, 2))
             cod2 = tableaux.codegree(tableaux.v_tableau(lam, entries), e)
             want = (2 * j, 3 * j) if e == 2 else (1, j + 1)
             rep.check((cod1, cod2) == want,
-                      f"codegree pair e={e} k={k} j={j}: got {(cod1, cod2)}, "
-                      f"expected {want}")
+                      lambda: f"codegree pair e={e} k={k} j={j}: got {(cod1, cod2)}, "
+                              f"expected {want}")
     return rep
 
 

@@ -139,6 +139,7 @@ def test_braces_examples():
 
 def test_scrt_examples():
     for e in (2, 3, 5):
+        assert scrt((), e) == EMPTY_BP
         assert scrt((1,) * 7, e) == ((7 * e,), ())
         assert scrt(two_column(1, 7), e) == ((6 * e, 1), (e - 1,))
         assert scrt(two_column(3, 7), e) == ((4 * e, 2 * e + 1), (e - 1,))

@@ -74,6 +74,12 @@ def test_divided_power_matches_oracle():
                         want = _divided_oracle({bp: ONE}, i, m, e)
                         got = apply_f_divided({bp: ONE}, i, m, e)
                         assert got == want, (bp, i, m, e)
+    # signed vectors whose two terms land on 1|1 and cancel there, in whole
+    # and then in part
+    cancel = {((), (1,)): ONE, ((1,), ()): -Q(1)}
+    assert apply_f_divided(cancel, 0, 1, 2) == {}
+    for vec in (cancel, {((), (1,)): ONE + Q(2), ((1,), ()): -Q(1)}):
+        assert apply_f_divided(vec, 0, 1, 2) == _divided_oracle(vec, 0, 1, 2), vec
 
 
 def test_divided_power_is_linear():
@@ -111,6 +117,20 @@ def test_first_approximation_unitriangular():
                 kmu = dominance_key(mu)
                 for lam in vec:
                     assert lam == mu or dominance_key(lam) < kmu
+
+
+@pytest.mark.parametrize("call, message", [
+    # a leading coefficient other than 1, then support above the column
+    (lambda: fock._check_first_approximation(0, {0: {1: 1}}, str),
+     "leading coefficient q$"),
+    (lambda: fock._check_first_approximation(1, {1: {0: 1}, 0: {0: 1}}, str),
+     "at 0 not below it in the refined order"),
+    # -|1 is not 2-regular, so no i-run peels off it
+    (lambda: fock._Shapes(2, (((), (1,)),)).peel(0), r"stuck at \(\(\), \(1,\)\)"),
+], ids=["leading-coefficient", "support-above", "peel-stuck"])
+def test_solver_assertions_name_the_fault(call, message):
+    with pytest.raises(RuntimeError, match=message):
+        call()
 
 
 def _solver_regs(n, e):

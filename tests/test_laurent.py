@@ -103,6 +103,8 @@ def test_quantum_integers():
     assert quantum_integer(2) == LaurentPoly({-1: 1, 1: 1})
     assert quantum_factorial(2) == LaurentPoly({-1: 1, 1: 1})
     assert quantum_factorial(0) == ONE
+    with pytest.raises(ValueError, match="quantum factorial of a negative number"):
+        quantum_factorial(-1)
     for n in range(21):
         qn = quantum_integer(n)
         qf = quantum_factorial(n)

@@ -2,6 +2,7 @@ from collections import Counter
 
 import pytest
 
+from bihooks import structure
 from bihooks.crystal import induction_pairs
 from bihooks.fock import canonical_basis
 from bihooks.laurent import LaurentPoly, ZERO
@@ -237,6 +238,13 @@ def test_transpose_labels_agree_with_braces_route():
                 expected = braces_transpose_label(lab, a, b, e)
                 assert any(got.bipartition == expected.bipartition
                            for got in via_mull.structure.labels())
+
+
+def test_family_label_refuses_a_non_regular_label(monkeypatch):
+    # an induction step gone wrong: -|1 is not 2-regular
+    monkeypatch.setattr(structure, "induce", lambda *args: ((), (1,)))
+    with pytest.raises(RuntimeError, match=r"emitted non-regular label -\|1$"):
+        family_label(two_column(0, 2), 1, 1, 2)
 
 
 def test_predict_validation():

@@ -1,3 +1,6 @@
+import ast
+import hashlib
+
 import pytest
 
 from bihooks import crystal, schur, structure, tableaux, verify
@@ -81,11 +84,48 @@ BROKEN = [
 ]
 
 
+# per BROKEN case, the sha256 of its failure texts joined by newlines:
+# the texts are the reproducing inputs a user reads, so each keeps every
+# byte and its place in the list
+BROKEN_FAILURES_SHA256 = {
+    "combinatorics":
+        "808458737ab72425d8e238c2c86c03a4741ac30d04519cb6af93a7e9466e8b84",
+    "crystal":
+        "a1cd92e0fa04c413f3ec8ae3cb4532404b1ecd0719458c7d59aa53032f67c5f5",
+    "crystal-identity-on-thirds":
+        "cbdf6a414fda5181a9a3827e10e6259b816ea74825855945c74ca5a817ee0a07",
+    "crystal-good-node-first-minus":
+        "d5d3a245fecd0174cf3ca7d5737c778b39d6d824bbcb8bca24e5b6ec69f5e384",
+    "crystal-cogood-node-last-plus":
+        "ae0e7bfdab19b2dc0b022573bbf77cae3d2da89c5a8fce0e415e1e3b19e71753",
+    "schur":
+        "ed47fa24a0e5be84b1b62b656c4669d66174fef214b82630c5d85988f722f081",
+    "structure":
+        "6fc8cf902aa4f5f6f8b94a92f52bc728198a4df1b67de23fe61a709427c1685a",
+    "structure-j2-wrong-at-p11":
+        "0f2e843efbc52038ad63805f006ac555da970116190c562a76bc85f09ad4ee2d",
+    "llt":
+        "d07f0a78085fbad2cbc0e63198cf3bed3100731d5fb926ee5c6a2c8c3342763e",
+    "llt-induce-identity":
+        "27fe9cbfc96d8b24e9a8bbfa78a7e198ae371bb628b995476269ab6113b0b11a",
+    "crystal-family-shape-ignores-b":
+        "0aad3022f2a2db702e2c63332c084c318ca5061ff40a583910f5cb0cbd21bec8",
+    "words":
+        "b8421d59068db93b03cac5ec339bd7267facb7f1ff7b6286ea8ad13cd57fd1b0",
+    "words-dimensions-times-q":
+        "6f5e4ac316d2cf33dff98d1bb64720b35a184e43f10dbbcfc51f77014d98d8fb",
+    "words-codegree-counts-off-at-e3":
+        "5c0162c7f060ed8068d9b57960015ab7f9025f2acb70d3e0aa6aaad25da58e4e",
+    "degrees":
+        "ccd45dae6c74ac9c25165662034908f5ff449eb6b2d9d084840cc4b20ac1553c",
+}
+
+
 # a pytest.param's own id takes precedence over its entry in ids
 @pytest.mark.parametrize("name, module, attr, mutant, bounds", BROKEN,
                          ids=[case[0] for case in BROKEN])
-def test_suite_reports_a_broken_subject(monkeypatch, llt_cache_dir, name,
-                                        module, attr, mutant, bounds):
+def test_suite_reports_a_broken_subject(request, monkeypatch, llt_cache_dir,
+                                        name, module, attr, mutant, bounds):
     # a crystal mutant must neither hide behind the crystal memos nor
     # leave its results in them for the rest of the session
     memos = (crystal.good_peel, crystal.mullineux_pairs) if module is crystal else ()
@@ -101,6 +141,9 @@ def test_suite_reports_a_broken_subject(monkeypatch, llt_cache_dir, name,
         for memo in memos:
             memo.cache_clear()
     assert report.failures, f"suite {name} passed with a broken {attr}"
+    joined = "\n".join(report.failures).encode()
+    assert hashlib.sha256(joined).hexdigest() == \
+        BROKEN_FAILURES_SHA256[request.node.callspec.id]
 
 
 def test_run_suite_reads_one_shot_bounds_once():
@@ -118,9 +161,31 @@ def test_check_formats_repro_only_on_failure():
     calls = []
     rep.check(True, lambda: calls.append("formatted"))
     rep.check(False, lambda: "lazy")
-    rep.check(False, "plain")
     assert calls == []
-    assert (rep.cases, rep.failures) == (3, ["lazy", "plain"])
+    assert (rep.cases, rep.failures) == (2, ["lazy"])
+
+
+def eager_repros(source: str) -> list[int]:
+    """The lines of the ``.check(`` calls in ``source`` whose failure
+    text is not a lambda passed as the second argument."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Call)
+                  and isinstance(node.func, ast.Attribute)
+                  and node.func.attr == "check"
+                  and not (len(node.args) == 2
+                           and isinstance(node.args[1], ast.Lambda)))
+
+
+def test_every_check_builds_its_text_only_on_failure():
+    with open(verify.__file__) as fh:
+        assert eager_repros(fh.read()) == []
+
+
+def test_eager_repro_check_sees_a_leftover():
+    source = ("rep.check(a, lambda: f'{a}')\nrep.check(b, f'{b}')\n"
+              "rep.check(c,\n          text)\nrep.check(d, repro=lambda: 'd')\n"
+              "check(e, 'e')\n")
+    assert eager_repros(source) == [2, 3, 5]
 
 
 def test_llt_matrix_checks_report_each_failure_family():

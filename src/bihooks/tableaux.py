@@ -325,14 +325,20 @@ def word_graded_dimensions(shape: Bipartition, words, e: int) -> list[LaurentPol
     The sub-shapes of size k depend only on a word's first k letters, so
     the memo keeps one level per prefix length and, taking the words in
     sorted order, clears only the levels past the prefix a word shares
-    with the one before it.
+    with the one before it.  Each letter is a residue in 0..e-1; any
+    other letter is refused, not read mod e.
     """
     check_e(e)
     n = size(shape)
-    words = [tuple(x % e for x in word) for word in words]
+    words = [tuple(word) for word in words]
+    residues = range(e)
     for word in words:
         if len(word) != n:
             raise ValueError(f"word length {len(word)} != size {n}")
+        for x in word:
+            if x not in residues:
+                raise ValueError(f"letter {x} is not a residue 0..{e - 1} "
+                                 f"for e={e}")
     # memo[k]: sub-shape of size k -> {exponent: coefficient}; every
     # coefficient counts tableaux, so none is ever 0
     memo: list[dict[Bipartition, dict[int, int]]] = [{} for _ in range(n + 1)]

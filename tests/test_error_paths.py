@@ -5,7 +5,8 @@ import re
 
 import pytest
 
-from bihooks import crystal, padic, partitions, schur, structure, verify
+from bihooks import crystal, padic, partitions, schur, structure, tableaux, verify
+from bihooks.cli import main
 from bihooks.laurent import ONE, quantum_integer
 
 ERRORS = [
@@ -49,6 +50,13 @@ ERRORS = [
                  "negative powers are not defined here", id="negative-power"),
     pytest.param(lambda: quantum_integer(-1),
                  "quantum integer of a negative number", id="quantum_integer"),
+    # a letter is a residue, never read mod e
+    pytest.param(lambda: tableaux.word_graded_dimensions(((2, 1), (1,)),
+                                                         [(5, 1, 0, 1)], 2),
+                 "letter 5 is not a residue 0..1 for e=2", id="word-letter-past-e"),
+    pytest.param(lambda: tableaux.word_graded_dimension(((2, 1), (1,)),
+                                                        (0, 1, 0, -1), 3),
+                 "letter -1 is not a residue 0..2 for e=3", id="word-letter-negative"),
     pytest.param(lambda: verify.run_suite("nope"),
                  "unknown suite 'nope'; choose from ['combinatorics', 'crystal', "
                  "'degrees', 'llt', 'schur', 'structure', 'words']", id="run_suite"),
@@ -59,3 +67,11 @@ ERRORS = [
 def test_error_message(call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call()
+
+
+@pytest.mark.parametrize("word, letter", [(["--word", "5,1,0,1"], 5),
+                                          (["--word=-1,1,0,1"], -1)])
+def test_qdim_refuses_a_letter_outside_the_residues(capsys, word, letter):
+    assert main(["qdim", "--shape", "2,1|1", "--e", "2", *word]) == 2
+    assert capsys.readouterr() == (
+        "", f"error: letter {letter} is not a residue 0..1 for e=2\n")

@@ -11,7 +11,7 @@ from bihooks.fock import (
 )
 from bihooks.laurent import LaurentPoly, ONE, ZERO, quantum_factorial
 from bihooks.partitions import (
-    EMPTY_BP, add_node, addable_nodes, bipartitions, dominance_key,
+    EMPTY_BP, add_node, addable_nodes, bipartitions, conjugate, dominance_key,
     dominance_keys, format_bipartition, key_dominates, remove_node, residue,
     size,
 )
@@ -396,6 +396,100 @@ def test_swapped_partners_raise_naming_the_pair(monkeypatch):
     with pytest.raises(RuntimeError, match=r"Mullineux pair 6,5,1\|- and 12\|-: "
                        r"row -\|1(,1){11} of column 6,5,1\|- is 0"):
         canonical_basis(12, 3, use_cache=False)
+
+
+def test_kept_rows():
+    # at e = 2 the earlier of each conjugate pair, and every regular row
+    # with its conjugate; at e >= 3 every row
+    for n in range(0, 11):
+        keys = list(dominance_keys(n))
+        regular = regular_bipartitions(n, 2)
+        kept = fock._kept_rows(n, 2)
+        for sid, lam in enumerate(keys):
+            cid = keys.index(conjugate(lam))
+            assert (sid in kept) == (sid <= cid or lam in regular
+                                     or keys[cid] in regular), (n, lam)
+            assert kept.get(sid, cid) == cid
+        assert fock._kept_rows(n, 3) is fock._kept_rows(n, 4) is None
+    assert (len(fock._kept_rows(14, 2)), len(dominance_keys(14))) == (1422, 2665)
+
+
+def test_conjugate_rows_solve_matches_plain_solve(monkeypatch):
+    # at e = 2 only the kept rows are eliminated, and no vector the solve
+    # eliminates holds a row of n boxes outside them
+    kept = {}
+    first, eliminate = fock._first_approximations, fock._eliminate
+
+    def approximations(shapes, regs):
+        for mu, vec in first(shapes, regs):
+            assert set(vec) <= kept.keys(), shapes.shapes[mu]
+            yield mu, vec
+
+    def eliminated(held, approx, mu, done, raw):
+        vec = eliminate(held, approx, mu, done, raw)
+        assert set(vec) <= kept.keys() and all(map(kept.__contains__, done))
+        return vec
+
+    monkeypatch.setattr(fock, "_first_approximations", approximations)
+    monkeypatch.setattr(fock, "_eliminate", eliminated)
+    halved = {}
+    for n in range(0, 14):
+        kept = fock._kept_rows(n, 2)
+        halved[n] = canonical_basis(n, 2, use_cache=False)
+    monkeypatch.setattr(fock, "_kept_rows", lambda n, e: None)
+    for n, matrix in halved.items():
+        kept = dict.fromkeys(range(len(dominance_keys(n))))
+        assert canonical_basis(n, 2, use_cache=False) == matrix, n
+
+
+def test_wrong_conjugate_raises_naming_column_and_row(monkeypatch):
+    # BROKEN: the solver's conjugate of 1|2,2,1, whose conjugate 3,2|1 is
+    # regular, is the regular 3,1|2, a row kept on both sides
+    keys = list(dominance_keys(6))
+    inner = fock._kept_rows
+
+    def wrong(n, e):
+        kept = inner(n, e)
+        kept[keys.index(((1,), (2, 2, 1)))] = keys.index(((3, 1), (2,)))
+        return kept
+
+    monkeypatch.setattr(fock, "_kept_rows", wrong)
+    with pytest.raises(RuntimeError, match=r"^conjugate rows: row 3,1\|2 of "
+                       r"column 3,2\|1 is 0, not 1, which row 1\|2,2,1 gives "
+                       r"at shift 4$"):
+        canonical_basis(6, 2, use_cache=False)
+
+
+def test_conjugation_off_an_involution_raises_naming_the_rows(monkeypatch):
+    # BROKEN: conjugate wrong on one bipartition; 3,1,1|1 and its true
+    # conjugate 1|3,1,1 both come later than their images, so without
+    # the check neither row would be kept or read off a kept one
+    def wrong(bp):
+        return ((5, 1), ()) if bp == ((3, 1, 1), (1,)) else conjugate(bp)
+
+    monkeypatch.setattr(fock, "conjugate", wrong)
+    with pytest.raises(RuntimeError, match=r"^conjugate rows: conjugation takes "
+                       r"3,1,1\|1 to 5,1\|-, and that to -\|2,1,1,1,1$"):
+        canonical_basis(6, 2, use_cache=False)
+
+
+def test_diagonal_partner_off_a_power_of_q_raises_naming_the_column(monkeypatch):
+    # BROKEN: column 3,1|2 comes out of elimination with twice its entry
+    # at its conjugate's row 1,1|2,1,1, which must be exactly q^s
+    keys = list(dominance_keys(6))
+    inner = fock._eliminate
+
+    def doubled(held, approx, mu, done, raw):
+        vec = inner(held, approx, mu, done, raw)
+        if keys[mu] == ((3, 1), (2,)):
+            row = keys.index(conjugate(keys[mu]))
+            vec[row] = {k: 2 * c for k, c in vec[row].items()}
+        return vec
+
+    monkeypatch.setattr(fock, "_eliminate", doubled)
+    with pytest.raises(RuntimeError, match=r"^conjugate rows: row 1,1\|2,1,1 of "
+                       r"column 3,1\|2 is 2\*q\^6, not a power of q$"):
+        canonical_basis(6, 2, use_cache=False)
 
 
 def test_first_approximation_one_box():

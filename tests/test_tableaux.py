@@ -290,9 +290,11 @@ def test_word_graded_dimensions_match_word_filter():
                 assert word_graded_dimensions(shape, asked, e) == want
                 if absent is not None:
                     assert not word_graded_dimension(shape, absent, e)
-                # letters are read mod e
-                assert word_graded_dimensions(
-                    shape, [tuple(x + e for x in w) for w in asked], e) == want
+                # a letter outside 0..e-1 is refused, not read mod e
+                if n:
+                    with pytest.raises(ValueError, match=f"0..{e - 1} for e={e}$"):
+                        word_graded_dimensions(
+                            shape, [tuple(x + e for x in w) for w in asked], e)
     with pytest.raises(ValueError, match="word length 3 != size 4"):
         word_graded_dimensions(((2,), (2,)), [(0, 1, 0, 1), (0, 1, 0)], 2)
 

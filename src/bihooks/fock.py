@@ -40,43 +40,39 @@ with the bar involution and fix |empty>, so every A(mu) is bar-invariant;
 corrections by bar-closures of offending coefficients therefore keep the
 eliminated columns bar-invariant without any combinatorial bar formula.
 
-Mullineux pairs.  Conjugation swaps the columns mu and m(mu), where m
-is the Mullineux map: d(lam', m(mu))(q) = q^s d(lam, mu)(q^-1) for every
-row lam, lam' its conjugate, with one shift s per column, the defect of
-its block (the graded Specht duality of Brundan-Kleshchev-Wang, arXiv
-0901.0218).  So the solver builds first approximations and eliminates
+Duality.  Conjugation maps column mu onto column m(mu), where m is the
+Mullineux map: d(lam', m(mu))(q) = q^s d(lam, mu)(q^-1) for every row
+lam, lam' its conjugate, with one shift s per column, the defect of its
+block (the graded Specht duality of Brundan-Kleshchev-Wang, arXiv
+0901.0218).  The solver applies it in one step, once column mu is
+eliminated: s is read off row m(mu)' of mu, whose entry must be exactly
+q^s, so no defect formula is needed, and each row lam of mu is flipped
+into row lam' of m(mu), exponent k becoming s - k.  At e >= 3, m pairs
+most columns, so the solver builds first approximations and eliminates
 only for the fixed points of m and for the less dominant member of each
-pair, which the loop finishes first.  The other member's column is read
-off it: row lam becomes lam' and exponent k becomes s - k.  The shift
-needs no defect formula.  The diagonal of m(mu) comes from row m(mu)' of
-column mu, whose entry must be exactly q^s; the solver raises, naming
-the pair, if it is not.  The partners are the values of
+pair, which the loop finishes first; the flip is the other member's
+whole column.  The partners are the values of
 ``crystal.mullineux_pairs``, which the cogood closure builds at the cost
-of a lookup per shape.  So a derived column reads the crystal, not the
-Fock space: ``_fault`` checks it like every other column, and the
-test-suite holds the solve equal to the plain one, under the identity
-pair table, which makes every column its own partner and so solves it.
-At e = 2, -i = i, so m fixes every regular bipartition and every column
-is solved; there the same duality halves the rows instead.
-
-Conjugate rows.  At e = 2 the duality maps each column mu onto itself:
-d(lam', mu)(q) = q^s d(lam, mu)(q^-1), with s read off row mu' of column
-mu, which must be exactly q^s.  So the solver eliminates only the kept
-rows, which ``_kept_rows`` gives: every lam with id(lam) <= id(lam'),
-the earlier of each conjugate pair in the refined order (conjugation
-reverses dominance), and every regular bipartition and every conjugate
-of one, since elimination reads the regular rows and the shift is read
-off a regular's conjugate.  Each row updates on its own, and corrections
-are picked from regular rows only, so the kept rows come out exactly as
-in a solve of every row.  No size-n shape outside them enters a vector:
-only the last divided power of a first approximation reaches n boxes,
-and ``_Shapes.build`` drops those targets (the table's ``drop`` codes).
-Once a column is finished, each row lam' outside the kept rows is read
-off row lam, through the same flip as a derived column; a row kept with
-its conjugate (a regular and its conjugate, or a self-conjugate row)
-must agree with it, or the solver raises, naming the column and the row.
-About half the rows are kept: 1 422 of 2 665 at n = 14, 9 003 of
-17 490 at n = 19.  At e >= 3 every row is kept.
+of a lookup per shape, so a derived column reads the crystal, not the
+Fock space.  At e = 2, -i = i, so m fixes every column, and the flip
+fills the rows that ``_kept_rows`` leaves out.  The kept rows are every
+lam with id(lam) <= id(lam'), the earlier of each conjugate pair in the
+refined order (conjugation reverses dominance), and every regular
+bipartition and every conjugate of one, since elimination reads the
+regular rows and the shift is read off a regular's conjugate.  Each row
+updates on its own, and corrections are picked from regular rows only,
+so the kept rows come out exactly as in a solve of every row.  No
+size-n shape outside them enters a vector: only the last divided power
+of a first approximation reaches n boxes, and ``_Shapes.build`` drops
+those targets (the table's ``drop`` codes).  About half the rows are
+kept: 1 422 of 2 665 at n = 14, 9 003 of 17 490 at n = 19; at e >= 3,
+every row.  A row kept with its conjugate must agree with it.
+Conjugation on the ids of n is one list, built once per solve, and must
+be an involution, so that every row left out is read off exactly one
+kept row.  Each check raises, naming the rows, column or pair at fault.
+The test-suite holds the solve equal to the plain one, under the
+identity pair table, which makes every column its own partner and so
+solves it, and with every row kept.
 
 Interned shapes.  Inside the solver a shape is an int id from one
 table, ``_Shapes``, that lives for one solve and dies with it.  The
@@ -192,8 +188,8 @@ class _Shapes:
     ``(target_id, N(S), target_id, N(S), ...)`` over the m-subsets S of
     the addable i-nodes in lexicographic order of S from the top, which
     ``build`` computes, interning each target as it goes and leaving out
-    any target whose code is in ``drop`` (empty unless the solver sets
-    it)."""
+    any target whose code is in ``drop``: in a solve at e = 2, the rows
+    of n boxes that ``_kept_rows`` leaves to the duality, else empty."""
 
     def __init__(self, e: int, first=(), bound: int | None = None):
         self.e = e
@@ -216,8 +212,8 @@ class _Shapes:
         self.codes: list[int] = [self.encode(bp) for bp in self.shapes]
         self.ids: dict[int, int] = {code: sid for sid, code in enumerate(self.codes)}
         self._tables: dict[tuple[int, int], dict[int, tuple]] = {}
-        # the solver's rows left to conjugation (module docstring,
-        # "Conjugate rows")
+        # the solver's rows read off their conjugates (module docstring,
+        # "Duality")
         self.drop: frozenset[int] = frozenset()
         _f_targets.live.add(self)
 
@@ -687,30 +683,18 @@ def _fault(matrix: DecompositionMatrix) -> str | None:
     return None
 
 
-def _kept_rows(n: int, e: int) -> dict[int, int] | None:
+def _kept_rows(n: int, e: int, conj: list[int]) -> frozenset[int] | None:
     """The rows the solver eliminates, as ids in ``dominance_keys(n)``
-    order, each mapped to the id of its conjugate, or None for every row
-    (module docstring, "Conjugate rows"): at e = 2, each lam with id(lam)
-    <= id(lam'), each regular bipartition and each conjugate of one; at
-    e >= 3, every row.  Conjugation must be an involution, so that every
-    row left out is read off exactly one kept row."""
+    order, or None for every row (module docstring, "Duality"): at e = 2,
+    each lam with id(lam) <= id(lam'), each regular bipartition and each
+    conjugate of one, where conj maps each id to that of its conjugate;
+    at e >= 3, every row."""
     if e != 2:
         return None
     rows = list(dominance_keys(n))
-    sid_of = {bp: sid for sid, bp in enumerate(rows)}
-    conj = [sid_of[conjugate(bp)] for bp in rows]
     regular = regular_bipartitions(n, e)
-    kept = {}
-    for sid, bp in enumerate(rows):
-        cid = conj[sid]
-        if conj[cid] != sid:
-            raise RuntimeError(
-                f"conjugate rows: conjugation takes {format_bipartition(bp)} "
-                f"to {format_bipartition(rows[cid])}, and that to "
-                f"{format_bipartition(rows[conj[cid]])}")
-        if sid <= cid or bp in regular or rows[cid] in regular:
-            kept[sid] = cid
-    return kept
+    return frozenset(sid for sid, (bp, cid) in enumerate(zip(rows, conj))
+                     if sid <= cid or bp in regular or rows[cid] in regular)
 
 
 def _compute_canonical_basis(n: int, e: int) -> DecompositionMatrix:
@@ -719,36 +703,26 @@ def _compute_canonical_basis(n: int, e: int) -> DecompositionMatrix:
     # labels are the key table's own tuples
     shapes = _Shapes(e, key_of)
     labels = shapes.shapes
+    sid_of = {bp: sid for sid, bp in enumerate(labels)}
     pairs = mullineux_pairs(n, e)
-    regs = [sid for sid, bp in enumerate(key_of) if bp in pairs]
-    sid_of = {labels[sid]: sid for sid in regs}
+    regs = [sid for sid, bp in enumerate(labels) if bp in pairs]
     partner = {sid: sid_of[pairs[labels[sid]]] for sid in regs}
-    kept = _kept_rows(n, e)
-    conj_ids: dict[int, int] = {}
-    if kept is not None:
-        shapes.drop = frozenset(code for sid, code in enumerate(shapes.codes)
-                                if sid not in kept)
-        conj_ids.update(kept)
-
-    def conj(sid: int) -> int:
-        out = conj_ids.get(sid)
-        if out is None:
-            out = conj_ids[sid] = shapes.ids[shapes.encode(conjugate(labels[sid]))]
-        return out
 
     def text(sid: int) -> str:
         return format_bipartition(labels[sid])
 
-    def shift(nu: int, mu: int, where: str) -> int:
-        """s, read off row mu' of the finished column nu, whose entry
-        must be exactly q^s."""
-        diag = raw[nu].get(conj(mu), {})
-        s = next(iter(diag), None)
-        if diag != {s: 1}:
+    # conjugation on the ids, which must be an involution (module
+    # docstring, "Duality")
+    conj = [sid_of[conjugate(bp)] for bp in labels]
+    for sid, cid in enumerate(conj):
+        if conj[cid] != sid:
             raise RuntimeError(
-                f"{where}: row {text(conj(mu))} of column {text(nu)} is "
-                f"{LaurentPoly(diag)}, not a power of q")
-        return s
+                f"conjugate rows: conjugation takes {text(sid)} to "
+                f"{text(cid)}, and that to {text(conj[cid])}")
+    kept = _kept_rows(n, e, conj)
+    if kept is not None:
+        shapes.drop = frozenset(code for sid, code in enumerate(shapes.codes)
+                                if sid not in kept)
 
     # the sharing of the module docstring: one LaurentPoly per distinct
     # value, held for this solve only; mirrored maps (id of a shared
@@ -770,32 +744,39 @@ def _compute_canonical_basis(n: int, e: int) -> DecompositionMatrix:
     approx = _first_approximations(shapes, [mu for mu in regs if partner[mu] <= mu])
     held: dict[int, RawVector] = {}
     raw: dict[int, RawVector] = {}
+    # the columns flipped out of their finished partners, not yet reached
+    derived: dict[int, dict[int, LaurentPoly]] = {}
     columns: dict[Bipartition, dict[Bipartition, LaurentPoly]] = {}
     for idx in range(len(regs) - 1, -1, -1):
         mu = regs[idx]
         nu = partner[mu]
         if nu > mu:
-            # mu = m(nu), read off the finished column nu (module
-            # docstring, "Mullineux pairs")
-            s = shift(nu, mu, f"Mullineux pair {text(nu)} and {text(mu)}")
-            vals = {conj(lam): mirror(terms, s) for lam, terms in raw[nu].items()}
+            vals = derived.pop(mu)
         else:
             vals = {bp: _share(shared, terms) for bp, terms in
                     _eliminate(held, approx, mu, regs[idx + 1:], raw).items()}
-        raw[mu] = {bp: val._c for bp, val in vals.items()}
-        if kept is not None:
-            # the rows outside kept, read off their conjugates; a row kept
-            # with its conjugate must agree with it (module docstring,
-            # "Conjugate rows")
-            s = shift(mu, mu, "conjugate rows")
-            for lam, terms in raw[mu].items():
-                lc, val = kept[lam], mirror(terms, s)
-                if lc not in kept:
-                    vals[lc] = val
-                elif raw[mu].get(lc) != val._c:
+        raw[mu] = col = {bp: val._c for bp, val in vals.items()}
+        if nu < mu or nu == mu and kept is not None:
+            # the duality at the shift s of row nu' (module docstring,
+            # "Duality"): into column nu = m(mu), or at e = 2 into the rows
+            # left out, a row kept with its conjugate agreeing
+            diag = col.get(conj[nu], {})
+            s = next(iter(diag), None)
+            if diag != {s: 1}:
+                where = ("conjugate rows" if nu == mu
+                         else f"Mullineux pair {text(mu)} and {text(nu)}")
+                raise RuntimeError(
+                    f"{where}: row {text(conj[nu])} of column {text(mu)} is "
+                    f"{LaurentPoly(diag)}, not a power of q")
+            flip = vals if nu == mu else derived.setdefault(nu, {})
+            for lam, terms in col.items():
+                lc, val = conj[lam], mirror(terms, s)
+                if nu != mu or lc not in kept:
+                    flip[lc] = val
+                elif col.get(lc) != val._c:
                     raise RuntimeError(
                         f"conjugate rows: row {text(lc)} of column {text(mu)} "
-                        f"is {LaurentPoly(raw[mu].get(lc))}, not {val}, which "
+                        f"is {LaurentPoly(col.get(lc))}, not {val}, which "
                         f"row {text(lam)} gives at shift {s}")
         columns[labels[mu]] = {labels[bp]: val for bp, val in vals.items()}
     return DecompositionMatrix(n=n, e=e, columns=columns)

@@ -79,11 +79,15 @@ def decomp_number(m: int, j: int, n: int, p: int) -> int:
     return 1 if ((m - j) % p == 0 or (n - m - j + 1) % p == 0) else 0
 
 
+def check_kj(k: int, j: int):
+    if not k >= j >= 1:
+        raise ValueError(f"need k >= j >= 1, got k={k}, j={j}")
+
+
 def pieri_factors(k: int, j: int) -> list[Partition]:
     """Shapes of the filtration of Delta(1^k) (x) Delta(1^j): the j+1
     two-column partitions (2^r, 1^(k+j-2r)), r = 0..j."""
-    if not k >= j >= 1:
-        raise ValueError(f"need k >= j >= 1, got k={k}, j={j}")
+    check_kj(k, j)
     return [two_column(r, k + j) for r in range(j + 1)]
 
 
@@ -101,8 +105,7 @@ def henke_summand(n: int, j: int, m: int, p: int) -> bool:
 def num_summands(k: int, j: int, p: int) -> int:
     """Number of indecomposable summands, via the Young-module count of the
     permutation module for (k, j)."""
-    if not k >= j >= 1:
-        raise ValueError(f"need k >= j >= 1, got k={k}, j={j}")
+    check_kj(k, j)
     return sum(1 for m in range(j + 1) if henke_summand(k + j, j, m, p))
 
 

@@ -26,7 +26,8 @@ from .crystal import braces, induce, induction_recipe, is_regular, mullineux, sc
 from .padic import check_prime_or_zero
 from .partitions import Bipartition, check_e, conjugate, format_bipartition
 from .schur import (
-    Partition, composition_multiset, simultaneous_irreducibility, two_column,
+    Partition, check_kj, composition_multiset, simultaneous_irreducibility,
+    two_column,
 )
 
 DECOMPOSABLE = "decomposable"
@@ -93,13 +94,8 @@ def semisimplicity_criterion(k: int, j: int, p: int) -> bool:
     the Weyl modules of the two-column shapes with k + j boxes and at most
     j twos are irreducible at once (characteristic 0; p odd dividing none
     of k+j, ..., k-j+2; or p = 2 with (j, k) = (1, even) or (2, 1 mod 4))."""
-    _check_kj(k, j)
+    check_kj(k, j)
     return simultaneous_irreducibility(k + j, j, p)
-
-
-def _check_kj(k: int, j: int):
-    if not k >= j >= 1:
-        raise ValueError(f"need k >= j >= 1, got k={k}, j={j}")
 
 
 def family_shape(k: int, j: int, e: int, a: int = 0, b: int = 0,
@@ -128,7 +124,7 @@ def family_label(mu: Partition, k: int, j: int, e: int, a: int = 0, b: int = 0,
 def semisimple_decomposition(k: int, j: int) -> ModuleStructure:
     """The j+1 simple summands: the filtration shapes, the one with r twos
     for r = 1, ..., j and then the trivial-type one."""
-    _check_kj(k, j)
+    check_kj(k, j)
     summands = [_simple(two_column(r, k + j)) for r in range(1, j + 1)]
     summands.append(_simple(two_column(0, k + j)))
     return ModuleStructure(tuple(summands))
@@ -181,7 +177,7 @@ def almost_ss_structure(k: int, j: int, p: int) -> ModuleStructure:
     a = 1 mod p, but the digit rule forces the branch exactly when
     p^2 does not divide k+1, and the summand counts only match that way.
     """
-    _check_kj(k, j)
+    check_kj(k, j)
     i = almost_ss_residue(k, j, p)
     if i is None:
         raise ValueError(
@@ -230,7 +226,7 @@ def five_factor_structure() -> ModuleStructure:
 def base_structure(k: int, j: int, p: int) -> ModuleStructure | None:
     """Structure of the tensor of two exterior powers, k >= j, over
     two-column labels, when a covered statement applies; None otherwise."""
-    _check_kj(k, j)
+    check_kj(k, j)
     if semisimplicity_criterion(k, j, p):
         return semisimple_decomposition(k, j)
     if j == 2:

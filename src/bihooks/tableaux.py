@@ -113,14 +113,28 @@ def _row_slots(shape: Bipartition) -> list[tuple]:
     return slots
 
 
+def _checked_word(word, n: int, e: int) -> tuple[int, ...]:
+    """word as a tuple, refused unless it has n letters, each a residue in
+    0..e-1: a letter is never read mod e."""
+    word = tuple(word)
+    if len(word) != n:
+        raise ValueError(f"word length {len(word)} != size {n}")
+    residues = range(e)
+    for x in word:
+        if x not in residues:
+            raise ValueError(f"letter {x} is not a residue 0..{e - 1} for e={e}")
+    return word
+
+
 def standard_tableaux(shape: Bipartition, word=None,
                       e: int | None = None) -> list[Tableau]:
     """All standard tableaux of ``shape`` in a deterministic order (entries
     placed 1..n, candidate nodes tried from above to below).
 
     When ``word`` is given, only tableaux whose residue sequence equals it
-    are produced, pruning as entries are placed; without one, a shape of
-    more than ``SIZE_BOUND`` boxes is refused.
+    are produced, pruning as entries are placed, and a word of another
+    length or with a letter outside 0..e-1 is refused; without one, a
+    shape of more than ``SIZE_BOUND`` boxes is refused.
     """
     n = size(shape)
     if word is None:
@@ -128,9 +142,7 @@ def standard_tableaux(shape: Bipartition, word=None,
             raise ValueError(f"size {n} exceeds bound {SIZE_BOUND}")
     else:
         check_e(e)
-        word = tuple(x % e for x in word)
-        if len(word) != n:
-            raise ValueError(f"word length {len(word)} != size {n}")
+        word = _checked_word(word, n, e)
     slots = _row_slots(shape)
     filled = [0] * len(slots)
     path: list[Node] = []
@@ -325,20 +337,11 @@ def word_graded_dimensions(shape: Bipartition, words, e: int) -> list[LaurentPol
     The sub-shapes of size k depend only on a word's first k letters, so
     the memo keeps one level per prefix length and, taking the words in
     sorted order, clears only the levels past the prefix a word shares
-    with the one before it.  Each letter is a residue in 0..e-1; any
-    other letter is refused, not read mod e.
+    with the one before it.  Words are checked as by ``standard_tableaux``.
     """
     check_e(e)
     n = size(shape)
-    words = [tuple(word) for word in words]
-    residues = range(e)
-    for word in words:
-        if len(word) != n:
-            raise ValueError(f"word length {len(word)} != size {n}")
-        for x in word:
-            if x not in residues:
-                raise ValueError(f"letter {x} is not a residue 0..{e - 1} "
-                                 f"for e={e}")
+    words = [_checked_word(word, n, e) for word in words]
     # memo[k]: sub-shape of size k -> {exponent: coefficient}; every
     # coefficient counts tableaux, so none is ever 0
     memo: list[dict[Bipartition, dict[int, int]]] = [{} for _ in range(n + 1)]

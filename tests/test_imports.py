@@ -1,7 +1,8 @@
 """Every name a package module imports is used in that module, every
 name a package module defines is read somewhere, every parameter of a
 package function or lambda but ``self`` and ``cls`` is read by its body,
-and every import of a package module sits outside function bodies.
+every import of a package module sits outside function bodies, and every
+reference to a module docstring's paragraph names one.
 
 No linter is a dependency, so this reads each module's syntax tree with
 the standard library.  ``__init__.py`` re-exports by importing, so it is
@@ -225,3 +226,55 @@ def test_function_import_check_sees_a_leftover():
               "        def g():\n            from c import d\n"
               "        return g\n")
     assert imports_inside_functions(source) == [5, 7]
+
+
+def stale_paragraph_references(text: str, module: str | None,
+                               docstrings: dict[str, str]) -> list[str]:
+    """The references in ``text`` that name no paragraph of a module
+    docstring opening with their title and a full stop, as (module,
+    title).  A reference reads ``module docstring, "Title"``, for the
+    docstring of ``module``, or the same after a module name m in single
+    backticks, for that of m.py.  Whitespace, wrapped lines and the ``#``
+    opening a wrapped comment line count as one space."""
+    flat = re.sub(r"\s*\n\s*#?\s*", " ", text)
+    out = []
+    for named, title in re.findall(r'(?:`(\w+)` )?module docstring, "([^"]+)"',
+                                   flat):
+        owner = f"{named}.py" if named else module
+        paragraphs = docstrings.get(owner, "").split("\n\n")
+        if not any(para.startswith(f"{title}.") for para in paragraphs):
+            out.append(f"{owner}, {title!r}")
+    return out
+
+
+def module_docstrings() -> dict[str, str]:
+    out = {}
+    for module in MODULES + ["__init__.py"]:
+        with open(os.path.join(SRC, module)) as fh:
+            out[module] = ast.get_docstring(ast.parse(fh.read())) or ""
+    return out
+
+
+@pytest.mark.parametrize("module", MODULES + ["__init__.py"])
+def test_docstring_references_name_a_paragraph(module):
+    with open(os.path.join(SRC, module)) as fh:
+        source = fh.read()
+    assert stale_paragraph_references(source, module, module_docstrings()) == []
+
+
+def test_readme_docstring_references_name_a_paragraph():
+    with open(os.path.join(ROOT, "README.md")) as fh:
+        text = fh.read()
+    assert stale_paragraph_references(text, None, module_docstrings()) == []
+
+
+def test_docstring_reference_check_sees_a_leftover():
+    docstrings = {"m.py": "Title.\n\nKept rows.  About.\n\nTwo.  More."}
+    source = ('x = 1  # (module docstring, "Two"), (module\n'
+              '# docstring, "Kept\n    # rows") and (module docstring, "Gone")\n')
+    assert stale_paragraph_references(source, "m.py", docstrings) == [
+        "m.py, 'Gone'"]
+    readme = ('(`m` module docstring, "Kept\nrows"), (`m` module docstring,\n'
+              '"Conjugate\nrows") and (module docstring, "Two")\n')
+    assert stale_paragraph_references(readme, None, docstrings) == [
+        "m.py, 'Conjugate rows'", "None, 'Two'"]

@@ -114,6 +114,11 @@ def test_word_filter_matches_filtered_enumeration():
                 for w in words:
                     want = [t for t, seq in zip(full, seqs) if seq == w]
                     assert standard_tableaux(shape, word=w, e=e) == want
+                    # shifted by e, the word is refused, not read mod e
+                    if n:
+                        with pytest.raises(ValueError,
+                                           match=f"0..{e - 1} for e={e}$"):
+                            standard_tableaux(shape, word=[x + e for x in w], e=e)
                 # a word that no tableau has (none exists when n == 0)
                 absent = next((w for w in product(range(e), repeat=n)
                                if w not in words), None)

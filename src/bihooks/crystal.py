@@ -17,9 +17,11 @@ build it from the empty bipartition (``e_tilde`` and ``f_tilde`` undo
 each other).  Regularity has two routes, and each is the other's oracle
 in the test-suite and the ``crystal`` verify suite:
 
-* for one shape, ``is_regular`` removes the good node of the smallest
+* for one shape, ``good_peel`` removes the good node of the smallest
   residue that has one until it reaches empty or gets stuck (the first
-  good node decides, see ``good_peel``);
+  good node decides); ``check_regular``, the one refusal of a shape that
+  is not regular, hands that peel to ``mullineux`` and to the Fock
+  layer's ``peel_runs`` and ``first_approximation``;
 * for a whole size, ``mullineux_pairs`` closes the empty bipartition
   under the cogood additions one box at a time, and
   ``regular_bipartitions`` reads its keys.  The Fock solver takes its
@@ -44,8 +46,8 @@ from functools import lru_cache
 from types import MappingProxyType
 
 from .partitions import (
-    Bipartition, Node, Partition, EMPTY_BP, add_node, as_partition, check_e,
-    format_bipartition, remove_node, signed_nodes,
+    Bipartition, Node, Partition, EMPTY_BP, add_node, as_bipartition,
+    as_partition, check_e, format_bipartition, remove_node, signed_nodes,
 )
 from .schur import two_column_params
 
@@ -121,6 +123,16 @@ def is_regular(bp: Bipartition, e: int) -> bool:
     return good_peel(bp, e) is not None
 
 
+def check_regular(bp: Bipartition, e: int) -> tuple[int, ...]:
+    """``good_peel(bp, e)``, or a ValueError if bp is not regular; a bp
+    that is not a bipartition may peel to empty, so it is checked too."""
+    check_e(e)
+    peel = good_peel(bp, e)
+    if peel is None or as_bipartition(bp) != bp:
+        raise ValueError(f"{format_bipartition(bp)} is not regular for e={e}")
+    return peel
+
+
 @lru_cache(maxsize=None)
 def mullineux_pairs(n: int, e: int) -> MappingProxyType:
     """Read-only ``{mu: mullineux(mu, e)}`` over every regular bipartition
@@ -164,11 +176,7 @@ def cogood_build(bp: Bipartition, residues, e: int) -> Bipartition:
 def mullineux(bp: Bipartition, e: int) -> Bipartition:
     """Rebuild bp by cogood additions, then redo the additions with all
     residues negated.  An involution on regular bipartitions."""
-    check_e(e)
-    peel = good_peel(bp, e)
-    if peel is None:
-        raise ValueError(f"{format_bipartition(bp)} is not regular for e={e}")
-    return cogood_build(EMPTY_BP, (-i for i in reversed(peel)), e)
+    return cogood_build(EMPTY_BP, (-i for i in reversed(check_regular(bp, e))), e)
 
 
 def braces_int(x: int, e: int) -> Partition:

@@ -123,7 +123,7 @@ import tempfile
 import weakref
 from dataclasses import dataclass, field
 
-from .crystal import mullineux_pairs, regular_bipartitions
+from .crystal import check_regular, mullineux_pairs, regular_bipartitions
 from .laurent import LaurentPoly, ONE, dot
 from .partitions import (
     Bipartition, check_e, conjugate, dominance_keys, format_bipartition, size,
@@ -382,12 +382,6 @@ def apply_f(vec: FockVector, i: int, e: int) -> FockVector:
     return apply_f_divided(vec, i, 1, e)
 
 
-def _check_regular(mu: Bipartition, e: int):
-    check_e(e)
-    if mu not in regular_bipartitions(size(mu), e):
-        raise ValueError(f"{format_bipartition(mu)} is not regular for e={e}")
-
-
 def peel_runs(mu: Bipartition, e: int) -> tuple[tuple[int, int], ...]:
     """Equal-residue runs peeling mu to empty: at each stage remove the
     maximal *leading* run of minus signs of some i-signature (smallest
@@ -402,7 +396,7 @@ def peel_runs(mu: Bipartition, e: int) -> tuple[tuple[int, int], ...]:
     eight boxes), so it is not used here.  The peel runs on bead codes,
     in ``_Shapes.peel``, as the solver's does.
     """
-    _check_regular(mu, e)
+    check_regular(mu, e)
     return _Shapes(e, (mu,)).peel(0)
 
 
@@ -462,7 +456,7 @@ def first_approximation(mu: Bipartition, e: int) -> FockVector:
     come strictly later in the lexicographic refinement of dominance by
     partial-sum vectors (the labels need not all be dominated by mu; the
     eliminated columns are, which the solver asserts)."""
-    _check_regular(mu, e)
+    check_regular(mu, e)
     shapes = _Shapes(e, dominance_keys(size(mu)))
     [(_, vec)] = _first_approximations(shapes, [shapes.ids[shapes.encode(mu)]])
     return {shapes.shapes[lam]: LaurentPoly._raw(terms)
@@ -717,8 +711,8 @@ def _compute_canonical_basis(n: int, e: int) -> DecompositionMatrix:
     for sid, cid in enumerate(conj):
         if conj[cid] != sid:
             raise RuntimeError(
-                f"conjugate rows: conjugation takes {text(sid)} to "
-                f"{text(cid)}, and that to {text(conj[cid])}")
+                f"conjugation takes {text(sid)} to {text(cid)}, "
+                f"and that to {text(conj[cid])}")
     kept = _kept_rows(n, e, conj)
     if kept is not None:
         shapes.drop = frozenset(code for sid, code in enumerate(shapes.codes)

@@ -68,7 +68,9 @@ def _matrix_rows(matrix: DecompositionMatrix, rows: str,
     """(row label, [(column label, entry), ...]) for each kept nonzero row,
     in the order of ``matrix.rows()`` and ``matrix.row``: rows and each
     row's columns in decreasing dominance.  ``label`` encodes each label
-    once."""
+    once.  ``rows`` is "all" or "bihooks"; any other value is refused."""
+    if rows not in ("all", "bihooks"):
+        raise ValueError(f"rows must be 'all' or 'bihooks', got {rows!r}")
     text_of = {mu: label(mu) for mu in matrix.regulars()}
     for lam in matrix.rows():
         if rows == "bihooks" and not is_bihook(lam):

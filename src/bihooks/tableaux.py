@@ -50,8 +50,8 @@ from functools import lru_cache
 
 from .laurent import LaurentPoly, ONE
 from .partitions import (
-    Bipartition, Node, check_e, conjugate_partition, residue, size,
-    addable_nodes, removable_nodes, remove_node, signed_nodes, EMPTY_BP,
+    Bipartition, Node, as_bipartition, check_e, conjugate_partition, residue,
+    size, addable_nodes, removable_nodes, remove_node, signed_nodes, EMPTY_BP,
 )
 
 SIZE_BOUND = 25
@@ -66,10 +66,12 @@ class Tableau:
     @property
     def rows(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
         """Each component's rows of entries, top to bottom and left to
-        right; for a standard tableau, one row per row of its shape."""
+        right; for a standard tableau, one row per row of its shape.  A
+        node off the diagram (``_off_diagram``) is left out."""
         comps: tuple[dict, dict] = ({}, {})
         for k, (r, c, m) in enumerate(self.nodes, start=1):
-            comps[m - 1].setdefault(r, []).append((c, k))
+            if not _off_diagram((r, c, m)):
+                comps[m - 1].setdefault(r, []).append((c, k))
         return tuple(tuple(tuple(k for _, k in sorted(row))
                            for _, row in sorted(comp.items()))
                      for comp in comps)
@@ -77,25 +79,17 @@ class Tableau:
     def __str__(self):
         def comp(rows):
             return "[" + "/".join(",".join(str(v) for v in row) for row in rows) + "]"
-        return "|".join(map(comp, self.rows))
+        off = [f"{k} at {node}" for k, node in enumerate(self.nodes, start=1)
+               if _off_diagram(node)]
+        return "|".join(map(comp, self.rows)) + (
+            f" with {', '.join(off)} off the diagram" if off else "")
 
 
-def is_standard(t: Tableau) -> bool:
-    """Each node of ``t.nodes`` is addable to the shape the nodes before
-    it fill, and all of them fill ``t.shape``."""
-    grown: dict[int, list[int]] = {1: [], 2: []}
-    for r, c, m in t.nodes:
-        lengths = grown.get(m)
-        if lengths is None or r < 1:
-            return False
-        if r == len(lengths) + 1 and c == 1:
-            lengths.append(1)
-        elif r <= len(lengths) and lengths[r - 1] == c - 1 \
-                and (r == 1 or lengths[r - 2] >= c):
-            lengths[r - 1] = c
-        else:
-            return False
-    return (tuple(grown[1]), tuple(grown[2])) == t.shape
+def _off_diagram(node: Node) -> bool:
+    """A node that no bipartition holds: its component is not 1 or 2, or
+    its row or column is below 1."""
+    r, c, m = node
+    return m not in (1, 2) or r < 1 or c < 1
 
 
 def _row_slots(shape: Bipartition) -> list[tuple]:
@@ -239,15 +233,21 @@ def _node_degree(shape: Bipartition, node: Node, e: int) -> int:
 
 def codegree(t: Tableau, e: int) -> int:
     """The codegree of t (module docstring) at e, read from the peel
-    tables after one standardness check."""
+    tables largest entry first; the peel refuses t unless it is standard,
+    each node removable from the shape that the later entries leave."""
     check_e(e)
-    if not is_standard(t):
-        raise ValueError(f"tableau is not standard: {t}")
     shape, total = t.shape, 0
-    for node in reversed(t.nodes):
-        shape, d = _peel_table(shape, e)[node]
-        total += d
-    return total
+    try:
+        # a shape that is not a bipartition could peel to empty all the same
+        if as_bipartition(shape) == shape:
+            for node in reversed(t.nodes):
+                shape, d = _peel_table(shape, e)[node]
+                total += d
+            if shape == EMPTY_BP:
+                return total
+    except (KeyError, ValueError):  # a node not removable; a part out of order
+        pass
+    raise ValueError(f"tableau is not standard: {t}")
 
 
 def word_codegree_counts(shape: Bipartition, es) -> list[dict[tuple, int]]:

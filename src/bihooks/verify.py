@@ -331,15 +331,14 @@ def llt_suite(es=(2, 3), max_kj: int = 5, max_n: int = 12,
     rep = SuiteReport("llt")
     for e in es:
         # window, triangularity and balance across whole levels (every
-        # box count, capped lower for e > 3)
-        sweep = min(max_n, 10) if e >= 4 else max_n
-        for n in range(sweep + 1):
+        # box count up to max_n, at every e)
+        for n in range(max_n + 1):
             matrix = fock.canonical_basis(n, e, cache_dir=cache_dir)
             _llt_matrix_checks(rep, matrix, e, n)
         for total in range(2, max_kj + 1):
             n = total * e
             matrix = fock.canonical_basis(n, e, cache_dir=cache_dir)
-            if n > sweep:
+            if n > max_n:
                 _llt_matrix_checks(rep, matrix, e, n)
             # the bihook rows, then the conjugate family's, whose entries
             # q^(2k+j) at the Mullineux labels pin the grading shift that

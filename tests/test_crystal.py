@@ -1,5 +1,6 @@
 import pytest
 
+from bihooks import fock
 from bihooks.crystal import (
     braces, braces_int, cogood_node, e_tilde, f_tilde, good_node, good_peel,
     induce, induction_pairs, induction_recipe, is_regular, mullineux,
@@ -115,6 +116,17 @@ def test_mullineux_examples():
     assert mullineux(((15,), ()), 3) == ((8, 7), ())
     with pytest.raises(ValueError):
         mullineux(((), (1,)), 2)
+
+
+def test_one_shape_checks_refuse_what_is_not_a_bipartition():
+    # 1,2|- peels to empty by good nodes at e = 3, yet no map may read it
+    assert good_peel(((1, 2), ()), 3) is not None
+    for call in (mullineux, fock.peel_runs, fock.first_approximation):
+        with pytest.raises(ValueError,
+                           match=r"^parts not weakly decreasing: \(1, 2\)$"):
+            call(((1, 2), ()), 3)
+        with pytest.raises(ValueError, match=r"^2,0\|- is not regular for e=3$"):
+            call(((2, 0), ()), 3)
 
 
 def test_pair_table_matches_mullineux():

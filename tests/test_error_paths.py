@@ -5,8 +5,11 @@ import re
 
 import pytest
 
-from bihooks import crystal, padic, partitions, schur, structure, tableaux, verify
+from bihooks import (
+    crystal, padic, partitions, render, schur, structure, tableaux, verify,
+)
 from bihooks.cli import main
+from bihooks.fock import canonical_basis
 from bihooks.laurent import ONE, quantum_integer
 
 ERRORS = [
@@ -60,6 +63,10 @@ ERRORS = [
     pytest.param(lambda: tableaux.standard_tableaux(((2, 1), (1,)),
                                                     word=(2, 2, 3, 3), e=2),
                  "letter 2 is not a residue 0..1 for e=2", id="tableaux-word-letter"),
+    # a rows value the command line cannot pass, one letter short
+    pytest.param(lambda: render.matrix_csv(canonical_basis(2, 2, use_cache=False),
+                                           rows="bihook"),
+                 "rows must be 'all' or 'bihooks', got 'bihook'", id="matrix-rows"),
     pytest.param(lambda: verify.run_suite("nope"),
                  "unknown suite 'nope'; choose from ['combinatorics', 'crystal', "
                  "'degrees', 'llt', 'schur', 'structure', 'words']", id="run_suite"),

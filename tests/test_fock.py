@@ -476,7 +476,7 @@ def test_conjugation_off_an_involution_raises_naming_the_rows(monkeypatch, e):
         return ((5, 1), ()) if bp == ((3, 1, 1), (1,)) else conjugate(bp)
 
     monkeypatch.setattr(fock, "conjugate", wrong)
-    with pytest.raises(RuntimeError, match=r"^conjugate rows: conjugation takes "
+    with pytest.raises(RuntimeError, match=r"^conjugation takes "
                        r"3,1,1\|1 to 5,1\|-, and that to -\|2,1,1,1,1$"):
         canonical_basis(6, e, use_cache=False)
 

@@ -199,18 +199,23 @@ def test_predict_transpose():
 
 @pytest.mark.parametrize("e,max_kj", [(2, 6), (3, 4), (4, 3)])
 def test_conjugate_composition_is_the_llt_row(e, max_kj, llt_cache_dir):
-    # k < j has no conjugate structure: the verdict's composition factors,
-    # at the Mullineux labels and shift 2k + j, must still give the row
+    # k < j, which the llt suite never reads: the structure's labels, or
+    # the composition factors where there is none, must give the row, of
+    # the (k, j) bihook and of its conjugate (at the Mullineux labels and
+    # shift 2k + j)
     for total in range(3, max_kj + 1):
         matrix = canonical_basis(total * e, e, cache_dir=llt_cache_dir)
         for k in range(1, (total + 1) // 2):
             j = total - k
-            want: dict = {}
-            for lab in predict(k, j, e, 0, transpose=True).composition:
-                want[lab.bipartition] = want.get(lab.bipartition, ZERO) + \
-                    LaurentPoly.q_power(lab.shift)
-            assert matrix.row(family_shape(k, j, e, transpose=True)) == want, \
-                (e, k, j)
+            for transpose in (False, True):
+                v = predict(k, j, e, 0, transpose=transpose)
+                want: dict = {}
+                for lab in (v.composition if v.structure is None
+                            else v.structure.labels()):
+                    want[lab.bipartition] = want.get(lab.bipartition, ZERO) + \
+                        LaurentPoly.q_power(lab.shift)
+                shape = family_shape(k, j, e, transpose=transpose)
+                assert matrix.row(shape) == want, (e, k, j, transpose)
 
 
 def test_conjugate_composition_matches_the_structure():

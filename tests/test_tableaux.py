@@ -1,4 +1,5 @@
 import hashlib
+import re
 from collections import Counter
 from itertools import product
 
@@ -13,8 +14,8 @@ from bihooks.partitions import (
 from bihooks.structure import family_shape
 from bihooks.tableaux import (
     Tableau, codegree, column_initial_tableau, count_standard,
-    gg_word, graded_dimension, graded_dimension_by_enumeration, is_standard,
-    node_degree, peel_degrees, residue_sequence, standard_tableaux, v_tableau,
+    gg_word, graded_dimension, graded_dimension_by_enumeration, node_degree,
+    peel_degrees, residue_sequence, standard_tableaux, v_tableau,
     word_codegree_counts, word_graded_dimension, word_graded_dimensions,
 )
 
@@ -48,7 +49,7 @@ def test_enumeration_matches_recursive_count():
         for shape in bipartitions(n):
             ts = standard_tableaux(shape)
             assert len(ts) == count_standard(shape)
-            assert all(is_standard(t) for t in ts)
+            assert all(_reference_is_standard(t) for t in ts)
             assert len({t.rows for t in ts}) == len(ts)
 
 
@@ -100,8 +101,16 @@ def fillings(draw):
 
 @settings(max_examples=400, deadline=None)
 @given(fillings())
-def test_is_standard_matches_definition(t):
-    assert is_standard(t) == _reference_is_standard(t)
+def test_codegree_refuses_exactly_the_paths_that_are_not_standard(t):
+    # the peel is codegree's standardness check; ValueError is its only
+    # refusal, whatever the fault, and its text draws the path
+    try:
+        codegree(t, 2)
+    except ValueError as err:
+        assert not _reference_is_standard(t)
+        assert str(err) == f"tableau is not standard: {t}"
+    else:
+        assert _reference_is_standard(t)
 
 
 def test_word_filter_matches_filtered_enumeration():
@@ -168,6 +177,20 @@ def test_degree_codegree_base_cases():
         outside = Tableau(((2,), ()), ((1, 1, 1), node))
         with pytest.raises(ValueError, match="not standard"):
             codegree(outside, 2)
+    # a node off the diagram is named, not drawn in a component or as a row
+    for node in ((1, 1, 3), (1, 1, 0), (0, 1, 1), (1, 0, 2)):
+        off = Tableau(((1,), ()), (node,))
+        with pytest.raises(ValueError, match=re.escape(
+                f"not standard: []|[] with 1 at {node} off the diagram")):
+            codegree(off, 2)
+    off = Tableau(((2,), ()), ((1, 1, 1), (0, 2, 1), (1, 2, 3)))
+    assert str(off) == ("[1]|[] with 2 at (0, 2, 1), 3 at (1, 2, 3) "
+                        "off the diagram")
+    # a shape that is not a bipartition is refused, though this path
+    # peels it to empty
+    bad_shape = Tableau(((1, 2), ()), ((1, 1, 1), (2, 1, 1), (2, 2, 1)))
+    with pytest.raises(ValueError, match=r"^tableau is not standard: \[1/2,3\]\|\[\]$"):
+        codegree(bad_shape, 2)
 
 
 def test_codegree_of_column_initial_tableaux():

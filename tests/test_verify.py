@@ -231,3 +231,21 @@ def test_llt_matrix_checks_report_a_simple_dimension_fault():
     assert rep.failures == [
         "simple dimensions e=2 n=5: graded dimension of simple 4|1 came out "
         "as 2*q^-1 + 2*q - q^2; q-convention fault"]
+
+
+def test_llt_sweeps_every_level_up_to_max_n_at_every_e(monkeypatch,
+                                                        llt_cache_dir):
+    # the whole-level checks read each level 0..max_n, at e = 4 as at
+    # e = 2 and 3: max_n = 11 reads the 11-box level
+    seen = []
+    inner = verify._llt_matrix_checks
+
+    def record(rep, matrix, e, n):
+        seen.append((e, n))
+        inner(rep, matrix, e, n)
+
+    monkeypatch.setattr(verify, "_llt_matrix_checks", record)
+    rep = verify.run_suite("llt", es=(4,), max_n=11, max_kj=2,
+                           cache_dir=llt_cache_dir)
+    assert seen == [(4, n) for n in range(12)]
+    assert rep.failures == []

@@ -133,10 +133,10 @@ def main(argv=None) -> int:
                                           cache_dir=args.cache_dir,
                                           use_cache=not args.no_cache)
             if args.format == "json":
-                out.write(render.matrix_json(matrix, rows=args.rows))
+                out.writelines(render.matrix_json(matrix, rows=args.rows))
                 out.write("\n")
             else:
-                out.write(render.matrix_csv(matrix, rows=args.rows))
+                out.writelines(render.matrix_csv(matrix, rows=args.rows))
         elif args.command == "qdim":
             shape = parse_bipartition(args.shape)
             if args.word is None:

@@ -119,18 +119,24 @@ def good_peel(bp: Bipartition, e: int) -> tuple[int, ...] | None:
 
 
 def is_regular(bp: Bipartition, e: int) -> bool:
-    check_e(e)
-    return good_peel(bp, e) is not None
+    """Whether bp is a bipartition that good nodes peel to empty: the one
+    definition of regularity, since a shape that is not a bipartition may
+    peel to empty too.  The peel is looked up first, as it is cached."""
+    if good_peel(bp, check_e(e)) is None:
+        return False
+    try:
+        return as_bipartition(bp) == bp
+    except ValueError:  # a part out of order
+        return False
 
 
 def check_regular(bp: Bipartition, e: int) -> tuple[int, ...]:
-    """``good_peel(bp, e)``, or a ValueError if bp is not regular; a bp
-    that is not a bipartition may peel to empty, so it is checked too."""
-    check_e(e)
-    peel = good_peel(bp, e)
-    if peel is None or as_bipartition(bp) != bp:
+    """``good_peel(bp, e)``, or a ValueError unless ``is_regular(bp, e)``;
+    a part out of order is refused in ``as_partition``'s words."""
+    if not is_regular(bp, e):
+        as_bipartition(bp)
         raise ValueError(f"{format_bipartition(bp)} is not regular for e={e}")
-    return peel
+    return good_peel(bp, e)
 
 
 @lru_cache(maxsize=None)

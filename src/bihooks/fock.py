@@ -469,10 +469,10 @@ class DecompositionMatrix:
     rows run over all bipartitions of n.  Unitriangular against dominance
     with nonzero off-diagonal entries in q.N[q].
 
-    Every row reader goes through ``rows`` and ``row``.  ``row`` reads an
-    index lam -> (column labels, entries), two parallel lists in
-    decreasing dominance whatever order ``columns`` has, built on its
-    first call and kept, so the columns must not be mutated after it."""
+    ``row`` reads an index lam -> (column labels, entries), two parallel
+    lists in decreasing dominance whatever order ``columns`` has, built
+    on its first call and kept, so the columns must not be mutated after
+    it.  The ``llt`` emitters read the columns and never build it."""
     n: int
     e: int
     columns: dict[Bipartition, dict[Bipartition, LaurentPoly]]

@@ -8,6 +8,8 @@ diagram summands print their vertex list and below<above edge list.
 import csv
 import io
 import json
+from collections.abc import Iterator
+from itertools import chain
 
 from .fock import ABOVE, DecompositionMatrix
 from .partitions import format_bipartition, is_bihook
@@ -63,35 +65,47 @@ def verdict_text(v: Verdict) -> str:
     return "\n".join(lines)
 
 
-def _matrix_rows(matrix: DecompositionMatrix, rows: str,
-                 label=format_bipartition):
-    """(row label, [(column label, entry), ...]) for each kept nonzero row,
-    in the order of ``matrix.rows()`` and ``matrix.row``: rows and each
-    row's columns in decreasing dominance.  ``label`` encodes each label
-    once.  ``rows`` is "all" or "bihooks"; any other value is refused."""
+def _kept_rows(matrix: DecompositionMatrix, rows: str) -> list:
+    """The rows of ``matrix.rows()`` that ``rows`` keeps: "all" or
+    "bihooks"; any other value is refused."""
     if rows not in ("all", "bihooks"):
         raise ValueError(f"rows must be 'all' or 'bihooks', got {rows!r}")
-    text_of = {mu: label(mu) for mu in matrix.regulars()}
-    for lam in matrix.rows():
-        if rows == "bihooks" and not is_bihook(lam):
-            continue
-        entries = matrix.row(lam)
-        if entries:
-            yield label(lam), [(text_of[mu], val) for mu, val in entries.items()]
+    return [lam for lam in matrix.rows() if rows == "all" or is_bihook(lam)]
 
 
-def _encoded_rows(matrix: DecompositionMatrix, rows: str, label, value):
-    """``_matrix_rows`` with every entry encoded by ``value``, once per
-    entry object (a matrix shares one object per distinct value)."""
+def _row_texts(matrix: DecompositionMatrix, kept: list, field, plain, punct):
+    """Each kept nonzero row's text, in the order of ``kept``.  An entry
+    is ``open + row + mid + column + mid + value + close``, a label
+    encoded as ``field(format_bipartition(label))`` and a value as
+    ``field(plain(value))``, and entries are joined by ``sep`` within and
+    across rows.  One walk of the columns in decreasing dominance gives
+    each row its tails ``column + mid + value + close`` in that order.
+    Each label and each entry object is encoded once (a matrix shares one
+    object per distinct value), each tail made once per column and
+    object, and a row's tails are dropped as its text is yielded."""
+    open_, mid, close, sep = punct
+    tails_of: dict = {lam: [] for lam in kept}
     encoded: dict[int, str] = {}
-    for lam, entries in _matrix_rows(matrix, rows, label):
-        row = []
-        for mu, val in entries:
-            text = encoded.get(id(val))
-            if text is None:
-                text = encoded[id(val)] = value(val)
-            row.append((mu, text))
-        yield lam, row
+    for mu in matrix.regulars():
+        head = field(format_bipartition(mu)) + mid
+        tail_of: dict[int, str] = {}
+        for lam, val in matrix.columns[mu].items():
+            tails = tails_of.get(lam)
+            if tails is not None:
+                tail = tail_of.get(id(val))
+                if tail is None:
+                    text = encoded.get(id(val))
+                    if text is None:
+                        text = encoded[id(val)] = field(plain(val))
+                    tail = tail_of[id(val)] = head + text + close
+                tails.append(tail)
+    lead = ""
+    for lam in kept:
+        tails = tails_of.pop(lam)
+        if tails:
+            prefix = open_ + field(format_bipartition(lam)) + mid
+            yield lead + prefix + (sep + prefix).join(tails)
+            lead = sep
 
 
 def _csv_field(text: str) -> str:
@@ -101,43 +115,27 @@ def _csv_field(text: str) -> str:
     return buf.getvalue()[:-1]
 
 
-# The encode-once emitters join each row's text first and then the rows,
-# so the entries' small strings never all exist at once.
+# The emitters return text pieces (a head, one per kept nonzero row, a
+# tail) read off the columns: neither the row index nor the whole output
+# is built, so a caller that writes each piece holds one row's text.
 
-def matrix_csv(matrix: DecompositionMatrix, rows: str = "all") -> str:
+def matrix_csv(matrix: DecompositionMatrix, rows: str = "all") -> Iterator[str]:
     """The matrix as CSV lines ``row,column,entry`` under a header."""
-    lines = ["row,column,entry\n"]
-    lines.extend(
-        "".join([f"{lam},{mu},{val}\n" for mu, val in row])
-        for lam, row in _encoded_rows(
-            matrix, rows, lambda bp: _csv_field(format_bipartition(bp)),
-            lambda val: _csv_field(str(val))))
-    return "".join(lines)
+    return chain(["row,column,entry\n"], _row_texts(
+        matrix, _kept_rows(matrix, rows), _csv_field, str, ("", ",", "\n", "")))
 
 
 def matrix_json_obj(matrix: DecompositionMatrix, rows: str = "all") -> dict:
-    """The JSON object of the matrix, one entry at a time: the plain
-    route that ``matrix_json`` must match."""
-    return {
-        "e": matrix.e,
-        "n": matrix.n,
-        "convention": ABOVE,
-        "entries": [
-            [lam, mu, val.to_pairs()]
-            for lam, entries in _matrix_rows(matrix, rows)
-            for mu, val in entries
-        ],
-    }
+    """The JSON object of the matrix, one entry at a time through
+    ``matrix.row``: the plain route that ``matrix_json`` must match."""
+    return {"e": matrix.e, "n": matrix.n, "convention": ABOVE, "entries": [
+        [format_bipartition(lam), format_bipartition(mu), val.to_pairs()]
+        for lam in _kept_rows(matrix, rows) for mu, val in matrix.row(lam).items()]}
 
 
-def matrix_json(matrix: DecompositionMatrix, rows: str = "all") -> str:
-    """``json.dumps(matrix_json_obj(matrix, rows))``, joined from each
-    label and each distinct entry encoded once."""
-    entries = ", ".join(
-        ", ".join([f"[{lam}, {mu}, {val}]" for mu, val in row])
-        for lam, row in _encoded_rows(
-            matrix, rows, lambda bp: json.dumps(format_bipartition(bp)),
-            lambda val: json.dumps(val.to_pairs())))
-    head = json.dumps({"e": matrix.e, "n": matrix.n,
-                       "convention": ABOVE})
-    return f'{head[:-1]}, "entries": [{entries}]}}'
+def matrix_json(matrix: DecompositionMatrix, rows: str = "all") -> Iterator[str]:
+    """The pieces of ``json.dumps(matrix_json_obj(matrix, rows))``."""
+    head = json.dumps({"e": matrix.e, "n": matrix.n, "convention": ABOVE})
+    return chain([f'{head[:-1]}, "entries": ['], _row_texts(
+        matrix, _kept_rows(matrix, rows), json.dumps, lambda val: val.to_pairs(),
+        ("[", ", ", "]", ", ")), ["]}"])

@@ -66,30 +66,45 @@ class Tableau:
     @property
     def rows(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
         """Each component's rows of entries, top to bottom and left to
-        right; for a standard tableau, one row per row of its shape.  A
-        node off the diagram (``_off_diagram``) is left out."""
+        right; for a standard tableau, one row per row of its shape.  An
+        entry that ``_misplaced`` names is left out."""
         comps: tuple[dict, dict] = ({}, {})
+        misplaced = self._misplaced()
         for k, (r, c, m) in enumerate(self.nodes, start=1):
-            if not _off_diagram((r, c, m)):
+            if k not in misplaced:
                 comps[m - 1].setdefault(r, []).append((c, k))
         return tuple(tuple(tuple(k for _, k in sorted(row))
                            for _, row in sorted(comp.items()))
                      for comp in comps)
 
+    def _misplaced(self) -> dict[int, str]:
+        """Entry -> why its node cannot be drawn: the node is off the
+        diagram (no bipartition holds it: its component is not 1 or 2, or
+        its row or column is below 1), off the shape, or holds an earlier
+        entry."""
+        out, seen = {}, set()
+        for k, node in enumerate(self.nodes, start=1):
+            r, c, m = node
+            if m not in (1, 2) or r < 1 or c < 1:
+                out[k] = "off the diagram"
+            elif r > len(comp := self.shape[m - 1]) or c > comp[r - 1]:
+                out[k] = "off the shape"
+            elif node in seen:
+                out[k] = "on a filled node"
+            seen.add(node)
+        return out
+
     def __str__(self):
         def comp(rows):
             return "[" + "/".join(",".join(str(v) for v in row) for row in rows) + "]"
-        off = [f"{k} at {node}" for k, node in enumerate(self.nodes, start=1)
-               if _off_diagram(node)]
-        return "|".join(map(comp, self.rows)) + (
-            f" with {', '.join(off)} off the diagram" if off else "")
-
-
-def _off_diagram(node: Node) -> bool:
-    """A node that no bipartition holds: its component is not 1 or 2, or
-    its row or column is below 1."""
-    r, c, m = node
-    return m not in (1, 2) or r < 1 or c < 1
+        notes: dict[str, list[str]] = {}
+        for k, why in self._misplaced().items():
+            notes.setdefault(why, []).append(f"{k} at {self.nodes[k - 1]}")
+        text = "|".join(map(comp, self.rows))
+        if notes:
+            text += " with " + "; ".join(f"{', '.join(at)} {why}"
+                                         for why, at in notes.items())
+        return text
 
 
 def _row_slots(shape: Bipartition) -> list[tuple]:

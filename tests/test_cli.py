@@ -2,6 +2,8 @@ import csv
 import hashlib
 import io
 import json
+import random
+import tracemalloc
 
 import pytest
 
@@ -301,7 +303,7 @@ def test_verdict_output_pinned_across_cases():
 
 def test_matrix_emitters_agree(tmp_path):
     matrix = canonical_basis(4, 2, cache_dir=str(tmp_path))
-    text = matrix_csv(matrix)
+    text = "".join(matrix_csv(matrix))
     obj = matrix_json_obj(matrix)
     assert len(text.strip().splitlines()) - 1 == len(obj["entries"])
 
@@ -324,9 +326,89 @@ def test_encode_once_emitters_match_plain_route(e):
         loaded = DecompositionMatrix.from_obj(computed.to_obj())
         for matrix in (computed, loaded):
             for rows in ("all", "bihooks"):
-                assert matrix_json(matrix, rows) == json.dumps(
+                assert "".join(matrix_json(matrix, rows)) == json.dumps(
                     matrix_json_obj(matrix, rows))
-                assert matrix_csv(matrix, rows) == _plain_csv(matrix, rows)
+                assert "".join(matrix_csv(matrix, rows)) == _plain_csv(matrix, rows)
+
+
+def _shuffled(matrix, seed):
+    """matrix with its columns and each column's entries inserted in a
+    shuffled order, every other entry a new object equal to the old one,
+    and one entry object placed in a second column."""
+    rng = random.Random(seed)
+    columns = {}
+    for mu in rng.sample(list(matrix.columns), len(matrix.columns)):
+        items = list(matrix.columns[mu].items())
+        rng.shuffle(items)
+        columns[mu] = {lam: LaurentPoly.from_pairs(val.to_pairs()) if k % 2 else val
+                       for k, (lam, val) in enumerate(items)}
+    first, second = matrix.regulars()[:2]
+    shared = columns[first][first]
+    columns[second][second] = shared
+    return DecompositionMatrix(n=matrix.n, e=matrix.e, columns=columns), shared
+
+
+@pytest.mark.parametrize("e, n", [(2, 8), (3, 9)])
+def test_emitters_read_a_shuffled_matrix_with_shared_entries(e, n):
+    computed = canonical_basis(n, e, use_cache=False)
+    matrix, shared = _shuffled(computed, seed=e * 100 + n)
+    assert list(matrix.columns) != computed.regulars()
+    entries = [val for col in matrix.columns.values() for val in col.values()]
+    assert sum(val is shared for val in entries) >= 2
+    assert any(a == b and a is not b for a, b in zip(entries, entries[1:]))
+    for rows in ("all", "bihooks"):
+        assert "".join(matrix_json(matrix, rows)) == json.dumps(
+            matrix_json_obj(matrix, rows))
+        assert "".join(matrix_csv(matrix, rows)) == _plain_csv(matrix, rows)
+
+
+def test_matrix_json_drains_in_less_memory_than_its_output():
+    matrix = canonical_basis(12, 3, use_cache=False)
+    tracemalloc.start()
+    try:
+        length = sum(map(len, matrix_json(matrix)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < length, (peak, length)
+    assert matrix._row_index is None
+
+
+class _Writes:
+    """A stdout that keeps each write."""
+
+    def __init__(self):
+        self.pieces = []
+
+    def write(self, text):
+        self.pieces.append(text)
+        return len(text)
+
+    def writelines(self, lines):
+        for line in lines:
+            self.write(line)
+
+
+def test_llt_writes_its_output_row_by_row(tmp_path, monkeypatch):
+    out = _Writes()
+    monkeypatch.setattr("sys.stdout", out)
+    assert main(["llt", "--e", "3", "--n", "9", "--cache-dir", str(tmp_path)]) == 0
+    text = "".join(out.pieces)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "18799f120b6915906f8f632ee6595e140f7fb10cd8279c4ee20c7bbb0e232671")
+    assert len(out.pieces) > 1
+    assert max(map(len, out.pieces)) <= len(text) / 10
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_cached_llt_leaves_the_row_index_unbuilt(tmp_path, capsys, monkeypatch, fmt):
+    monkeypatch.setattr(fock, "_MEMORY", {})
+    argv = ("llt", "--e", "3", "--n", "6", "--format", fmt, "--cache-dir", str(tmp_path))
+    _, first = run(capsys, *argv)
+    code, again = run(capsys, *argv)
+    assert (code, again) == (0, first)
+    [matrix] = fock._MEMORY.values()
+    assert matrix._row_index is None
 
 
 def _rerun_over_corrupted_cache(tmp_path, capsys, monkeypatch, corrupt):

@@ -2,8 +2,8 @@ import pytest
 
 from bihooks import fock
 from bihooks.crystal import (
-    braces, braces_int, cogood_node, e_tilde, f_tilde, good_node, good_peel,
-    induce, induction_pairs, induction_recipe, is_regular, mullineux,
+    braces, braces_int, check_regular, cogood_node, e_tilde, f_tilde, good_node,
+    good_peel, induce, induction_pairs, induction_recipe, is_regular, mullineux,
     mullineux_pairs, reduce_signature, regular_bipartitions, scrt, signature,
     signatures,
 )
@@ -127,6 +127,27 @@ def test_one_shape_checks_refuse_what_is_not_a_bipartition():
             call(((1, 2), ()), 3)
         with pytest.raises(ValueError, match=r"^2,0\|- is not regular for e=3$"):
             call(((2, 0), ()), 3)
+
+
+# parts out of order and zero parts; 1,2|-, 2,3|- and 1,2|1 peel to
+# empty by good nodes at e = 3 and 4, and 2,1,2|- and 1,1,2|- at e = 4
+MALFORMED = [((1, 2), ()), ((2, 3), ()), ((1, 2), (1,)), ((2, 1, 2), ()),
+             ((1, 1, 2), ()), ((), (1, 2)), ((2, 0), ()), ((1, 0), ()),
+             ((0,), (1,)), ((1,), (0,)), ((3, 1, 0), (1,))]
+
+
+@pytest.mark.parametrize("e", [2, 3, 4])
+@pytest.mark.parametrize("bp", MALFORMED + [((1,), ()), ((2, 1), (1,))],
+                         ids=format_bipartition)
+def test_is_regular_answers_as_check_regular_does(bp, e):
+    try:
+        check_regular(bp, e)
+        refused = False
+    except ValueError:
+        refused = True
+    assert is_regular(bp, e) is not refused
+    if bp in MALFORMED:
+        assert refused
 
 
 def test_pair_table_matches_mullineux():

@@ -186,6 +186,19 @@ def test_degree_codegree_base_cases():
     off = Tableau(((2,), ()), ((1, 1, 1), (0, 2, 1), (1, 2, 3)))
     assert str(off) == ("[1]|[] with 2 at (0, 2, 1), 3 at (1, 2, 3) "
                         "off the diagram")
+    # a node on the diagram but off the shape, or filled twice, is named
+    # too, not drawn as if the path were standard
+    off_shape = Tableau(((1,), ()), ((1, 2, 1),))
+    with pytest.raises(ValueError, match=re.escape(
+            "not standard: []|[] with 1 at (1, 2, 1) off the shape")):
+        codegree(off_shape, 2)
+    twice = Tableau(((2,), ()), ((1, 1, 1), (1, 1, 1)))
+    assert str(twice) == "[1]|[] with 2 at (1, 1, 1) on a filled node"
+    with pytest.raises(ValueError, match=re.escape(f"not standard: {twice}")):
+        codegree(twice, 2)
+    both = Tableau(((2,), ()), ((0, 1, 1), (1, 3, 1), (1, 1, 1), (1, 1, 1)))
+    assert str(both) == ("[3]|[] with 1 at (0, 1, 1) off the diagram; "
+                         "2 at (1, 3, 1) off the shape; 4 at (1, 1, 1) on a filled node")
     # a shape that is not a bipartition is refused, though this path
     # peels it to empty
     bad_shape = Tableau(((1, 2), ()), ((1, 1, 1), (2, 1, 1), (2, 2, 1)))

@@ -19,7 +19,9 @@ in the test-suite and the ``crystal`` verify suite:
 
 * for one shape, ``good_peel`` removes the good node of the smallest
   residue that has one until it reaches empty or gets stuck (the first
-  good node decides); ``check_regular``, the one refusal of a shape that
+  good node decides), and answers None for a shape that is not a
+  bipartition, checked once per shape in its cache; ``is_regular`` reads
+  that peel, and ``check_regular``, the one refusal of a shape that
   is not regular, hands that peel to ``mullineux`` and to the Fock
   layer's ``peel_runs`` and ``first_approximation``;
 * for a whole size, ``mullineux_pairs`` closes the empty bipartition
@@ -106,9 +108,16 @@ def e_tilde(bp: Bipartition, i: int, e: int) -> Bipartition | None:
 @lru_cache(maxsize=None)
 def good_peel(bp: Bipartition, e: int) -> tuple[int, ...] | None:
     """Residues of the good-node removals from bp down to empty, smallest
-    residue first, or None if they get stuck.  Crystal components are
-    closed under good-node removal and the regular shapes are the one of
-    empty, so the first good node found decides."""
+    residue first, or None if they get stuck or bp is not a bipartition
+    (a part out of order or a zero part), which may peel to empty all
+    the same.  Crystal components are closed under good-node removal and
+    the regular shapes are the one of empty, so the first good node
+    found decides."""
+    try:
+        if as_bipartition(bp) != bp:
+            return None
+    except ValueError:  # a part out of order
+        return None
     if bp == EMPTY_BP:
         return ()
     for i, sig in enumerate(signatures(bp, e)):
@@ -119,24 +128,18 @@ def good_peel(bp: Bipartition, e: int) -> tuple[int, ...] | None:
 
 
 def is_regular(bp: Bipartition, e: int) -> bool:
-    """Whether bp is a bipartition that good nodes peel to empty: the one
-    definition of regularity, since a shape that is not a bipartition may
-    peel to empty too.  The peel is looked up first, as it is cached."""
-    if good_peel(bp, check_e(e)) is None:
-        return False
-    try:
-        return as_bipartition(bp) == bp
-    except ValueError:  # a part out of order
-        return False
+    """Whether bp is a bipartition that good nodes peel to empty."""
+    return good_peel(bp, check_e(e)) is not None
 
 
 def check_regular(bp: Bipartition, e: int) -> tuple[int, ...]:
     """``good_peel(bp, e)``, or a ValueError unless ``is_regular(bp, e)``;
     a part out of order is refused in ``as_partition``'s words."""
-    if not is_regular(bp, e):
+    peel = good_peel(bp, check_e(e))
+    if peel is None:
         as_bipartition(bp)
         raise ValueError(f"{format_bipartition(bp)} is not regular for e={e}")
-    return good_peel(bp, e)
+    return peel
 
 
 @lru_cache(maxsize=None)

@@ -105,8 +105,7 @@ builds of every table, for profiles; it keeps no transition.
 Sharing.  A matrix holds one ``LaurentPoly`` per distinct entry value,
 shared by every entry equal to it, and its labels are the tuples held by
 ``dominance_keys(n)``; both the solver and ``DecompositionMatrix.from_obj``
-build matrices this way, and ``DecompositionMatrix.row``'s index holds
-the same objects.  The cache file (schema ``SCHEMA``) has the same
+build matrices this way.  The cache file (schema ``SCHEMA``) has the same
 shape: it lists each distinct value once, and an entry is an index into
 that list, so a load decodes each value once and looks each label up in
 one text -> tuple table.  The solver's finished raw columns hold the
@@ -121,7 +120,7 @@ import json
 import os
 import tempfile
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .crystal import check_regular, mullineux_pairs, regular_bipartitions
 from .laurent import LaurentPoly, ONE, dot
@@ -469,15 +468,11 @@ class DecompositionMatrix:
     rows run over all bipartitions of n.  Unitriangular against dominance
     with nonzero off-diagonal entries in q.N[q].
 
-    ``row`` reads an index lam -> (column labels, entries), two parallel
-    lists in decreasing dominance whatever order ``columns`` has, built
-    on its first call and kept, so the columns must not be mutated after
-    it.  The ``llt`` emitters read the columns and never build it."""
+    The columns are the whole matrix: ``row`` scans them for one row, and
+    a reader of every row walks them once instead."""
     n: int
     e: int
     columns: dict[Bipartition, dict[Bipartition, LaurentPoly]]
-    _row_index: dict | None = field(default=None, init=False, repr=False,
-                                    compare=False)
 
     def regulars(self) -> list[Bipartition]:
         """The column labels in decreasing dominance order."""
@@ -489,17 +484,8 @@ class DecompositionMatrix:
 
     def row(self, lam: Bipartition) -> dict[Bipartition, LaurentPoly]:
         """Row lam's entries, as a new dict in decreasing dominance."""
-        index = self._row_index
-        if index is None:
-            index = self._row_index = {}
-            for mu in self.regulars():
-                for bp, val in self.columns[mu].items():
-                    slot = index.get(bp)
-                    if slot is None:
-                        slot = index[bp] = ([], [])
-                    slot[0].append(mu)
-                    slot[1].append(val)
-        return dict(zip(*index.get(lam, ((), ()))))
+        columns = self.columns
+        return {mu: columns[mu][lam] for mu in self.regulars() if lam in columns[mu]}
 
     def to_obj(self):
         """The cache-file object, schema ``SCHEMA``: each distinct entry
@@ -817,14 +803,21 @@ def _eliminate(held: dict[int, RawVector], approx, mu: int, done: list[int],
 def simple_graded_dims_from(matrix: DecompositionMatrix) -> dict[Bipartition, LaurentPoly]:
     """Solve the unitriangular system qdim(S_lam) = sum_mu d(lam,mu) qdim(D_mu)
     over the regular rows.  Solutions must be bar-invariant with
-    nonnegative coefficients; anything else is a convention fault."""
+    nonnegative coefficients; anything else is a convention fault.
+
+    One walk down the columns in decreasing dominance: each solved column
+    hands its (entry, qdim) pair to every regular row it has not reached,
+    so row mu's pairs are all in once mu's turn comes."""
     out: dict[Bipartition, LaurentPoly] = {}
+    pairs: dict[Bipartition, list] = {mu: [] for mu in matrix.columns}
     for mu in matrix.regulars():
-        val = graded_dimension(mu, matrix.e) - dot(
-            (d, out[nu]) for nu, d in matrix.row(mu).items() if nu != mu)
+        val = graded_dimension(mu, matrix.e) - dot(pairs.pop(mu))
         if not val.is_bar_invariant() or not val.has_nonneg_coeffs():
             raise RuntimeError(
                 f"graded dimension of simple {format_bipartition(mu)} came out "
                 f"as {val}; q-convention fault")
         out[mu] = val
+        for lam, d in matrix.columns[mu].items():
+            if lam in pairs:
+                pairs[lam].append((d, val))
     return out

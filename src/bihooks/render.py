@@ -65,7 +65,7 @@ def verdict_text(v: Verdict) -> str:
     return "\n".join(lines)
 
 
-def _kept_rows(matrix: DecompositionMatrix, rows: str) -> list:
+def _selected_rows(matrix: DecompositionMatrix, rows: str) -> list:
     """The rows of ``matrix.rows()`` that ``rows`` keeps: "all" or
     "bihooks"; any other value is refused."""
     if rows not in ("all", "bihooks"):
@@ -116,13 +116,13 @@ def _csv_field(text: str) -> str:
 
 
 # The emitters return text pieces (a head, one per kept nonzero row, a
-# tail) read off the columns: neither the row index nor the whole output
-# is built, so a caller that writes each piece holds one row's text.
+# tail) read off one walk of the columns: the whole output is never
+# built, so a caller that writes each piece holds one row's text.
 
 def matrix_csv(matrix: DecompositionMatrix, rows: str = "all") -> Iterator[str]:
     """The matrix as CSV lines ``row,column,entry`` under a header."""
     return chain(["row,column,entry\n"], _row_texts(
-        matrix, _kept_rows(matrix, rows), _csv_field, str, ("", ",", "\n", "")))
+        matrix, _selected_rows(matrix, rows), _csv_field, str, ("", ",", "\n", "")))
 
 
 def matrix_json_obj(matrix: DecompositionMatrix, rows: str = "all") -> dict:
@@ -130,12 +130,12 @@ def matrix_json_obj(matrix: DecompositionMatrix, rows: str = "all") -> dict:
     ``matrix.row``: the plain route that ``matrix_json`` must match."""
     return {"e": matrix.e, "n": matrix.n, "convention": ABOVE, "entries": [
         [format_bipartition(lam), format_bipartition(mu), val.to_pairs()]
-        for lam in _kept_rows(matrix, rows) for mu, val in matrix.row(lam).items()]}
+        for lam in _selected_rows(matrix, rows) for mu, val in matrix.row(lam).items()]}
 
 
 def matrix_json(matrix: DecompositionMatrix, rows: str = "all") -> Iterator[str]:
     """The pieces of ``json.dumps(matrix_json_obj(matrix, rows))``."""
     head = json.dumps({"e": matrix.e, "n": matrix.n, "convention": ABOVE})
     return chain([f'{head[:-1]}, "entries": ['], _row_texts(
-        matrix, _kept_rows(matrix, rows), json.dumps, lambda val: val.to_pairs(),
+        matrix, _selected_rows(matrix, rows), json.dumps, lambda val: val.to_pairs(),
         ("[", ", ", "]", ", ")), ["]}"])

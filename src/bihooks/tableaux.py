@@ -4,7 +4,8 @@ A tableau stores its shape and its node path: the nodes holding the
 entries 1..n, in that order.  Standard means each node is addable to
 the shape the nodes before it fill, and the path ends at the tableau's
 shape; then entries increase along rows and down columns within each
-component.  The rows of entries are read off the path for display.  The
+component.  For display, the rows are read box by box off the shape,
+each box showing the entry the path places there, if any.  The
 *column-initial* tableau fills 1..n down consecutive columns, left to
 right, component 2 first.
 
@@ -64,47 +65,26 @@ class Tableau:
     nodes: tuple[Node, ...]
 
     @property
-    def rows(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
-        """Each component's rows of entries, top to bottom and left to
-        right; for a standard tableau, one row per row of its shape.  An
-        entry that ``_misplaced`` names is left out."""
-        comps: tuple[dict, dict] = ({}, {})
-        misplaced = self._misplaced()
-        for k, (r, c, m) in enumerate(self.nodes, start=1):
-            if k not in misplaced:
-                comps[m - 1].setdefault(r, []).append((c, k))
-        return tuple(tuple(tuple(k for _, k in sorted(row))
-                           for _, row in sorted(comp.items()))
-                     for comp in comps)
-
-    def _misplaced(self) -> dict[int, str]:
-        """Entry -> why its node cannot be drawn: the node is off the
-        diagram (no bipartition holds it: its component is not 1 or 2, or
-        its row or column is below 1), off the shape, or holds an earlier
-        entry."""
-        out, seen = {}, set()
+    def rows(self) -> tuple[tuple[tuple[int | None, ...], ...], ...]:
+        """Each component's rows of the shape, top to bottom, as the
+        entries in their boxes left to right: the first entry the path
+        places in a box, or None where it places none."""
+        at: dict[Node, int] = {}
         for k, node in enumerate(self.nodes, start=1):
-            r, c, m = node
-            if m not in (1, 2) or r < 1 or c < 1:
-                out[k] = "off the diagram"
-            elif r > len(comp := self.shape[m - 1]) or c > comp[r - 1]:
-                out[k] = "off the shape"
-            elif node in seen:
-                out[k] = "on a filled node"
-            seen.add(node)
-        return out
+            at.setdefault(node, k)
+        return tuple(tuple(tuple(at.get((r, c, m)) for c in range(1, length + 1))
+                           for r, length in enumerate(comp, start=1))
+                     for m, comp in enumerate(self.shape, start=1))
 
     def __str__(self):
-        def comp(rows):
-            return "[" + "/".join(",".join(str(v) for v in row) for row in rows) + "]"
-        notes: dict[str, list[str]] = {}
-        for k, why in self._misplaced().items():
-            notes.setdefault(why, []).append(f"{k} at {self.nodes[k - 1]}")
-        text = "|".join(map(comp, self.rows))
-        if notes:
-            text += " with " + "; ".join(f"{', '.join(at)} {why}"
-                                         for why, at in notes.items())
-        return text
+        """The rows drawn box by box, an empty box as ``.``, and the node
+        path after them unless the boxes hold each entry exactly once."""
+        rows = self.rows
+        text = "|".join("[" + "/".join(",".join("." if k is None else str(k)
+                                                for k in row) for row in comp) + "]"
+                        for comp in rows)
+        placed = sum(k is not None for comp in rows for row in comp for k in row)
+        return text if placed == len(self.nodes) else f"{text} with nodes {self.nodes}"
 
 
 def _row_slots(shape: Bipartition) -> list[tuple]:

@@ -284,6 +284,9 @@ def structure_suite(max_kj: int = 14, primes=(0, 2, 3, 5, 7), es=(2, 3)) -> Suit
 def _llt_matrix_checks(rep: SuiteReport, matrix, e: int, n: int):
     # tuple keys of its own, not the packed table the solver orders by
     key_of = {lam: dominance_key(lam) for lam in matrix.rows()}
+    # each row's (entry, column) pairs for the balance, gathered on the
+    # one walk of the columns and kept in row order
+    row_of: dict = {lam: [] for lam in key_of}
     one = LaurentPoly.q_power(0)
     # id -> in_q_window, once per value object: entries share values, and
     # the matrix keeps every one alive while this runs
@@ -293,6 +296,7 @@ def _llt_matrix_checks(rep: SuiteReport, matrix, e: int, n: int):
                   lambda: f"diagonal e={e} n={n} {format_bipartition(mu)}")
         kmu = key_of[mu]
         for lam, val in col.items():
+            row_of[lam].append((val, mu))
             if lam == mu:
                 continue
             inside = window.get(id(val))
@@ -307,8 +311,8 @@ def _llt_matrix_checks(rep: SuiteReport, matrix, e: int, n: int):
         # a wrong entry the checks above let pass; no balance without qdim
         rep.check(False, lambda: f"simple dimensions e={e} n={n}: {exc}")
         return
-    for lam in key_of:  # decreasing dominance
-        rhs = dot((val, qdim[mu]) for mu, val in matrix.row(lam).items())
+    for lam, pairs in row_of.items():  # decreasing dominance
+        rhs = dot((val, qdim[mu]) for val, mu in pairs)
         rep.check(tableaux.graded_dimension(lam, e) == rhs,
                   lambda: f"dimension balance e={e} n={n} {format_bipartition(lam)}")
 

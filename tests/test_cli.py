@@ -7,7 +7,7 @@ import tracemalloc
 
 import pytest
 
-from bihooks import fock
+from bihooks import fock, verify
 from bihooks.cli import main
 from bihooks.fock import DecompositionMatrix, canonical_basis
 from bihooks.laurent import LaurentPoly, ZERO
@@ -362,6 +362,35 @@ def test_emitters_read_a_shuffled_matrix_with_shared_entries(e, n):
         assert "".join(matrix_csv(matrix, rows)) == _plain_csv(matrix, rows)
 
 
+@pytest.mark.parametrize("e, n", [(2, 8), (3, 9)])
+def test_column_walks_read_a_shuffled_matrix(e, n):
+    # the simple dimensions and the whole-matrix checks walk the columns
+    # once, whatever their insertion order: the same answers and failure
+    # lists as on the computed matrix, with the top column's entries
+    # raised by q at its regular rows, then at the others
+    computed = canonical_basis(n, e, use_cache=False)
+    top = computed.regulars()[0]
+    outcomes = []
+    for reg in (True, False):
+        cols = dict(computed.columns)
+        cols[top] = {lam: val + LaurentPoly.q_power(1)
+                     if lam != top and (lam in cols) == reg else val
+                     for lam, val in cols[top].items()}
+        broken = DecompositionMatrix(n=n, e=e, columns=cols)
+        shuffled, _ = _shuffled(broken, seed=e * 100 + n)
+        assert list(shuffled.columns) != broken.regulars()
+        for matrix in (broken, shuffled):
+            rep = verify.SuiteReport("llt")
+            verify._llt_matrix_checks(rep, matrix, e, n)
+            outcomes.append((rep.cases, rep.failures))
+    assert outcomes[0] == outcomes[1] and outcomes[2] == outcomes[3]
+    assert len(outcomes[0][1]) == 1 and len(outcomes[2][1]) > 1
+    shuffled, _ = _shuffled(computed, seed=e * 100 + n)
+    want = fock.simple_graded_dims_from(computed)
+    got = fock.simple_graded_dims_from(shuffled)
+    assert got == want and list(got) == list(want)
+
+
 def test_matrix_json_drains_in_less_memory_than_its_output():
     matrix = canonical_basis(12, 3, use_cache=False)
     tracemalloc.start()
@@ -371,7 +400,6 @@ def test_matrix_json_drains_in_less_memory_than_its_output():
     finally:
         tracemalloc.stop()
     assert peak < length, (peak, length)
-    assert matrix._row_index is None
 
 
 class _Writes:
@@ -398,17 +426,6 @@ def test_llt_writes_its_output_row_by_row(tmp_path, monkeypatch):
         "18799f120b6915906f8f632ee6595e140f7fb10cd8279c4ee20c7bbb0e232671")
     assert len(out.pieces) > 1
     assert max(map(len, out.pieces)) <= len(text) / 10
-
-
-@pytest.mark.parametrize("fmt", ["csv", "json"])
-def test_cached_llt_leaves_the_row_index_unbuilt(tmp_path, capsys, monkeypatch, fmt):
-    monkeypatch.setattr(fock, "_MEMORY", {})
-    argv = ("llt", "--e", "3", "--n", "6", "--format", fmt, "--cache-dir", str(tmp_path))
-    _, first = run(capsys, *argv)
-    code, again = run(capsys, *argv)
-    assert (code, again) == (0, first)
-    [matrix] = fock._MEMORY.values()
-    assert matrix._row_index is None
 
 
 def _rerun_over_corrupted_cache(tmp_path, capsys, monkeypatch, corrupt):

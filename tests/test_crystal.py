@@ -119,8 +119,9 @@ def test_mullineux_examples():
 
 
 def test_one_shape_checks_refuse_what_is_not_a_bipartition():
-    # 1,2|- peels to empty by good nodes at e = 3, yet no map may read it
-    assert good_peel(((1, 2), ()), 3) is not None
+    # 1,2|- would peel to empty by good nodes at e = 3, yet no map may
+    # read it, and the peel refuses it
+    assert good_peel(((1, 2), ()), 3) is None
     for call in (mullineux, fock.peel_runs, fock.first_approximation):
         with pytest.raises(ValueError,
                            match=r"^parts not weakly decreasing: \(1, 2\)$"):
@@ -129,8 +130,8 @@ def test_one_shape_checks_refuse_what_is_not_a_bipartition():
             call(((2, 0), ()), 3)
 
 
-# parts out of order and zero parts; 1,2|-, 2,3|- and 1,2|1 peel to
-# empty by good nodes at e = 3 and 4, and 2,1,2|- and 1,1,2|- at e = 4
+# parts out of order and zero parts; good nodes would peel 1,2|-, 2,3|-
+# and 1,2|1 to empty at e = 3 and 4, and 2,1,2|- and 1,1,2|- at e = 4
 MALFORMED = [((1, 2), ()), ((2, 3), ()), ((1, 2), (1,)), ((2, 1, 2), ()),
              ((1, 1, 2), ()), ((), (1, 2)), ((2, 0), ()), ((1, 0), ()),
              ((0,), (1,)), ((1,), (0,)), ((3, 1, 0), (1,))]
@@ -147,7 +148,7 @@ def test_is_regular_answers_as_check_regular_does(bp, e):
         refused = True
     assert is_regular(bp, e) is not refused
     if bp in MALFORMED:
-        assert refused
+        assert refused and good_peel(bp, e) is None
 
 
 def test_pair_table_matches_mullineux():

@@ -581,7 +581,7 @@ def _scan_row(matrix, lam):
 
 
 @pytest.mark.parametrize("e, n", [(2, 8), (3, 9)])
-def test_row_index_matches_column_scan(e, n):
+def test_row_reads_the_columns_in_dominance_order(e, n):
     # the two store their columns in opposite orders, and row reads both
     # in decreasing dominance
     computed = canonical_basis(n, e, use_cache=False)

@@ -2,7 +2,8 @@
 name a package module defines is read somewhere, every parameter of a
 package function or lambda but ``self`` and ``cls`` is read by its body,
 every import of a package module sits outside function bodies, and every
-reference to a module docstring's paragraph names one.
+reference to a module docstring's paragraph names one, and no two package
+modules define the same module-level name.
 
 No linter is a dependency, so this reads each module's syntax tree with
 the standard library.  ``__init__.py`` re-exports by importing, so it is
@@ -136,6 +137,26 @@ def test_no_dead_module_level_names():
     read = readme_words() | names_read_under("src", "tests", "benchmarks")
     assert [f"{module}:{line} {name}" for module, line, name in package_names()
             if name not in read] == []
+
+
+def clashing_names(names) -> list[str]:
+    """Each name that more than one module defines, with every
+    ``module:line`` defining it, from (module, line, name) triples."""
+    where: dict[str, list[str]] = {}
+    for module, line, name in names:
+        where.setdefault(name, []).append(f"{module}:{line}")
+    return [f"{name} ({', '.join(at)})" for name, at in sorted(where.items())
+            if len({place.split(":")[0] for place in at}) > 1]
+
+
+def test_no_name_is_defined_by_two_modules():
+    assert clashing_names(package_names()) == []
+
+
+def test_clash_check_sees_a_leftover():
+    names = [("a.py", 1, "x"), ("b.py", 2, "x"), ("a.py", 3, "y"),
+             ("a.py", 4, "y"), ("b.py", 5, "z")]
+    assert clashing_names(names) == ["x (a.py:1, b.py:2)"]
 
 
 def undeclared_test_only(names, outside: set[str], tests: set[str],

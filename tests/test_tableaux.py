@@ -177,28 +177,26 @@ def test_degree_codegree_base_cases():
         outside = Tableau(((2,), ()), ((1, 1, 1), node))
         with pytest.raises(ValueError, match="not standard"):
             codegree(outside, 2)
-    # a node off the diagram is named, not drawn in a component or as a row
-    for node in ((1, 1, 3), (1, 1, 0), (0, 1, 1), (1, 0, 2)):
+    # a box the path leaves empty is drawn as ".", and a path whose nodes
+    # are not each a box of the shape, once, is written out after the rows
+    assert str(Tableau(((2,), ()), ((1, 2, 1),))) == "[.,1]|[]"
+    assert Tableau(((2,), ()), ((1, 2, 1),)).rows == (((None, 1),), ())
+    for node in ((1, 1, 3), (1, 1, 0), (0, 1, 1), (1, 0, 2), (1, 2, 1)):
         off = Tableau(((1,), ()), (node,))
+        assert off.rows == (((None,),), ())
         with pytest.raises(ValueError, match=re.escape(
-                f"not standard: []|[] with 1 at {node} off the diagram")):
+                f"not standard: [.]|[] with nodes ({node},)")):
             codegree(off, 2)
     off = Tableau(((2,), ()), ((1, 1, 1), (0, 2, 1), (1, 2, 3)))
-    assert str(off) == ("[1]|[] with 2 at (0, 2, 1), 3 at (1, 2, 3) "
-                        "off the diagram")
-    # a node on the diagram but off the shape, or filled twice, is named
-    # too, not drawn as if the path were standard
-    off_shape = Tableau(((1,), ()), ((1, 2, 1),))
-    with pytest.raises(ValueError, match=re.escape(
-            "not standard: []|[] with 1 at (1, 2, 1) off the shape")):
-        codegree(off_shape, 2)
+    assert str(off) == "[1,.]|[] with nodes ((1, 1, 1), (0, 2, 1), (1, 2, 3))"
+    # a box filled twice shows its first entry
     twice = Tableau(((2,), ()), ((1, 1, 1), (1, 1, 1)))
-    assert str(twice) == "[1]|[] with 2 at (1, 1, 1) on a filled node"
+    assert str(twice) == "[1,.]|[] with nodes ((1, 1, 1), (1, 1, 1))"
     with pytest.raises(ValueError, match=re.escape(f"not standard: {twice}")):
         codegree(twice, 2)
     both = Tableau(((2,), ()), ((0, 1, 1), (1, 3, 1), (1, 1, 1), (1, 1, 1)))
-    assert str(both) == ("[3]|[] with 1 at (0, 1, 1) off the diagram; "
-                         "2 at (1, 3, 1) off the shape; 4 at (1, 1, 1) on a filled node")
+    assert str(both) == ("[3,.]|[] with nodes ((0, 1, 1), (1, 3, 1), "
+                         "(1, 1, 1), (1, 1, 1))")
     # a shape that is not a bipartition is refused, though this path
     # peels it to empty
     bad_shape = Tableau(((1, 2), ()), ((1, 1, 1), (2, 1, 1), (2, 2, 1)))

@@ -1,7 +1,9 @@
 """Integer Laurent polynomials in q, with the bar involution q <-> q^-1.
 
 Coefficients are arbitrary-precision Python ints, so elimination over
-these rings can never overflow.  ``dot`` is the one sum of products.
+these rings can never overflow.  ``dot`` is the one sum of products of
+polynomials; the dimension balance of ``verify`` sums its products as
+ints instead, each polynomial evaluated at q = 2^w for a w it proves.
 Text form sorts exponents upwards, e.g. ``q^-2 + 2 + q^2``; the JSON
 form is the sorted list of ``[exponent, coefficient]`` pairs.
 """
@@ -219,7 +221,9 @@ def dot(pairs) -> LaurentPoly:
     """The sum of a*b over (a, b) pairs, in one dict with the zeros dropped
     at the end.  The loops of ``fock._apply_divided``/``_eliminate`` (a
     mutable slot updated in place) and ``tableaux.graded_dimension``/
-    ``_word_peel`` (shifted dicts added, not products) stay inline."""
+    ``_word_peel`` (shifted dicts added, not products) stay inline, and
+    ``verify._llt_matrix_checks`` multiplies evaluations at q = 2^w, since
+    it compares the sums and needs no coefficient of them."""
     acc: dict[int, int] = {}
     for a, b in pairs:
         terms = b._c.items()

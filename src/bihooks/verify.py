@@ -15,7 +15,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from . import crystal, fock, schur, structure, tableaux
-from .laurent import LaurentPoly, ZERO, c_factor, dot
+from .laurent import LaurentPoly, ZERO, c_factor
 from .partitions import (
     add_node, addable_nodes, all_nodes, as_bipartition, bipartitions,
     conjugate, dominance_key, format_bipartition, hook_length, key_dominates,
@@ -281,27 +281,55 @@ def structure_suite(max_kj: int = 14, primes=(0, 2, 3, 5, 7), es=(2, 3)) -> Suit
     return rep
 
 
+def _norm(poly) -> int:
+    """The l1 norm: the sum of the coefficients' sizes."""
+    return sum(abs(c) for _, c in poly.iter_terms())
+
+
+def _low(polys) -> int:
+    """The lowest exponent over the nonzero polynomials, or 0."""
+    return min((p.min_exp() for p in polys if p), default=0)
+
+
+def _packed(poly, low: int, w: int) -> int:
+    """poly * q^-low at q = 2^w, for a poly with no exponent below low."""
+    return sum(c << w * (k - low) for k, c in poly.iter_terms())
+
+
 def _llt_matrix_checks(rep: SuiteReport, matrix, e: int, n: int):
+    """The diagonal, window and triangularity of every entry, then the
+    balance dim_q S^lam = sum_mu d(lam, mu) X_mu of every row, with the
+    X_mu = dim_q D^mu of ``fock.simple_graded_dims_from``.
+
+    The balance is one int per row: each side at q = 2^w, shifted by
+    q^-low, where low is the entries' lowest exponent plus the X_mu's.  It
+    is exact: with B = max |gd|_1 + max |d|_1 * sum_mu |X_mu|_1 (l1 norms),
+    every coefficient c of gd(lam) - sum_mu d(lam, mu) X_mu has |c| <= B,
+    below 2^w for w = B.bit_length().  A nonzero difference is then, at
+    q = 2^w, its lowest term plus multiples of the next power of 2^w, and
+    that term is no such multiple: so it is not 0.  A graded dimension
+    with an exponent below low fails its case unevaluated."""
     # tuple keys of its own, not the packed table the solver orders by
     key_of = {lam: dominance_key(lam) for lam in matrix.rows()}
-    # each row's (entry, column) pairs for the balance, gathered on the
-    # one walk of the columns and kept in row order
-    row_of: dict = {lam: [] for lam in key_of}
     one = LaurentPoly.q_power(0)
-    # id -> in_q_window, once per value object: entries share values, and
-    # the matrix keeps every one alive while this runs
+    # id -> in_q_window, and id -> value, once per value object: entries
+    # share values, and the matrix keeps every one alive while this runs
     window: dict[int, bool] = {}
+    values: dict[int, LaurentPoly] = {}
     for mu, col in matrix.columns.items():
-        rep.check(col.get(mu) == one,
+        diagonal = col.get(mu)
+        rep.check(diagonal == one,
                   lambda: f"diagonal e={e} n={n} {format_bipartition(mu)}")
+        if diagonal is not None:
+            values[id(diagonal)] = diagonal
         kmu = key_of[mu]
         for lam, val in col.items():
-            row_of[lam].append((val, mu))
             if lam == mu:
                 continue
             inside = window.get(id(val))
             if inside is None:
                 inside = window[id(val)] = val.in_q_window()
+                values[id(val)] = val
             rep.check(inside and key_dominates(kmu, key_of[lam]),
                       lambda: f"window/triangularity e={e} n={n} "
                               f"{format_bipartition(lam)},{format_bipartition(mu)}")
@@ -311,9 +339,22 @@ def _llt_matrix_checks(rep: SuiteReport, matrix, e: int, n: int):
         # a wrong entry the checks above let pass; no balance without qdim
         rep.check(False, lambda: f"simple dimensions e={e} n={n}: {exc}")
         return
-    for lam, pairs in row_of.items():  # decreasing dominance
-        rhs = dot((val, qdim[mu]) for val, mu in pairs)
-        rep.check(tableaux.graded_dimension(lam, e) == rhs,
+    gdim = {lam: tableaux.graded_dimension(lam, e) for lam in key_of}
+    w = (max(map(_norm, gdim.values()))
+         + max(map(_norm, values.values()), default=0)
+         * sum(map(_norm, qdim.values()))).bit_length()
+    low_d, low_x = _low(values.values()), _low(qdim.values())
+    packed = {i: _packed(val, low_d, w) for i, val in values.items()}
+    # rows in decreasing dominance, each with its right side at 2^w
+    rhs = dict.fromkeys(key_of, 0)
+    for mu, col in matrix.columns.items():
+        x = _packed(qdim[mu], low_x, w)
+        for lam, val in col.items():
+            rhs[lam] += packed[id(val)] * x
+    low = low_d + low_x
+    for lam, got in rhs.items():
+        g = gdim[lam]
+        rep.check((not g or g.min_exp() >= low) and _packed(g, low, w) == got,
                   lambda: f"dimension balance e={e} n={n} {format_bipartition(lam)}")
 
 

@@ -1,12 +1,14 @@
 import ast
 import hashlib
+from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bihooks import crystal, schur, structure, tableaux, verify
-from bihooks.fock import DecompositionMatrix, canonical_basis
+from bihooks.fock import DecompositionMatrix, canonical_basis, simple_graded_dims_from
 from bihooks.laurent import LaurentPoly
-from bihooks.partitions import EMPTY_BP, parse_bipartition, size
+from bihooks.partitions import EMPTY_BP, format_bipartition, parse_bipartition, size
 
 Q = LaurentPoly.q_power
 
@@ -249,3 +251,63 @@ def test_llt_sweeps_every_level_up_to_max_n_at_every_e(monkeypatch,
                            cache_dir=llt_cache_dir)
     assert seen == [(4, n) for n in range(12)]
     assert rep.failures == []
+
+
+@lru_cache(maxsize=None)
+def solved(e, n):
+    return canonical_basis(n, e, use_cache=False)
+
+
+def plain_balance(matrix, e, n):
+    """The balance failures by ``LaurentPoly`` sums of products, row by
+    row, as ``tests/test_fock.py`` checks the solver's matrices."""
+    try:
+        qd = simple_graded_dims_from(matrix)
+    except RuntimeError as exc:
+        return [f"simple dimensions e={e} n={n}: {exc}"]
+    return [f"dimension balance e={e} n={n} {format_bipartition(lam)}"
+            for lam in matrix.rows()
+            if tableaux.graded_dimension(lam, e) != sum(
+                (val * qd[mu] for mu, val in matrix.row(lam).items()),
+                LaurentPoly({}))]
+
+
+@settings(max_examples=150, deadline=None)
+@given(point=st.sampled_from([(2, 6), (3, 6), (4, 5)]), data=st.data(),
+       val=st.dictionaries(st.integers(-2, 4), st.integers(-3, 3),
+                           max_size=4).map(LaurentPoly))
+def test_balance_matches_the_plain_route(point, data, val):
+    # one entry set to a small polynomial, 0 included, anywhere in its
+    # column: on the diagonal, at a regular row or at any row
+    e, n = point
+    good = solved(e, n)
+    mu = data.draw(st.sampled_from(good.regulars()))
+    lam = data.draw(st.one_of(st.just(mu), st.sampled_from(good.regulars()),
+                              st.sampled_from(good.rows())))
+    cols = {c: dict(col) for c, col in good.columns.items()}
+    cols[mu][lam] = val
+    bad = DecompositionMatrix(n=n, e=e, columns=cols)
+    rep = verify.SuiteReport("llt")
+    verify._llt_matrix_checks(rep, bad, e, n)
+    assert [f for f in rep.failures
+            if f.startswith(("dimension balance", "simple dimensions"))] \
+        == plain_balance(bad, e, n)
+
+
+def test_balance_width_counts_the_graded_dimensions(monkeypatch):
+    # w as the check would pick it from the products' bound alone: then
+    # 2^w q^0 - q^1 is 0 at q = 2^w, and only |gd|_1 in the bound shows it.
+    # Both exponents are packed: the diagonal 1 and the bar-invariant
+    # simple dimensions put the check's lowest exponent at or below 0.
+    good = solved(2, 5)
+    norm = verify._norm
+    w = (max(norm(v) for col in good.columns.values() for v in col.values())
+         * sum(map(norm, simple_graded_dims_from(good).values()))).bit_length()
+    lam = parse_bipartition("1|4")
+    real = tableaux.graded_dimension
+    wrong = real(lam, 2) + Q(0) * 2 ** w - Q(1)
+    monkeypatch.setattr(tableaux, "graded_dimension",
+                        lambda bp, e: wrong if bp == lam else real(bp, e))
+    rep = verify.SuiteReport("llt")
+    verify._llt_matrix_checks(rep, good, 2, 5)
+    assert rep.failures == ["dimension balance e=2 n=5 1|4"]

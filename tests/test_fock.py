@@ -1,6 +1,8 @@
+import gc
 import hashlib
 import json
 import shutil
+import weakref
 
 import pytest
 
@@ -420,24 +422,34 @@ def test_kept_rows():
             len(dominance_keys(14))) == (1422, 2665)
 
 
+def _eliminating_within(monkeypatch, rows):
+    """Patch the solver's elimination to check that each column it
+    returns, and each finished column it reads, lies within rows(), the
+    row ids the caller allows at the n being solved."""
+    eliminate = fock._eliminate
+
+    def eliminated(held, approx, mu, done, raw):
+        vec = eliminate(held, approx, mu, done, raw)
+        kept = rows()
+        assert set(vec) <= kept and all(map(kept.__contains__, done))
+        return vec
+
+    monkeypatch.setattr(fock, "_eliminate", eliminated)
+
+
 def test_conjugate_rows_solve_matches_plain_solve(monkeypatch):
     # at e = 2 only the kept rows are eliminated, and no vector the solve
     # eliminates holds a row of n boxes outside them
     kept = {}
-    first, eliminate = fock._first_approximations, fock._eliminate
+    first = fock._first_approximations
 
     def approximations(shapes, regs):
         for mu, vec in first(shapes, regs):
             assert set(vec) <= kept, shapes.shapes[mu]
             yield mu, vec
 
-    def eliminated(held, approx, mu, done, raw):
-        vec = eliminate(held, approx, mu, done, raw)
-        assert set(vec) <= kept and all(map(kept.__contains__, done))
-        return vec
-
     monkeypatch.setattr(fock, "_first_approximations", approximations)
-    monkeypatch.setattr(fock, "_eliminate", eliminated)
+    _eliminating_within(monkeypatch, lambda: kept)
     halved = {}
     for n in range(0, 14):
         kept = fock._kept_rows(n, 2, _conjugates(n))
@@ -446,6 +458,75 @@ def test_conjugate_rows_solve_matches_plain_solve(monkeypatch):
     for n, matrix in halved.items():
         kept = set(range(len(dominance_keys(n))))
         assert canonical_basis(n, 2, use_cache=False) == matrix, n
+
+
+def test_held_levels_start_every_column_from_its_parent(tmp_path, monkeypatch):
+    # a sweep through one cache directory solves each level from the
+    # levels below, which this process solved: past n = 0 the trie walk
+    # serves no column, at e = 2 only kept rows are eliminated, and each
+    # level equals the solve from |empty>
+    monkeypatch.setattr(fock, "_MEMORY", {})
+    walked, kept = [], {}
+    first = fock._first_approximations
+
+    def approximations(shapes, regs):
+        for mu, vec in first(shapes, regs):
+            walked.append(mu)
+            yield mu, vec
+
+    monkeypatch.setattr(fock, "_first_approximations", approximations)
+    _eliminating_within(monkeypatch, lambda: kept)
+    for e, top in ((2, 13), (3, 12), (4, 12), (5, 12)):
+        cache_dir = str(tmp_path / f"e{e}")
+        for n in range(top + 1):
+            kept = (fock._kept_rows(n, e, _conjugates(n))
+                    or set(range(len(dominance_keys(n)))))
+            walked.clear()
+            matrix = canonical_basis(n, e, cache_dir=cache_dir)
+            assert len(walked) == (n == 0), (e, n)
+            assert matrix == canonical_basis(n, e, use_cache=False), (e, n)
+
+
+def test_loaded_levels_start_no_column(tmp_path, monkeypatch):
+    # q + q^2 for q at row 4|1 of column 5|- keeps the file's balance and
+    # passes _fault, so the file is served at n = 5; the solve at n = 6
+    # must not start a column from it
+    monkeypatch.setattr(fock, "_MEMORY", {})
+    for n in range(6):
+        good = canonical_basis(n, 2, cache_dir=str(tmp_path))
+    columns = {mu: dict(col) for mu, col in good.columns.items()}
+    columns[((5,), ())][((4,), (1,))] = Q(1) + Q(2)
+    path = tmp_path / "llt_e2_n5_above.json"
+    path.write_text(json.dumps(DecompositionMatrix(5, 2, columns).to_obj()))
+    fock._MEMORY.clear()
+    assert canonical_basis(5, 2, cache_dir=str(tmp_path)).columns == columns
+    assert (canonical_basis(6, 2, cache_dir=str(tmp_path))
+            == canonical_basis(6, 2, use_cache=False))
+
+
+def test_held_parent_off_its_diagonal_raises_naming_the_column(tmp_path,
+                                                                monkeypatch):
+    # BROKEN: column 5|- of the held level 5 loses its diagonal, so the
+    # start of its child column 6|- has no term at 6|-
+    monkeypatch.setattr(fock, "_MEMORY", {})
+    for n in range(6):
+        held = canonical_basis(n, 2, cache_dir=str(tmp_path))
+    del held.columns[((5,), ())][((5,), ())]
+    with pytest.raises(RuntimeError, match=r"^first approximation of "
+                       r"\(\(6,\), \(\)\) has leading coefficient 0$"):
+        canonical_basis(6, 2, cache_dir=str(tmp_path))
+
+
+def test_solved_levels_live_only_in_memory(tmp_path, monkeypatch):
+    # _MEMORY is the one store: the benchmark empties it by name between
+    # ops, so a level held anywhere else would carry over to the next op
+    monkeypatch.setattr(fock, "_MEMORY", {})
+    refs = [weakref.ref(canonical_basis(n, 3, cache_dir=str(tmp_path)))
+            for n in range(9)]
+    assert all(ref() is not None for ref in refs)
+    fock._MEMORY.clear()
+    gc.collect()
+    assert [ref() for ref in refs] == [None] * 9
 
 
 def test_wrong_conjugate_raises_naming_column_and_row(monkeypatch):

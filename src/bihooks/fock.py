@@ -30,35 +30,34 @@ i-signature (smallest such residue first), i.e. the top removable
 i-nodes sitting above all other i-activity.  The run list replayed in
 reverse as divided powers on |empty> gives a vector A(mu) with
 coefficient exactly 1 at |mu| and all other terms strictly later in the
-refined dominance order.  The solver builds every A(mu) it solves in one
-depth-first pass over a trie of the reversed run lists, so a prefix
-shared by several of them is applied once.  The trie is filled least
-dominant mu first and walked in insertion order, which hands the
-approximations over close to the order the elimination takes them in;
-the pass checks each one before handing it over.  Divided powers commute
-with the bar involution and fix |empty>, so every A(mu) is bar-invariant;
-corrections by bar-closures of offending coefficients therefore keep the
-eliminated columns bar-invariant without any combinatorial bar formula.
-
-A column may start one level up instead (Kashiwara, Duke Math. J. 63,
-1991; Lascoux-Leclerc-Thibon, q-alg/9511007).  The first run (i, m) of
-mu's peel is the last divided power of A(mu), and it leaves mu's parent,
-of n - m boxes.  When the parent is a column of a matrix of n - m boxes
-that the solver is handed, mu starts from f_i^(m) G(parent), G(parent)
-that finished column, in place of f_i^(m) A(parent).  It is bar-invariant
-too, and it has coefficient exactly 1 at mu: the run is the top removable
-i-nodes of mu, so every other way of removing m i-nodes of mu leaves a
-shape that strictly dominates the parent, outside the support of
-G(parent).  It goes through the solve's own tables (so at e = 2 the
-``drop`` codes below hold), the same check and the same elimination,
-and it needs far fewer corrections (18 against 153 at e = 2, n = 12).
-Every other column, and every column of a solve handed no matrices,
-takes the trie walk.  ``canonical_basis`` hands the solver the levels
-below that ``_MEMORY`` holds for the same cache directory and that this
-process solved; a level loaded from a file is never handed over, since
-a file has passed only ``_fault``, and a fault that ``_fault`` lets
-through would be carried up a level.  ``--no-cache`` holds no level, so
-it solves every column from |empty>.
+refined dominance order.  A column may start one level up instead
+(Kashiwara, Duke Math. J. 63, 1991; Lascoux-Leclerc-Thibon,
+q-alg/9511007).  The first run (i, m) of mu's peel is the last divided
+power of A(mu), and it leaves mu's parent, of n - m boxes; when the
+parent is a column of a finished matrix of n - m boxes, f_i^(m)
+G(parent), G(parent) that column, has coefficient exactly 1 at mu too:
+the run is the top removable i-nodes of mu, so every other way of
+removing m i-nodes of mu leaves a shape that strictly dominates the
+parent, outside the support of G(parent).  It needs far fewer
+corrections (18 against 153 at e = 2, n = 12).  The solver builds every
+start in one depth-first walk over tries of divided powers: each mu
+whose parent is such a column hangs by its one run from a root of its
+own, G(parent), and every other mu by its reversed run list from the
+|empty> root, so a prefix shared by several of them is applied once.
+Roots and tries are filled least dominant mu first and walked in
+insertion order, which hands the starts over close to the order the
+elimination takes them in; the walk checks each one before handing it
+over, and every start goes through the solve's own tables (so at e = 2
+the ``drop`` codes below hold).  Divided powers commute with the bar
+involution and fix |empty>, and every G(parent) is bar-invariant, so
+every start is bar-invariant; corrections by bar-closures of offending
+coefficients therefore keep the eliminated columns bar-invariant without
+any combinatorial bar formula.  ``canonical_basis`` hands the solver the
+levels below that ``_MEMORY`` holds for the same cache directory and
+that this process solved; a level loaded from a file is never handed
+over, since a file has passed only ``_fault``, and a fault that
+``_fault`` lets through would be carried up a level.  ``--no-cache``
+holds no level, so it solves every column from |empty>.
 
 Duality.  Conjugation maps column mu onto column m(mu), where m is the
 Mullineux map: d(lam', m(mu))(q) = q^s d(lam, mu)(q^-1) for every row
@@ -450,36 +449,66 @@ def peel_runs(mu: Bipartition, e: int) -> tuple[tuple[int, int], ...]:
     return _Shapes(e, (mu,)).peel(0)
 
 
-def _first_approximations(shapes: _Shapes, regs: list[int]):
-    """Yield (mu, A(mu)) as raw vectors for every shape id mu in regs
+def _first_approximations(shapes: _Shapes, regs: list[int], lower=None):
+    """Yield (mu, start) as raw vectors for every shape id mu in regs
     (given in decreasing dominance), each checked by
-    ``_check_first_approximation``, from one depth-first pass over the
-    trie of reversed peel runs, so that each shared prefix is applied once.
+    ``_check_first_approximation``, from one depth-first walk over tries
+    rooted at |empty> or at a held parent column (module docstring,
+    "First approximation"), so that each shared prefix is applied once.
+    lower, when given, maps a box count to a finished matrix or to None,
+    and is called once per run length.
 
-    The trie is filled least dominant mu first, and each node lists its
-    children in insertion order, so sibling branches are visited by the
-    least dominant mu each holds, least dominant first: the solver
-    eliminates in that order, so it can take most approximations soon
-    after they appear instead of holding them all.  Every mu has the same
-    size, so no run list is a prefix of another: the pass never extends a
-    vector it has yielded, and the caller may update it in place."""
-    trie: dict = {}
+    Sibling branches are visited by the least dominant mu each holds,
+    least dominant first: the solver eliminates in that order, so it can
+    take most starts soon after they appear instead of holding them all.
+    Every mu has the same size, so no run list is a prefix of another:
+    the walk never extends a vector it has yielded, and the caller may
+    update it in place."""
+    roots: dict = {}  # parent label, None for |empty> -> (G(parent), trie)
+    levels: dict = {}
     for mu in reversed(regs):
-        node = trie
-        for run in reversed(shapes.peel(mu)):
+        col = None
+        if lower is not None:
+            x = shapes.codes[mu]
+            i, run = shapes.leading_run(x)
+            if run:  # mu is not the empty bipartition
+                m = run.bit_count()
+                if m not in levels:
+                    levels[m] = lower(size(shapes.label(mu)) - m)
+                if levels[m] is not None:
+                    parent = shapes.decode(x ^ run ^ (run >> 1))
+                    col = levels[m].columns.get(parent)
+                    runs = ((i, m),)
+        if col is None:
+            parent, runs = None, reversed(shapes.peel(mu))
+        node = roots.setdefault(parent, (col, {}))[1]
+        for run in runs:
             node = node.setdefault(run, {})
         # the leaf: None holds no run, so n = 0 needs no special case
         node[None] = mu
-    yield from _walk(shapes, trie, {shapes.intern(shapes.empty): {0: 1}})
+    sid_of: dict[Bipartition, int] = {}  # the held levels' labels
+    for col, trie in roots.values():
+        if col is None:
+            vec = {shapes.intern(shapes.empty): {0: 1}}
+        else:
+            vec = {}
+            for lam, val in col.items():
+                sid = sid_of.get(lam)
+                if sid is None:
+                    sid = sid_of[lam] = shapes.intern(shapes.encode(lam))
+                # _apply_divided reads the terms and writes fresh dicts
+                vec[sid] = val._c
+        yield from _walk(shapes, trie, vec)
 
 
 def _walk(shapes: _Shapes, node: dict, vec: RawVector):
     """The pass of ``_first_approximations`` below one trie node, whose
-    runs so far give vec.  Module-level, since a nested generator calling
-    itself would form a closure cycle that keeps shapes alive."""
+    root and runs so far give vec.  Module-level, since a nested generator
+    calling itself would form a closure cycle that keeps shapes alive."""
     for run, child in node.items():
         if run is None:
-            _check_first_approximation(child, vec, shapes.label)
+            _check_first_approximation(
+                child, vec, lambda sid: format_bipartition(shapes.label(sid)))
             yield child, vec
         else:
             yield from _walk(shapes, child, _apply_divided(shapes, vec, *run))
@@ -752,50 +781,9 @@ def _kept_rows(n: int, e: int, conj: list[int]) -> frozenset[int] | None:
                      if sid <= cid or bp in regular or rows[cid] in regular)
 
 
-def _parent_starts(shapes: _Shapes, n: int, regs: list[int], lower) -> dict:
-    """mu -> (G(parent), i, m) for each shape id mu of n boxes in regs
-    whose first ladder run (i, m) leaves a parent that is a column of the
-    matrix ``lower(n - m)`` (module docstring, "First approximation");
-    G(parent) is that column, keyed by label.  lower is called once per
-    m."""
-    levels: dict = {}
-    out = {}
-    for mu in regs:
-        x = shapes.codes[mu]
-        i, run = shapes.leading_run(x)
-        if not run:  # the empty bipartition
-            continue
-        m = run.bit_count()
-        if m not in levels:
-            levels[m] = lower(n - m)
-        if levels[m] is not None:
-            col = levels[m].columns.get(shapes.decode(x ^ run ^ (run >> 1)))
-            if col is not None:
-                out[mu] = col, i, m
-    return out
-
-
-def _parent_start(shapes: _Shapes, mu: int, col: dict, i: int, m: int,
-                  sid_of: dict) -> RawVector:
-    """f_i^(m) G(parent) as a raw vector, checked as a first approximation
-    of mu; sid_of memoises the ids of the parent level's labels."""
-    vec = {}
-    for lam, val in col.items():
-        sid = sid_of.get(lam)
-        if sid is None:
-            sid = sid_of[lam] = shapes.intern(shapes.encode(lam))
-        # _apply_divided reads the terms and writes fresh dicts
-        vec[sid] = val._c
-    vec = _apply_divided(shapes, vec, i, m)
-    _check_first_approximation(mu, vec, shapes.label)
-    return vec
-
-
 def _compute_canonical_basis(n: int, e: int, lower=None) -> DecompositionMatrix:
-    """The matrix of n boxes at e.  lower, when given, maps a box count
-    k < n to a finished matrix of k boxes at e, or to None; a column
-    whose parent is a column there starts from it (module docstring,
-    "First approximation")."""
+    """The matrix of n boxes at e, its columns started as
+    ``_first_approximations`` starts them from the levels lower gives."""
     key_of = dominance_keys(n)
     # the bipartitions of n take ids 0, 1, ... in decreasing key order, and
     # labels are the key table's own tuples
@@ -840,9 +828,7 @@ def _compute_canonical_basis(n: int, e: int, lower=None) -> DecompositionMatrix:
 
     # the less dominant member of each pair, the larger id, is solved
     solved = [mu for mu in regs if partner[mu] <= mu]
-    starts = {} if lower is None else _parent_starts(shapes, n, solved, lower)
-    lower_sid: dict[Bipartition, int] = {}
-    approx = _first_approximations(shapes, [mu for mu in solved if mu not in starts])
+    approx = _first_approximations(shapes, solved, lower)
     held: dict[int, RawVector] = {}
     raw: dict[int, RawVector] = {}
     # the columns flipped out of their finished partners, not yet reached
@@ -854,8 +840,6 @@ def _compute_canonical_basis(n: int, e: int, lower=None) -> DecompositionMatrix:
         if nu > mu:
             vals = derived.pop(mu)
         else:
-            if mu in starts:
-                held[mu] = _parent_start(shapes, mu, *starts.pop(mu), lower_sid)
             vals = {bp: _share(shared, terms) for bp, terms in
                     _eliminate(held, approx, mu, regs[idx + 1:], raw).items()}
         raw[mu] = col = {bp: val._c for bp, val in vals.items()}

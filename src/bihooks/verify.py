@@ -371,18 +371,36 @@ def _predicted_row(rep: SuiteReport, matrix, k: int, j: int, e: int,
     rep.check(matrix.row(shape) == want, lambda: text)
 
 
+def _induced_cases(e: int, max_n: int):
+    """The induced families the llt suite reads at e, as (a, b, k, j, n),
+    n the box count of the induced bihook, at most max_n + 4."""
+    for a, b in crystal.induction_pairs(e):
+        for k, j in _kj_pairs(3):
+            n = (k + j) * e + 2 * (a + b)
+            if n <= max_n + 4:
+                yield a, b, k, j, n
+
+
 def llt_suite(es=(2, 3), max_kj: int = 5, max_n: int = 12,
               cache_dir=None) -> SuiteReport:
     rep = SuiteReport("llt")
+    families = {e: list(_induced_cases(e, max_n)) for e in es}
+    # every level the cases read, solved before any check and each e's in
+    # increasing n, so that a solve starts its columns from the levels
+    # below it (`fock` module docstring, "First approximation")
+    levels = {e: {n: fock.canonical_basis(n, e, cache_dir=cache_dir)
+                  for n in sorted({*range(max_n + 1),
+                                   *range(2 * e, max_kj * e + 1, e),
+                                   *(case[-1] for case in families[e])})}
+              for e in es}
     for e in es:
         # window, triangularity and balance across whole levels (every
         # box count up to max_n, at every e)
         for n in range(max_n + 1):
-            matrix = fock.canonical_basis(n, e, cache_dir=cache_dir)
-            _llt_matrix_checks(rep, matrix, e, n)
+            _llt_matrix_checks(rep, levels[e][n], e, n)
         for total in range(2, max_kj + 1):
             n = total * e
-            matrix = fock.canonical_basis(n, e, cache_dir=cache_dir)
+            matrix = levels[e][n]
             if n > max_n:
                 _llt_matrix_checks(rep, matrix, e, n)
             # the bihook rows, then the conjugate family's, whose entries
@@ -398,24 +416,20 @@ def llt_suite(es=(2, 3), max_kj: int = 5, max_n: int = 12,
     # against the predicted structures, and the induction recipe carries
     # the bihook basis vector to exactly the induced one
     for e in es:
-        for a, b in crystal.induction_pairs(e):
-            for k, j in _kj_pairs(3):
-                n = (k + j) * e + 2 * (a + b)
-                if n > max_n + 4:
-                    continue
-                matrix = fock.canonical_basis(n, e, cache_dir=cache_dir)
-                vec = {structure.family_shape(k, j, e): LaurentPoly.q_power(0)}
-                for i, mult in crystal.induction_recipe(a, b, e):
-                    vec = fock.apply_f_divided(vec, i, mult, e)
-                induced = structure.family_shape(k, j, e, a, b)
-                tag = f"e={e} k={k} j={j} a={a} b={b}"
-                rep.check(vec == {induced: LaurentPoly.q_power(0)},
-                          lambda: f"recipe transports the bihook vector {tag}")
-                _predicted_row(rep, matrix, k, j, e,
-                               f"induced concentration {tag}", a, b)
-                _predicted_row(rep, matrix, k, j, e,
-                               f"conjugate induced concentration {tag}",
-                               a, b, transpose=True)
+        for a, b, k, j, n in families[e]:
+            matrix = levels[e][n]
+            vec = {structure.family_shape(k, j, e): LaurentPoly.q_power(0)}
+            for i, mult in crystal.induction_recipe(a, b, e):
+                vec = fock.apply_f_divided(vec, i, mult, e)
+            induced = structure.family_shape(k, j, e, a, b)
+            tag = f"e={e} k={k} j={j} a={a} b={b}"
+            rep.check(vec == {induced: LaurentPoly.q_power(0)},
+                      lambda: f"recipe transports the bihook vector {tag}")
+            _predicted_row(rep, matrix, k, j, e,
+                           f"induced concentration {tag}", a, b)
+            _predicted_row(rep, matrix, k, j, e,
+                           f"conjugate induced concentration {tag}",
+                           a, b, transpose=True)
     return rep
 
 

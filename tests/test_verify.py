@@ -5,7 +5,7 @@ from functools import lru_cache
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bihooks import crystal, schur, structure, tableaux, verify
+from bihooks import crystal, fock, schur, structure, tableaux, verify
 from bihooks.fock import DecompositionMatrix, canonical_basis, simple_graded_dims_from
 from bihooks.laurent import LaurentPoly
 from bihooks.partitions import EMPTY_BP, format_bipartition, parse_bipartition, size
@@ -250,6 +250,25 @@ def test_llt_sweeps_every_level_up_to_max_n_at_every_e(monkeypatch,
     rep = verify.run_suite("llt", es=(4,), max_n=11, max_kj=2,
                            cache_dir=llt_cache_dir)
     assert seen == [(4, n) for n in range(12)]
+    assert rep.failures == []
+
+
+def test_llt_suite_solves_each_e_in_increasing_n(tmp_path, monkeypatch):
+    # a cold run at e = 3 reads bihook level 12, above max_n = 8, and the
+    # induced levels 10 and 11 below it: every level is solved once, in
+    # increasing n, so each solve finds the levels below it held
+    monkeypatch.setattr(fock, "_MEMORY", {})
+    solves = []
+    inner = fock._compute_canonical_basis
+
+    def computing(n, e, lower=None):
+        solves.append((e, n))
+        return inner(n, e, lower)
+
+    monkeypatch.setattr(fock, "_compute_canonical_basis", computing)
+    rep = verify.run_suite("llt", es=(3,), max_n=8, max_kj=4,
+                           cache_dir=str(tmp_path))
+    assert solves == [(3, n) for n in range(13)]
     assert rep.failures == []
 
 

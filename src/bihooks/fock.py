@@ -99,15 +99,17 @@ bipartitions of n take ids 0, 1, ... in ``dominance_keys(n)`` order
 before anything else is interned, so "strictly later in the refined
 order" is a larger id; smaller shapes are interned as the first
 approximations reach them.  The table holds each shape as its bead code
-(James's abacus): one int with the beta-sets of both components,
-component 1 in the high bits, so a node above another has its bead at a
-higher bit.  Each component's bead count and field width are multiples
-of e, so a bead position fixes the residue of the node that moving the
-bead adds or removes, and the addable and the removable i-nodes are two
-masks, ``x & ~(x >> 1) & ADD[i]`` and ``x & ~(x << 1) & REM[i]``.  The
-field is sized by a box bound, n in the solver: a shape past it is
-refused by ``encode``, and ``build`` refuses a growth that would move a
-bead off the end of its field.  The same table holds the transitions
+(James's abacus) in the one layout of ``partitions.BeadLayout``, which
+``tableaux.packed_graded_dimension`` reads too: one int with the
+beta-sets of both components, component 1 in the high bits, so a node
+above another has its bead at a higher bit.  Each component's bead count
+and field width are multiples of e, so a bead position fixes the residue
+of the node that moving the bead adds or removes, and the addable and
+the removable i-nodes are two masks, ``x & ~(x >> 1) & add_masks[i]``
+and ``x & ~(x << 1) & rem_masks[i]``.  The field is sized by a box
+bound, n in the solver: a shape past it is refused by ``encode``, and
+``build`` refuses a growth that would move a bead off the end of its
+field.  The same table holds the transitions
 (id, i, m) -> (target id, N(S), target id, N(S), ...) of the formula
 above, kept flat (no tuple per target) and each built on first use:
 N(S) from bit counts of the masks above each node, and each subset grown
@@ -144,8 +146,8 @@ from dataclasses import dataclass
 from .crystal import check_regular, mullineux_pairs, regular_bipartitions
 from .laurent import LaurentPoly, ONE, dot
 from .partitions import (
-    Bipartition, check_e, conjugate, dominance_keys, format_bipartition, size,
-    undominated,
+    BeadLayout, Bipartition, check_e, conjugate, dominance_keys,
+    format_bipartition, size, undominated,
 )
 # a module attribute that the benchmark's tracer patches, used or not
 from .partitions import dominance_key  # noqa: F401
@@ -180,23 +182,11 @@ def _share(shared: dict, terms: dict[int, int]) -> LaurentPoly:
     return val
 
 
-class _Shapes:
+class _Shapes(BeadLayout):
     """Interned shapes and their transitions, for one solve or one public
-    call (module docstring, "Interned shapes").
-
-    A shape is held as its bead code.  Each component is a beta-set of
-    ``beads`` beads, row j (from 0) of a part p putting a bead at p +
-    beads - 1 - j, in a field of ``width`` bits, with component 1 in the
-    high field; both counts are multiples of e, so the bead moved by
-    adding the node at the end of row j sits at a position b with
-    (b + 1) % e its residue, and the bead moved by removing one has b % e.
-    Every bipartition of at most ``bound`` boxes has a code, with the
-    bottom bead of each field at bit 0 and its top bit empty.  ``encode``
-    refuses a larger shape, and ``build`` refuses to move a bead off
-    bit 0 or onto the top bit of a field, which only a shape of more
-    than ``bound`` boxes can ask for: past those edges a field would lose
-    its last empty row, or component 2 would read component 1's bottom
-    bead as its own.
+    call (module docstring, "Interned shapes"), held as the bead codes of
+    ``partitions.BeadLayout`` at a box bound: n in a solve.  ``build``
+    refuses to move a bead at a bit of ``edge``.
 
     ``codes[k]`` is the code of id k and ``ids`` the inverse map.  The
     shapes given at construction take ids 0, 1, ... in their order, and
@@ -210,23 +200,10 @@ class _Shapes:
     of n boxes that ``_kept_rows`` leaves to the duality, else empty."""
 
     def __init__(self, e: int, first=(), bound: int | None = None):
-        self.e = e
         self.shapes: list[Bipartition] = list(first)
         if bound is None:
             bound = max(map(size, self.shapes), default=0)
-        self.bound = bound
-        # more beads than rows, and room for a first row of bound boxes
-        # below the top bit
-        self.beads = k = -(-(bound + 1) // e) * e
-        self.width = w = -(-(bound + k + 1) // e) * e
-        every = ((1 << 2 * w) - 1) // ((1 << e) - 1)  # bits 0, e, 2e, ...
-        self._add = [every << (i - 1) % e for i in range(e)]
-        # the bead at bit 0 of a field has no empty place below it
-        self._rem = [every << i for i in range(e)]
-        self._rem[0] ^= 1 | 1 << w
-        # an addable bead here would leave bit 0 or reach the top bit
-        self._edge = 1 | 1 << (w - 2) | 1 << w | 1 << (2 * w - 2)
-        self.empty = ((1 << k) - 1) * (1 | 1 << w)
+        super().__init__(e, bound)
         self.codes: list[int] = [self.encode(bp) for bp in self.shapes]
         self.ids: dict[int, int] = {code: sid for sid, code in enumerate(self.codes)}
         self._tables: dict[tuple[int, int], dict[int, tuple]] = {}
@@ -234,31 +211,6 @@ class _Shapes:
         # "Duality")
         self.drop: frozenset[int] = frozenset()
         _f_targets.live.add(self)
-
-    def encode(self, bp: Bipartition) -> int:
-        if size(bp) > self.bound:
-            raise ValueError(f"{format_bipartition(bp)} has more than "
-                             f"{self.bound} boxes")
-        k, code = self.beads, 0
-        for comp in bp:
-            code = (code << self.width) | (1 << (k - len(comp))) - 1
-            for j, part in enumerate(comp):
-                code |= 1 << (part + k - 1 - j)
-        return code
-
-    def decode(self, code: int) -> Bipartition:
-        k, w = self.beads, self.width
-        out = []
-        for field in (code >> w, code & ((1 << w) - 1)):
-            parts = []
-            for j in range(k - 1, -1, -1):
-                top = field.bit_length() - 1
-                if top == j:
-                    break
-                parts.append(top - j)
-                field ^= 1 << top
-            out.append(tuple(parts))
-        return tuple(out)
 
     def label(self, sid: int) -> Bipartition:
         return (self.shapes[sid] if sid < len(self.shapes)
@@ -280,11 +232,11 @@ class _Shapes:
 
     def build(self, sid: int, i: int, m: int) -> tuple:
         x = self.codes[sid]
-        adds = x & ~(x >> 1) & self._add[i]
-        if adds & self._edge:
+        adds = x & ~(x >> 1) & self.add_masks[i]
+        if adds & self.edge:
             raise ValueError(f"f_{i} of {self.label(sid)} leaves the "
                              f"{self.bound}-box code")
-        rems = x & ~(x << 1) & self._rem[i]
+        rems = x & ~(x << 1) & self.rem_masks[i]
         # per addable node, top to bottom: the bead move that adds it, and
         # the addable minus removable i-nodes above it; no removable i-bead
         # shares a position with an addable one
@@ -333,9 +285,9 @@ class _Shapes:
         removable i-beads above its highest addable i-bead, and the mask of
         those beads; the mask is 0 when there is no such i."""
         for i in range(self.e):
-            adds = x & ~(x >> 1) & self._add[i]
+            adds = x & ~(x >> 1) & self.add_masks[i]
             top = adds.bit_length()
-            run = (x & ~(x << 1) & self._rem[i]) >> top << top
+            run = (x & ~(x << 1) & self.rem_masks[i]) >> top << top
             if run:
                 return i, run
         return 0, 0

@@ -16,7 +16,10 @@ Conventions used throughout the package:
   ``removable_nodes``, the crystal's i-signatures and the tableau peel
   table all read it;
 * residues are taken mod ``e`` with bicharge (0, 0), so the residue of
-  ``(r, c, m)`` is ``(c - r) % e``.
+  ``(r, c, m)`` is ``(c - r) % e``;
+* ``BeadLayout`` is the one bead-code (abacus) form of a bipartition,
+  one int, read by the Fock solver's shape tables and by the packed
+  graded dimension of ``tableaux``.
 
 The canonical text form of a bipartition separates components with
 ``|`` and renders the empty component as ``-``, e.g. ``21|15``,
@@ -147,6 +150,74 @@ def remove_node(bp: Bipartition, node: Node) -> Bipartition:
         comp.pop()
     new = tuple(comp)
     return (new, bp[1]) if m == 1 else (bp[0], new)
+
+
+class BeadLayout:
+    """Bead codes (James's abacus) of the bipartitions of at most ``bound``
+    boxes at e: one int per shape, holding the beta-sets of both
+    components.
+
+    Each component is a beta-set of ``beads`` beads, row j (from 0) of a
+    part p putting a bead at p + beads - 1 - j, in a field of ``width``
+    bits, with component 1 in the high field, so a node above another has
+    its bead at a higher bit.  Both counts are multiples of e, so the bead
+    moved by adding the node at the end of row j sits at a position b with
+    (b + 1) % e its residue, and the bead moved by removing one has b % e.
+    Every bipartition of at most ``bound`` boxes has a code, with the
+    bottom bead of each field at bit 0 and its top bit empty, and
+    ``encode`` refuses a larger shape.
+
+    For a code x, the beads that move up one place to add an i-node are
+    ``x & ~(x >> 1) & add_masks[i]``, and those that move down one place
+    to remove one are ``x & ~(x << 1) & rem_masks[i]``; moving the bead at
+    b up is ``x ^ (3 << b)``, and down ``x ^ (3 << (b - 1))``.  A removal
+    never leaves the codes: ``rem_masks`` leaves out bit 0 of each field,
+    which has no empty place below it.  An addition may: a bead at a bit
+    of ``edge`` would move off bit 0 or onto the top bit of a field, which
+    only a shape of more than ``bound`` boxes can ask for, and past those
+    edges a field would lose its last empty row, or component 2 would read
+    component 1's bottom bead as its own."""
+
+    def __init__(self, e: int, bound: int):
+        self.e = e
+        self.bound = bound
+        # more beads than rows, and room for a first row of bound boxes
+        # below the top bit
+        self.beads = k = -(-(bound + 1) // e) * e
+        self.width = w = -(-(bound + k + 1) // e) * e
+        every = ((1 << 2 * w) - 1) // ((1 << e) - 1)  # bits 0, e, 2e, ...
+        self.add_masks = [every << (i - 1) % e for i in range(e)]
+        # the bead at bit 0 of a field has no empty place below it
+        self.rem_masks = [every << i for i in range(e)]
+        self.rem_masks[0] ^= 1 | 1 << w
+        # an addable bead here would leave bit 0 or reach the top bit
+        self.edge = 1 | 1 << (w - 2) | 1 << w | 1 << (2 * w - 2)
+        self.empty = ((1 << k) - 1) * (1 | 1 << w)
+
+    def encode(self, bp: Bipartition) -> int:
+        if size(bp) > self.bound:
+            raise ValueError(f"{format_bipartition(bp)} has more than "
+                             f"{self.bound} boxes")
+        k, code = self.beads, 0
+        for comp in bp:
+            code = (code << self.width) | (1 << (k - len(comp))) - 1
+            for j, part in enumerate(comp):
+                code |= 1 << (part + k - 1 - j)
+        return code
+
+    def decode(self, code: int) -> Bipartition:
+        k, w = self.beads, self.width
+        out = []
+        for field in (code >> w, code & ((1 << w) - 1)):
+            parts = []
+            for j in range(k - 1, -1, -1):
+                top = field.bit_length() - 1
+                if top == j:
+                    break
+                parts.append(top - j)
+                field ^= 1 << top
+            out.append(tuple(parts))
+        return tuple(out)
 
 
 def all_nodes(bp: Bipartition) -> list[Node]:

@@ -41,8 +41,23 @@ sub-shape, one memo level per prefix length, and takes its words in
 sorted order: a word reuses the levels of the prefix it shares with the
 word before it, and the levels past that prefix are cleared, so the memo
 never holds more than one word's.  ``word_graded_dimension`` is its
-one-word call.  Nothing else is memoised across calls, so a sweep over
-many shapes holds no memory beyond the shared peel tables and degrees.
+one-word call.
+
+Graded dimensions have three routes.  ``graded_dimension`` is the peel
+recursion on ``LaurentPoly`` values, memoised per (shape, e);
+``graded_dimension_by_enumeration`` counts the enumerated tableaux by
+codegree; and ``packed_graded_dimension`` runs the same peel on the bead
+codes of ``partitions.BeadLayout`` and builds no polynomial.  It returns
+the lowest exponent, low, and q^-low times the graded dimension at
+q = 2^w, one int, adding each sub-shape's int shifted by w bits per step
+of its exponent above low.  Its memo, code -> (low, int), is one dict per
+(e, layout bound, w), held by the ``lru_cache`` ``_bead_peel``, so that
+emptying the package's caches empties it.  The dimension balance of
+``verify`` reads the packed route, and ``fock.simple_graded_dims_from``
+the polynomial one, which it needs to check bar-invariance and
+positivity.  Nothing else is memoised across calls, so a sweep over many
+shapes holds no memory beyond these memos and the shared peel tables and
+degrees.
 """
 
 from collections import Counter
@@ -51,8 +66,9 @@ from functools import lru_cache
 
 from .laurent import LaurentPoly, ONE
 from .partitions import (
-    Bipartition, Node, as_bipartition, check_e, conjugate_partition, residue,
-    size, addable_nodes, removable_nodes, remove_node, signed_nodes, EMPTY_BP,
+    BeadLayout, Bipartition, Node, as_bipartition, check_e,
+    conjugate_partition, residue, size, addable_nodes, removable_nodes,
+    remove_node, signed_nodes, EMPTY_BP,
 )
 
 SIZE_BOUND = 25
@@ -316,6 +332,71 @@ def graded_dimension(shape: Bipartition, e: int) -> LaurentPoly:
                 k += d
             total[k] = total.get(k, 0) + v
     return LaurentPoly._raw(total)
+
+
+def packed_graded_dimension(shape: Bipartition, e: int, w: int) -> tuple[int, int]:
+    """``graded_dimension(shape, e)`` as (low, value): its lowest exponent,
+    and q^-low times it at q = 2^w, by the same peel on bead codes
+    (``partitions.BeadLayout``) with no polynomial built.  Removing the
+    removable i-bead at b has the degree of ``peel_degrees``: the addable
+    i-beads above b less the removable i-beads above it.  The value is
+    exact for every w >= 1, and its base-2^w digits are the coefficients
+    when 2^w exceeds them all (their sum is the number of standard
+    tableaux, at most n!).  The layout's box bound is
+    size(shape) rounded up to 31 mod 32, so one memo per (e, w) serves
+    every shape of at most 31 boxes."""
+    check_e(e)
+    if w < 1:
+        raise ValueError(f"packing width must be >= 1, got {w}")
+    peel = _bead_peel(e, size(shape) | 31, w)
+    x = peel.layout.encode(shape)
+    return peel.memo.get(x) or peel(x)
+
+
+class _BeadPeel:
+    """The recursion of ``packed_graded_dimension`` at one layout and w,
+    and its memo, code -> (low, value), seeded with the empty
+    bipartition."""
+
+    def __init__(self, e: int, bound: int, w: int):
+        self.layout = BeadLayout(e, bound)
+        self.w = w
+        self.memo = {self.layout.empty: (0, 1)}
+
+    def __call__(self, x: int) -> tuple[int, int]:
+        """(low, value) at the code x, which the memo lacks; every
+        coefficient counts tableaux, so none cancels, and the lowest
+        exponent is the least over the removals: the sum so far is
+        shifted up when a removal comes in lower."""
+        memo, w = self.memo, self.w
+        adds_all, rems_all = x & ~(x >> 1), x & ~(x << 1)
+        low = None
+        for adds, rems in zip(self.layout.add_masks, self.layout.rem_masks):
+            rems &= rems_all
+            if not rems:
+                continue
+            adds &= adds_all
+            above = 0  # removable i-beads above b
+            while rems:
+                b = rems.bit_length() - 1
+                rems ^= 1 << b
+                sub = x ^ (3 << (b - 1))
+                k, value = memo.get(sub) or self(sub)
+                k += (adds >> b).bit_count() - above
+                above += 1
+                if low is None:
+                    low, total = k, value
+                elif k < low:
+                    low, total = k, (total << w * (low - k)) + value
+                else:
+                    total += value << w * (k - low)
+        got = memo[x] = (low, total)
+        return got
+
+
+# one recursion and memo per (e, layout bound, w), emptied with the
+# other caches
+_bead_peel = lru_cache(maxsize=None)(_BeadPeel)
 
 
 def graded_dimension_by_enumeration(shape: Bipartition, e: int) -> LaurentPoly:

@@ -10,6 +10,7 @@ takes a function that returns it, never the text itself.
 """
 
 import inspect
+import math
 import time
 from collections import Counter
 from dataclasses import dataclass, field
@@ -302,13 +303,23 @@ def _llt_matrix_checks(rep: SuiteReport, matrix, e: int, n: int):
     X_mu = dim_q D^mu of ``fock.simple_graded_dims_from``.
 
     The balance is one int per row: each side at q = 2^w, shifted by
-    q^-low, where low is the entries' lowest exponent plus the X_mu's.  It
-    is exact: with B = max |gd|_1 + max |d|_1 * sum_mu |X_mu|_1 (l1 norms),
-    every coefficient c of gd(lam) - sum_mu d(lam, mu) X_mu has |c| <= B,
-    below 2^w for w = B.bit_length().  A nonzero difference is then, at
-    q = 2^w, its lowest term plus multiples of the next power of 2^w, and
-    that term is no such multiple: so it is not 0.  A graded dimension
-    with an exponent below low fails its case unevaluated."""
+    q^-low, where low is the entries' lowest exponent plus the X_mu's.
+    The left side is ``tableaux.packed_graded_dimension``, a peel on bead
+    codes that builds no polynomial; the X_mu come from the ``LaurentPoly``
+    peel ``tableaux.graded_dimension``, so at a regular row the balance
+    compares the two routes.
+
+    It is exact.  Every coefficient of gd(lam) counts standard tableaux,
+    so it is at most their number f^lam = C(n, |lam1|) f^lam1 f^lam2 <=
+    n!.  With B = n! + max |d|_1 * sum_mu |X_mu|_1 (l1 norms), every
+    coefficient c of gd(lam) - sum_mu d(lam, mu) X_mu has |c| <= B, below
+    2^w for any w with 2^w > B.  A nonzero difference is then, at q = 2^w,
+    its lowest term plus multiples of the next power of 2^w, and that
+    term is no such multiple: so it is not 0.  w is B.bit_length()
+    rounded up to a multiple of 64, so that one memo of the peel per
+    (e, w) serves every level: at the default bounds every level has B
+    below 2^45, so w = 64.  A graded dimension with an exponent below low
+    fails its case unevaluated."""
     # tuple keys of its own, not the packed table the solver orders by
     key_of = {lam: dominance_key(lam) for lam in matrix.rows()}
     one = LaurentPoly.q_power(0)
@@ -339,10 +350,9 @@ def _llt_matrix_checks(rep: SuiteReport, matrix, e: int, n: int):
         # a wrong entry the checks above let pass; no balance without qdim
         rep.check(False, lambda: f"simple dimensions e={e} n={n}: {exc}")
         return
-    gdim = {lam: tableaux.graded_dimension(lam, e) for lam in key_of}
-    w = (max(map(_norm, gdim.values()))
-         + max(map(_norm, values.values()), default=0)
-         * sum(map(_norm, qdim.values()))).bit_length()
+    bound = (math.factorial(n) + max(map(_norm, values.values()), default=0)
+             * sum(map(_norm, qdim.values())))
+    w = -(-bound.bit_length() // 64) * 64
     low_d, low_x = _low(values.values()), _low(qdim.values())
     packed = {i: _packed(val, low_d, w) for i, val in values.items()}
     # rows in decreasing dominance, each with its right side at 2^w
@@ -353,8 +363,8 @@ def _llt_matrix_checks(rep: SuiteReport, matrix, e: int, n: int):
             rhs[lam] += packed[id(val)] * x
     low = low_d + low_x
     for lam, got in rhs.items():
-        g = gdim[lam]
-        rep.check((not g or g.min_exp() >= low) and _packed(g, low, w) == got,
+        low_g, g = tableaux.packed_graded_dimension(lam, e, w)
+        rep.check(low_g >= low and g << w * (low_g - low) == got,
                   lambda: f"dimension balance e={e} n={n} {format_bipartition(lam)}")
 
 

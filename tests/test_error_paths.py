@@ -60,6 +60,8 @@ ERRORS = [
     pytest.param(lambda: tableaux.word_graded_dimension(((2, 1), (1,)),
                                                         (0, 1, 0, -1), 3),
                  "letter -1 is not a residue 0..2 for e=3", id="word-letter-negative"),
+    pytest.param(lambda: tableaux.packed_graded_dimension(((2, 1), (1,)), 2, 0),
+                 "packing width must be >= 1, got 0", id="packed-width"),
     pytest.param(lambda: tableaux.standard_tableaux(((2, 1), (1,)),
                                                     word=(2, 2, 3, 3), e=2),
                  "letter 2 is not a residue 0..1 for e=2", id="tableaux-word-letter"),

@@ -13,9 +13,9 @@ from bihooks.fock import (
 )
 from bihooks.laurent import LaurentPoly, ONE, ZERO, quantum_factorial
 from bihooks.partitions import (
-    EMPTY_BP, add_node, addable_nodes, bipartitions, conjugate, dominance_key,
-    dominance_keys, format_bipartition, key_dominates, remove_node, residue,
-    size,
+    EMPTY_BP, BeadLayout, add_node, addable_nodes, bipartitions, conjugate,
+    dominance_key, dominance_keys, format_bipartition, key_dominates,
+    remove_node, residue, size,
 )
 from bihooks.crystal import (
     is_regular, mullineux, mullineux_pairs, regular_bipartitions, signature,
@@ -247,6 +247,15 @@ def test_bead_codes_round_trip():
     assert shapes.label(0) is shapes.shapes[0]
     grown = shapes.intern(shapes.encode(((1,), ())))
     assert grown == len(dominance_keys(4)) and shapes.label(grown) == ((1,), ())
+
+
+def test_shapes_read_the_one_bead_layout():
+    # the solver's table and tableaux.packed_graded_dimension share one
+    # encoding and one set of masks, those of partitions.BeadLayout
+    assert issubclass(fock._Shapes, BeadLayout)
+    assert not {"encode", "decode"} & set(vars(fock._Shapes))
+    for e in (2, 3):
+        assert vars(BeadLayout(e, 7)).items() <= vars(fock._Shapes(e, bound=7)).items()
 
 
 def test_shape_past_the_bound_raises():

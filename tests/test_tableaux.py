@@ -1,4 +1,5 @@
 import hashlib
+import math
 import re
 from collections import Counter
 from itertools import product
@@ -15,8 +16,8 @@ from bihooks.structure import family_shape
 from bihooks.tableaux import (
     Tableau, codegree, column_initial_tableau, count_standard,
     gg_word, graded_dimension, graded_dimension_by_enumeration, node_degree,
-    peel_degrees, residue_sequence, standard_tableaux, v_tableau,
-    word_codegree_counts, word_graded_dimension, word_graded_dimensions,
+    packed_graded_dimension, peel_degrees, residue_sequence, standard_tableaux,
+    v_tableau, word_codegree_counts, word_graded_dimension, word_graded_dimensions,
 )
 
 
@@ -284,6 +285,41 @@ def test_graded_dimension_routes_agree():
             for shape in bipartitions(n):
                 assert graded_dimension(shape, e) == \
                     graded_dimension_by_enumeration(shape, e)
+
+
+def unpack(low, value, w):
+    """The polynomial whose coefficients are the 2^w-adic digits of value,
+    the first at exponent low."""
+    terms, digit = {}, (1 << w) - 1
+    while value:
+        if value & digit:
+            terms[low] = value & digit
+        value >>= w
+        low += 1
+    return LaurentPoly(terms)
+
+
+def test_packed_graded_dimension_unpacks_to_the_peel():
+    # at w = 64, and at the narrowest w whose digits hold n!, the bound
+    # on every coefficient that the balance of verify rests on
+    for e in (2, 3, 4, 5):
+        for n in range(0, 11):
+            for w in (64, math.factorial(n).bit_length()):
+                for shape in bipartitions(n):
+                    low, value = packed_graded_dimension(shape, e, w)
+                    gd = unpack(low, value, w)
+                    assert gd == graded_dimension(shape, e), (shape, e, w)
+                    assert low == gd.min_exp()
+                    assert gd.at_one() == count_standard(shape) <= math.factorial(n)
+
+
+def test_packed_graded_dimension_is_exact_at_any_width():
+    # the value is the graded dimension at q = 2^w even where digits carry
+    shape = ((3, 2), (2, 1))
+    gd = graded_dimension(shape, 2)
+    for w in (1, 2, 3, 64):
+        low, value = packed_graded_dimension(shape, 2, w)
+        assert value == sum(c << w * (k - low) for k, c in gd.iter_terms())
 
 
 def test_graded_dimension_examples():

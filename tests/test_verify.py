@@ -1,5 +1,6 @@
 import ast
 import hashlib
+import math
 from functools import lru_cache
 
 import pytest
@@ -64,6 +65,15 @@ BROKEN = [
     # these bounds reach the induced family k = j = 1, (a, b) = (1, 0)
     pytest.param("llt", structure, "induce", lambda real: lambda bp, *a: bp,
                  {"es": (2,), "max_kj": 2, "max_n": 2}, id="llt-induce-identity"),
+    # a bar-invariant q + q^-1 on the graded dimension the simple
+    # dimensions read at the regular 2|1: they pass their own checks, and
+    # the balance, whose left side is the bead-code peel, reports row 2|1
+    # and the rows below it in its column
+    pytest.param("llt", fock, "graded_dimension",
+                 lambda real: lambda bp, e: real(bp, e) + Q(1) + Q(-1)
+                 if bp == ((2,), (1,)) else real(bp, e),
+                 {"es": (2,), "max_kj": 2, "max_n": 3},
+                 id="llt-simple-dimension-plus-bar-invariant"),
     pytest.param("crystal", structure, "family_shape",
                  lambda real: lambda k, j, e, a=0, b=0, transpose=False:
                  real(k, j, e, a, 0, transpose),
@@ -110,6 +120,8 @@ BROKEN_FAILURES_SHA256 = {
         "d07f0a78085fbad2cbc0e63198cf3bed3100731d5fb926ee5c6a2c8c3342763e",
     "llt-induce-identity":
         "27fe9cbfc96d8b24e9a8bbfa78a7e198ae371bb628b995476269ab6113b0b11a",
+    "llt-simple-dimension-plus-bar-invariant":
+        "c94fb6437b0b78c55b3c2b8498460dc6844e21e008458012595a04658a155b0e",
     "crystal-family-shape-ignores-b":
         "0aad3022f2a2db702e2c63332c084c318ca5061ff40a583910f5cb0cbd21bec8",
     "words":
@@ -313,20 +325,64 @@ def test_balance_matches_the_plain_route(point, data, val):
         == plain_balance(bad, e, n)
 
 
-def test_balance_width_counts_the_graded_dimensions(monkeypatch):
-    # w as the check would pick it from the products' bound alone: then
-    # 2^w q^0 - q^1 is 0 at q = 2^w, and only |gd|_1 in the bound shows it.
-    # Both exponents are packed: the diagonal 1 and the bar-invariant
-    # simple dimensions put the check's lowest exponent at or below 0.
-    good = solved(2, 5)
+def test_balance_width_counts_the_graded_dimensions(monkeypatch, llt_cache_dir):
+    # the left side is read at q = 2^w, so its coefficients, at most n!
+    # each (tests/test_tableaux.py), must fit below 2^w with the products':
+    # on every level of the session sweep, 2^w > n! + max|d|_1 * sum|X|_1
+    seen = {}
+    real = tableaux.packed_graded_dimension
+
+    def recording(shape, e, w):
+        seen.setdefault((e, size(shape)), set()).add(w)
+        return real(shape, e, w)
+
+    monkeypatch.setattr(tableaux, "packed_graded_dimension", recording)
+    bounds = {"es": (2, 3), "max_kj": 5, "max_n": 0}
+    assert verify.run_suite("llt", cache_dir=llt_cache_dir, **bounds).ok
     norm = verify._norm
-    w = (max(norm(v) for col in good.columns.values() for v in col.values())
-         * sum(map(norm, simple_graded_dims_from(good).values()))).bit_length()
-    lam = parse_bipartition("1|4")
-    real = tableaux.graded_dimension
-    wrong = real(lam, 2) + Q(0) * 2 ** w - Q(1)
-    monkeypatch.setattr(tableaux, "graded_dimension",
-                        lambda bp, e: wrong if bp == lam else real(bp, e))
+    # the whole-level checks read n = 0, then the bihook levels
+    assert sorted(seen) == [(2, 0), (2, 4), (2, 6), (2, 8), (2, 10),
+                            (3, 0), (3, 6), (3, 9), (3, 12), (3, 15)]
+    for (e, n), widths in seen.items():
+        matrix = canonical_basis(n, e, cache_dir=llt_cache_dir)
+        [w] = widths
+        bound = (math.factorial(n)
+                 + max(norm(v) for col in matrix.columns.values()
+                       for v in col.values())
+                 * sum(map(norm, simple_graded_dims_from(matrix).values())))
+        assert w % 64 == 0 and 1 << w > bound, (e, n, w)
+
+
+def test_balance_past_64_bits_matches_the_plain_route():
+    # an entry of 2^64 q at a row that is not regular leaves the simple
+    # dimensions as they are and puts B past 2^64: the check picks w = 128
+    # and a memo table of its own beside w = 64's
+    e, n = 2, 6
+    good = solved(e, n)
+    mu = good.regulars()[0]
+    regular = set(good.regulars())
+    lam = next(lam for lam in good.columns[mu] if lam not in regular)
     rep = verify.SuiteReport("llt")
-    verify._llt_matrix_checks(rep, good, 2, 5)
-    assert rep.failures == ["dimension balance e=2 n=5 1|4"]
+    tableaux._bead_peel.cache_clear()
+    verify._llt_matrix_checks(rep, good, e, n)
+    assert rep.failures == [] and tableaux._bead_peel.cache_info().currsize == 1
+    for val in (Q(1) * 2 ** 64, Q(1) * 2 ** 64 + Q(2) * 3):
+        cols = {c: dict(col) for c, col in good.columns.items()}
+        cols[mu][lam] = val
+        bad = DecompositionMatrix(n=n, e=e, columns=cols)
+        rep = verify.SuiteReport("llt")
+        verify._llt_matrix_checks(rep, bad, e, n)
+        assert rep.failures == plain_balance(bad, e, n) == [
+            f"dimension balance e={e} n={n} {format_bipartition(lam)}"]
+    # the second table is w = 128's: this lookup finds it, and adds none
+    assert len(tableaux._bead_peel(e, 31, 128).memo) > 1
+    assert tableaux._bead_peel.cache_info().currsize == 2
+    # a regular row's entry past 2^64 breaks the simple dimensions
+    cols = {c: dict(col) for c, col in good.columns.items()}
+    cols[mu][good.regulars()[1]] = Q(1) * 2 ** 64
+    bad = DecompositionMatrix(n=n, e=e, columns=cols)
+    rep = verify.SuiteReport("llt")
+    verify._llt_matrix_checks(rep, bad, e, n)
+    assert [f for f in rep.failures
+            if f.startswith(("dimension balance", "simple dimensions"))] \
+        == plain_balance(bad, e, n) != []

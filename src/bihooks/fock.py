@@ -703,18 +703,20 @@ def _fault(matrix: DecompositionMatrix) -> str | None:
         return f"columns differ from the regular bipartitions at {odd}"
     passed = set()  # the ids of the off-diagonal values checked
     for mu, col in columns.items():
-        where = f"column {format_bipartition(mu)}"
         if col.get(mu) != ONE:
-            return f"{where}: diagonal is {col.get(mu)}, expected 1"
+            return (f"column {format_bipartition(mu)}: diagonal is "
+                    f"{col.get(mu)}, expected 1")
         bad = undominated(mu, col)
         if bad:
-            return f"{where} does not dominate its row {format_bipartition(bad[0])}"
+            return (f"column {format_bipartition(mu)} does not dominate its "
+                    f"row {format_bipartition(bad[0])}")
         for lam, v in col.items():
             if id(v) in passed or lam == mu:
                 continue
             if not (v and v.in_q_window() and v.has_nonneg_coeffs()):
-                return (f"{where}, row {format_bipartition(lam)}: "
-                        f"{v} is not a nonzero element of q.N[q]")
+                return (f"column {format_bipartition(mu)}, row "
+                        f"{format_bipartition(lam)}: {v} is not a nonzero "
+                        f"element of q.N[q]")
             passed.add(id(v))
     return None
 

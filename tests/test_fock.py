@@ -861,3 +861,22 @@ def test_fault_names_each_broken_invariant(edit, named):
     edit(columns, {format_bipartition(bp): bp for bp in dominance_keys(5)})
     reason = fock._fault(DecompositionMatrix(n=5, e=2, columns=columns))
     assert reason is not None and named in reason
+
+
+def test_fault_formats_labels_only_on_failure(monkeypatch):
+    m = canonical_basis(5, 2, use_cache=False)
+    label = {format_bipartition(bp): bp for bp in dominance_keys(5)}
+    broken = []
+    for col, row, val in (("2,1|2", "2,1|2", LaurentPoly({0: 2})),
+                          ("2,1|2", "3|2", Q(1)), ("3,2|-", "1|2,2", -Q(2))):
+        columns = {mu: dict(c) for mu, c in m.columns.items()}
+        columns[label[col]][label[row]] = val
+        broken.append(DecompositionMatrix(n=5, e=2, columns=columns))
+    # every text whole, as a failed solve or load reports it
+    assert [fock._fault(b) for b in broken] == [
+        "column 2,1|2: diagonal is 2, expected 1",
+        "column 2,1|2 does not dominate its row 3|2",
+        "column 3,2|-, row 1|2,2: -q^2 is not a nonzero element of q.N[q]"]
+    # a matrix that passes names no column
+    monkeypatch.setattr(fock, "format_bipartition", None)
+    assert fock._fault(m) is None

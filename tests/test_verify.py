@@ -9,7 +9,10 @@ from hypothesis import given, settings, strategies as st
 from bihooks import crystal, fock, schur, structure, tableaux, verify
 from bihooks.fock import DecompositionMatrix, canonical_basis, simple_graded_dims_from
 from bihooks.laurent import LaurentPoly
-from bihooks.partitions import EMPTY_BP, format_bipartition, parse_bipartition, size
+from bihooks.partitions import (
+    EMPTY_BP, bipartitions, dominance_key, format_bipartition, key_dominates,
+    parse_bipartition, size,
+)
 
 Q = LaurentPoly.q_power
 
@@ -232,6 +235,46 @@ def test_llt_matrix_checks_report_each_failure_family():
     ]
 
 
+def triangularity_failures(rep):
+    return [f for f in rep.failures if f.startswith("window/triangularity")]
+
+
+@pytest.mark.parametrize("n", range(9))
+def test_packed_triangularity_matches_key_dominates(n):
+    # every bipartition of n as a column holding every row at q: the
+    # packed check fails exactly the pairs that key_dominates refuses
+    bps = bipartitions(n)
+    cols = {mu: {lam: Q(0) if lam == mu else Q(1) for lam in bps} for mu in bps}
+    rep = verify.SuiteReport("llt")
+    verify._llt_matrix_checks(rep, DecompositionMatrix(n=n, e=2, columns=cols), 2, n)
+    assert triangularity_failures(rep) == [
+        f"window/triangularity e=2 n={n} "
+        f"{format_bipartition(lam)},{format_bipartition(mu)}"
+        for mu in bps for lam in bps
+        if lam != mu and not key_dominates(dominance_key(mu), dominance_key(lam))]
+
+
+def test_triangularity_sees_one_excess_in_the_top_field(monkeypatch):
+    # row lam's key exceeds column mu's by 1 in coordinate 0, the top
+    # field of the packed codes, and equals it elsewhere: the smallest
+    # violation there is
+    good = canonical_basis(5, 2, use_cache=False)
+    mu, lam = next((mu, lam) for mu in good.columns for lam in bipartitions(5)
+                   if [a - b for a, b in zip(dominance_key(lam), dominance_key(mu))]
+                   == [1] + [0] * 9)
+    cols = {c: dict(col) for c, col in good.columns.items()}
+    cols[mu][lam] = Q(1)
+    bad = DecompositionMatrix(n=5, e=2, columns=cols)
+    # the check packs codes of its own: a table of the solver's whose
+    # codes are all 0 leaves it as it is
+    table = fock.dominance_keys(5)
+    monkeypatch.setattr(fock, "dominance_keys", lambda n: dict.fromkeys(table, 0))
+    rep = verify.SuiteReport("llt")
+    verify._llt_matrix_checks(rep, bad, 2, 5)
+    assert triangularity_failures(rep) == [
+        f"window/triangularity e=2 n=5 {format_bipartition(lam)},{format_bipartition(mu)}"]
+
+
 def test_llt_matrix_checks_report_a_simple_dimension_fault():
     # q + q^2 at row 4|1 of column 5|- passes the window and triangularity
     # checks, but no simple dimensions balance it: one failed case, and
@@ -323,6 +366,34 @@ def test_balance_matches_the_plain_route(point, data, val):
     assert [f for f in rep.failures
             if f.startswith(("dimension balance", "simple dimensions"))] \
         == plain_balance(bad, e, n)
+
+
+@settings(max_examples=100, deadline=None)
+@given(point=st.sampled_from([(2, 6), (3, 6), (4, 5)]), data=st.data(),
+       val=st.dictionaries(st.integers(-2, 4), st.integers(-3, 3),
+                           max_size=4).map(LaurentPoly))
+def test_balance_forms_one_product_per_value_object(point, data, val):
+    # one column, its equal entries first each a distinct object, then
+    # all one shared object, with val at some of its rows: both give the
+    # plain route's balance, with the same cases and failures
+    e, n = point
+    good = solved(e, n)
+    mu = data.draw(st.sampled_from(good.regulars()))
+    rows = data.draw(st.lists(st.sampled_from(sorted(good.columns[mu])),
+                              unique=True, max_size=4))
+    col = {**good.columns[mu], **dict.fromkeys(rows, val)}
+    shared: dict = {}
+    reports = []
+    for column in ({lam: LaurentPoly(v.iter_terms()) for lam, v in col.items()},
+                   {lam: shared.setdefault(v, v) for lam, v in col.items()}):
+        bad = DecompositionMatrix(n=n, e=e, columns={**good.columns, mu: column})
+        rep = verify.SuiteReport("llt")
+        verify._llt_matrix_checks(rep, bad, e, n)
+        reports.append((rep.cases, rep.failures))
+        assert [f for f in rep.failures
+                if f.startswith(("dimension balance", "simple dimensions"))] \
+            == plain_balance(bad, e, n)
+    assert reports[0] == reports[1]
 
 
 def test_balance_width_counts_the_graded_dimensions(monkeypatch, llt_cache_dir):

@@ -22,7 +22,9 @@ keys of ``crystal.mullineux_pairs``: the closure of the empty
 bipartition under the cogood additions ``f_tilde``, grown one box at a
 time, so no shape of n is tested for regularity on its own.  Rows and
 columns are ordered by ``partitions.dominance_keys(n)``, one packed key
-table per n, shared by the solver, the orderings, the cache and ``_fault``.
+table per n, shared by the solver, the orderings, the cache and ``_fault``,
+and each is keyed by its position there, its id (``partitions.dominance_ids``
+maps a label to it).
 
 First approximation.  A regular mu is peeled to empty by the ladder
 rule: repeatedly remove the maximal *leading* run of minus signs of some
@@ -117,27 +119,34 @@ by moving its beads up one place.  The ladder peel reads the same masks:
 the leading run of an i-signature is the removable i-beads above the
 highest addable i-bead.  A vector is kept raw, as a map from shape ids
 to ``{exponent: coefficient}`` dicts, and elimination updates it in
-place; labels go back to the key table's tuples, and ``LaurentPoly``
-values are built, once a column is finished.  ``apply_f_divided``,
+place; a finished column keeps its shape ids, which are the matrix's row
+ids, and its ``LaurentPoly`` values are built then.  ``apply_f_divided``,
 ``first_approximation`` and ``peel_runs`` take the same route through a
 table of their own.  ``_f_targets`` counts the transition lookups and
 builds of every table, for profiles; it keeps no transition.
 
 Sharing.  A matrix holds one ``LaurentPoly`` per distinct entry value,
-shared by every entry equal to it, and its labels are the tuples held by
-``dominance_keys(n)``; both the solver and ``DecompositionMatrix.from_obj``
-build matrices this way.  The cache file (schema ``SCHEMA``) has the same
-shape: it lists each distinct value once, and an entry is an index into
-that list, so a load decodes each value once and looks each label up in
-one text -> tuple table.  The solver's finished raw columns hold the
-shared values' own dicts.  So no code may mutate a ``LaurentPoly`` or a
-finished raw column in place: ``LaurentPoly`` arithmetic always builds
-new dicts, and elimination writes only to the column being eliminated.
-``_fault`` checks each value object once, yet does not rely on sharing.
+shared by every entry equal to it, and its rows and columns are ids, not
+label tuples: a tuple does not cache its hash, and a load, ``_fault`` and
+the checks of ``verify`` look each entry's row up several times.  The
+solver hands over its size-n shape ids as they are, and
+``DecompositionMatrix.from_obj`` builds matrices the same way.  A reader
+turns an id back into its label, through ``DecompositionMatrix.rows``,
+only where it shows a label or needs the shape.  The cache file (schema
+``SCHEMA``) keeps text labels, its bytes unchanged by the ids: it lists
+each distinct value once, and an entry is an index into that list, so a
+load decodes each value once and looks each label up in one text -> id
+table.  The solver's finished raw columns hold the shared values' own
+dicts.  So no code may mutate a ``LaurentPoly`` or a finished raw column
+in place: ``LaurentPoly`` arithmetic always builds new dicts, and
+elimination writes only to the column being eliminated.  ``_fault``
+checks each value object once, yet does not rely on sharing.
 """
 
+import bisect
 import functools
 import json
+import operator
 import os
 import tempfile
 import weakref
@@ -146,7 +155,7 @@ from dataclasses import dataclass
 from .crystal import check_regular, mullineux_pairs, regular_bipartitions
 from .laurent import LaurentPoly, ONE, dot
 from .partitions import (
-    BeadLayout, Bipartition, check_e, conjugate, dominance_keys,
+    BeadLayout, Bipartition, check_e, conjugate, dominance_ids, dominance_keys,
     format_bipartition, size, undominated,
 )
 # a module attribute that the benchmark's tracer patches, used or not
@@ -416,7 +425,11 @@ def _first_approximations(shapes: _Shapes, regs: list[int], lower=None):
     Every mu has the same size, so no run list is a prefix of another:
     the walk never extends a vector it has yielded, and the caller may
     update it in place."""
-    roots: dict = {}  # parent label, None for |empty> -> (G(parent), trie)
+    # (run length m, parent's id among the shapes of n - m boxes), None
+    # for |empty> -> (G(parent), trie)
+    roots: dict = {}
+    # m -> None, or the held matrix of n - m boxes, its labels by id, its
+    # label -> id map, and its ids -> this solve's shape ids, as read
     levels: dict = {}
     for mu in reversed(regs):
         col = None
@@ -426,10 +439,13 @@ def _first_approximations(shapes: _Shapes, regs: list[int], lower=None):
             if run:  # mu is not the empty bipartition
                 m = run.bit_count()
                 if m not in levels:
-                    levels[m] = lower(size(shapes.label(mu)) - m)
+                    level = lower(size(shapes.label(mu)) - m)
+                    levels[m] = None if level is None else (
+                        level, level.rows(), dominance_ids(level.n), {})
                 if levels[m] is not None:
-                    parent = shapes.decode(x ^ run ^ (run >> 1))
-                    col = levels[m].columns.get(parent)
+                    level, _, ids, _ = levels[m]
+                    parent = m, ids[shapes.decode(x ^ run ^ (run >> 1))]
+                    col = level.columns.get(parent[1])
                     runs = ((i, m),)
         if col is None:
             parent, runs = None, reversed(shapes.peel(mu))
@@ -438,16 +454,16 @@ def _first_approximations(shapes: _Shapes, regs: list[int], lower=None):
             node = node.setdefault(run, {})
         # the leaf: None holds no run, so n = 0 needs no special case
         node[None] = mu
-    sid_of: dict[Bipartition, int] = {}  # the held levels' labels
-    for col, trie in roots.values():
+    for parent, (col, trie) in roots.items():
         if col is None:
             vec = {shapes.intern(shapes.empty): {0: 1}}
         else:
+            _, labels, _, sid_of = levels[parent[0]]
             vec = {}
             for lam, val in col.items():
                 sid = sid_of.get(lam)
                 if sid is None:
-                    sid = sid_of[lam] = shapes.intern(shapes.encode(lam))
+                    sid = sid_of[lam] = shapes.intern(shapes.encode(labels[lam]))
                 # _apply_divided reads the terms and writes fresh dicts
                 vec[sid] = val._c
         yield from _walk(shapes, trie, vec)
@@ -500,34 +516,48 @@ class DecompositionMatrix:
     rows run over all bipartitions of n.  Unitriangular against dominance
     with nonzero off-diagonal entries in q.N[q].
 
-    The columns are the whole matrix: ``row`` scans them for one row, and
-    a reader of every row walks them once instead."""
+    Rows and columns are keyed by id: ``columns`` maps a column's id to
+    ``{row id: value}``, an id being a bipartition's position in
+    ``dominance_keys(n)`` (so in ``range(len(rows()))``), ``rows()[k]``
+    the label of id k, and a smaller id is more dominant in the refined
+    order.  ``regulars``, ``rows`` and ``row`` speak labels.  The columns
+    are the whole matrix: ``row`` scans them for one row, and a reader of
+    every row walks them once instead."""
     n: int
     e: int
-    columns: dict[Bipartition, dict[Bipartition, LaurentPoly]]
+    columns: dict[int, dict[int, LaurentPoly]]
 
     def regulars(self) -> list[Bipartition]:
         """The column labels in decreasing dominance order."""
-        return [bp for bp in dominance_keys(self.n) if bp in self.columns]
+        labels = self.rows()
+        return [labels[mu] for mu in sorted(self.columns)]
 
     def rows(self) -> list[Bipartition]:
-        """Every bipartition of n in decreasing dominance order."""
+        """Every bipartition of n in decreasing dominance order, the label
+        of each id."""
         return list(dominance_keys(self.n))
 
     def row(self, lam: Bipartition) -> dict[Bipartition, LaurentPoly]:
-        """Row lam's entries, as a new dict in decreasing dominance."""
-        columns = self.columns
-        return {mu: columns[mu][lam] for mu in self.regulars() if lam in columns[mu]}
+        """Row lam's entries, as a new dict in decreasing dominance;
+        ``ValueError`` when lam is not a bipartition of n."""
+        keys = dominance_keys(self.n)
+        code = keys.get(lam)
+        if code is None:
+            raise ValueError(f"row {format_bipartition(lam)} is not a "
+                             f"bipartition of {self.n}")
+        # the codes decrease along the table: a bisection finds lam's id
+        sid = bisect.bisect_left(tuple(keys.values()), -code, key=operator.neg)
+        labels = list(keys)
+        return {labels[mu]: col[sid]
+                for mu, col in sorted(self.columns.items()) if sid in col}
 
     def to_obj(self):
         """The cache-file object, schema ``SCHEMA``: each distinct entry
         value is written once, as its ``to_pairs`` list in ``values``, in
         the order of first use over the columns and rows in decreasing
-        dominance, and each entry as its index there.  The bytes are
-        therefore a function of the matrix alone."""
-        labels = set(self.columns).union(*self.columns.values())
-        key_of = dominance_keys(self.n)
-        text_of = {bp: format_bipartition(bp) for bp in labels}
+        dominance, which is increasing id, and each entry as its index
+        there.  The bytes are therefore a function of the matrix alone."""
+        texts = list(map(format_bipartition, dominance_keys(self.n)))
         values: list[list[list[int]]] = []
         # id -> index, so each shared object is looked up once; objects
         # equal in value still share one index
@@ -543,35 +573,33 @@ class DecompositionMatrix:
                     values.append(val.to_pairs())
             return k
 
-        def by_key(kv):
-            return key_of[kv[0]]
-
-        columns = {
-            text_of[mu]: {
-                text_of[lam]: index(val)
-                for lam, val in sorted(col.items(), key=by_key, reverse=True)
-            }
-            for mu, col in sorted(self.columns.items(), key=by_key, reverse=True)
-        }
+        columns = {texts[mu]: {texts[lam]: index(col[lam]) for lam in sorted(col)}
+                   for mu, col in sorted(self.columns.items())}
         return {"schema": SCHEMA, "n": self.n, "e": self.e, "convention": ABOVE,
                 "values": values, "columns": columns}
 
     @classmethod
     def from_obj(cls, obj) -> "DecompositionMatrix":
         """The matrix of ``to_obj``; ``ValueError`` when the schema is not
-        ``SCHEMA``, the convention is not ``ABOVE``, a label is not the
-        text of a bipartition of n, or an entry is not an index into
+        ``SCHEMA``, the convention is not ``ABOVE``, n is not an int >= 0
+        or e an int >= 2 (so neither ``true`` nor ``2.0``), a label is not
+        the text of a bipartition of n, or an entry is not an index into
         ``values`` (an int, so neither ``true`` nor ``1.0``, in
-        [0, len(values))).  Labels come from one text -> tuple table over
-        ``dominance_keys(n)``, so none is parsed and each is the key
-        table's own tuple; each value is decoded once, and equal values
-        meet in one ``LaurentPoly`` (module docstring, "Sharing")."""
+        [0, len(values))).  Labels become ids through one text -> id table
+        over ``dominance_keys(n)``, so none is parsed; each value is
+        decoded once, and equal values meet in one ``LaurentPoly`` (module
+        docstring, "Sharing")."""
         if obj["schema"] != SCHEMA:
             raise ValueError(f"schema {obj['schema']!r} is not {SCHEMA}")
         if obj["convention"] != ABOVE:
             raise ValueError(f"convention {obj['convention']!r} is not {ABOVE!r}")
-        n = int(obj["n"])
-        table = {format_bipartition(bp): bp for bp in dominance_keys(n)}
+        n, e = obj["n"], obj["e"]
+        # bool is a subclass of int, and 2.0 == 2: the type is checked
+        if type(n) is not int or n < 0:
+            raise ValueError(f"n {n!r} is not an int >= 0")
+        if type(e) is not int or e < 2:
+            raise ValueError(f"e {e!r} is not an int >= 2")
+        table = {format_bipartition(bp): k for k, bp in enumerate(dominance_keys(n))}
         by_terms: dict = {}
         values = [by_terms.setdefault(_value_key(val._c), val)
                   for val in map(LaurentPoly.from_pairs, obj["values"])]
@@ -588,7 +616,7 @@ class DecompositionMatrix:
             except KeyError as exc:
                 raise ValueError(f"column {mu!r}: {exc.args[0]!r} is not a "
                                  f"label of size {n} or a value index") from None
-        return cls(n=n, e=int(obj["e"]), columns=columns)
+        return cls(n=n, e=e, columns=columns)
 
 
 def default_cache_dir() -> str:
@@ -693,30 +721,36 @@ def _fault(matrix: DecompositionMatrix) -> str | None:
     at a row its column dominates, and each off-diagonal value, checked
     once per object, is a nonzero element of q.N[q] (Brundan-Kleshchev,
     arXiv 0901.4450).
-    Equal values need not share one object: a column skips its diagonal
-    by label, so a diagonal object shared with another slot is checked
-    there."""
+    Rows and columns are read by id: the regular set as ids, and the codes
+    of ``dominance_keys(n)`` as a tuple indexed by id; labels are
+    formatted only for a failure text.  Equal values need not share one object: a
+    column skips its diagonal by id, so a diagonal object shared with
+    another slot is checked there."""
     n, columns = matrix.n, matrix.columns
-    regular = regular_bipartitions(n, matrix.e)
+
+    def text(sid: int) -> str:
+        return format_bipartition(matrix.rows()[sid])
+
+    keys = dominance_keys(n)
+    regular_set = regular_bipartitions(n, matrix.e)
+    regular = {sid for sid, bp in enumerate(keys) if bp in regular_set}
     if columns.keys() != regular:
-        odd = ", ".join(sorted(map(format_bipartition, columns.keys() ^ regular)))
+        odd = ", ".join(sorted(map(text, columns.keys() ^ regular)))
         return f"columns differ from the regular bipartitions at {odd}"
-    passed = set()  # the ids of the off-diagonal values checked
+    codes = tuple(keys.values())
+    passed = set()  # the ids of the off-diagonal value objects checked
     for mu, col in columns.items():
         if col.get(mu) != ONE:
-            return (f"column {format_bipartition(mu)}: diagonal is "
-                    f"{col.get(mu)}, expected 1")
-        bad = undominated(mu, col)
+            return f"column {text(mu)}: diagonal is {col.get(mu)}, expected 1"
+        bad = undominated(mu, col, codes, n)
         if bad:
-            return (f"column {format_bipartition(mu)} does not dominate its "
-                    f"row {format_bipartition(bad[0])}")
+            return f"column {text(mu)} does not dominate its row {text(bad[0])}"
         for lam, v in col.items():
             if id(v) in passed or lam == mu:
                 continue
             if not (v and v.in_q_window() and v.has_nonneg_coeffs()):
-                return (f"column {format_bipartition(mu)}, row "
-                        f"{format_bipartition(lam)}: {v} is not a nonzero "
-                        f"element of q.N[q]")
+                return (f"column {text(mu)}, row {text(lam)}: {v} is not a "
+                        f"nonzero element of q.N[q]")
             passed.add(id(v))
     return None
 
@@ -738,12 +772,11 @@ def _kept_rows(n: int, e: int, conj: list[int]) -> frozenset[int] | None:
 def _compute_canonical_basis(n: int, e: int, lower=None) -> DecompositionMatrix:
     """The matrix of n boxes at e, its columns started as
     ``_first_approximations`` starts them from the levels lower gives."""
-    key_of = dominance_keys(n)
-    # the bipartitions of n take ids 0, 1, ... in decreasing key order, and
-    # labels are the key table's own tuples
-    shapes = _Shapes(e, key_of)
+    # the bipartitions of n take ids 0, 1, ... in decreasing key order,
+    # the matrix's row and column ids
+    shapes = _Shapes(e, dominance_keys(n))
     labels = shapes.shapes
-    sid_of = {bp: sid for sid, bp in enumerate(labels)}
+    sid_of = dominance_ids(n)
     pairs = mullineux_pairs(n, e)
     regs = [sid for sid, bp in enumerate(labels) if bp in pairs]
     partner = {sid: sid_of[pairs[labels[sid]]] for sid in regs}
@@ -787,7 +820,7 @@ def _compute_canonical_basis(n: int, e: int, lower=None) -> DecompositionMatrix:
     raw: dict[int, RawVector] = {}
     # the columns flipped out of their finished partners, not yet reached
     derived: dict[int, dict[int, LaurentPoly]] = {}
-    columns: dict[Bipartition, dict[Bipartition, LaurentPoly]] = {}
+    columns: dict[int, dict[int, LaurentPoly]] = {}
     for idx in range(len(regs) - 1, -1, -1):
         mu = regs[idx]
         nu = partner[mu]
@@ -819,7 +852,7 @@ def _compute_canonical_basis(n: int, e: int, lower=None) -> DecompositionMatrix:
                         f"conjugate rows: row {text(lc)} of column {text(mu)} "
                         f"is {LaurentPoly(col.get(lc))}, not {val}, which "
                         f"row {text(lam)} gives at shift {s}")
-        columns[labels[mu]] = {labels[bp]: val for bp, val in vals.items()}
+        columns[mu] = vals
     return DecompositionMatrix(n=n, e=e, columns=columns)
 
 
@@ -884,19 +917,27 @@ def simple_graded_dims_from(matrix: DecompositionMatrix) -> dict[Bipartition, La
     over the regular rows.  Solutions must be bar-invariant with
     nonnegative coefficients; anything else is a convention fault.
 
-    One walk down the columns in decreasing dominance: each solved column
-    hands its (entry, qdim) pair to every regular row it has not reached,
-    so row mu's pairs are all in once mu's turn comes."""
+    One walk down the columns in decreasing dominance, which is increasing
+    id: each solved column hands its (entry, qdim) pair to every regular
+    row it has not reached, so row mu's pairs are all in once mu's turn
+    comes.  The result is keyed by label, in decreasing dominance."""
+    labels, columns = matrix.rows(), matrix.columns
     out: dict[Bipartition, LaurentPoly] = {}
-    pairs: dict[Bipartition, list] = {mu: [] for mu in matrix.columns}
-    for mu in matrix.regulars():
-        val = graded_dimension(mu, matrix.e) - dot(pairs.pop(mu))
+    # per row id, the pairs handed over so far: a list at a regular row
+    # not yet solved, else None
+    pairs: list = [None] * len(labels)
+    for mu in columns:
+        pairs[mu] = []
+    for mu in sorted(columns):
+        val = graded_dimension(labels[mu], matrix.e) - dot(pairs[mu])
+        pairs[mu] = None
         if not val.is_bar_invariant() or not val.has_nonneg_coeffs():
             raise RuntimeError(
-                f"graded dimension of simple {format_bipartition(mu)} came out "
-                f"as {val}; q-convention fault")
-        out[mu] = val
-        for lam, d in matrix.columns[mu].items():
-            if lam in pairs:
-                pairs[lam].append((d, val))
+                f"graded dimension of simple {format_bipartition(labels[mu])} "
+                f"came out as {val}; q-convention fault")
+        out[labels[mu]] = val
+        for lam, d in columns[mu].items():
+            held = pairs[lam]
+            if held is not None:
+                held.append((d, val))
     return out

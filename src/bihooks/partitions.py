@@ -260,15 +260,25 @@ def dominance_keys(n: int) -> MappingProxyType:
                              for bp in sorted(codes, key=codes.get, reverse=True)})
 
 
-def undominated(mu: Bipartition, lams) -> list[Bipartition]:
-    """The bipartitions of ``lams``, each of size(mu), that mu does not
-    dominate, in order, by one subtraction and mask on their codes.  It is
-    exact: ``guard`` holds each field's top bit, and each coordinate lies
-    in [0, n], below 2^(w-1).  So with coordinates a of mu and b of lam, a
-    field of ``(code(mu) | guard) - code(lam)`` is 2^(w-1) + a - b, in
-    [1, 2^w): no borrow crosses a field, which keeps its guard iff a >= b."""
-    n = size(mu)
-    codes = dominance_keys(n)
+def dominance_ids(n: int) -> dict[Bipartition, int]:
+    """A new ``{bp: id}`` over every bipartition of n, ``id`` its position
+    in ``dominance_keys(n)``: the id of a row or column of the
+    decomposition matrix of n boxes, so a smaller id is more dominant in
+    the refined order.  Not kept: a caller that looks up many labels
+    holds it for as long as it needs it."""
+    return {bp: k for k, bp in enumerate(dominance_keys(n))}
+
+
+def undominated(mu, lams, codes, n: int) -> list:
+    """The members of ``lams`` whose bipartitions of n that of mu does not
+    dominate, in order, by one subtraction and mask on their codes;
+    ``codes[x]`` is the ``dominance_keys(n)`` code of the bipartition
+    that x stands for: that table itself for labels, or its codes in order
+    for ids.  It is exact: ``guard`` holds each field's top bit,
+    and each coordinate lies in [0, n], below 2^(w-1).  So with
+    coordinates a of mu and b of lam, a field of ``(code(mu) | guard) -
+    code(lam)`` is 2^(w-1) + a - b, in [1, 2^w): no borrow crosses a
+    field, which keeps its guard iff a >= b."""
     w = n.bit_length() + 1
     guard = ((1 << 2 * n * w) - 1) // ((1 << w) - 1) << (w - 1)
     top = codes[mu] | guard

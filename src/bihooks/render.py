@@ -65,32 +65,38 @@ def verdict_text(v: Verdict) -> str:
     return "\n".join(lines)
 
 
-def _selected_rows(matrix: DecompositionMatrix, rows: str) -> list:
-    """The rows of ``matrix.rows()`` that ``rows`` keeps: "all" or
-    "bihooks"; any other value is refused."""
+def _selected_rows(matrix: DecompositionMatrix, rows: str) -> list[int]:
+    """The ids of the rows that ``rows`` keeps, in decreasing dominance:
+    "all" or "bihooks"; any other value is refused."""
     if rows not in ("all", "bihooks"):
         raise ValueError(f"rows must be 'all' or 'bihooks', got {rows!r}")
-    return [lam for lam in matrix.rows() if rows == "all" or is_bihook(lam)]
+    return [sid for sid, lam in enumerate(matrix.rows())
+            if rows == "all" or is_bihook(lam)]
 
 
-def _row_texts(matrix: DecompositionMatrix, kept: list, field, plain, punct):
-    """Each kept nonzero row's text, in the order of ``kept``.  An entry
-    is ``open + row + mid + column + mid + value + close``, a label
-    encoded as ``field(format_bipartition(label))`` and a value as
+def _row_texts(matrix: DecompositionMatrix, kept: list[int], field, plain, punct):
+    """Each kept nonzero row's text, in the order of ``kept``, row ids.
+    An entry is ``open + row + mid + column + mid + value + close``, a
+    label encoded as ``field(format_bipartition(label))`` and a value as
     ``field(plain(value))``, and entries are joined by ``sep`` within and
     across rows.  One walk of the columns in decreasing dominance gives
-    each row its tails ``column + mid + value + close`` in that order.
-    Each label and each entry object is encoded once (a matrix shares one
-    object per distinct value), each tail made once per column and
-    object, and a row's tails are dropped as its text is yielded."""
+    each row its tails ``column + mid + value + close`` in that order, in
+    a list indexed by row id.  Each label and each entry object is encoded
+    once (a matrix shares one object per distinct value), each tail made
+    once per column and object, and a row's tails are dropped as its text
+    is yielded."""
     open_, mid, close, sep = punct
-    tails_of: dict = {lam: [] for lam in kept}
+    labels = matrix.rows()
+    # per row id, its tails so far, or None for a row not kept
+    tails_of: list = [None] * len(labels)
+    for lam in kept:
+        tails_of[lam] = []
     encoded: dict[int, str] = {}
-    for mu in matrix.regulars():
-        head = field(format_bipartition(mu)) + mid
+    for mu, col in sorted(matrix.columns.items()):
+        head = field(format_bipartition(labels[mu])) + mid
         tail_of: dict[int, str] = {}
-        for lam, val in matrix.columns[mu].items():
-            tails = tails_of.get(lam)
+        for lam, val in col.items():
+            tails = tails_of[lam]
             if tails is not None:
                 tail = tail_of.get(id(val))
                 if tail is None:
@@ -101,9 +107,9 @@ def _row_texts(matrix: DecompositionMatrix, kept: list, field, plain, punct):
                 tails.append(tail)
     lead = ""
     for lam in kept:
-        tails = tails_of.pop(lam)
+        tails, tails_of[lam] = tails_of[lam], None
         if tails:
-            prefix = open_ + field(format_bipartition(lam)) + mid
+            prefix = open_ + field(format_bipartition(labels[lam])) + mid
             yield lead + prefix + (sep + prefix).join(tails)
             lead = sep
 
@@ -128,9 +134,11 @@ def matrix_csv(matrix: DecompositionMatrix, rows: str = "all") -> Iterator[str]:
 def matrix_json_obj(matrix: DecompositionMatrix, rows: str = "all") -> dict:
     """The JSON object of the matrix, one entry at a time through
     ``matrix.row``: the plain route that ``matrix_json`` must match."""
+    labels = matrix.rows()
     return {"e": matrix.e, "n": matrix.n, "convention": ABOVE, "entries": [
-        [format_bipartition(lam), format_bipartition(mu), val.to_pairs()]
-        for lam in _selected_rows(matrix, rows) for mu, val in matrix.row(lam).items()]}
+        [format_bipartition(labels[lam]), format_bipartition(mu), val.to_pairs()]
+        for lam in _selected_rows(matrix, rows)
+        for mu, val in matrix.row(labels[lam]).items()]}
 
 
 def matrix_json(matrix: DecompositionMatrix, rows: str = "all") -> Iterator[str]:

@@ -334,14 +334,17 @@ def _llt_matrix_checks(rep: SuiteReport, matrix, e: int, n: int):
     (e, w) serves every level: at the default bounds every level has B
     below 2^45, so w = 64.  A graded dimension with an exponent below low
     fails its case unevaluated."""
-    # codes of its own, packed from each row's dominance_key: the table
-    # partitions.dominance_keys is what the solver and the cache check
-    # read, so a fault in it cannot hide from this check
+    # rows and columns are ids, labels[k] the bipartition of id k; the
+    # codes are its own, indexed by id and packed from each row's
+    # dominance_key: the table partitions.dominance_keys is what the
+    # solver and the cache check read, so a fault in it cannot hide from
+    # this check
+    labels = matrix.rows()
     width = n.bit_length() + 1
     shifts = range((2 * n - 1) * width, -1, -width)
     guard = sum(1 << s for s in shifts) << (width - 1)
-    code_of = {lam: sum(map(operator.lshift, dominance_key(lam), shifts))
-               for lam in matrix.rows()}
+    codes = [sum(map(operator.lshift, dominance_key(lam), shifts))
+             for lam in labels]
     one = LaurentPoly.q_power(0)
     # id -> in_q_window, and id -> value, once per value object: entries
     # share values, and the matrix keeps every one alive while this runs
@@ -350,10 +353,10 @@ def _llt_matrix_checks(rep: SuiteReport, matrix, e: int, n: int):
     for mu, col in matrix.columns.items():
         diagonal = col.get(mu)
         rep.check(diagonal == one,
-                  lambda: f"diagonal e={e} n={n} {format_bipartition(mu)}")
+                  lambda: f"diagonal e={e} n={n} {format_bipartition(labels[mu])}")
         if diagonal is not None:
             values[id(diagonal)] = diagonal
-        top = code_of[mu] | guard
+        top = codes[mu] | guard
         for lam, val in col.items():
             if lam == mu:
                 continue
@@ -361,9 +364,10 @@ def _llt_matrix_checks(rep: SuiteReport, matrix, e: int, n: int):
             if inside is None:
                 inside = window[id(val)] = val.in_q_window()
                 values[id(val)] = val
-            rep.check(inside and (top - code_of[lam]) & guard == guard,
+            rep.check(inside and (top - codes[lam]) & guard == guard,
                       lambda: f"window/triangularity e={e} n={n} "
-                              f"{format_bipartition(lam)},{format_bipartition(mu)}")
+                              f"{format_bipartition(labels[lam])},"
+                              f"{format_bipartition(labels[mu])}")
     try:
         qdim = fock.simple_graded_dims_from(matrix)
     except RuntimeError as exc:
@@ -375,15 +379,15 @@ def _llt_matrix_checks(rep: SuiteReport, matrix, e: int, n: int):
     w = -(-bound.bit_length() // 64) * 64
     low_d, low_x = _low(values.values()), _low(qdim.values())
     packed = {i: _packed(val, low_d, w) for i, val in values.items()}
-    # rows in decreasing dominance, each with its right side at 2^w
-    rhs = dict.fromkeys(code_of, 0)
+    # each row's right side at 2^w, indexed by row id
+    rhs = [0] * len(labels)
     for mu, col in matrix.columns.items():
-        x = _packed(qdim[mu], low_x, w)
+        x = _packed(qdim[labels[mu]], low_x, w)
         product = {i: packed[i] * x for i in set(map(id, col.values()))}
         for lam, val in col.items():
             rhs[lam] += product[id(val)]
     low = low_d + low_x
-    for lam, got in rhs.items():
+    for lam, got in zip(labels, rhs):
         low_g, g = tableaux.packed_graded_dimension(lam, e, w)
         rep.check(low_g >= low and g << w * (low_g - low) == got,
                   lambda: f"dimension balance e={e} n={n} {format_bipartition(lam)}")

@@ -342,7 +342,7 @@ def _shuffled(matrix, seed):
         rng.shuffle(items)
         columns[mu] = {lam: LaurentPoly.from_pairs(val.to_pairs()) if k % 2 else val
                        for k, (lam, val) in enumerate(items)}
-    first, second = matrix.regulars()[:2]
+    first, second = sorted(matrix.columns)[:2]
     shared = columns[first][first]
     columns[second][second] = shared
     return DecompositionMatrix(n=matrix.n, e=matrix.e, columns=columns), shared
@@ -352,7 +352,7 @@ def _shuffled(matrix, seed):
 def test_emitters_read_a_shuffled_matrix_with_shared_entries(e, n):
     computed = canonical_basis(n, e, use_cache=False)
     matrix, shared = _shuffled(computed, seed=e * 100 + n)
-    assert list(matrix.columns) != computed.regulars()
+    assert list(matrix.columns) != sorted(computed.columns)
     entries = [val for col in matrix.columns.values() for val in col.values()]
     assert sum(val is shared for val in entries) >= 2
     assert any(a == b and a is not b for a, b in zip(entries, entries[1:]))
@@ -369,7 +369,7 @@ def test_column_walks_read_a_shuffled_matrix(e, n):
     # lists as on the computed matrix, with the top column's entries
     # raised by q at its regular rows, then at the others
     computed = canonical_basis(n, e, use_cache=False)
-    top = computed.regulars()[0]
+    top = min(computed.columns)
     outcomes = []
     for reg in (True, False):
         cols = dict(computed.columns)
@@ -378,7 +378,7 @@ def test_column_walks_read_a_shuffled_matrix(e, n):
                      for lam, val in cols[top].items()}
         broken = DecompositionMatrix(n=n, e=e, columns=cols)
         shuffled, _ = _shuffled(broken, seed=e * 100 + n)
-        assert list(shuffled.columns) != broken.regulars()
+        assert list(shuffled.columns) != sorted(broken.columns)
         for matrix in (broken, shuffled):
             rep = verify.SuiteReport("llt")
             verify._llt_matrix_checks(rep, matrix, e, n)
@@ -515,12 +515,16 @@ def _parent_format(obj):
     _set_entry("4|-", "3,1|-", [[1, 1], [2, 0]]),
     _set_entry("4|-", "3,1|-", [[1, 5], [1, 1]]),
     lambda good: b"[" * 5000 + b"]" * 5000,              # RecursionError
+    # equal to the (n, e) asked for, but not ints; both were served
+    _edit(lambda obj: obj.update(n=4.0)),
+    _edit(lambda obj: obj.update(e=2.0)),
 ], ids=["truncated", "missing-columns", "bad-label", "infinite-exponent",
         "infinite-coefficient", "index-out-of-range", "negative-index",
         "true-as-index", "float-as-index", "missing-values", "parent-format",
         "other-schema",
         "float-exponent", "string-exponent", "bool-coefficient",
-        "zero-coefficient", "repeated-exponent", "deeply-nested"])
+        "zero-coefficient", "repeated-exponent", "deeply-nested",
+        "float-n", "float-e"])
 def test_llt_recomputes_over_undecodable_cache(tmp_path, capsys, monkeypatch,
                                                corrupt):
     _rerun_over_corrupted_cache(tmp_path, capsys, monkeypatch, corrupt)

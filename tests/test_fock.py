@@ -1,6 +1,7 @@
 import gc
 import hashlib
 import json
+import re
 import shutil
 import weakref
 
@@ -14,7 +15,8 @@ from bihooks.fock import (
 from bihooks.laurent import LaurentPoly, ONE, ZERO, quantum_factorial
 from bihooks.partitions import (
     EMPTY_BP, BeadLayout, add_node, addable_nodes, bipartitions, conjugate,
-    dominance_key, dominance_keys, format_bipartition, key_dominates,
+    dominance_ids, dominance_key, dominance_keys, format_bipartition,
+    key_dominates,
     remove_node, residue, size,
 )
 from bihooks.crystal import (
@@ -528,7 +530,7 @@ def test_held_and_empty_roots_in_one_solve(tmp_path, monkeypatch, e, n):
     assert len(applied) == len(prefixes) + len(solved) - len(walked)
     if (e, n) == (3, 12):
         # over every column, each solved or read off its Mullineux partner
-        ones = sum(peel_runs(mu, e)[0][1] == 1 for mu in matrix.columns)
+        ones = sum(peel_runs(mu, e)[0][1] == 1 for mu in matrix.regulars())
         assert (ones, len(matrix.columns) - ones) == (83, 73)
         assert (len(walked), len(solved) - len(walked)) == (43, 37)
     assert matrix == plain
@@ -542,7 +544,8 @@ def test_loaded_levels_start_no_column(tmp_path, monkeypatch):
     for n in range(6):
         good = canonical_basis(n, 2, cache_dir=str(tmp_path))
     columns = {mu: dict(col) for mu, col in good.columns.items()}
-    columns[((5,), ())][((4,), (1,))] = Q(1) + Q(2)
+    ids = dominance_ids(5)
+    columns[ids[((5,), ())]][ids[((4,), (1,))]] = Q(1) + Q(2)
     path = tmp_path / "llt_e2_n5_above.json"
     path.write_text(json.dumps(DecompositionMatrix(5, 2, columns).to_obj()))
     fock._MEMORY.clear()
@@ -558,7 +561,8 @@ def test_held_parent_off_its_diagonal_raises_naming_the_column(tmp_path,
     monkeypatch.setattr(fock, "_MEMORY", {})
     for n in range(6):
         held = canonical_basis(n, 2, cache_dir=str(tmp_path))
-    del held.columns[((5,), ())][((5,), ())]
+    five = dominance_ids(5)[((5,), ())]
+    del held.columns[five][five]
     with pytest.raises(RuntimeError, match=r"^first approximation of 6\|- "
                        r"has leading coefficient 0$"):
         canonical_basis(6, 2, cache_dir=str(tmp_path))
@@ -635,8 +639,9 @@ def test_first_approximation_one_box():
 
 def test_canonical_basis_small():
     m = canonical_basis(1, 2, use_cache=False)
-    assert set(m.columns) == {((1,), ())}
-    assert m.columns[((1,), ())] == {((1,), ()): ONE, ((), (1,)): Q(1)}
+    ids = dominance_ids(1)
+    assert m.regulars() == [((1,), ())]
+    assert m.columns == {ids[((1,), ())]: {ids[((1,), ())]: ONE, ids[((), (1,))]: Q(1)}}
 
     m = canonical_basis(4, 2, use_cache=False)
     row = m.row(((2,), (2,)))
@@ -646,15 +651,16 @@ def test_canonical_basis_small():
 def test_canonical_basis_window_and_triangularity():
     for e, n in [(2, 6), (3, 6), (4, 5)]:
         m = canonical_basis(n, e, use_cache=False)
+        labels = m.rows()
         for mu, col in m.columns.items():
             assert col[mu] == ONE
-            kmu = dominance_key(mu)
+            kmu = dominance_key(labels[mu])
             for lam, val in col.items():
                 if lam != mu:
                     assert val.in_q_window()
-                    assert key_dominates(kmu, dominance_key(lam))
-        assert set(m.columns) == {bp for bp in bipartitions(n)
-                                  if is_regular(bp, e)}
+                    assert key_dominates(kmu, dominance_key(labels[lam]))
+        assert set(m.regulars()) == {bp for bp in bipartitions(n)
+                                     if is_regular(bp, e)}
 
 
 def test_simple_graded_dims_properties():
@@ -704,8 +710,9 @@ def test_cache_round_trip(tmp_path, tmp_path_factory):
 def _scan_row(matrix, lam):
     """Row lam read by a plain scan over the columns in decreasing
     dominance."""
-    return {mu: matrix.columns[mu][lam] for mu in dominance_keys(matrix.n)
-            if lam in matrix.columns.get(mu, ())}
+    ids = dominance_ids(matrix.n)
+    return {mu: matrix.columns[ids[mu]][ids[lam]] for mu in dominance_keys(matrix.n)
+            if ids[lam] in matrix.columns.get(ids[mu], ())}
 
 
 @pytest.mark.parametrize("e, n", [(2, 8), (3, 9)])
@@ -715,21 +722,23 @@ def test_row_reads_the_columns_in_dominance_order(e, n):
     computed = canonical_basis(n, e, use_cache=False)
     loaded = DecompositionMatrix.from_obj(
         json.loads(json.dumps(computed.to_obj())))
-    assert list(computed.columns) == computed.regulars()[::-1]
-    assert list(loaded.columns) == loaded.regulars()
+    assert list(computed.columns) == sorted(computed.columns, reverse=True)
+    assert list(loaded.columns) == sorted(loaded.columns)
     for matrix in (computed, loaded):
         for lam in bipartitions(n):
             row = matrix.row(lam)
             want = _scan_row(matrix, lam)
             assert row == want and list(row) == list(want)
     # the caller owns the returned dict
-    lam = next(iter(computed.columns))
+    lam = computed.rows()[next(iter(computed.columns))]
     computed.row(lam).clear()
     assert computed.row(lam) == _scan_row(computed, lam) != {}
 
 
 def test_to_obj_from_obj_round_trip():
-    for e, n in ((2, 8), (3, 9), (2, 0)):
+    # the load gives back the solve's entries id for id, one value object
+    # per distinct value
+    for e, n in [(e, n) for e in (2, 3, 4) for n in range(9)] + [(3, 9)]:
         m = canonical_basis(n, e, use_cache=False)
         obj = m.to_obj()
         assert obj["schema"] == fock.SCHEMA
@@ -749,20 +758,42 @@ def test_to_obj_from_obj_round_trip():
         "schema": 2, "n": 2, "e": 2, "convention": "above",
         "values": [[[0, 1]], [[1, 1], [2, 3]], [[2, 3], [1, 1]]],
         "columns": {"2|-": {"2|-": 0, "1,1|-": 1, "1|1": 2}}})
-    _, *vals = back.columns[((2,), ())].values()
+    _, *vals = back.columns[dominance_ids(2)[((2,), ())]].values()
     assert vals[0] is vals[1]
     _assert_shared(back)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("n", 2.5), ("n", "2"), ("n", 2.0), ("n", True), ("n", -1),
+    ("e", True), ("e", 1), ("e", 2.0), ("e", "2"),
+])
+def test_from_obj_refuses_n_and_e_off_their_ints(field, value):
+    # int() read n = 2.5 and "2" as 2, and e = true as 1
+    obj = canonical_basis(2, 2, use_cache=False).to_obj()
+    obj[field] = value
+    with pytest.raises(ValueError, match=f"^{field} {value!r} is not an int"):
+        DecompositionMatrix.from_obj(obj)
+
+
+@pytest.mark.parametrize("lam", [((5,), ()), ((1, 2), ()), ((2,), (2,))])
+def test_row_refuses_a_label_outside_the_matrix(lam):
+    # a shape of another size, or a tuple that is no bipartition, is no
+    # row of the 3-box matrix; the row read {} before
+    m = canonical_basis(3, 2, use_cache=False)
+    with pytest.raises(ValueError, match=rf"^row {re.escape(format_bipartition(lam))} "
+                       r"is not a bipartition of 3$"):
+        m.row(lam)
+
+
 def _assert_shared(matrix):
-    """One LaurentPoly per distinct value, and every label is the tuple
-    held by dominance_keys(n)."""
-    table = {bp: bp for bp in dominance_keys(matrix.n)}
+    """One LaurentPoly per distinct value, and every row and column an
+    id, a position in dominance_keys(n)."""
+    ids = range(len(dominance_keys(matrix.n)))
     values = {}
     for mu, col in matrix.columns.items():
-        assert table[mu] is mu
+        assert type(mu) is int and mu in ids
         for lam, val in col.items():
-            assert table[lam] is lam
+            assert type(lam) is int and lam in ids
             assert values.setdefault(val, val) is val
 
 
@@ -833,6 +864,40 @@ def test_fault_passes_computed_and_loaded_matrices(e, n):
     assert fock._fault(DecompositionMatrix(n=n, e=e, columns=unshared)) is None
 
 
+@pytest.mark.parametrize("e", [2, 3, 4])
+def test_fault_triangularity_matches_key_dominates(monkeypatch, e):
+    # every column of the solve holding every row at q: the codes _fault
+    # reads by id refuse exactly the pairs key_dominates refuses, the
+    # first of them named, and every one of them seen through
+    # undominated, whose verdicts are recorded and withheld so that every
+    # column is read
+    real, seen = fock.undominated, []
+
+    def recording(mu, lams, codes, n):
+        seen.append((mu, real(mu, lams, codes, n)))
+        return []
+
+    for n in range(9):
+        good = canonical_basis(n, e, use_cache=False)
+        labels = good.rows()
+        cols = {mu: {lam: ONE if lam == mu else Q(1) for lam in range(len(labels))}
+                for mu in good.columns}
+        want = [(mu, lam) for mu in cols for lam in cols[mu] if not key_dominates(
+            dominance_key(labels[mu]), dominance_key(labels[lam]))]
+        matrix = DecompositionMatrix(n=n, e=e, columns=cols)
+        if want:
+            mu, lam = want[0]
+            assert fock._fault(matrix) == (
+                f"column {format_bipartition(labels[mu])} does not dominate "
+                f"its row {format_bipartition(labels[lam])}")
+        with monkeypatch.context() as patch:
+            patch.setattr(fock, "undominated", recording)
+            seen.clear()
+            assert fock._fault(matrix) is None
+        assert [mu for mu, _ in seen] == list(cols)
+        assert [(mu, lam) for mu, bad in seen for lam in bad] == want
+
+
 def _set(col, row, val):
     def edit(columns, label):
         columns[label[col]][label[row]] = val
@@ -858,14 +923,14 @@ def _set(col, row, val):
 def test_fault_names_each_broken_invariant(edit, named):
     m = canonical_basis(5, 2, use_cache=False)
     columns = {mu: dict(col) for mu, col in m.columns.items()}
-    edit(columns, {format_bipartition(bp): bp for bp in dominance_keys(5)})
+    edit(columns, {format_bipartition(bp): k for k, bp in enumerate(dominance_keys(5))})
     reason = fock._fault(DecompositionMatrix(n=5, e=2, columns=columns))
     assert reason is not None and named in reason
 
 
 def test_fault_formats_labels_only_on_failure(monkeypatch):
     m = canonical_basis(5, 2, use_cache=False)
-    label = {format_bipartition(bp): bp for bp in dominance_keys(5)}
+    label = {format_bipartition(bp): k for k, bp in enumerate(dominance_keys(5))}
     broken = []
     for col, row, val in (("2,1|2", "2,1|2", LaurentPoly({0: 2})),
                           ("2,1|2", "3|2", Q(1)), ("3,2|-", "1|2,2", -Q(2))):

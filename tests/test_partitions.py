@@ -3,7 +3,7 @@ from hypothesis import given, strategies as st
 
 from bihooks.partitions import (
     EMPTY_BP, add_node, addable_nodes, as_partition, bipartitions, conjugate,
-    conjugate_partition, dominance_key, dominance_keys, dominates,
+    conjugate_partition, dominance_ids, dominance_key, dominance_keys, dominates,
     format_bipartition, hook_length, is_bihook, key_dominates,
     parse_bipartition, removable_nodes, remove_node, residue, signed_nodes,
     size, undominated,
@@ -130,6 +130,7 @@ def test_dominance_keys_table():
         assert list(table) == sorted(bipartitions(n), key=dominance_key,
                                      reverse=True)
         assert dominance_keys(n) is table
+        assert list(dominance_ids(n).items()) == [(bp, k) for k, bp in enumerate(table)]
         with pytest.raises(TypeError):
             table[EMPTY_BP] = 0
 
@@ -146,15 +147,21 @@ def test_dominance_codes_pack_the_keys():
 
 
 def _packed_dominates(lam, mu):
-    """The packed test of ``undominated``, one pair at a time."""
-    return undominated(lam, [mu]) == []
+    """The packed test of ``undominated``, one pair at a time, on labels
+    and on ids."""
+    n = size(lam)
+    codes, ids = dominance_keys(n), dominance_ids(n)
+    by_id = tuple(codes.values())
+    by_label = undominated(lam, [mu], codes, n) == []
+    assert undominated(ids[lam], [ids[mu]], by_id, n) == ([] if by_label else [ids[mu]])
+    return by_label
 
 
 def test_packed_dominance_matches_keys_small():
     for n in range(0, 9):
         bps = bipartitions(n)
         for lam in bps:
-            assert undominated(lam, bps) == [
+            assert undominated(lam, bps, dominance_keys(n), n) == [
                 mu for mu in bps
                 if not key_dominates(dominance_key(lam), dominance_key(mu))]
             for mu in bps:

@@ -10,8 +10,8 @@ from bihooks import crystal, fock, schur, structure, tableaux, verify
 from bihooks.fock import DecompositionMatrix, canonical_basis, simple_graded_dims_from
 from bihooks.laurent import LaurentPoly
 from bihooks.partitions import (
-    EMPTY_BP, bipartitions, dominance_key, format_bipartition, key_dominates,
-    parse_bipartition, size,
+    EMPTY_BP, bipartitions, dominance_ids, dominance_key, format_bipartition,
+    key_dominates, parse_bipartition, size,
 )
 
 Q = LaurentPoly.q_power
@@ -212,9 +212,10 @@ def test_llt_matrix_checks_report_each_failure_family():
     assert (rep.cases, rep.failures) == (112, [])
 
     cols = {mu: dict(col) for mu, col in good.columns.items()}
+    ids = dominance_ids(5)
 
     def put(lam, mu, val):
-        cols[parse_bipartition(mu)][parse_bipartition(lam)] = val
+        cols[ids[parse_bipartition(mu)]][ids[parse_bipartition(lam)]] = val
     put("2,1|2", "2,1|2", 2 * Q(0))      # diagonal 2, not 1
     put("1|2,2", "3,2|-", Q(0))          # entry outside q.Z[q]
     put("3|2", "2,1|2", Q(1))            # entry at a row not dominated
@@ -243,8 +244,9 @@ def triangularity_failures(rep):
 def test_packed_triangularity_matches_key_dominates(n):
     # every bipartition of n as a column holding every row at q: the
     # packed check fails exactly the pairs that key_dominates refuses
-    bps = bipartitions(n)
-    cols = {mu: {lam: Q(0) if lam == mu else Q(1) for lam in bps} for mu in bps}
+    bps, ids = bipartitions(n), dominance_ids(n)
+    cols = {ids[mu]: {ids[lam]: Q(0) if lam == mu else Q(1) for lam in bps}
+            for mu in bps}
     rep = verify.SuiteReport("llt")
     verify._llt_matrix_checks(rep, DecompositionMatrix(n=n, e=2, columns=cols), 2, n)
     assert triangularity_failures(rep) == [
@@ -259,11 +261,11 @@ def test_triangularity_sees_one_excess_in_the_top_field(monkeypatch):
     # field of the packed codes, and equals it elsewhere: the smallest
     # violation there is
     good = canonical_basis(5, 2, use_cache=False)
-    mu, lam = next((mu, lam) for mu in good.columns for lam in bipartitions(5)
+    mu, lam = next((mu, lam) for mu in good.regulars() for lam in bipartitions(5)
                    if [a - b for a, b in zip(dominance_key(lam), dominance_key(mu))]
                    == [1] + [0] * 9)
     cols = {c: dict(col) for c, col in good.columns.items()}
-    cols[mu][lam] = Q(1)
+    cols[dominance_ids(5)[mu]][dominance_ids(5)[lam]] = Q(1)
     bad = DecompositionMatrix(n=5, e=2, columns=cols)
     # the check packs codes of its own: a table of the solver's whose
     # codes are all 0 leaves it as it is
@@ -281,7 +283,8 @@ def test_llt_matrix_checks_report_a_simple_dimension_fault():
     # the matrix's balance is skipped
     good = canonical_basis(5, 2, use_cache=False)
     cols = {mu: dict(col) for mu, col in good.columns.items()}
-    cols[parse_bipartition("5|-")][parse_bipartition("4|1")] = Q(1) + Q(2)
+    ids = dominance_ids(5)
+    cols[ids[parse_bipartition("5|-")]][ids[parse_bipartition("4|1")]] = Q(1) + Q(2)
     rep = verify.SuiteReport("llt")
     verify._llt_matrix_checks(rep, DecompositionMatrix(n=5, e=2, columns=cols), 2, 5)
     assert rep.cases == 112 - len(good.rows()) + 1
@@ -359,7 +362,7 @@ def test_balance_matches_the_plain_route(point, data, val):
     lam = data.draw(st.one_of(st.just(mu), st.sampled_from(good.regulars()),
                               st.sampled_from(good.rows())))
     cols = {c: dict(col) for c, col in good.columns.items()}
-    cols[mu][lam] = val
+    cols[dominance_ids(n)[mu]][dominance_ids(n)[lam]] = val
     bad = DecompositionMatrix(n=n, e=e, columns=cols)
     rep = verify.SuiteReport("llt")
     verify._llt_matrix_checks(rep, bad, e, n)
@@ -378,7 +381,7 @@ def test_balance_forms_one_product_per_value_object(point, data, val):
     # plain route's balance, with the same cases and failures
     e, n = point
     good = solved(e, n)
-    mu = data.draw(st.sampled_from(good.regulars()))
+    mu = data.draw(st.sampled_from(sorted(good.columns)))
     rows = data.draw(st.lists(st.sampled_from(sorted(good.columns[mu])),
                               unique=True, max_size=4))
     col = {**good.columns[mu], **dict.fromkeys(rows, val)}
@@ -430,9 +433,8 @@ def test_balance_past_64_bits_matches_the_plain_route():
     # and a memo table of its own beside w = 64's
     e, n = 2, 6
     good = solved(e, n)
-    mu = good.regulars()[0]
-    regular = set(good.regulars())
-    lam = next(lam for lam in good.columns[mu] if lam not in regular)
+    mu = min(good.columns)
+    lam = next(lam for lam in good.columns[mu] if lam not in good.columns)
     rep = verify.SuiteReport("llt")
     tableaux._bead_peel.cache_clear()
     verify._llt_matrix_checks(rep, good, e, n)
@@ -444,13 +446,13 @@ def test_balance_past_64_bits_matches_the_plain_route():
         rep = verify.SuiteReport("llt")
         verify._llt_matrix_checks(rep, bad, e, n)
         assert rep.failures == plain_balance(bad, e, n) == [
-            f"dimension balance e={e} n={n} {format_bipartition(lam)}"]
+            f"dimension balance e={e} n={n} {format_bipartition(good.rows()[lam])}"]
     # the second table is w = 128's: this lookup finds it, and adds none
     assert len(tableaux._bead_peel(e, 31, 128).memo) > 1
     assert tableaux._bead_peel.cache_info().currsize == 2
     # a regular row's entry past 2^64 breaks the simple dimensions
     cols = {c: dict(col) for c, col in good.columns.items()}
-    cols[mu][good.regulars()[1]] = Q(1) * 2 ** 64
+    cols[mu][sorted(good.columns)[1]] = Q(1) * 2 ** 64
     bad = DecompositionMatrix(n=n, e=e, columns=cols)
     rep = verify.SuiteReport("llt")
     verify._llt_matrix_checks(rep, bad, e, n)
